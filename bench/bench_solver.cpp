@@ -13,8 +13,8 @@
 //   --out PATH    output file (default BENCH_solver.json)
 //   --repeat N    timing repetitions per workload, min is reported (default 3)
 //   --threads K   parallel-attack comparison: each CLN miter runs with one
-//                 thread and then with K threads in race, share and cubes
-//                 mode; records carry threads/par_mode/speedup columns and
+//                 thread and then with K threads in share and cubes mode;
+//                 records carry threads/par_mode/speedup columns and
 //                 the ksat suite is skipped (schema in EXPERIMENTS.md)
 #include <algorithm>
 #include <chrono>
@@ -63,7 +63,7 @@ double seconds_since(Clock::time_point start) {
 // paper's tables are bounded by.
 WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat,
                              int threads = 1,
-                             fl::sat::ParMode mode = fl::sat::ParMode::kRace) {
+                             fl::sat::ParMode mode = fl::sat::ParMode::kShare) {
   WorkloadResult r;
   r.suite = "cln_miter";
   r.name = std::string(topo == ClnTopology::kShuffleBlocking ? "blocking"
@@ -207,8 +207,7 @@ int main(int argc, char** argv) {
       if (threads > 1) {
         const double base_wall = results.back().wall_s;
         for (const fl::sat::ParMode mode :
-             {fl::sat::ParMode::kRace, fl::sat::ParMode::kShare,
-              fl::sat::ParMode::kCubes}) {
+             {fl::sat::ParMode::kShare, fl::sat::ParMode::kCubes}) {
           results.push_back(
               run_cln_miter(m.topo, m.n, smoke ? 1 : repeat, threads, mode));
           WorkloadResult& r = results.back();

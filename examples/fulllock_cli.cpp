@@ -25,10 +25,9 @@
 //            the .bench provenance header when present. --attack picks the
 //            algorithm (auto, sat, cycsat, appsat, double-dip, fall; auto =
 //            cycsat on cyclic netlists, sat otherwise). --portfolio K uses
-//            K solver threads; --par-mode picks how they cooperate: race
-//            (independent attacks, first finisher cancels the rest), share
-//            (one attack, K clause-sharing CDCL workers), or cubes
-//            (cube-and-conquer over the swap-key variables). --encode
+//            K solver threads in one attack; --par-mode picks how they
+//            cooperate: share (K clause-sharing CDCL workers, the default)
+//            or cubes (cube-and-conquer over the swap-key variables). --encode
 //            selects the miter encoding (auto = key-cone on acyclic locks,
 //            cone, full; cone is rejected up front for cyclic-capable
 //            schemes) and --no-preprocess disables base-miter CNF
@@ -37,6 +36,7 @@
 //            DIP iteration (schema in EXPERIMENTS.md).
 //   sweep:   example_fulllock_cli sweep <in.bench> [sizes...]
 //                                       [--scheme LIST] [--opt K=V,...]
+//                                       [the attack flags above]
 //            Locks <in.bench> once per (scheme, size, seed index) cell and
 //            attacks each instance, fanning the grid out over a worker
 //            pool. --scheme takes a comma-separated list of registry names
@@ -73,16 +73,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "attacks/appsat.h"
-#include "attacks/cycsat.h"
-#include "attacks/double_dip.h"
-#include "attacks/fall.h"
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
@@ -100,28 +98,106 @@ using namespace fl;
 
 namespace {
 
+// "--name VALUE" or "--name=VALUE" at argv[i]: the value (moving i past a
+// separate one), or nullopt when argv[i] is some other argument.
+std::optional<std::string> flag_value(std::string_view name, int argc,
+                                      char** argv, int& i) {
+  const std::string_view arg = argv[i];
+  if (arg.size() > name.size() && arg.substr(0, name.size()) == name &&
+      arg[name.size()] == '=') {
+    return std::string(arg.substr(name.size() + 1));
+  }
+  if (arg != name) return std::nullopt;
+  if (i + 1 >= argc) {
+    throw std::invalid_argument("missing value for " + std::string(name));
+  }
+  return std::string(argv[++i]);
+}
+
+// Repeated --opt flags accumulate into one "K=V,..." list.
+void append_opt(std::string& opt_text, const std::string& value) {
+  if (!opt_text.empty()) opt_text += ",";
+  opt_text += value;
+}
+
+std::uint64_t parse_seed(std::string_view what, std::string_view text) {
+  return static_cast<std::uint64_t>(runtime::parse_int_flag(what, text, 0));
+}
+
+// Scheme sizes: any positive integer here; each scheme checks its own range.
+int parse_size(std::string_view text) {
+  return static_cast<int>(runtime::parse_int_flag(
+      "size", text, 1, std::numeric_limits<int>::max()));
+}
+
+// The attack flags `attack` and `sweep` share. Values are checked as they
+// are parsed — std::invalid_argument names the accepted values — so a bad
+// flag fails before any file is read.
+struct AttackFlags {
+  std::string attack = "auto";
+  // portfolio, par_mode, encode_mode and preprocess; the rest is per run.
+  attacks::AttackOptions options;
+
+  // Consumes argv[i] (and its value) if it is an attack flag.
+  bool parse(int argc, char** argv, int& i) {
+    if (auto v = flag_value("--attack", argc, argv, i)) {
+      if (!attacks::known_attack(*v)) {
+        throw std::invalid_argument("unknown attack '" + *v +
+                                    "'; available attacks: " +
+                                    attacks::attack_names());
+      }
+      attack = *v;
+    } else if (auto v = flag_value("--portfolio", argc, argv, i)) {
+      options.portfolio =
+          static_cast<int>(runtime::parse_int_flag("--portfolio", *v, 0, 256));
+    } else if (auto v = flag_value("--par-mode", argc, argv, i)) {
+      const std::optional<sat::ParMode> mode = sat::parse_par_mode(*v);
+      if (!mode.has_value()) {
+        throw std::invalid_argument("unknown --par-mode '" + *v +
+                                    "'; available modes: share, cubes");
+      }
+      options.par_mode = *mode;
+    } else if (auto v = flag_value("--encode", argc, argv, i)) {
+      const std::optional<attacks::EncodeMode> mode =
+          attacks::parse_encode_mode(*v);
+      if (!mode.has_value()) {
+        throw std::invalid_argument("unknown --encode '" + *v +
+                                    "'; available modes: auto, cone, full");
+      }
+      options.encode_mode = *mode;
+    } else if (std::string_view(argv[i]) == "--no-preprocess") {
+      options.preprocess = false;
+    } else {
+      return false;
+    }
+    return true;
+  }
+};
+
 int cmd_lock(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string scheme = "full-lock";
   std::string opt_text;
   std::uint64_t seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scheme" && i + 1 < argc) {
-      scheme = argv[++i];
-    } else if (arg.rfind("--scheme=", 0) == 0) {
-      scheme = arg.substr(9);
-    } else if (arg == "--opt" && i + 1 < argc) {
-      if (!opt_text.empty()) opt_text += ",";
-      opt_text += argv[++i];
-    } else if (arg.rfind("--opt=", 0) == 0) {
-      if (!opt_text.empty()) opt_text += ",";
-      opt_text += arg.substr(6);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else {
-      positional.push_back(arg);
+  std::vector<int> sizes;
+  try {
+    for (int i = 2; i < argc; ++i) {
+      if (auto v = flag_value("--scheme", argc, argv, i)) {
+        scheme = *v;
+      } else if (auto v = flag_value("--opt", argc, argv, i)) {
+        append_opt(opt_text, *v);
+      } else if (auto v = flag_value("--seed", argc, argv, i)) {
+        seed = parse_seed("--seed", *v);
+      } else {
+        positional.push_back(argv[i]);
+      }
     }
+    for (std::size_t i = 2; i < positional.size(); ++i) {
+      sizes.push_back(parse_size(positional[i]));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "lock: %s\n", e.what());
+    return 2;
   }
   if (positional.size() < 2) {
     std::fprintf(stderr,
@@ -132,11 +208,6 @@ int cmd_lock(int argc, char** argv) {
                  "  --seed S       lock seed (default: 1)\n",
                  lock::scheme_names().c_str());
     return 2;
-  }
-  const netlist::Netlist original = netlist::read_bench_file(positional[0]);
-  std::vector<int> sizes;
-  for (std::size_t i = 2; i < positional.size(); ++i) {
-    sizes.push_back(std::atoi(positional[i].c_str()));
   }
   const lock::LockScheme* s = lock::find_scheme(scheme);
   if (s == nullptr) {
@@ -152,6 +223,7 @@ int cmd_lock(int argc, char** argv) {
     std::fprintf(stderr, "lock: %s\n", e.what());
     return 2;
   }
+  const netlist::Netlist original = netlist::read_bench_file(positional[0]);
   const core::LockedCircuit locked = s->lock(original, options);
   if (!core::verify_unlocks(original, locked, 16, 1)) {
     std::fprintf(stderr, "internal error: correct key failed verification\n");
@@ -197,13 +269,17 @@ int cmd_schemes(int argc, char** argv) {
 int cmd_gen(int argc, char** argv) {
   std::vector<std::string> positional;
   std::uint64_t seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else {
-      positional.push_back(arg);
+  try {
+    for (int i = 2; i < argc; ++i) {
+      if (auto v = flag_value("--seed", argc, argv, i)) {
+        seed = parse_seed("--seed", *v);
+      } else {
+        positional.push_back(argv[i]);
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "gen: %s\n", e.what());
+    return 2;
   }
   if (positional.size() != 2) {
     std::fprintf(stderr,
@@ -251,72 +327,35 @@ struct TraceFile {
 };
 
 int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
-  // Separate flags from positionals so "--attack NAME" and "--portfolio K"
-  // can sit anywhere. (--trace was already stripped into run_args.)
+  // Flags may sit anywhere among the positionals. (--trace was already
+  // stripped into run_args.)
   std::vector<std::string> positional;
-  int portfolio = 0;
-  std::string attack = "auto";
-  std::string par_mode = "race";
-  std::string encode = "auto";
-  bool preprocess = true;
+  AttackFlags flags;
   bool require_key = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--portfolio" && i + 1 < argc) {
-      portfolio = std::atoi(argv[++i]);
-    } else if (arg.rfind("--portfolio=", 0) == 0) {
-      portfolio = std::atoi(arg.c_str() + 12);
-    } else if (arg == "--par-mode" && i + 1 < argc) {
-      par_mode = argv[++i];
-    } else if (arg.rfind("--par-mode=", 0) == 0) {
-      par_mode = arg.substr(11);
-    } else if (arg == "--attack" && i + 1 < argc) {
-      attack = argv[++i];
-    } else if (arg.rfind("--attack=", 0) == 0) {
-      attack = arg.substr(9);
-    } else if (arg == "--encode" && i + 1 < argc) {
-      encode = argv[++i];
-    } else if (arg.rfind("--encode=", 0) == 0) {
-      encode = arg.substr(9);
-    } else if (arg == "--no-preprocess") {
-      preprocess = false;
-    } else if (arg == "--require-key") {
-      require_key = true;
-    } else {
-      positional.push_back(arg);
+  double timeout_s = 60.0;
+  try {
+    for (int i = 2; i < argc; ++i) {
+      if (flags.parse(argc, argv, i)) continue;
+      if (std::string_view(argv[i]) == "--require-key") {
+        require_key = true;
+      } else {
+        positional.push_back(argv[i]);
+      }
     }
-  }
-  const std::optional<sat::ParMode> mode = sat::parse_par_mode(par_mode);
-  if (!mode.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --par-mode '%s'; available modes: race, share, "
-                 "cubes\n",
-                 par_mode.c_str());
-    return 2;
-  }
-  if (!lock::known_attack(attack)) {
-    std::fprintf(stderr,
-                 "unknown attack '%s'; available attacks: %s\n"
-                 "(add --trace FILE to record one JSONL line per DIP "
-                 "iteration)\n",
-                 attack.c_str(), lock::kKnownAttacks);
-    return 2;
-  }
-  const std::optional<attacks::EncodeMode> encode_mode =
-      attacks::parse_encode_mode(encode);
-  if (!encode_mode.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --encode '%s'; available modes: auto, cone, full\n",
-                 encode.c_str());
+    if (positional.size() > 2) {
+      timeout_s = runtime::parse_seconds_flag("timeout_s", positional[2]);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "attack: %s\n", e.what());
     return 2;
   }
   if (positional.size() < 2) {
     std::fprintf(stderr,
                  "usage: attack <locked.bench> <oracle.bench> [timeout_s]\n"
                  "  --attack NAME   one of: %s (default: auto)\n"
-                 "  --portfolio K   use K solver threads (sat/cycsat only)\n"
-                 "  --par-mode M    race (independent attacks), share "
-                 "(clause-sharing workers), or cubes (cube-and-conquer)\n"
+                 "  --portfolio K   use K solver threads in one attack\n"
+                 "  --par-mode M    share (clause-sharing workers, default) "
+                 "or cubes (cube-and-conquer)\n"
                  "  --encode M      miter encoding: auto (cone when acyclic), "
                  "cone, or full\n"
                  "  --no-preprocess disable CNF preprocessing of the base "
@@ -324,7 +363,7 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
                  "  --require-key   exit 3 unless a verified key was "
                  "recovered\n"
                  "  --trace FILE    per-DIP-iteration JSONL trace\n",
-                 lock::kKnownAttacks);
+                 attacks::attack_names().c_str());
     return 2;
   }
   // Scheme and parameters come back from the .bench provenance header when
@@ -333,89 +372,34 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   const netlist::Netlist oracle_netlist =
       netlist::read_bench_file(positional[1]);
   const attacks::Oracle oracle(oracle_netlist);
-  const bool cyclic = locked.netlist.is_cyclic();
+  attacks::AttackOptions options = flags.options;
   // Reject --encode cone before any solver work: first against the scheme's
   // declared capabilities, then against the loaded netlist itself.
   try {
-    lock::validate_encode_option(
-        encode, locked.scheme, lock::make_options(1, {}, locked.params));
+    lock::validate_encode_option(attacks::to_string(options.encode_mode),
+                                 locked.scheme,
+                                 lock::make_options(1, {}, locked.params));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "attack: %s\n", e.what());
     return 2;
   }
-  if (*encode_mode == attacks::EncodeMode::kCone && cyclic) {
+  if (options.encode_mode == attacks::EncodeMode::kCone &&
+      locked.netlist.is_cyclic()) {
     std::fprintf(stderr,
                  "attack: --encode cone requires an acyclic netlist, but %s "
                  "is cyclic; use --encode auto or --encode full\n",
                  positional[0].c_str());
     return 2;
   }
-  attacks::AttackOptions options;
-  options.timeout_s =
-      positional.size() > 2 ? std::atof(positional[2].c_str()) : 60.0;
-  options.portfolio = portfolio;
-  options.par_mode = *mode;
-  options.encode_mode = *encode_mode;
-  options.preprocess = preprocess;
+  options.timeout_s = timeout_s;
   options.memory_limit_mb = run_args.memory_limit_mb;
   TraceFile trace(run_args);
   if (trace.sink.has_value()) options.trace = &*trace.sink;
-  attack = lock::resolve_attack(attack, cyclic);
 
-  if (attack == "fall") {
-    attacks::FallOptions fall_options;
-    const attacks::FallResult fall =
-        attacks::fall_attack(locked, oracle, fall_options);
-    std::printf("fall attack on %s [scheme %s] (%zu key bits): %s\n",
-                positional[0].c_str(), locked.scheme.c_str(),
-                locked.netlist.num_keys(),
-                fall.key_recovered ? "success" : "failed");
-    std::printf("restore unit %s, %d protected bits, %d error patterns, "
-                "%d candidates tested, stripped error rate %.4f\n",
-                fall.restore_identified ? "identified" : "not found",
-                fall.protected_bits, fall.error_patterns,
-                fall.candidates_tested, fall.stripped_error_rate);
-    if (fall.key_recovered) {
-      std::printf("inferred hamming distance h = %d\n", fall.hd);
-      std::printf("recovered key (verified):");
-      for (const bool b : fall.key) std::printf("%d", b ? 1 : 0);
-      std::printf("\n");
-    }
-    return require_key && !fall.key_recovered ? 3 : 0;
-  }
-
-  attacks::AttackResult result;
-  std::string extra;
-  if (attack == "sat") {
-    result = attacks::SatAttack(options).run(locked, oracle);
-  } else if (attack == "cycsat") {
-    result = attacks::CycSat(options).run(locked, oracle);
-  } else if (attack == "appsat") {
-    attacks::AppSatOptions app_options;
-    app_options.base = options;
-    const attacks::AppSatResult app =
-        attacks::AppSat(app_options).run(locked, oracle);
-    result = app;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "appsat: %s key, estimated error %.4f\n",
-                  app.approximate ? "approximate" : "exact",
-                  app.estimated_error);
-    extra = buf;
-  } else {
-    const attacks::DoubleDipResult dd =
-        attacks::DoubleDip(options).run(locked, oracle);
-    result = dd;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "double-dip: %llu 2-DIP iterations, %llu mop-up "
-                  "iterations\n",
-                  static_cast<unsigned long long>(dd.iterations),
-                  static_cast<unsigned long long>(dd.fallback_iterations));
-    extra = buf;
-  }
+  attacks::RunResult run = attacks::run(flags.attack, locked, oracle, options);
+  const attacks::AttackResult& result = run.result;
   std::printf("%s attack on %s [scheme %s] (%zu key bits): %s\n",
-              attack.c_str(), positional[0].c_str(), locked.scheme.c_str(),
+              run.attack.c_str(), positional[0].c_str(), locked.scheme.c_str(),
               locked.netlist.num_keys(), to_string(result.status));
   std::printf("iterations %llu, %.2f s, %llu oracle queries, mean iteration "
               "%.4f s, mean clause/var ratio %.2f\n",
@@ -423,19 +407,13 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
               result.seconds,
               static_cast<unsigned long long>(result.oracle_queries),
               result.mean_iteration_seconds, result.mean_clause_var_ratio);
-  if (!extra.empty()) std::fputs(extra.c_str(), stdout);
-  if (result.portfolio_winner >= 0) {
-    const sat::SolverConfig cfg =
-        attacks::SatAttack::portfolio_config(result.portfolio_winner);
-    std::printf("portfolio: config %d won (var_decay %.2f, clause_decay "
-                "%.4f, restart_unit %d)\n",
-                result.portfolio_winner, cfg.var_decay, cfg.clause_decay,
-                cfg.restart_unit);
+  if (!run.detail.empty()) {
+    std::printf("%s: %s\n", run.attack.c_str(), run.detail.str().c_str());
   }
-  if (portfolio > 1 && *mode != sat::ParMode::kRace) {
+  if (options.portfolio > 1) {
     std::printf("parallel: %d %s workers, %llu clauses exported, %llu "
                 "imported\n",
-                portfolio, sat::to_string(*mode),
+                options.portfolio, sat::to_string(options.par_mode),
                 static_cast<unsigned long long>(
                     result.solver_stats.exported_clauses),
                 static_cast<unsigned long long>(
@@ -457,95 +435,51 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     std::fprintf(stderr,
                  "usage: sweep <in.bench> [sizes...] (--scheme LIST, "
                  "--opt K=V, --attack NAME, --portfolio K, "
-                 "--par-mode race|share|cubes, --encode auto|cone|full, "
+                 "--par-mode share|cubes, --encode auto|cone|full, "
                  "--no-preprocess, --jobs N, --jsonl PATH, --resume, "
                  "--retries N, --cell-timeout S, --mem-mb M, --trace PATH)\n");
     return 2;
   }
-  const netlist::Netlist original = netlist::read_bench_file(argv[2]);
   std::vector<int> sizes;
   std::vector<std::string> schemes;
   std::string opt_text;
-  std::string attack = "auto";
-  int portfolio = 0;
-  std::string par_mode = "race";
-  std::string encode = "auto";
-  bool preprocess = true;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string scheme_list;
-    if (arg == "--attack" && i + 1 < argc) {
-      attack = argv[++i];
-    } else if (arg.rfind("--attack=", 0) == 0) {
-      attack = arg.substr(9);
-    } else if (arg == "--scheme" && i + 1 < argc) {
-      scheme_list = argv[++i];
-    } else if (arg.rfind("--scheme=", 0) == 0) {
-      scheme_list = arg.substr(9);
-    } else if (arg == "--opt" && i + 1 < argc) {
-      if (!opt_text.empty()) opt_text += ",";
-      opt_text += argv[++i];
-    } else if (arg.rfind("--opt=", 0) == 0) {
-      if (!opt_text.empty()) opt_text += ",";
-      opt_text += arg.substr(6);
-    } else if (arg == "--portfolio" && i + 1 < argc) {
-      portfolio = std::atoi(argv[++i]);
-    } else if (arg.rfind("--portfolio=", 0) == 0) {
-      portfolio = std::atoi(arg.c_str() + 12);
-    } else if (arg == "--par-mode" && i + 1 < argc) {
-      par_mode = argv[++i];
-    } else if (arg.rfind("--par-mode=", 0) == 0) {
-      par_mode = arg.substr(11);
-    } else if (arg == "--encode" && i + 1 < argc) {
-      encode = argv[++i];
-    } else if (arg.rfind("--encode=", 0) == 0) {
-      encode = arg.substr(9);
-    } else if (arg == "--no-preprocess") {
-      preprocess = false;
-    } else {
-      sizes.push_back(std::atoi(arg.c_str()));
-    }
-    // Split "a,b,c" scheme lists into grid values.
-    for (std::size_t from = 0; from < scheme_list.size();) {
-      std::size_t comma = scheme_list.find(',', from);
-      if (comma == std::string::npos) comma = scheme_list.size();
-      if (comma > from) {
-        schemes.push_back(scheme_list.substr(from, comma - from));
+  AttackFlags flags;
+  int replicas = 3;
+  std::uint64_t base = 17;
+  double timeout_s = 10.0;
+  try {
+    for (int i = 3; i < argc; ++i) {
+      if (flags.parse(argc, argv, i)) continue;
+      if (auto v = flag_value("--scheme", argc, argv, i)) {
+        // Split "a,b,c" scheme lists into grid values.
+        for (std::size_t from = 0; from < v->size();) {
+          std::size_t comma = v->find(',', from);
+          if (comma == std::string::npos) comma = v->size();
+          if (comma > from) schemes.push_back(v->substr(from, comma - from));
+          from = comma + 1;
+        }
+      } else if (auto v = flag_value("--opt", argc, argv, i)) {
+        append_opt(opt_text, *v);
+      } else {
+        sizes.push_back(parse_size(argv[i]));
       }
-      from = comma + 1;
     }
+    if (const char* env = std::getenv("FULLLOCK_SWEEP_SEEDS")) {
+      replicas = static_cast<int>(
+          runtime::parse_int_flag("FULLLOCK_SWEEP_SEEDS", env, 1, 1000000));
+    }
+    if (const char* env = std::getenv("FULLLOCK_SEED")) {
+      base = parse_seed("FULLLOCK_SEED", env);
+    }
+    if (const char* env = std::getenv("FULLLOCK_TIMEOUT_S")) {
+      timeout_s = runtime::parse_seconds_flag("FULLLOCK_TIMEOUT_S", env);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sweep: %s\n", e.what());
+    return 2;
   }
   if (schemes.empty()) schemes = {"full-lock"};
-  if (!lock::known_attack(attack)) {
-    std::fprintf(stderr, "unknown attack '%s'; available attacks: %s\n",
-                 attack.c_str(), lock::kKnownAttacks);
-    return 2;
-  }
-  const std::optional<attacks::EncodeMode> encode_mode =
-      attacks::parse_encode_mode(encode);
-  if (!encode_mode.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --encode '%s'; available modes: auto, cone, full\n",
-                 encode.c_str());
-    return 2;
-  }
-  const std::optional<sat::ParMode> mode = sat::parse_par_mode(par_mode);
-  if (!mode.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --par-mode '%s'; available modes: race, share, "
-                 "cubes\n",
-                 par_mode.c_str());
-    return 2;
-  }
   if (sizes.empty()) sizes = {4, 8, 16};
-  const int replicas =
-      std::max(1, static_cast<int>(
-                      std::getenv("FULLLOCK_SWEEP_SEEDS")
-                          ? std::atoi(std::getenv("FULLLOCK_SWEEP_SEEDS"))
-                          : 3));
-  const char* base_env = std::getenv("FULLLOCK_SEED");
-  const std::uint64_t base =
-      base_env ? static_cast<std::uint64_t>(std::atoll(base_env)) : 17;
 
   // Every (scheme, size) combination is validated before the grid runs, so
   // a bad parameter fails the whole sweep at parse time, not cell 37.
@@ -561,8 +495,9 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
       for (const int size : sizes) {
         s->validate(lock::make_options(base, {size}, opt_text));
       }
-      lock::validate_encode_option(encode, scheme,
-                                   lock::make_options(base, sizes, opt_text));
+      lock::validate_encode_option(
+          attacks::to_string(flags.options.encode_mode), scheme,
+          lock::make_options(base, sizes, opt_text));
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "sweep: %s\n", e.what());
       return 2;
@@ -577,9 +512,7 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   };
   struct CellResult {
     std::size_t key_bits = 0;
-    bool cyclic = false;
-    std::string attack_name;
-    attacks::AttackResult attack;
+    attacks::RunResult run;
   };
   std::vector<Cell> grid;
   for (int s = 0; s < static_cast<int>(schemes.size()); ++s) {
@@ -593,8 +526,10 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
       }
     }
   }
+  const netlist::Netlist original = netlist::read_bench_file(argv[2]);
   std::vector<CellResult> results(grid.size());
   TraceFile trace(run_args);
+  flags.options.memory_limit_mb = run_args.memory_limit_mb;
 
   runtime::SweepSession session("cli_sweep", grid.size(), base, run_args);
   const auto record_base = [&](std::size_t i) {
@@ -620,94 +555,52 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
             schemes[cell.scheme], original,
             lock::make_options(cell.seed, {cell.size}, opt_text));
         const attacks::Oracle oracle(original);
-        attacks::AttackOptions options;
-        options.timeout_s = ctx.effective_timeout(
-            std::getenv("FULLLOCK_TIMEOUT_S")
-                ? std::atof(std::getenv("FULLLOCK_TIMEOUT_S"))
-                : 10.0);
+        attacks::AttackOptions options = flags.options;
+        options.timeout_s = ctx.effective_timeout(timeout_s);
         options.interrupt = ctx.interrupt;
-        options.portfolio = portfolio;
-        options.par_mode = *mode;
-        options.encode_mode = *encode_mode;
-        options.preprocess = preprocess;
-        options.memory_limit_mb = run_args.memory_limit_mb;
         if (trace.sink.has_value()) {
           options.trace = &*trace.sink;
           options.trace_cell = static_cast<long long>(i);
         }
-        const bool cyclic = locked.netlist.is_cyclic();
         results[i].key_bits = locked.key_bits();
-        results[i].cyclic = cyclic;
-        // Resolve the attack per cell: "auto" follows cyclicity, and
-        // double-dip (acyclic-only) degrades to cycsat on cyclic cells.
-        const std::string cell_attack = lock::resolve_attack(attack, cyclic);
-        results[i].attack_name = cell_attack;
-        if (cell_attack == "sat") {
-          results[i].attack = attacks::SatAttack(options).run(locked, oracle);
-        } else if (cell_attack == "cycsat") {
-          results[i].attack = attacks::CycSat(options).run(locked, oracle);
-        } else if (cell_attack == "appsat") {
-          attacks::AppSatOptions app_options;
-          app_options.base = options;
-          results[i].attack = attacks::AppSat(app_options).run(locked, oracle);
-        } else if (cell_attack == "fall") {
-          // FALL has its own result shape; map the essentials onto the
-          // generic record (success iff a verified key came back).
-          const attacks::FallResult fall =
-              attacks::fall_attack(locked, oracle);
-          results[i].attack.status =
-              fall.key_recovered ? attacks::AttackStatus::kSuccess
-                                 : attacks::AttackStatus::kIterationLimit;
-          results[i].attack.key = fall.key;
-          results[i].attack.iterations =
-              static_cast<std::uint64_t>(fall.candidates_tested);
-          results[i].attack.oracle_queries =
-              static_cast<std::uint64_t>(fall.error_patterns);
-        } else {
-          results[i].attack = attacks::DoubleDip(options).run(locked, oracle);
-        }
-        if (results[i].attack.status == attacks::AttackStatus::kInterrupted) {
+        // "auto" follows each cell's cyclicity, and double-dip
+        // (acyclic-only) degrades to cycsat on cyclic cells.
+        results[i].run = attacks::run(flags.attack, locked, oracle, options);
+        const attacks::AttackResult& attack = results[i].run.result;
+        if (attack.status == attacks::AttackStatus::kInterrupted) {
           session.note_interrupted(i);
           return;
         }
         if (session.sink() != nullptr) {
           runtime::JsonObject o = record_base(i);
           o.field("key_bits", results[i].key_bits)
-              .field("cyclic", results[i].cyclic)
-              .field("attack", results[i].attack_name)
-              .field("status", attacks::to_string(results[i].attack.status))
-              .field("stop_reason",
-                     sat::to_string(results[i].attack.stop_reason))
-              .field("iterations", results[i].attack.iterations)
-              .field("mean_clause_var_ratio",
-                     results[i].attack.mean_clause_var_ratio)
-              .field("oracle_queries", results[i].attack.oracle_queries)
-              .field("conflicts", results[i].attack.solver_stats.conflicts)
+              .field("cyclic", locked.netlist.is_cyclic())
+              .field("attack", results[i].run.attack)
+              .field("status", attacks::to_string(attack.status))
+              .field("stop_reason", sat::to_string(attack.stop_reason))
+              .field("iterations", attack.iterations)
+              .field("mean_clause_var_ratio", attack.mean_clause_var_ratio)
+              .field("oracle_queries", attack.oracle_queries)
+              .field("conflicts", attack.solver_stats.conflicts)
               .field("binary_propagations",
-                     results[i].attack.solver_stats.binary_propagations)
-              .field("learned_clauses",
-                     results[i].attack.solver_stats.learned_clauses)
-              .field("glue_learned",
-                     results[i].attack.solver_stats.glue_learned)
-              .field("promoted_clauses",
-                     results[i].attack.solver_stats.promoted_clauses)
+                     attack.solver_stats.binary_propagations)
+              .field("learned_clauses", attack.solver_stats.learned_clauses)
+              .field("glue_learned", attack.solver_stats.glue_learned)
+              .field("promoted_clauses", attack.solver_stats.promoted_clauses)
               .field("db_size_after_reduce",
-                     results[i].attack.solver_stats.db_size_after_reduce)
-              // mean_iteration_s reflects only the winning racer in race
-              // mode; solver counters above aggregate every racer/worker
-              // (see EXPERIMENTS.md before comparing across par modes).
-              .field("mean_iteration_s",
-                     results[i].attack.mean_iteration_seconds)
-              .field("wall_s", results[i].attack.seconds);
-          if (portfolio > 1) {
-            o.field("portfolio", portfolio)
-                .field("par_mode", sat::to_string(*mode))
-                .field("portfolio_winner",
-                       results[i].attack.portfolio_winner)
+                     attack.solver_stats.db_size_after_reduce)
+              .merge(results[i].run.detail)
+              .field("mean_iteration_s", attack.mean_iteration_seconds)
+              .field("wall_s", attack.seconds);
+          // With width > 1 the solver counters above sum every worker's
+          // search (see EXPERIMENTS.md before comparing across widths).
+          if (options.portfolio > 1) {
+            o.field("portfolio", options.portfolio)
+                .field("par_mode", sat::to_string(options.par_mode))
                 .field("exported_clauses",
-                       results[i].attack.solver_stats.exported_clauses)
+                       attack.solver_stats.exported_clauses)
                 .field("imported_clauses",
-                       results[i].attack.solver_stats.imported_clauses);
+                       attack.solver_stats.imported_clauses);
           }
           session.sink()->write(i, o.str());
         }
@@ -723,11 +616,12 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
                   runtime::to_string(report.cells[i].status));
       continue;
     }
+    const attacks::AttackResult& attack = results[i].run.result;
     std::printf("%-11s %-6d %-8d %-10zu %-12s %-10llu %.2f\n", scheme_name,
                 grid[i].size, grid[i].replica, results[i].key_bits,
-                attacks::to_string(results[i].attack.status),
-                static_cast<unsigned long long>(results[i].attack.iterations),
-                results[i].attack.seconds);
+                attacks::to_string(attack.status),
+                static_cast<unsigned long long>(attack.iterations),
+                attack.seconds);
   }
   return session.finish(report, record_base);
 }

@@ -12,10 +12,9 @@
 
 #include "attacks/appsat.h"
 #include "attacks/double_dip.h"
-#include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "attacks/removal.h"
-#include "attacks/sat_attack.h"
 #include "attacks/sensitization.h"
 #include "attacks/sps.h"
 #include "core/full_lock.h"
@@ -98,12 +97,11 @@ int main(int argc, char** argv) {
   attacks::AttackOptions options;
   options.timeout_s = timeout;
 
-  // SAT attack (CycSAT when the lock is cyclic).
-  const attacks::AttackResult sat =
-      cyclic ? attacks::CycSat(options).run(locked, oracle)
-             : attacks::SatAttack(options).run(locked, oracle);
-  std::printf("%s attack: %s, %llu iterations, %.2f s",
-              cyclic ? "CycSAT" : "SAT", to_string(sat.status),
+  // SAT attack ("auto" runs CycSAT when the lock is cyclic).
+  const attacks::RunResult run = attacks::run("auto", locked, oracle, options);
+  const attacks::AttackResult& sat = run.result;
+  std::printf("%s attack: %s, %llu iterations, %.2f s", run.attack.c_str(),
+              to_string(sat.status),
               static_cast<unsigned long long>(sat.iterations), sat.seconds);
   if (sat.status == attacks::AttackStatus::kSuccess) {
     std::printf(", key %s",

@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "attacks/appsat.h"
-#include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "attacks/removal.h"
-#include "attacks/sat_attack.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/profiles.h"
@@ -58,10 +57,9 @@ int main(int argc, char** argv) {
     const attacks::Oracle oracle(original);
     attacks::AttackOptions options;
     options.timeout_s = timeout;
-    const bool cyclic = e.locked.netlist.is_cyclic();
+    // "auto": CycSAT on cyclic locks, the SAT attack otherwise.
     const attacks::AttackResult attack =
-        cyclic ? attacks::CycSat(options).run(e.locked, oracle)
-               : attacks::SatAttack(options).run(e.locked, oracle);
+        attacks::run("auto", e.locked, oracle, options).result;
     std::string attack_text;
     if (attack.status == attacks::AttackStatus::kSuccess) {
       char buf[32];

@@ -1,6 +1,5 @@
 #include "attacks/engine.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "cnf/miter.h"
@@ -59,8 +58,7 @@ void JsonlTraceSink::record(const IterationTrace& trace) {
 }
 
 BudgetGuard::BudgetGuard(const AttackOptions& options, Clock::time_point start)
-    : start_(start), interrupt_(options.interrupt),
-      race_cancel_(options.race_cancel) {
+    : start_(start), interrupt_(options.interrupt) {
   if (options.timeout_s > 0.0) {
     deadline_ = start + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(options.timeout_s));
@@ -84,14 +82,12 @@ double BudgetGuard::remaining_s() const {
 
 void BudgetGuard::arm(sat::SolverIface& solver) const {
   solver.set_deadline(deadline_);
-  solver.set_interrupts(interrupt_, race_cancel_);
+  solver.set_interrupt(interrupt_);
 }
 
 std::optional<AttackStatus> BudgetGuard::exhausted() const {
-  for (const std::atomic<bool>* flag : {interrupt_, race_cancel_}) {
-    if (flag != nullptr && flag->load(std::memory_order_relaxed)) {
-      return AttackStatus::kInterrupted;
-    }
+  if (interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed)) {
+    return AttackStatus::kInterrupted;
   }
   if (deadline_ && Clock::now() >= *deadline_) return AttackStatus::kTimeout;
   return std::nullopt;
@@ -103,14 +99,6 @@ AttackStatus BudgetGuard::undef_status(const sat::SolverIface& solver) const {
     case sat::StopReason::kOutOfMemory: return AttackStatus::kOutOfMemory;
     default: return AttackStatus::kTimeout;
   }
-}
-
-sat::SolverConfig solver_config_for(const AttackOptions& options,
-                                    sat::SolverConfig base) {
-  if (options.memory_limit_mb > 0) {
-    base.memory_limit_mb = options.memory_limit_mb;
-  }
-  return base;
 }
 
 MiterContext::Encoder MiterContext::double_key() {
@@ -129,26 +117,16 @@ MiterContext::Encoder MiterContext::double_key() {
 
 MiterContext::MiterContext(const core::LockedCircuit& locked,
                            const Encoder& encoder,
-                           const sat::SolverConfig& config)
-    : locked_(&locked), solver_(std::make_unique<sat::Solver>(config)) {
-  const auto t0 = Clock::now();
-  parts_ = encoder(locked.netlist, *solver_, nullptr);
-  encode_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-MiterContext::MiterContext(const core::LockedCircuit& locked,
-                           const Encoder& encoder,
-                           const AttackOptions& options,
-                           const sat::SolverConfig& config)
+                           const AttackOptions& options)
     : locked_(&locked) {
-  const sat::SolverConfig base = solver_config_for(options, config);
+  sat::SolverConfig base;
+  base.memory_limit_mb = options.memory_limit_mb;
   std::unique_ptr<sat::SolverIface> engine;
-  if (options.portfolio > 1 && options.par_mode != sat::ParMode::kRace) {
+  if (options.portfolio > 1) {
     sat::ParallelConfig pc;
     pc.num_workers = options.portfolio;
     pc.mode = options.par_mode;
     pc.base = base;
-    pc.cube_depth = options.cube_depth;
     engine = std::make_unique<sat::ParallelSolver>(pc);
   } else {
     engine = std::make_unique<sat::Solver>(base);
@@ -158,8 +136,7 @@ MiterContext::MiterContext(const core::LockedCircuit& locked,
     // The wrapper never renumbers, so variable ids handed out below (split
     // candidates, assumption literals) stay valid across the flush.
     inner_solver_ = std::move(engine);
-    auto pre = std::make_unique<sat::PreprocessSolver>(
-        *inner_solver_, options.preprocess_config);
+    auto pre = std::make_unique<sat::PreprocessSolver>(*inner_solver_);
     pre_ = pre.get();
     solver_ = std::move(pre);
   } else {
@@ -464,12 +441,6 @@ AttackResult DipLoop::run(MiterContext& ctx, DipPolicy& policy) {
       trace.vars_added = static_cast<long long>(solver.num_vars()) - iter_vars;
       trace.encode_s = ctx.encode_seconds() - iter_encode_s;
       options_.trace->record(trace);
-    }
-    if (options_.verbose) {
-      std::fprintf(stderr, "[%s] iter %llu, %d vars, %zu clauses\n",
-                   name_.c_str(),
-                   static_cast<unsigned long long>(result.iterations),
-                   solver.num_vars(), solver.num_clauses());
     }
     if (policy.after_iteration(ctx, budget_, result) == LoopAction::kDone) {
       return finish();

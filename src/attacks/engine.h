@@ -125,8 +125,8 @@ class IterationTraceSink {
 
 // Emits one JSONL object per iteration (schema in EXPERIMENTS.md) onto a
 // caller-owned stream. Thread-safe: one sink may serve every cell of a
-// parallel sweep (records carry their cell index) or every racer of a
-// portfolio, serialized by an internal mutex.
+// parallel sweep (records carry their cell index), serialized by an
+// internal mutex.
 class JsonlTraceSink final : public IterationTraceSink {
  public:
   explicit JsonlTraceSink(std::ostream& out) : out_(out) {}
@@ -147,34 +147,21 @@ struct AttackOptions {
   // a fixed point in time, so retries of a failed job share one budget
   // instead of resetting it.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  bool verbose = false;
   // Cooperative cancellation (e.g. fl::runtime::CancelToken::flag()).
   // Polled inside every solve; a cancelled attack reports kInterrupted. The
   // attack never writes the flag. nullptr disables.
   const std::atomic<bool>* interrupt = nullptr;
-  // Parallel width: how many solver workers/racers to run. 0 or 1 = single
-  // default configuration. What the width is spent on is par_mode's choice.
-  // Winners and cube interleavings are timing-dependent, so leave this off
-  // when results must be reproducible.
+  // Parallel width: how many solver workers to run. 0 or 1 = one
+  // sequential solver. Winners and cube interleavings are timing-dependent,
+  // so leave this off when results must be reproducible.
   int portfolio = 0;
-  // How portfolio width > 1 is spent:
-  //  * kRace  — independent attack racers with diversified solver configs
-  //             (each runs its own DIP loop); first decisive finisher wins
-  //             and cancels the rest. No cooperation: losers' DIP work is
-  //             discarded (their search counters are aggregated).
-  //  * kShare — one DIP loop over an in-process clause-sharing portfolio
-  //             (sat::ParallelSolver): K workers on the identical miter
-  //             exchanging core-tier learnt clauses.
-  //  * kCubes — one DIP loop; each miter solve is cube-and-conquer split
-  //             over the CLN swap-key variables.
-  sat::ParMode par_mode = sat::ParMode::kRace;
-  // Cube split depth for kCubes (2^d cubes per solve); 0 derives it from
-  // the width (sat::ParallelConfig::cube_depth).
-  int cube_depth = 0;
-  // Internal (set by SatAttack::run_portfolio for race mode): the winner's
-  // cancel signal, kept separate from `interrupt` so an external
-  // cancellation and a lost race stay distinguishable in the result.
-  const std::atomic<bool>* race_cancel = nullptr;
+  // How portfolio width > 1 is spent, always inside one DIP loop over a
+  // sat::ParallelSolver:
+  //  * kShare — K diversified workers on the identical miter exchanging
+  //             core-tier learnt clauses.
+  //  * kCubes — each miter solve is cube-and-conquer split over the CLN
+  //             swap-key variables.
+  sat::ParMode par_mode = sat::ParMode::kShare;
   // Solver memory budget (sat::SolverConfig::memory_limit_mb): a solve
   // whose accounted memory crosses it returns with kOutOfMemory instead of
   // growing until the process is OOM-killed. 0 = unlimited.
@@ -187,10 +174,8 @@ struct AttackOptions {
   // self-subsuming resolution. Inputs, key copies and the activation
   // literal are frozen; everything the loop adds later is incremental.
   bool preprocess = true;
-  sat::PreprocessConfig preprocess_config;
   // Optional per-iteration observability (see IterationTrace). Not owned;
-  // must outlive the attack. Portfolio racers share the sink, so their
-  // records interleave (the sink is thread-safe).
+  // must outlive the attack.
   IterationTraceSink* trace = nullptr;
   // Grid cell index stamped into trace records by sweep drivers (-1 = not
   // part of a sweep).
@@ -208,10 +193,6 @@ struct AttackResult {
   // Mean wall time of one DIP-loop iteration (DIP solve + oracle query +
   // constraint encoding). Excludes the one-off miter encoding and the final
   // key-extraction solve, so it matches the paper's per-iteration metric.
-  // In race-mode portfolios this is the *winning racer's* loop only —
-  // losers run their own loops whose timings are dropped — while
-  // solver_stats and oracle_queries aggregate over every racer; see
-  // EXPERIMENTS.md before comparing against single-solver timings.
   double mean_iteration_seconds = 0.0;
   // Mean clauses/variables ratio over the CNF snapshots the DIP solver
   // actually worked on (one sample per DIP-miter solve).
@@ -225,9 +206,6 @@ struct AttackResult {
   // Stateful key assignments banned after repeated DIPs (cyclic locks
   // only; BeSAT-style progress guarantee).
   std::uint64_t banned_keys = 0;
-  // Portfolio mode only: index of the solver configuration that produced
-  // this result, or -1 outside portfolio mode / when every racer timed out.
-  int portfolio_winner = -1;
   // Encoding-pipeline observability (filled by DipLoop::run). base_clauses /
   // base_vars snapshot the solver right after the miter (and any policy
   // preconditions) were committed — i.e. after preprocessing — and the
@@ -264,12 +242,8 @@ class BudgetGuard {
   // mop-up SAT attack.
   double remaining_s() const;
 
-  // Arms `solver` with the deadline and both interrupt flags (the caller's
-  // cancel token and, for portfolio racers, the winner's cancel signal);
-  // call before every solve so kUndef can be mapped back with
-  // undef_status(). Folding the race signal into the solver's own poll
-  // points replaced the old watcher thread that busy-polled the external
-  // flag every 2 ms.
+  // Arms `solver` with the deadline and the caller's interrupt flag; call
+  // before every solve so kUndef can be mapped back with undef_status().
   void arm(sat::SolverIface& solver) const;
 
   // Non-solver poll point (preprocessing loops, sensitization's per-key
@@ -286,13 +260,7 @@ class BudgetGuard {
   Clock::time_point start_;
   std::optional<Clock::time_point> deadline_;
   const std::atomic<bool>* interrupt_ = nullptr;
-  const std::atomic<bool>* race_cancel_ = nullptr;
 };
-
-// The attack's solver configuration: `base` (portfolio diversification)
-// with the attack-level memory budget folded in.
-sat::SolverConfig solver_config_for(const AttackOptions& options,
-                                    sat::SolverConfig base = {});
 
 // Owns the incremental solver and the encoded attack miter. The miter shape
 // is supplied by an Encoder so the standard double-key construction and
@@ -319,17 +287,13 @@ class MiterContext {
   // the primary inputs, independent keys K1/K2, some output differs).
   static Encoder double_key();
 
-  MiterContext(const core::LockedCircuit& locked, const Encoder& encoder,
-               const sat::SolverConfig& config = {});
   // Routes the attack's parallel width through the solver: with
-  // options.portfolio > 1 and par_mode kShare/kCubes the context owns a
-  // sat::ParallelSolver (cube mode is seeded with every key copy's
-  // variables as split candidates); otherwise a plain sequential solver.
-  // `config` is the base solver configuration before the attack-level
-  // memory budget is folded in (solver_config_for).
+  // options.portfolio > 1 the context owns a sat::ParallelSolver (cube mode
+  // is seeded with every key copy's variables as split candidates);
+  // otherwise a plain sequential solver. Either way the solver carries the
+  // attack's memory budget.
   MiterContext(const core::LockedCircuit& locked, const Encoder& encoder,
-               const AttackOptions& options,
-               const sat::SolverConfig& config = {});
+               const AttackOptions& options);
 
   const core::LockedCircuit& locked() const { return *locked_; }
   sat::SolverIface& solver() { return *solver_; }
@@ -448,7 +412,7 @@ class DipPolicy {
 // sized to the key width on every exit path.
 class DipLoop {
  public:
-  // `name` labels trace records and verbose output ("sat", "appsat", ...).
+  // `name` labels trace records ("sat", "appsat", ...).
   DipLoop(const Oracle& oracle, const AttackOptions& options,
           const BudgetGuard& budget, std::string name);
 

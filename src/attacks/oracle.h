@@ -44,8 +44,8 @@ class Oracle {
  private:
   netlist::Netlist original_;
   netlist::Simulator simulator_;
-  // Atomic so one oracle can serve concurrent attacks (portfolio racers,
-  // parallel sweep jobs); Simulator::run is const with per-call scratch.
+  // Atomic so one oracle can serve concurrent attacks (parallel sweep
+  // jobs); Simulator::run is const with per-call scratch.
   mutable std::atomic<std::uint64_t> queries_{0};
 };
 

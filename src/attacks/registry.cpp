@@ -1,0 +1,121 @@
+#include "attacks/registry.h"
+
+#include <chrono>
+#include <stdexcept>
+
+#include "attacks/appsat.h"
+#include "attacks/cycsat.h"
+#include "attacks/double_dip.h"
+#include "attacks/fall.h"
+#include "attacks/sat_attack.h"
+#include "locking/scheme.h"
+
+namespace fl::attacks {
+
+namespace {
+
+using Runner = RunResult (*)(const core::LockedCircuit&, const Oracle&,
+                             const AttackOptions&);
+
+RunResult run_sat(const core::LockedCircuit& locked, const Oracle& oracle,
+                  const AttackOptions& options) {
+  return {"sat", SatAttack(options).run(locked, oracle), {}};
+}
+
+RunResult run_cycsat(const core::LockedCircuit& locked, const Oracle& oracle,
+                     const AttackOptions& options) {
+  return {"cycsat", CycSat(options).run(locked, oracle), {}};
+}
+
+RunResult run_appsat(const core::LockedCircuit& locked, const Oracle& oracle,
+                     const AttackOptions& options) {
+  AppSatOptions app;
+  app.base = options;
+  const AppSatResult result = AppSat(app).run(locked, oracle);
+  RunResult run{"appsat", result, {}};
+  run.detail.field("approximate", result.approximate)
+      .field("estimated_error", result.estimated_error);
+  return run;
+}
+
+RunResult run_double_dip(const core::LockedCircuit& locked,
+                         const Oracle& oracle, const AttackOptions& options) {
+  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
+  RunResult run{"double-dip", result, {}};
+  run.detail.field("fallback_iterations", result.fallback_iterations);
+  return run;
+}
+
+// FALL has no DIP loop: it counts no iterations, and its oracle use is
+// whatever the oracle's query counter saw.
+RunResult run_fall(const core::LockedCircuit& locked, const Oracle& oracle,
+                   const AttackOptions&) {
+  using Clock = std::chrono::steady_clock;
+  const std::uint64_t queries_before = oracle.num_queries();
+  const Clock::time_point start = Clock::now();
+  const FallResult fall = fall_attack(locked, oracle);
+  RunResult run{"fall", {}, {}};
+  AttackResult& result = run.result;
+  result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  result.status = fall.key_recovered ? AttackStatus::kSuccess
+                                     : AttackStatus::kIterationLimit;
+  result.key = fall.key;
+  if (result.key.empty()) result.key.assign(locked.netlist.num_keys(), false);
+  result.oracle_queries = oracle.num_queries() - queries_before;
+  run.detail.field("restore_identified", fall.restore_identified)
+      .field("protected_bits", fall.protected_bits)
+      .field("error_patterns", fall.error_patterns)
+      .field("candidates_tested", fall.candidates_tested)
+      .field("stripped_error_rate", fall.stripped_error_rate);
+  if (fall.key_recovered) run.detail.field("hd", fall.hd);
+  return run;
+}
+
+struct Entry {
+  std::string_view name;
+  Runner run;
+};
+
+// "auto" is not an entry: run() resolves it before the lookup.
+constexpr Entry kAttacks[] = {
+    {"sat", run_sat},
+    {"cycsat", run_cycsat},
+    {"appsat", run_appsat},
+    {"double-dip", run_double_dip},
+    {"fall", run_fall},
+};
+
+const Entry* find_attack(std::string_view name) {
+  for (const Entry& entry : kAttacks) {
+    if (entry.name == name) return &entry;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::string attack_names() {
+  std::string names = "auto";
+  for (const Entry& entry : kAttacks) {
+    names += ", ";
+    names += entry.name;
+  }
+  return names;
+}
+
+bool known_attack(std::string_view name) {
+  return name == "auto" || find_attack(name) != nullptr;
+}
+
+RunResult run(std::string_view name, const core::LockedCircuit& locked,
+              const Oracle& oracle, const AttackOptions& options) {
+  const Entry* entry = find_attack(
+      lock::resolve_attack(name, locked.netlist.is_cyclic()));
+  if (entry == nullptr) {
+    throw std::invalid_argument("unknown attack '" + std::string(name) +
+                                "' (known: " + attack_names() + ")");
+  }
+  return entry->run(locked, oracle, options);
+}
+
+}  // namespace fl::attacks

@@ -1,0 +1,48 @@
+// One name-keyed entry point for every attack a caller picks by name.
+//
+// The CLI's attack and sweep subcommands, the serve job runners and the
+// examples all choose their attack from a string ("auto", "sat", "cycsat",
+// "appsat", "double-dip", "fall"). run() is the one place that maps such a
+// name onto an attack: it resolves "auto" (and Double-DIP on cyclic locks)
+// through lock::resolve_attack, runs the attack, and reports
+//   * the resolved name,
+//   * a uniform AttackResult (FALL, which has no DIP loop, is mapped onto
+//     it here and nowhere else), and
+//   * a `detail` block with the extras only one attack has — AppSAT's
+//     approximation verdict, Double-DIP's mop-up count, FALL's restore-unit
+//     statistics — ready to merge into a JSONL record.
+#pragma once
+
+#include <string>
+#include <string_view>
+
+#include "attacks/engine.h"
+#include "runtime/jsonl.h"
+
+namespace fl::attacks {
+
+struct RunResult {
+  std::string attack;  // resolved name: never "auto"
+  AttackResult result;
+  // Attack-specific fields (empty for sat and cycsat):
+  //   appsat      approximate, estimated_error
+  //   double-dip  fallback_iterations
+  //   fall        restore_identified, protected_bits, error_patterns,
+  //               candidates_tested, stripped_error_rate, and hd when a key
+  //               was recovered
+  runtime::JsonObject detail;
+};
+
+// "auto, sat, cycsat, appsat, double-dip, fall" — for usage text and errors.
+std::string attack_names();
+bool known_attack(std::string_view name);
+
+// Runs the named attack. AppSAT uses its default settlement settings with
+// `options` as its base; FALL ignores `options` (it has no DIP loop or
+// budget) and reports iterations = 0, oracle_queries = the oracle's query
+// counter delta, and a key sized to the key width even when it fails.
+// Throws std::invalid_argument naming attack_names() for unknown names.
+RunResult run(std::string_view name, const core::LockedCircuit& locked,
+              const Oracle& oracle, const AttackOptions& options = {});
+
+}  // namespace fl::attacks

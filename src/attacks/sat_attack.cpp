@@ -1,8 +1,6 @@
 #include "attacks/sat_attack.h"
 
-#include <iterator>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "netlist/simulator.h"
@@ -121,97 +119,12 @@ void SatAttack::add_preconditions(const netlist::Netlist&, sat::SolverIface&,
 
 AttackResult SatAttack::run(const core::LockedCircuit& locked,
                             const Oracle& oracle) const {
-  // Race mode spawns independent attacks; share/cubes cooperate inside one
-  // attack through a ParallelSolver (built by the MiterContext), so they go
-  // down the single-attack path.
-  if (options_.portfolio > 1 && options_.par_mode == sat::ParMode::kRace) {
-    return run_portfolio(locked, oracle);
-  }
-  return run_single(locked, oracle, sat::SolverConfig{}, options_.interrupt,
-                    nullptr);
-}
-
-AttackResult SatAttack::run_portfolio(const core::LockedCircuit& locked,
-                                      const Oracle& oracle) const {
-  const int width = options_.portfolio;
-  const std::uint64_t queries_before = oracle.num_queries();
-  std::atomic<bool> cancel{false};
-  std::atomic<int> winner{-1};
-  std::vector<AttackResult> results(static_cast<std::size_t>(width));
-  std::vector<std::thread> racers;
-  racers.reserve(static_cast<std::size_t>(width));
-  for (int k = 0; k < width; ++k) {
-    racers.emplace_back([&, k] {
-      // Each racer watches both the caller's interrupt and the shared race
-      // cancel token directly inside its solver's interrupt chain; no
-      // forwarding thread is needed to relay external cancellation.
-      results[k] = run_single(locked, oracle, portfolio_config(k),
-                              options_.interrupt, &cancel);
-      const bool decisive = results[k].status == AttackStatus::kSuccess ||
-                            results[k].status == AttackStatus::kKeySpaceEmpty;
-      if (decisive) {
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, k)) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& t : racers) t.join();
-
-  // Aggregate every racer's solver counters before moving anything out: the
-  // losers' work (conflicts, propagations, learnt clauses) is real attack
-  // cost and must not vanish from sweep records.
-  sat::SolverStats aggregate;
-  for (const AttackResult& r : results) {
-    sat::aggregate_stats(aggregate, r.solver_stats);
-  }
-
-  const int w = winner.load();
-  AttackResult result;
-  if (w >= 0) {
-    result = std::move(results[w]);
-  } else if (options_.interrupt != nullptr &&
-             options_.interrupt->load(std::memory_order_relaxed)) {
-    // Genuinely interrupted from outside: any racer's kInterrupted stands.
-    result = std::move(results[0]);
-    result.status = AttackStatus::kInterrupted;
-  } else {
-    // No winner and no external interrupt: every kInterrupted here is a
-    // loser cancelled by a racer that then failed to finish decisively
-    // (can't happen today, but don't let it leak). Prefer a result that
-    // carries a real terminal status (timeout, iteration limit, OOM).
-    std::size_t pick = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (results[i].status != AttackStatus::kInterrupted) {
-        pick = i;
-        break;
-      }
-    }
-    result = std::move(results[pick]);
-  }
-  result.portfolio_winner = w;
-  result.solver_stats = aggregate;
-  // The racers share one oracle, so per-racer query deltas interleave;
-  // report the total the whole portfolio consumed instead.
-  result.oracle_queries = oracle.num_queries() - queries_before;
-  return result;
-}
-
-AttackResult SatAttack::run_single(const core::LockedCircuit& locked,
-                                   const Oracle& oracle,
-                                   const sat::SolverConfig& config,
-                                   const std::atomic<bool>* interrupt,
-                                   const std::atomic<bool>* race_cancel) const {
-  AttackOptions options = options_;
-  options.interrupt = interrupt;
-  options.race_cancel = race_cancel;
-  const BudgetGuard budget(options);
-  MiterContext ctx(locked, MiterContext::double_key(), options, config);
+  const BudgetGuard budget(options_);
+  MiterContext ctx(locked, MiterContext::double_key(), options_);
   add_preconditions(locked.netlist, ctx.solver(), ctx.key_copy(0),
                     ctx.key_copy(1), budget);
   SingleDipPolicy policy(locked, oracle);
-  return DipLoop(oracle, options, budget, name()).run(ctx, policy);
+  return DipLoop(oracle, options_, budget, name()).run(ctx, policy);
 }
 
 }  // namespace fl::attacks

@@ -24,15 +24,6 @@ class SatAttack {
   AttackResult run(const core::LockedCircuit& locked,
                    const Oracle& oracle) const;
 
-  // The solver configuration racer `k` uses in race mode. Config 0 is the
-  // default SolverConfig, so a 1-wide portfolio degenerates to the plain
-  // attack; further entries diversify restart cadence and decay, with
-  // deterministic jitter past the hand-picked table so arbitrarily wide
-  // portfolios never duplicate a schedule (sat::diversified_config).
-  static sat::SolverConfig portfolio_config(int k) {
-    return sat::diversified_config(k);
-  }
-
  protected:
   // Hook for CycSAT: add pre-conditions on the two key-variable sets before
   // the DIP loop starts. `budget` lets long preprocessing degrade instead
@@ -43,21 +34,13 @@ class SatAttack {
                                  std::span<const sat::Var> key2,
                                  const BudgetGuard& budget) const;
 
-  // Engine label for trace records and verbose output.
+  // Engine label for trace records.
   virtual const char* name() const { return "sat"; }
 
  public:
   virtual ~SatAttack() = default;
 
  private:
-  AttackResult run_single(const core::LockedCircuit& locked,
-                          const Oracle& oracle,
-                          const sat::SolverConfig& config,
-                          const std::atomic<bool>* interrupt,
-                          const std::atomic<bool>* race_cancel) const;
-  AttackResult run_portfolio(const core::LockedCircuit& locked,
-                             const Oracle& oracle) const;
-
   AttackOptions options_;
 };
 

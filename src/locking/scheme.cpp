@@ -645,14 +645,6 @@ core::LockedCircuit lock_with(std::string_view scheme,
   return s->lock(original, options);
 }
 
-const char* const kKnownAttacks =
-    "auto, sat, cycsat, appsat, double-dip, fall";
-
-bool known_attack(std::string_view name) {
-  return name == "auto" || name == "sat" || name == "cycsat" ||
-         name == "appsat" || name == "double-dip" || name == "fall";
-}
-
 std::string resolve_attack(std::string_view requested, bool cyclic) {
   std::string name = requested == "auto"
                          ? (cyclic ? "cycsat" : "sat")

@@ -103,12 +103,9 @@ core::LockedCircuit lock_with(std::string_view scheme,
 
 // ---- Attack-side helpers driven by the registry ----------------------
 
-// Attack names the CLI / serve accept for --attack.
-extern const char* const kKnownAttacks;
-bool known_attack(std::string_view name);
-
-// Shared "auto" resolution: cycsat on cyclic locks, sat otherwise;
-// double-dip (acyclic-only) degrades to cycsat on cyclic netlists.
+// The one "auto" rule: cycsat on cyclic locks, sat otherwise; double-dip
+// (acyclic-only) degrades to cycsat on cyclic netlists. attacks::run
+// (attacks/registry.h, which also owns the attack names) applies it.
 std::string resolve_attack(std::string_view requested, bool cyclic);
 
 // Rejects --encode cone when the named scheme's capabilities say the lock

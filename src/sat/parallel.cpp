@@ -46,7 +46,6 @@ int auto_cube_depth(int num_workers) {
 
 const char* to_string(ParMode mode) {
   switch (mode) {
-    case ParMode::kRace: return "race";
     case ParMode::kShare: return "share";
     case ParMode::kCubes: return "cubes";
   }
@@ -54,7 +53,6 @@ const char* to_string(ParMode mode) {
 }
 
 std::optional<ParMode> parse_par_mode(std::string_view name) {
-  if (name == "race") return ParMode::kRace;
   if (name == "share") return ParMode::kShare;
   if (name == "cubes") return ParMode::kCubes;
   return std::nullopt;
@@ -297,10 +295,8 @@ void ParallelSolver::set_deadline(
   deadline_ = t;
 }
 
-void ParallelSolver::set_interrupts(const std::atomic<bool>* primary,
-                                    const std::atomic<bool>* secondary) {
-  interrupt_primary_ = primary;
-  interrupt_secondary_ = secondary;
+void ParallelSolver::set_interrupt(const std::atomic<bool>* flag) {
+  interrupt_ = flag;
 }
 
 bool ParallelSolver::last_solve_interrupted() const {
@@ -345,10 +341,7 @@ void ParallelSolver::set_split_candidates(std::vector<Var> candidates) {
 }
 
 bool ParallelSolver::external_interrupted() const {
-  return (interrupt_primary_ != nullptr &&
-          interrupt_primary_->load(std::memory_order_relaxed)) ||
-         (interrupt_secondary_ != nullptr &&
-          interrupt_secondary_->load(std::memory_order_relaxed));
+  return interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed);
 }
 
 std::vector<Var> ParallelSolver::pick_split_vars() const {
@@ -423,7 +416,7 @@ LBool ParallelSolver::solve_inline(std::span<const Lit> assumptions) {
   Solver& w = *workers_[0];
   w.set_conflict_budget(conflict_budget_);
   w.set_deadline(deadline_);
-  w.set_interrupt_chain(interrupt_primary_, interrupt_secondary_, nullptr);
+  w.set_interrupt_chain(interrupt_, nullptr);
   const LBool r = w.solve(assumptions);
   model_source_ = 0;
   last_stop_ = w.last_stop_reason();
@@ -447,8 +440,7 @@ LBool ParallelSolver::solve(std::span<const Lit> assumptions) {
     probe.set_conflict_budget(caller_tighter ? conflict_budget_
                                              : config_.inline_budget);
     probe.set_deadline(deadline_);
-    probe.set_interrupt_chain(interrupt_primary_, interrupt_secondary_,
-                              nullptr);
+    probe.set_interrupt_chain(interrupt_, nullptr);
     const LBool r = probe.solve(assumptions);
     if (r != LBool::kUndef) {
       model_source_ = 0;
@@ -489,11 +481,11 @@ LBool ParallelSolver::solve(std::span<const Lit> assumptions) {
   const std::vector<Lit> base(assumptions.begin(), assumptions.end());
   for (auto& w : workers_) {
     // Every worker gets the full conflict budget (cubes are disjoint
-    // subproblems, racers are redundant ones); the deadline and interrupt
-    // flags are shared wall-clock state either way.
+    // subproblems, share-mode workers redundant ones); the deadline and
+    // interrupt flag are shared wall-clock state either way.
     w->set_conflict_budget(conflict_budget_);
     w->set_deadline(deadline_);
-    w->set_interrupt_chain(interrupt_primary_, interrupt_secondary_, &stop_);
+    w->set_interrupt_chain(interrupt_, &stop_);
   }
   pstats_.parallel_solves += 1;
   for (int i = 0; i < num_workers(); ++i) {

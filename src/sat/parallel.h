@@ -4,11 +4,10 @@
 // add_clause call is mirrored to all workers, so each worker owns an
 // identical clause stream and anything a worker learns is a logical
 // consequence of the shared formula. That makes clause exchange sound by
-// construction — unlike sharing across independent attack racers, whose
-// DIP constraints (and hence learnt clauses) diverge after one iteration.
+// construction — unlike sharing across independent attacks, whose DIP
+// constraints (and hence learnt clauses) diverge after one iteration.
 //
-// Two cooperative modes (plus the attack-level race that does not use this
-// class at all):
+// Two cooperative modes:
 //  * kShare — every worker searches the whole problem under diversified
 //    configurations (decay/restart jitter, phase jitter) and exchanges
 //    core-tier learnt clauses (glue LBD <= 2, binaries, learnt units)
@@ -46,14 +45,13 @@ class ThreadPool;
 
 namespace fl::sat {
 
-// How a portfolio width is spent. kRace is implemented at the attack level
-// (independent DIP loops, first decisive finisher wins); kShare/kCubes run
-// one DIP loop over a cooperating ParallelSolver.
-enum class ParMode : std::uint8_t { kRace = 0, kShare, kCubes };
+// How a portfolio width is spent; both modes run one DIP loop over a
+// cooperating ParallelSolver.
+enum class ParMode : std::uint8_t { kShare = 0, kCubes };
 const char* to_string(ParMode mode);
 std::optional<ParMode> parse_par_mode(std::string_view name);
 
-// Diversified solver configuration for worker/racer `k`: k = 0 is `base`
+// Diversified solver configuration for worker `k`: k = 0 is `base`
 // unchanged, 1..5 walk a hand-picked table of restart/decay profiles, and
 // every k >= 6 gets deterministic splitmix64 jitter on the decay rates and
 // restart unit — so no two workers ever duplicate each other's schedule,
@@ -127,8 +125,8 @@ class ClausePool {
 
 struct ParallelConfig {
   int num_workers = 1;
-  ParMode mode = ParMode::kShare;  // kRace is not valid here
-  SolverConfig base;               // worker 0's configuration
+  ParMode mode = ParMode::kShare;
+  SolverConfig base;  // worker 0's configuration
   // Deterministic decay/restart jitter (diversified_config) plus saved-phase
   // jitter for workers > 0. Off = identical twins (only useful in tests).
   bool diversify = true;
@@ -182,8 +180,7 @@ class ParallelSolver final : public SolverIface {
   void set_conflict_budget(std::uint64_t max_conflicts) override;
   void set_deadline(
       std::optional<std::chrono::steady_clock::time_point> t) override;
-  void set_interrupts(const std::atomic<bool>* primary,
-                      const std::atomic<bool>* secondary) override;
+  void set_interrupt(const std::atomic<bool>* flag) override;
   bool last_solve_interrupted() const override;
   StopReason last_stop_reason() const override;
   const SolverStats& stats() const override;
@@ -220,8 +217,7 @@ class ParallelSolver final : public SolverIface {
   // Budgets forwarded to workers at every solve().
   std::uint64_t conflict_budget_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  const std::atomic<bool>* interrupt_primary_ = nullptr;
-  const std::atomic<bool>* interrupt_secondary_ = nullptr;
+  const std::atomic<bool>* interrupt_ = nullptr;
 
   // Per-solve race state. `winner_` is CAS-claimed by the first decisive
   // worker, which then writes `decisive_result_` and raises `stop_` — the

@@ -492,9 +492,8 @@ void PreprocessSolver::set_deadline(
   inner_.set_deadline(t);
 }
 
-void PreprocessSolver::set_interrupts(const std::atomic<bool>* primary,
-                                      const std::atomic<bool>* secondary) {
-  inner_.set_interrupts(primary, secondary);
+void PreprocessSolver::set_interrupt(const std::atomic<bool>* flag) {
+  inner_.set_interrupt(flag);
 }
 
 bool PreprocessSolver::last_solve_interrupted() const {

@@ -103,8 +103,7 @@ class PreprocessSolver final : public SolverIface {
   void set_conflict_budget(std::uint64_t max_conflicts) override;
   void set_deadline(
       std::optional<std::chrono::steady_clock::time_point> t) override;
-  void set_interrupts(const std::atomic<bool>* primary,
-                      const std::atomic<bool>* secondary) override;
+  void set_interrupt(const std::atomic<bool>* flag) override;
   bool last_solve_interrupted() const override;
   StopReason last_stop_reason() const override;
   const SolverStats& stats() const override;

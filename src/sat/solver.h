@@ -43,7 +43,7 @@
 namespace fl::sat {
 
 // Search-parameter knobs. The defaults are the classic MiniSat values; the
-// attack portfolio mode races several of these on the same instance (CDCL
+// parallel solver runs diversified variants of them as its workers (CDCL
 // runtimes are heavy-tailed, so diverse restart/decay schedules beat any
 // single schedule on hard miters).
 struct SolverConfig {
@@ -109,23 +109,16 @@ class Solver final : public SolverIface {
     deadline_ = t;
   }
 
-  // Cooperative cancellation from other threads (portfolio racing, pool
-  // shutdown): the flags are polled at the same boundaries as the deadline
-  // and never written by the solver. nullptr disables a slot. The third
-  // slot exists for the parallel solver, which chains its own stop signal
-  // behind the two caller-owned flags.
-  void set_interrupts(const std::atomic<bool>* primary,
-                      const std::atomic<bool>* secondary) override {
-    interrupts_[0] = primary;
-    interrupts_[1] = secondary;
+  // Cooperative cancellation from other threads: the flags are polled at
+  // the same boundaries as the deadline and never written by the solver.
+  // nullptr disables a slot. The second slot exists for the parallel
+  // solver, which chains its own stop signal behind the caller's flag.
+  void set_interrupt(const std::atomic<bool>* flag) override {
+    interrupts_[0] = flag;
   }
-  using SolverIface::set_interrupt;
-  void set_interrupt_chain(const std::atomic<bool>* primary,
-                           const std::atomic<bool>* secondary,
-                           const std::atomic<bool>* tertiary) {
-    interrupts_[0] = primary;
-    interrupts_[1] = secondary;
-    interrupts_[2] = tertiary;
+  void set_interrupt_chain(const std::atomic<bool>* caller,
+                           const std::atomic<bool>* stop) {
+    interrupts_ = {caller, stop};
   }
 
   // True iff the most recent solve() returned kUndef because a conflict
@@ -289,10 +282,9 @@ class Solver final : public SolverIface {
   std::size_t simplified_trail_ = 0;  // root trail size at last simplify()
   std::uint64_t conflicts_at_simplify_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  // Interrupt flags, all polled at the same boundaries: [0] the caller's
-  // cancel token, [1] a race/portfolio winner signal, [2] the parallel
-  // solver's internal stop flag.
-  std::array<const std::atomic<bool>*, 3> interrupts_{};
+  // Interrupt flags, both polled at the same boundaries: [0] the caller's
+  // cancel token, [1] the parallel solver's internal stop flag.
+  std::array<const std::atomic<bool>*, 2> interrupts_{};
   ExportHook export_hook_;
   ImportHook import_hook_;
   std::vector<Lit> import_scratch_;

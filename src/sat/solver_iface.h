@@ -73,9 +73,9 @@ struct SolverStats {
 
 // Sums `from` into `into`. Counters add; high-water marks (max_lbd,
 // db_size_after_reduce) take the max; peak memory adds, because portfolio
-// workers hold their databases concurrently. Used to fold every racer's /
-// worker's search effort into one AttackResult instead of dropping the
-// losers' work on the floor.
+// workers hold their databases concurrently. Used to fold every parallel
+// worker's search effort into one SolverStats instead of dropping the
+// non-winners' work on the floor.
 void aggregate_stats(SolverStats& into, const SolverStats& from);
 
 // Cheap monotonic snapshot of the hot search counters, for callers that
@@ -118,16 +118,10 @@ class SolverIface {
   virtual void set_deadline(
       std::optional<std::chrono::steady_clock::time_point> t) = 0;
 
-  // Cooperative cancellation from other threads: both flags are polled at
-  // the same boundaries as the deadline and never written by the solver.
-  // Two slots so an attack-level interrupt (the caller's cancel token) and
-  // an engine-level one (a portfolio race's winner signal) coexist without
-  // a forwarding thread. nullptr disables a slot.
-  virtual void set_interrupts(const std::atomic<bool>* primary,
-                              const std::atomic<bool>* secondary) = 0;
-  void set_interrupt(const std::atomic<bool>* flag) {
-    set_interrupts(flag, nullptr);
-  }
+  // Cooperative cancellation from other threads (the caller's cancel
+  // token): the flag is polled at the same boundaries as the deadline and
+  // never written by the solver. nullptr disables.
+  virtual void set_interrupt(const std::atomic<bool>* flag) = 0;
 
   // True iff the most recent solve() returned kUndef because a conflict
   // budget, deadline, interrupt or memory budget cut the search short.

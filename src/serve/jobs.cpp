@@ -4,12 +4,8 @@
 #include <fstream>
 #include <vector>
 
-#include "attacks/appsat.h"
-#include "attacks/cycsat.h"
-#include "attacks/double_dip.h"
-#include "attacks/fall.h"
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
@@ -55,33 +51,6 @@ std::string key_string(const std::vector<bool>& key) {
   s.reserve(key.size());
   for (const bool b : key) s.push_back(b ? '1' : '0');
   return s;
-}
-
-attacks::AttackResult run_one_attack(const std::string& name,
-                                     const core::LockedCircuit& locked,
-                                     const attacks::Oracle& oracle,
-                                     const attacks::AttackOptions& options) {
-  if (name == "sat") return attacks::SatAttack(options).run(locked, oracle);
-  if (name == "cycsat") return attacks::CycSat(options).run(locked, oracle);
-  if (name == "appsat") {
-    attacks::AppSatOptions app_options;
-    app_options.base = options;
-    return attacks::AppSat(app_options).run(locked, oracle);
-  }
-  if (name == "fall") {
-    // FALL has its own result shape; map the essentials onto the generic
-    // record (success iff a fully verified key came back).
-    const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
-    attacks::AttackResult result;
-    result.status = fall.key_recovered
-                        ? attacks::AttackStatus::kSuccess
-                        : attacks::AttackStatus::kIterationLimit;
-    result.key = fall.key;
-    result.iterations = static_cast<std::uint64_t>(fall.candidates_tested);
-    result.oracle_queries = static_cast<std::uint64_t>(fall.error_patterns);
-    return result;
-  }
-  return attacks::DoubleDip(options).run(locked, oracle);
 }
 
 // Translates the spec's encode string (validated at admission; journals from
@@ -133,8 +102,7 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   const netlist::Netlist oracle_netlist =
       netlist::read_bench_file(spec.oracle_path);
   const attacks::Oracle oracle(oracle_netlist);
-  const bool cyclic = locked.netlist.is_cyclic();
-  if (spec.encode == "cone" && cyclic) {
+  if (spec.encode == "cone" && locked.netlist.is_cyclic()) {
     throw std::invalid_argument(
         "encode mode 'cone' requires an acyclic netlist, but " +
         spec.locked_path + " is cyclic; use encode auto or full");
@@ -149,30 +117,14 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   StreamTraceSink trace(ctx);
   if (spec.trace) options.trace = &trace;
 
-  const std::string name = lock::resolve_attack(spec.attack, cyclic);
-  if (name == "fall") {
-    const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
-    result.fields.field("attack", name)
-        .field("scheme", locked.scheme)
-        .field("status", fall.key_recovered ? "success" : "iteration-limit")
-        .field("restore_identified", fall.restore_identified)
-        .field("protected_bits", fall.protected_bits)
-        .field("error_patterns", fall.error_patterns)
-        .field("candidates_tested", fall.candidates_tested)
-        .field("stripped_error_rate", fall.stripped_error_rate)
-        .field("key_bits", locked.netlist.num_keys());
-    if (fall.key_recovered) {
-      result.fields.field("hd", fall.hd).field("key", key_string(fall.key));
-    }
-    return result;
-  }
-  const attacks::AttackResult attack =
-      run_one_attack(name, locked, oracle, options);
+  const attacks::RunResult run =
+      attacks::run(spec.attack, locked, oracle, options);
+  const attacks::AttackResult& attack = run.result;
   if (attack.status == attacks::AttackStatus::kInterrupted) {
     result.interrupted = true;
     return result;
   }
-  result.fields.field("attack", name)
+  result.fields.field("attack", run.attack)
       .field("scheme", locked.scheme)
       .field("status", attacks::to_string(attack.status))
       .field("iterations", attack.iterations)
@@ -183,6 +135,7 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   if (attack.status == attacks::AttackStatus::kSuccess) {
     result.fields.field("key", key_string(attack.key));
   }
+  result.fields.merge(run.detail);
   return result;
 }
 
@@ -252,10 +205,9 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
         options.interrupt = cell_ctx.interrupt;
         options.memory_limit_mb = spec.memory_limit_mb;
         options.encode_mode = encode_mode_of(spec);
-        const bool cyclic = locked.netlist.is_cyclic();
-        const std::string name = lock::resolve_attack(spec.attack, cyclic);
-        const attacks::AttackResult attack =
-            run_one_attack(name, locked, oracle, options);
+        const attacks::RunResult run =
+            attacks::run(spec.attack, locked, oracle, options);
+        const attacks::AttackResult& attack = run.result;
         if (attack.status == attacks::AttackStatus::kInterrupted) {
           session.note_interrupted(i);
           return;
@@ -263,12 +215,13 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
         if (session.sink() != nullptr) {
           JsonObject o = record_base(i);
           o.field("key_bits", locked.key_bits())
-              .field("cyclic", cyclic)
-              .field("attack", name)
+              .field("cyclic", locked.netlist.is_cyclic())
+              .field("attack", run.attack)
               .field("status", attacks::to_string(attack.status))
               .field("iterations", attack.iterations)
               .field("mean_clause_var_ratio", attack.mean_clause_var_ratio)
               .field("oracle_queries", attack.oracle_queries)
+              .merge(run.detail)
               .field("mean_iteration_s", attack.mean_iteration_seconds)
               .field("wall_s", attack.seconds);
           session.sink()->write(i, o.str());

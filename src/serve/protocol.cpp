@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "attacks/registry.h"
 #include "locking/scheme.h"
 
 namespace fl::serve {
@@ -192,9 +193,9 @@ void validate_spec(const JobSpec& spec) {
           std::to_string(n));
     }
   }
-  if (!lock::known_attack(spec.attack)) {
+  if (!attacks::known_attack(spec.attack)) {
     bad("unknown attack '" + spec.attack + "' (known: " +
-        std::string(lock::kKnownAttacks) + ")");
+        attacks::attack_names() + ")");
   }
   if (spec.encode != "auto" && spec.encode != "cone" &&
       spec.encode != "full") {

@@ -1,17 +1,20 @@
 // Shared DIP engine (attacks/engine.h): every oracle-guided attack recovers
 // keys through the same loop, maps exhausted budgets to the same statuses,
-// and feeds the same per-iteration trace records.
+// and feeds the same per-iteration trace records. The attacks are picked by
+// name through the one entry point, attacks::run (attacks/registry.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/appsat.h"
-#include "attacks/cycsat.h"
 #include "attacks/double_dip.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "attacks/sat_attack.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
@@ -25,29 +28,31 @@ namespace {
 using core::LockedCircuit;
 using netlist::Netlist;
 
-// Runs one named engine-backed attack and returns the sliced base result.
-AttackResult run_attack(const std::string& name, const AttackOptions& options,
-                        const LockedCircuit& locked, const Oracle& oracle) {
-  if (name == "sat") return SatAttack(options).run(locked, oracle);
-  if (name == "cycsat") return CycSat(options).run(locked, oracle);
-  if (name == "appsat") {
-    AppSatOptions app;
-    app.base = options;
-    // Exact mode: settlement may legitimately stop on an approximate key
-    // within error_threshold, which the strict SAT verification these
-    // differential tests apply rejects by design. Settlement behavior has
-    // its own coverage in test_appsat.cpp.
-    app.settle_every = 1 << 20;
-    app.error_threshold = 0.0;
-    return AppSat(app).run(locked, oracle);
-  }
-  return DoubleDip(options).run(locked, oracle);
-}
-
 const std::vector<std::string>& engine_attacks() {
   static const std::vector<std::string> names = {"sat", "cycsat", "appsat",
                                                  "double-dip"};
   return names;
+}
+
+// Every engine-backed attack on `locked`, labelled by name: sat, cycsat and
+// double-dip through attacks::run, AppSAT directly in exact mode. Settlement
+// may legitimately stop on an approximate key within error_threshold, which
+// the strict SAT verification these differential tests apply rejects by
+// design; settlement has its own coverage in test_appsat.cpp.
+std::vector<std::pair<std::string, AttackResult>> run_exact_attacks(
+    const AttackOptions& options, const LockedCircuit& locked,
+    const Oracle& oracle) {
+  std::vector<std::pair<std::string, AttackResult>> runs;
+  for (const char* name : {"sat", "cycsat", "double-dip"}) {
+    RunResult run = attacks::run(name, locked, oracle, options);
+    runs.emplace_back(run.attack, std::move(run.result));
+  }
+  AppSatOptions app;
+  app.base = options;
+  app.settle_every = 1 << 20;
+  app.error_threshold = 0.0;
+  runs.emplace_back("appsat", AppSat(app).run(locked, oracle));
+  return runs;
 }
 
 TEST(AttackEngine, AllAttacksRecoverVerifiedKeys) {
@@ -57,10 +62,10 @@ TEST(AttackEngine, AllAttacksRecoverVerifiedKeys) {
   const LockedCircuit locked =
       core::full_lock(original, core::FullLockConfig::with_plrs({4}));
   const Oracle oracle(original);
-  for (const std::string& name : engine_attacks()) {
-    AttackOptions options;
-    options.timeout_s = 60.0;
-    const AttackResult result = run_attack(name, options, locked, oracle);
+  AttackOptions options;
+  options.timeout_s = 60.0;
+  for (const auto& [name, result] :
+       run_exact_attacks(options, locked, oracle)) {
     ASSERT_EQ(result.status, AttackStatus::kSuccess) << name;
     EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
                                      1, /*sat=*/true))
@@ -85,7 +90,8 @@ TEST(AttackEngine, TimeoutStatusIdenticalAcrossAttacks) {
   for (const std::string& name : engine_attacks()) {
     AttackOptions options;
     options.timeout_s = 0.05;  // far too little for a 16x16 PLR
-    const AttackResult result = run_attack(name, options, locked, oracle);
+    const AttackResult result =
+        attacks::run(name, locked, oracle, options).result;
     EXPECT_EQ(result.status, AttackStatus::kTimeout) << name;
     EXPECT_EQ(result.stop_reason, sat::StopReason::kDeadline) << name;
     EXPECT_LT(result.seconds, 5.0) << name;
@@ -102,7 +108,8 @@ TEST(AttackEngine, InterruptStatusIdenticalAcrossAttacks) {
   for (const std::string& name : engine_attacks()) {
     AttackOptions options;
     options.interrupt = &interrupt;
-    const AttackResult result = run_attack(name, options, locked, oracle);
+    const AttackResult result =
+        attacks::run(name, locked, oracle, options).result;
     EXPECT_EQ(result.status, AttackStatus::kInterrupted) << name;
     EXPECT_EQ(result.stop_reason, sat::StopReason::kInterrupt) << name;
     EXPECT_EQ(result.key.size(), locked.key_bits()) << name;
@@ -117,7 +124,8 @@ TEST(AttackEngine, MemoryBudgetStatusIdenticalAcrossAttacks) {
   for (const std::string& name : engine_attacks()) {
     AttackOptions options;
     options.memory_limit_mb = 1;
-    const AttackResult result = run_attack(name, options, locked, oracle);
+    const AttackResult result =
+        attacks::run(name, locked, oracle, options).result;
     EXPECT_EQ(result.status, AttackStatus::kOutOfMemory) << name;
     EXPECT_EQ(result.stop_reason, sat::StopReason::kOutOfMemory) << name;
     EXPECT_EQ(result.key.size(), locked.key_bits()) << name;
@@ -220,13 +228,13 @@ TEST(AttackEngine, EncodeModesAndPreprocessingRecoverEquivalentKeys) {
                             {EncodeMode::kCone, false},
                             {EncodeMode::kFull, true},
                             {EncodeMode::kCone, true}};
-  for (const std::string& name : engine_attacks()) {
-    for (const Config& config : configs) {
-      AttackOptions options;
-      options.timeout_s = 60.0;
-      options.encode_mode = config.mode;
-      options.preprocess = config.preprocess;
-      const AttackResult result = run_attack(name, options, locked, oracle);
+  for (const Config& config : configs) {
+    AttackOptions options;
+    options.timeout_s = 60.0;
+    options.encode_mode = config.mode;
+    options.preprocess = config.preprocess;
+    for (const auto& [name, result] :
+         run_exact_attacks(options, locked, oracle)) {
       const std::string label = name + " mode=" + to_string(config.mode) +
                                 " preprocess=" +
                                 (config.preprocess ? "on" : "off");
@@ -291,6 +299,80 @@ TEST(AttackEngine, BudgetGuardMapsEachBudgetToItsStatus) {
   ASSERT_TRUE(stopped.exhausted().has_value());
   // Cancellation wins over any other budget: it is not the paper's "TO".
   EXPECT_EQ(*stopped.exhausted(), AttackStatus::kInterrupted);
+}
+
+TEST(AttackRegistry, UnknownNameThrowsAndListsTheNames) {
+  EXPECT_EQ(attack_names(), "auto, sat, cycsat, appsat, double-dip, fall");
+  for (const char* name :
+       {"auto", "sat", "cycsat", "appsat", "double-dip", "fall"}) {
+    EXPECT_TRUE(known_attack(name)) << name;
+  }
+  EXPECT_FALSE(known_attack("nonesuch"));
+  const Netlist original = netlist::make_circuit("c432", 49);
+  const LockedCircuit locked =
+      core::full_lock(original, core::FullLockConfig::with_plrs({4}));
+  const Oracle oracle(original);
+  try {
+    attacks::run("nonesuch", locked, oracle);
+    FAIL() << "unknown attack name accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'nonesuch'"), std::string::npos) << what;
+    EXPECT_NE(what.find(attack_names()), std::string::npos) << what;
+  }
+}
+
+TEST(AttackRegistry, CyclicLocksRunAndReportCycSat) {
+  // "auto" follows cyclicity, and Double-DIP (acyclic-only) degrades to
+  // CycSAT; either way the reported name is the attack that actually ran.
+  const Netlist original = netlist::make_circuit("c432", 101);
+  core::FullLockConfig config = core::FullLockConfig::with_plrs(
+      {4}, core::ClnTopology::kBanyanNonBlocking, core::CycleMode::kForce);
+  config.seed = 7;
+  const LockedCircuit locked = core::full_lock(original, config);
+  ASSERT_TRUE(locked.netlist.is_cyclic());
+  const Oracle oracle(original);
+  AttackOptions options;
+  options.timeout_s = 120.0;
+  for (const char* name : {"auto", "double-dip"}) {
+    const RunResult run = attacks::run(name, locked, oracle, options);
+    EXPECT_EQ(run.attack, "cycsat") << name;
+    ASSERT_EQ(run.result.status, AttackStatus::kSuccess) << name;
+    // Simulation check: SAT equivalence does not apply to cyclic netlists.
+    EXPECT_TRUE(
+        core::verify_unlocks(original, locked.netlist, run.result.key, 32, 1))
+        << name;
+    EXPECT_TRUE(run.detail.empty()) << name;
+  }
+}
+
+TEST(AttackRegistry, DetailCarriesTheAttackSpecificFields) {
+  const Netlist original = netlist::make_circuit("c432", 50);
+  const LockedCircuit locked =
+      core::full_lock(original, core::FullLockConfig::with_plrs({4}));
+  const Oracle oracle(original);
+  AttackOptions options;
+  options.timeout_s = 60.0;
+
+  RunResult sat = attacks::run("auto", locked, oracle, options);
+  EXPECT_EQ(sat.attack, "sat");
+  EXPECT_TRUE(sat.detail.empty());
+
+  RunResult app = attacks::run("appsat", locked, oracle, options);
+  ASSERT_EQ(app.result.status, AttackStatus::kSuccess);
+  const std::string app_detail = app.detail.str();
+  EXPECT_TRUE(runtime::json_bool_field(app_detail, "approximate").has_value())
+      << app_detail;
+  const auto error = runtime::json_double_field(app_detail, "estimated_error");
+  ASSERT_TRUE(error.has_value()) << app_detail;
+  EXPECT_LE(*error, 0.005);
+
+  RunResult dd = attacks::run("double-dip", locked, oracle, options);
+  ASSERT_EQ(dd.result.status, AttackStatus::kSuccess);
+  const std::string dd_detail = dd.detail.str();
+  EXPECT_TRUE(runtime::json_int_field(dd_detail, "fallback_iterations")
+                  .has_value())
+      << dd_detail;
 }
 
 }  // namespace

@@ -47,14 +47,35 @@ Cnf phase_transition_cnf(int num_vars, std::uint64_t seed) {
 }
 
 TEST(ParMode, ParseRoundTrips) {
-  for (const ParMode mode :
-       {ParMode::kRace, ParMode::kShare, ParMode::kCubes}) {
+  for (const ParMode mode : {ParMode::kShare, ParMode::kCubes}) {
     const auto parsed = parse_par_mode(to_string(mode));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, mode);
   }
+  // There is no attack-level race mode: "race" is an unknown mode.
+  EXPECT_FALSE(parse_par_mode("race").has_value());
   EXPECT_FALSE(parse_par_mode("portfolio").has_value());
   EXPECT_FALSE(parse_par_mode("").has_value());
+}
+
+TEST(DiversifiedConfig, EveryWorkerGetsADistinctSchedule) {
+  // Every worker up to width 16 gets a distinct schedule: the hand-picked
+  // table covers k <= 5 and deterministic jitter takes over beyond it (no
+  // silent modulo wrap back into the table). Worker 0 keeps the base.
+  EXPECT_EQ(diversified_config(0).restart_unit, SolverConfig{}.restart_unit);
+  std::vector<SolverConfig> configs;
+  for (int k = 0; k < 16; ++k) configs.push_back(diversified_config(k));
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_GT(configs[i].var_decay, 0.0);
+    EXPECT_LT(configs[i].var_decay, 1.0);
+    EXPECT_GT(configs[i].restart_unit, 0);
+    for (std::size_t j = i + 1; j < configs.size(); ++j) {
+      EXPECT_TRUE(configs[i].var_decay != configs[j].var_decay ||
+                  configs[i].clause_decay != configs[j].clause_decay ||
+                  configs[i].restart_unit != configs[j].restart_unit)
+          << "configs " << i << " and " << j << " collide";
+    }
+  }
 }
 
 TEST(BuildCubes, PartitionsTheAssignmentSpace) {
@@ -281,7 +302,7 @@ TEST(ParallelSolver, InterruptSurfacesAsStopReason) {
   config.num_workers = 2;
   ParallelSolver par(config);
   load(par, cnf);
-  par.set_interrupts(&interrupt, nullptr);
+  par.set_interrupt(&interrupt);
   EXPECT_EQ(par.solve(), LBool::kUndef);
   EXPECT_TRUE(par.last_solve_interrupted());
   EXPECT_EQ(par.last_stop_reason(), StopReason::kInterrupt);
@@ -334,8 +355,6 @@ void expect_parallel_attack_breaks(ParMode mode) {
   EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
                                    1, /*sat=*/true))
       << to_string(mode);
-  // No winner index: share/cubes run one cooperating attack, not a race.
-  EXPECT_EQ(result.portfolio_winner, -1);
 }
 
 TEST(ParallelAttack, ShareModeRecoversKey) {

@@ -2,7 +2,6 @@
 // respects budgets, reports faithful statistics.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -180,106 +179,6 @@ TEST(SatAttack, MeanIterationZeroWhenNoIterations) {
   const AttackResult result = SatAttack().run(unlocked, oracle);
   ASSERT_EQ(result.iterations, 0u);
   EXPECT_EQ(result.mean_iteration_seconds, 0.0);
-}
-
-TEST(SatAttack, PortfolioBreaksLockAndReportsWinner) {
-  const Netlist original = netlist::make_circuit("c432", 99);
-  const LockedCircuit locked =
-      core::full_lock(original, core::FullLockConfig::with_plrs({4}));
-  const Oracle oracle(original);
-  AttackOptions options;
-  options.timeout_s = 60.0;
-  options.portfolio = 3;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
-  ASSERT_EQ(result.status, AttackStatus::kSuccess);
-  EXPECT_GE(result.portfolio_winner, 0);
-  EXPECT_LT(result.portfolio_winner, 3);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   1, /*sat=*/true));
-  // All racers share the oracle; the portfolio total covers every query.
-  EXPECT_GE(result.oracle_queries, result.iterations);
-}
-
-TEST(SatAttack, PortfolioConfigsAreDiverse) {
-  // Every racer up to a 16-wide portfolio gets a distinct schedule: the
-  // hand-picked table covers k <= 5 and deterministic jitter takes over
-  // beyond it (no silent modulo wrap back into the table).
-  std::vector<sat::SolverConfig> configs;
-  for (int k = 0; k < 16; ++k) configs.push_back(SatAttack::portfolio_config(k));
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_GT(configs[i].var_decay, 0.0);
-    EXPECT_LT(configs[i].var_decay, 1.0);
-    EXPECT_GT(configs[i].restart_unit, 0);
-    for (std::size_t j = i + 1; j < configs.size(); ++j) {
-      EXPECT_TRUE(configs[i].var_decay != configs[j].var_decay ||
-                  configs[i].clause_decay != configs[j].clause_decay ||
-                  configs[i].restart_unit != configs[j].restart_unit)
-          << "configs " << i << " and " << j << " collide";
-    }
-  }
-}
-
-TEST(SatAttack, PortfolioAggregatesAllRacersStats) {
-  // The losing racers' solver work must show up in the portfolio result,
-  // not just the winner's counters.
-  const Netlist original = netlist::make_circuit("c432", 99);
-  const LockedCircuit locked =
-      core::full_lock(original, core::FullLockConfig::with_plrs({4}));
-  const Oracle oracle(original);
-  AttackOptions options;
-  options.timeout_s = 60.0;
-  options.portfolio = 3;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
-  ASSERT_EQ(result.status, AttackStatus::kSuccess);
-  // Every racer runs its own DIP loop to some depth, so the aggregate must
-  // strictly exceed what any single racer could report alone: at least one
-  // decision per racer is a safe floor on a lock this size.
-  EXPECT_GE(result.solver_stats.decisions, 3u);
-  EXPECT_GT(result.solver_stats.propagations, 0u);
-}
-
-TEST(SatAttack, PortfolioExternalInterruptReported) {
-  // A pre-tripped external interrupt must surface as kInterrupted (sweeps
-  // treat that status as "do not record").
-  const Netlist original = netlist::make_circuit("c880", 92);
-  const LockedCircuit locked =
-      core::full_lock(original, core::FullLockConfig::with_plrs({16}));
-  const Oracle oracle(original);
-  std::atomic<bool> interrupt{true};
-  AttackOptions options;
-  options.timeout_s = 60.0;
-  options.portfolio = 2;
-  options.interrupt = &interrupt;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
-  EXPECT_EQ(result.status, AttackStatus::kInterrupted);
-}
-
-TEST(SatAttack, PortfolioLoserCancellationNeverSurfaces) {
-  // The winner cancels the losers through the shared race token; a loser's
-  // kInterrupted must never become the portfolio's result. Repeat a fast
-  // race several times to give the cancellation path chances to misfire.
-  const Netlist original = netlist::make_circuit("c432", 93);
-  const LockedCircuit locked =
-      core::full_lock(original, core::FullLockConfig::with_plrs({4}));
-  const Oracle oracle(original);
-  for (int round = 0; round < 5; ++round) {
-    AttackOptions options;
-    options.timeout_s = 60.0;
-    options.portfolio = 4;
-    const AttackResult result = SatAttack(options).run(locked, oracle);
-    ASSERT_NE(result.status, AttackStatus::kInterrupted) << "round " << round;
-    ASSERT_EQ(result.status, AttackStatus::kSuccess) << "round " << round;
-  }
-}
-
-TEST(SatAttack, SingleRunReportsNoPortfolioWinner) {
-  const Netlist c17 = netlist::make_c17();
-  LockedCircuit unlocked;
-  unlocked.netlist = c17;
-  unlocked.scheme = "none";
-  const Oracle oracle(c17);
-  const AttackResult result = SatAttack().run(unlocked, oracle);
-  EXPECT_EQ(result.portfolio_winner, -1);
 }
 
 }  // namespace

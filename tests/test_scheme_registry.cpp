@@ -130,10 +130,6 @@ TEST(SchemeRegistry, ValidateEncodeOptionGatesConeOnCyclicCapableSchemes) {
 }
 
 TEST(SchemeRegistry, AttackHelpers) {
-  EXPECT_TRUE(lock::known_attack("auto"));
-  EXPECT_TRUE(lock::known_attack("fall"));
-  EXPECT_TRUE(lock::known_attack("double-dip"));
-  EXPECT_FALSE(lock::known_attack("nonesuch"));
   EXPECT_EQ(lock::resolve_attack("auto", /*cyclic=*/false), "sat");
   EXPECT_EQ(lock::resolve_attack("auto", /*cyclic=*/true), "cycsat");
   EXPECT_EQ(lock::resolve_attack("double-dip", /*cyclic=*/true), "cycsat");

@@ -8,12 +8,14 @@
 
 #include "attacks/fall.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "attacks/sat_attack.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "locking/sfll_hd.h"
 #include "netlist/profiles.h"
 #include "netlist/simulator.h"
+#include "runtime/jsonl.h"
 
 namespace fl {
 namespace {
@@ -116,6 +118,51 @@ TEST(SfllHd, FallBailsOnNonSfllLocks) {
   const attacks::Oracle oracle(original);
   const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
   EXPECT_FALSE(fall.key_recovered);
+}
+
+TEST(SfllHd, FallThroughAttackRunReportsWhatItDid) {
+  // The one mapping of FALL onto AttackResult: no DIP loop, so 0
+  // iterations; oracle_queries is the oracle's own counter delta; the wall
+  // time is measured; candidates and error patterns live in the detail.
+  const Netlist original = netlist::make_circuit("c432", 2);
+  const LockedCircuit locked = lock_sfll(original, 8, 1, 7);
+  const attacks::Oracle oracle(original);
+  const std::uint64_t queries_before = oracle.num_queries();
+  attacks::RunResult run = attacks::run("fall", locked, oracle);
+  EXPECT_EQ(run.attack, "fall");
+  ASSERT_EQ(run.result.status, attacks::AttackStatus::kSuccess);
+  EXPECT_EQ(run.result.key, locked.correct_key);
+  EXPECT_EQ(run.result.iterations, 0u);
+  EXPECT_EQ(run.result.oracle_queries,
+            oracle.num_queries() - queries_before);
+  EXPECT_GT(run.result.seconds, 0.0);
+  const std::string detail = run.detail.str();
+  EXPECT_TRUE(
+      runtime::json_bool_field(detail, "restore_identified").value_or(false));
+  EXPECT_EQ(runtime::json_int_field(detail, "protected_bits").value_or(0), 8);
+  EXPECT_GT(runtime::json_int_field(detail, "error_patterns").value_or(0), 0);
+  EXPECT_GT(runtime::json_int_field(detail, "candidates_tested").value_or(0),
+            0);
+  EXPECT_EQ(runtime::json_int_field(detail, "hd").value_or(-1), 1);
+}
+
+TEST(SfllHd, FallThroughAttackRunWithoutRestoreUnitSizesTheKey) {
+  // No restore unit to strip: FALL fails, and the result still keeps
+  // AttackResult's rule that the key is sized to the key width.
+  const Netlist original = netlist::make_circuit("c432", 2);
+  const LockedCircuit locked = lock::lock_with(
+      "rll", original, lock::make_options(5, {}, "keys=8"));
+  const attacks::Oracle oracle(original);
+  attacks::RunResult run = attacks::run("fall", locked, oracle);
+  EXPECT_EQ(run.result.status, attacks::AttackStatus::kIterationLimit);
+  EXPECT_EQ(run.result.key.size(), locked.key_bits());
+  EXPECT_EQ(run.result.iterations, 0u);
+  const std::string detail = run.detail.str();
+  EXPECT_FALSE(
+      runtime::json_bool_field(detail, "restore_identified").value_or(true));
+  EXPECT_EQ(runtime::json_int_field(detail, "candidates_tested").value_or(-1),
+            0);
+  EXPECT_FALSE(runtime::json_int_field(detail, "hd").has_value());
 }
 
 TEST(SfllHd, DeterministicInSeedAndValidatesParams) {
