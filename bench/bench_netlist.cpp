@@ -86,6 +86,12 @@ struct ProfileResult {
   double legacy_clauses_per_iter = 0.0;
   double cone_clauses_per_iter = 0.0;
   double clause_reduction = 0.0;   // legacy / cone
+  // Clauses each encoding commits per DIP for the same fixed patterns (the
+  // legs above find different DIPs, and both commit every DIP constraint as
+  // its projection onto the key variables, so their growth compares the
+  // searches rather than the encodings). encode_ok gates on these.
+  double legacy_committed_per_dip = 0.0;
+  double cone_committed_per_dip = 0.0;
   std::size_t legacy_base_clauses = 0;
   std::size_t cone_base_clauses = 0;
   double legacy_encode_s_per_iter = 0.0;
@@ -93,7 +99,7 @@ struct ProfileResult {
   double cone_preprocess_s = 0.0;
   std::size_t pp_eliminated_vars = 0;
   bool keys_agree = false;   // both legs recover a verifying key
-  bool encode_ok = false;    // cone leg's clause load never exceeds legacy's
+  bool encode_ok = false;    // cone commits no more per DIP than legacy
   bool verify_ok = false;
   double verify_s = 0.0;
   double total_wall_s = 0.0;
@@ -102,6 +108,31 @@ struct ProfileResult {
 double per_iter(long long added, std::uint64_t iters) {
   return static_cast<double>(added) /
          static_cast<double>(std::max<std::uint64_t>(iters, 1));
+}
+
+// Clauses one encoding commits per DIP constraint (both key copies) over a
+// fixed set of random patterns, on top of the bare base miter.
+double committed_per_dip(const fl::core::LockedCircuit& locked,
+                         const fl::attacks::Oracle& oracle,
+                         fl::attacks::EncodeMode mode) {
+  constexpr int kPatterns = 8;
+  fl::attacks::AttackOptions options;
+  options.encode_mode = mode;
+  options.preprocess = false;
+  fl::attacks::MiterContext ctx(
+      locked, fl::attacks::MiterContext::double_key(), options);
+  ctx.finalize_encoding();
+  std::mt19937_64 rng(0xD1Bull);
+  std::vector<std::vector<bool>> patterns(kPatterns);
+  std::vector<std::vector<bool>> responses;
+  for (std::vector<bool>& p : patterns) {
+    p.resize(locked.netlist.num_inputs());
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] = (rng() & 1) != 0;
+    responses.push_back(oracle.query(p));
+  }
+  const std::size_t before = ctx.solver().num_clauses();
+  ctx.constrain_io_batch(patterns, responses);
+  return static_cast<double>(ctx.solver().num_clauses() - before) / kPatterns;
 }
 
 // Legacy-vs-wide oracle simulation throughput over the same random pattern
@@ -234,10 +265,14 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
   r.cone_encode_s_per_iter = iters_div(attack.encode_seconds, attack.iterations);
   r.cone_preprocess_s = attack.preprocess.preprocess_s;
   r.pp_eliminated_vars = attack.preprocess.eliminated_vars;
-  // Regression gate: the cone encoding must never carry more clauses per
-  // iteration than the legacy shape, and both legs must land on keys that
+  // Regression gate: for the same DIPs the cone encoding must never commit
+  // more clauses than the legacy shape, and both legs must land on keys that
   // unlock (iteration-bounded runs stop early, so compare via verify).
-  r.encode_ok = r.cone_clauses_per_iter <= r.legacy_clauses_per_iter;
+  r.legacy_committed_per_dip =
+      committed_per_dip(locked, oracle, fl::attacks::EncodeMode::kFull);
+  r.cone_committed_per_dip =
+      committed_per_dip(locked, oracle, fl::attacks::EncodeMode::kCone);
+  r.encode_ok = r.cone_committed_per_dip <= r.legacy_committed_per_dip;
   r.keys_agree =
       fl::core::verify_unlocks(original, locked.netlist, legacy.key,
                                /*rounds=*/2, /*seed=*/13,
@@ -300,13 +335,15 @@ int main(int argc, char** argv) {
       std::printf(
           "%-10s %8zu gates  gen %.2fs  graph %.2fs  opt %.2fs  "
           "sim %.2fx (%.0f -> %.0f pat/s)  attack %s/%llu  "
-          "clauses/iter %.0f -> %.0f (%.1fx)  verify %s\n",
+          "clauses/iter %.0f -> %.0f (%.1fx)  committed/DIP %.0f -> %.0f  "
+          "verify %s\n",
           r.name.c_str(), r.gates, r.gen_s, r.graph_build_s, r.optimize_s,
           r.speedup, r.base_patterns_per_s, r.wide_patterns_per_s,
           r.attack_status.c_str(),
           static_cast<unsigned long long>(r.attack_iterations),
           r.legacy_clauses_per_iter, r.cone_clauses_per_iter,
-          r.clause_reduction, r.verify_ok ? "ok" : "FAIL");
+          r.clause_reduction, r.legacy_committed_per_dip,
+          r.cone_committed_per_dip, r.verify_ok ? "ok" : "FAIL");
       std::fflush(stdout);
     }
 
@@ -352,6 +389,8 @@ int main(int argc, char** argv) {
           .field("legacy_clauses_per_iter", r.legacy_clauses_per_iter)
           .field("cone_clauses_per_iter", r.cone_clauses_per_iter)
           .field("clause_reduction", r.clause_reduction)
+          .field("legacy_committed_per_dip", r.legacy_committed_per_dip)
+          .field("cone_committed_per_dip", r.cone_committed_per_dip)
           .field("pp_eliminated_vars", r.pp_eliminated_vars)
           .field("encode_ok", r.encode_ok)
           .field("keys_agree", r.keys_agree)

@@ -56,11 +56,16 @@ class SingleDipPolicy final : public DipPolicy {
       // oracle on this pattern; the correct key is always single-valued and
       // oracle-consistent, so it is never banned.
       const std::vector<bool> response = oracle_.query(pattern);
-      bool banned_any = false;
+      // Read every copy's key before the first ban: adding a clause
+      // backtracks the solver to the root, and the model goes with it.
+      std::vector<std::vector<bool>> keys;
       for (std::size_t k = 0; k < ctx.num_key_copies(); ++k) {
-        const std::vector<bool> key = ctx.extract_key(ctx.key_copy(k));
-        if (!functionally_pins(locked_.netlist, key, pattern, response)) {
-          ctx.ban_key(ctx.key_copy(k), key);
+        keys.push_back(ctx.extract_key(ctx.key_copy(k)));
+      }
+      bool banned_any = false;
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        if (!functionally_pins(locked_.netlist, keys[k], pattern, response)) {
+          ctx.ban_key(ctx.key_copy(k), keys[k]);
           banned_any = true;
           ++result.banned_keys;
         }
@@ -69,7 +74,7 @@ class SingleDipPolicy final : public DipPolicy {
         // Should be unreachable (a repeat requires a non-functional copy);
         // ban the second key to guarantee progress — a key that is
         // functionally pinned here but re-selected is stateful elsewhere.
-        ctx.ban_key(ctx.key_copy(1), ctx.extract_key(ctx.key_copy(1)));
+        ctx.ban_key(ctx.key_copy(1), keys[1]);
         ++result.banned_keys;
       }
       return LoopAction::kRetry;

@@ -3,6 +3,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "sat/preprocess.h"
+
 namespace fl::cnf {
 
 using netlist::Netlist;
@@ -78,17 +80,98 @@ namespace {
 // Pins every encoded output to the oracle response; a constant output that
 // contradicts the response empties the key space (matches what folding the
 // mismatch through a unit clause would do).
-void pin_outputs(sat::SolverIface& solver, const EncodedCircuit& copy,
+void pin_outputs(ClauseSink& sink, const EncodedCircuit& copy,
                  const std::vector<bool>& response) {
   for (std::size_t i = 0; i < response.size(); ++i) {
     const NetLit o = copy.outputs[i];
     if (o.is_const()) {
       if (o.const_value() != response[i]) {
-        solver.add_clause({});  // contradiction: key space empty
+        sink.add_clause({});  // contradiction: key space empty
       }
       continue;
     }
-    solver.add_clause({response[i] ? o.lit : ~o.lit});
+    sink.add_clause({response[i] ? o.lit : ~o.lit});
+  }
+}
+
+// Collects one DIP constraint copy (the circuit copy and its output pins) in
+// a Simplifier and commits only its projection onto the variables the solver
+// already had. The encoder sees ids from base_ = the solver's size up, for
+// the key variables (local_keys()) and the fresh ones; id base_ + i is local
+// simplifier variable i, and the keys are the frozen locals [0, #keys).
+//
+// Soundness: nothing after the commit (later clauses, assumptions, model
+// reads) mentions a fresh variable of this copy, so existentially
+// quantifying them away leaves the admitted keys unchanged. Unit propagation
+// and bounded variable elimination are exactly such quantifications (DP
+// resolution), with every pre-existing variable frozen.
+class ProjectingSink final : public ClauseSink {
+ public:
+  ProjectingSink(sat::SolverIface& solver, std::span<const Var> keys)
+      : solver_(solver), base_(solver.num_vars()),
+        origin_(keys.begin(), keys.end()) {
+    local_keys_.reserve(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const Var v = simp_.new_var();
+      simp_.freeze(v);
+      local_keys_.push_back(base_ + v);
+    }
+  }
+  std::span<const Var> local_keys() const { return local_keys_; }
+
+  Var new_var() override {
+    origin_.push_back(sat::kNullVar);
+    return base_ + simp_.new_var();
+  }
+  void add_clause(sat::Clause clause) override {
+    for (Lit& l : clause) {
+      if (l.var() < base_) {
+        throw std::invalid_argument(
+            "add_io_constraint_cone: frontier_lits must be constants");
+      }
+      l = Lit(l.var() - base_, l.negated());
+    }
+    simp_.add_clause(std::move(clause));
+  }
+
+  void commit();
+
+ private:
+  sat::SolverIface& solver_;
+  const Var base_;
+  sat::Simplifier simp_;
+  std::vector<Var> local_keys_;
+  std::vector<Var> origin_;  // local id -> solver variable (kNullVar: fresh)
+};
+
+void ProjectingSink::commit() {
+  simp_.simplify(/*subsume=*/false);
+  if (simp_.contradiction()) {
+    solver_.add_clause({});
+  } else {
+    // Units that propagation pinned on pre-existing variables.
+    for (Var v = 0; v < simp_.num_vars(); ++v) {
+      const sat::LBool a = simp_.value(v);
+      if (origin_[v] != sat::kNullVar && a != sat::LBool::kUndef) {
+        solver_.add_clause({Lit(origin_[v], a == sat::LBool::kFalse)});
+      }
+    }
+    // Solver variables only for the fresh variables a surviving clause still
+    // mentions, allocated in local order.
+    std::vector<sat::Clause> kept = simp_.take_clauses();
+    constexpr Var kUsed = -2;
+    for (const sat::Clause& clause : kept) {
+      for (const Lit l : clause) {
+        if (origin_[l.var()] == sat::kNullVar) origin_[l.var()] = kUsed;
+      }
+    }
+    for (Var& v : origin_) {
+      if (v == kUsed) v = solver_.new_var();
+    }
+    for (sat::Clause& clause : kept) {
+      for (Lit& l : clause) l = Lit(origin_[l.var()], l.negated());
+      solver_.add_clause(std::move(clause));
+    }
   }
 }
 
@@ -101,12 +184,13 @@ void add_io_constraint(const Netlist& locked, sat::SolverIface& solver,
   if (response.size() != locked.num_outputs()) {
     throw std::invalid_argument("add_io_constraint: response size mismatch");
   }
-  SolverSink sink(solver);
+  ProjectingSink sink(solver, key_vars);
   EncodeOptions options;
   options.fixed_inputs = pattern;
-  options.shared_key_vars = key_vars;
+  options.shared_key_vars = sink.local_keys();
   const EncodedCircuit copy = encode(locked, sink, options);
-  pin_outputs(solver, copy, response);
+  pin_outputs(sink, copy, response);
+  sink.commit();
 }
 
 void add_io_constraint_cone(const Netlist& locked, sat::SolverIface& solver,
@@ -118,18 +202,19 @@ void add_io_constraint_cone(const Netlist& locked, sat::SolverIface& solver,
     throw std::invalid_argument(
         "add_io_constraint_cone: response size mismatch");
   }
-  SolverSink sink(solver);
+  ProjectingSink sink(solver, key_vars);
   EncodeOptions options;
   options.cone_topo = cone_topo;
   options.frontier_lits = frontier_lits;
-  options.shared_key_vars = key_vars;
+  options.shared_key_vars = sink.local_keys();
   // With the frontier swept to constants, most of the key cone folds off the
   // pinned outputs (a masked fanin kills the key dependence long before an
   // output port); only the residue that still reaches a symbolic output pin
   // carries information about the key.
   options.prune_dead_logic = true;
   const EncodedCircuit copy = encode(locked, sink, options);
-  pin_outputs(solver, copy, response);
+  pin_outputs(sink, copy, response);
+  sink.commit();
 }
 
 double deobfuscation_cnf_ratio(const Netlist& locked, int num_dips,

@@ -35,6 +35,14 @@ AttackMiter encode_attack_miter(const netlist::Netlist& locked,
 // Adds the constraint "locked(pattern, K) == response" for the key variables
 // `key_vars` (one circuit copy with inputs fixed; constants are folded when
 // the netlist is acyclic).
+//
+// Both forms commit the constraint's projection onto the variables the
+// solver already had: the copy and its output pins are buffered, unit
+// propagation and bounded variable elimination (sat::Simplifier, every
+// pre-existing variable frozen) remove the copy's own Tseytin variables
+// where that does not grow the clause count, and only the surviving fresh
+// variables and clauses reach the solver. The copy's variables are never
+// handed out, so the admitted keys are exactly those of the raw copy.
 void add_io_constraint(const netlist::Netlist& locked,
                        sat::SolverIface& solver,
                        std::span<const sat::Var> key_vars,
@@ -44,9 +52,10 @@ void add_io_constraint(const netlist::Netlist& locked,
 // Cone-restricted form of add_io_constraint: `frontier_lits` (indexed by
 // GateId, size num_gates) carries the fixed-region net values already
 // evaluated under the DIP — at minimum at every KeyConePartition tap — so
-// only the gates in `cone_topo` are re-encoded. Key-independent outputs are
-// still checked against `response` (a mismatch empties the key space,
-// matching the full encode).
+// only the gates in `cone_topo` are re-encoded. The values must be
+// constants; a literal the encode reads throws std::invalid_argument.
+// Key-independent outputs are still checked against `response` (a mismatch
+// empties the key space, matching the full encode).
 void add_io_constraint_cone(const netlist::Netlist& locked,
                             sat::SolverIface& solver,
                             std::span<const sat::Var> key_vars,

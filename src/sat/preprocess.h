@@ -1,14 +1,23 @@
-// SatELite-style CNF preprocessing behind the SolverIface boundary.
+// SatELite-style CNF simplification: one clause store and one variable
+// eliminator, shared by the base-miter preprocessor and the per-DIP
+// constraint projection.
 //
-// PreprocessSolver stages clauses in its own database, simplifies them once
-// (root-level unit propagation to fixpoint, backward subsumption,
-// self-subsuming resolution, bounded variable elimination), and commits the
-// survivors to an inner solver on the first solve(). The attack engine wraps
-// the base double-key miter in one of these so the CNF the CDCL search
-// actually carries is the simplified one, while the DIP loop keeps adding
-// per-iteration constraints incrementally afterwards.
+// Simplifier holds clauses over dense variables [0, num_vars()) with
+// occurrence lists and runs SatELite's passes over them once: root-level
+// unit propagation to fixpoint, (optionally) backward subsumption with
+// self-subsuming resolution, and bounded variable elimination (BVE) of every
+// variable not frozen. Its two users:
+//  - PreprocessSolver (below) stages the base double-key miter, simplifies
+//    it with every pass and commits the survivors to an inner solver on the
+//    first solve(). The DIP loop keeps adding per-iteration constraints
+//    incrementally afterwards.
+//  - cnf::add_io_constraint[_cone] buffers each DIP constraint copy in a
+//    Simplifier whose frozen variables are the copy's key variables (the
+//    only ones the solver already had), runs propagation and BVE, and hands
+//    the solver only the surviving fresh variables and clauses
+//    (cnf/miter.h).
 //
-// Invariants the wrapper maintains:
+// Invariants PreprocessSolver maintains:
 //  - No variable renumbering: the inner solver allocates every staged
 //    variable at flush time, so external ids and inner ids coincide.
 //    Anything holding raw Var values across the boundary (parallel-solver
@@ -26,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,6 +73,123 @@ struct PreprocessStats {
   double preprocess_s = 0.0;  // wall-clock, stripped from CI-stable JSON
 };
 
+class Simplifier {
+ public:
+  explicit Simplifier(PreprocessConfig config = {}) : config_(config) {}
+
+  Var new_var();
+  int num_vars() const { return next_var_; }
+
+  // Marks `v` as untouchable by variable elimination. Throws
+  // std::invalid_argument for an unknown variable and std::logic_error once
+  // simplify() has run.
+  void freeze(Var v);
+
+  // Stores `clause` sorted and deduplicated; a tautology is dropped and an
+  // empty clause is a contradiction. After simplify() the clause is also
+  // reduced against the root assignment, and a unit is enqueued.
+  void add_clause(Clause clause);
+
+  // SatELite's passes, once: root unit propagation, then (with `subsume`)
+  // backward subsumption and self-subsuming resolution, then bounded
+  // variable elimination of every unfrozen, unassigned variable, in order of
+  // increasing occurrence count (ties by variable id) — a pure function of
+  // the stored clauses. Ends at a propagation fixpoint: no surviving clause
+  // mentions a root-assigned variable. Idempotent.
+  void simplify(bool subsume);
+  bool simplified() const { return simplified_; }
+
+  bool contradiction() const { return contradiction_; }
+  // Root assignment found by propagation (kUndef before simplify()).
+  LBool value(Var v) const;
+  bool is_eliminated(Var v) const {
+    return v >= 0 && static_cast<std::size_t>(v) < eliminated_.size() &&
+           eliminated_[static_cast<std::size_t>(v)];
+  }
+  std::size_t num_clauses() const { return live_clauses_; }
+  const PreprocessStats& stats() const { return stats_; }
+
+  // Moves the surviving clauses of two or more literals out (units live in
+  // the root assignment) and frees the clause store. The root assignment and
+  // the elimination record stay for value(), is_eliminated() and
+  // extend_model().
+  std::vector<Clause> take_clauses();
+
+  // Sets every eliminated variable in `model` (sized to num_vars() or more)
+  // from the clauses it was eliminated from, in reverse elimination order:
+  // false, unless one of its positive occurrence clauses is otherwise
+  // unsatisfied.
+  void extend_model(std::vector<bool>& model) const;
+
+  std::size_t memory_bytes() const;
+
+ private:
+  struct StagedClause {
+    Clause lits;  // sorted, deduplicated
+    std::uint64_t sig = 0;
+    bool deleted = false;
+  };
+  // One eliminated variable; its positive occurrence clauses sit in
+  // elim_lits_ up to `end`, each terminated by kUndefLit.
+  struct Elimination {
+    Var v = kNullVar;
+    std::size_t end = 0;
+  };
+  // A literal's occurrence list: clause indices in insertion order, lazy
+  // (an entry may name a deleted clause or one that lost the literal). All
+  // lists share occ_pool_, built by simplify() with each slot sized exactly
+  // to the staged clauses; a list that outgrows its slot later (resolvents)
+  // moves to the end of the pool with twice the room. One buffer instead of
+  // a heap block per literal: the per-DIP projection builds a store for
+  // every DIP copy, and thousands of small blocks per copy cost as much as
+  // the simplification itself.
+  struct OccSlot {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+
+  bool budget_ok() const { return steps_ < config_.step_budget; }
+  std::span<const std::uint32_t> occ(Lit l) const;
+  void occ_push(Lit l, std::uint32_t ci);
+  void build_occurrences();
+  void push_clause(Clause clause);
+  void del_clause(std::size_t idx);
+  void enqueue(Lit l);
+  void propagate();
+  void subsume_all();
+  void backward_subsume(std::size_t ci);
+  void strengthen(std::size_t di, Lit l);
+  void touch(const Clause& clause);
+  void eliminate_vars();
+  void gather(Lit l, std::vector<std::uint32_t>& out);
+  bool try_eliminate(Var v);
+
+  PreprocessConfig config_;
+  PreprocessStats stats_;
+
+  Var next_var_ = 0;
+  bool simplified_ = false;
+  bool contradiction_ = false;
+
+  std::vector<StagedClause> db_;
+  std::size_t live_clauses_ = 0;
+  std::vector<OccSlot> occ_;  // per Lit::index()
+  std::vector<std::uint32_t> occ_pool_;
+  std::vector<LBool> assigns_;
+  std::vector<Lit> trail_;
+  std::size_t qhead_ = 0;
+  std::vector<bool> frozen_;
+  std::vector<bool> eliminated_;
+  // Variables whose clauses changed since their last elimination attempt;
+  // only they are retried (an unchanged variable would fail again).
+  std::vector<bool> touched_;
+  std::vector<Elimination> elim_stack_;
+  std::vector<Lit> elim_lits_;
+  std::vector<std::uint32_t> pos_occ_, neg_occ_;  // try_eliminate scratch
+  std::uint64_t steps_ = 0;
+};
+
 class PreprocessSolver final : public SolverIface {
  public:
   // `inner` must be empty (no variables, no clauses) and outlive this
@@ -71,11 +198,11 @@ class PreprocessSolver final : public SolverIface {
 
   // Marks `v` as untouchable by variable elimination. Must be called before
   // preprocess()/flush(); throws std::logic_error afterwards.
-  void freeze(Var v);
+  void freeze(Var v) { simp_.freeze(v); }
 
   // Runs the simplification passes over the staged clauses. Idempotent;
   // invoked automatically by flush().
-  void preprocess();
+  void preprocess() { simp_.simplify(/*subsume=*/true); }
 
   // Commits the simplified formula to the inner solver (allocating all
   // staged variables there first). Idempotent; invoked automatically by the
@@ -85,11 +212,8 @@ class PreprocessSolver final : public SolverIface {
   void flush();
   bool flushed() const { return flushed_; }
 
-  bool is_eliminated(Var v) const {
-    return v >= 0 && static_cast<std::size_t>(v) < eliminated_.size() &&
-           eliminated_[v];
-  }
-  const PreprocessStats& preprocess_stats() const { return stats_; }
+  bool is_eliminated(Var v) const { return simp_.is_eliminated(v); }
+  const PreprocessStats& preprocess_stats() const { return simp_.stats(); }
   SolverIface& inner() { return inner_; }
 
   // SolverIface:
@@ -113,59 +237,12 @@ class PreprocessSolver final : public SolverIface {
   std::size_t memory_bytes() const override;
 
  private:
-  struct StagedClause {
-    Clause lits;  // sorted, deduplicated
-    std::uint64_t sig = 0;
-    bool deleted = false;
-  };
-  struct Elimination {
-    Var v = kNullVar;
-    // Clauses that contained `v` positively at elimination time; enough to
-    // extend a model (v defaults to false; flips to true iff one of these
-    // is otherwise unsatisfied).
-    std::vector<Clause> pos_clauses;
-  };
-
-  enum class Norm { kOk, kTautology, kEmpty };
-  static Norm normalize(Clause& clause);
-  static std::uint64_t signature(const Clause& clause);
-
-  bool budget_ok() const { return steps_ < config_.step_budget; }
   void check_no_eliminated(const Clause& clause) const;
-  void push_clause(Clause clause);
-  void del_clause(std::size_t idx);
-  void enqueue(Lit l);
-  void propagate();
-  void subsume_all();
-  void backward_subsume(std::size_t ci);
-  void strengthen(std::size_t di, Lit l);
-  void eliminate_vars();
-  bool try_eliminate(Var v);
-  bool resolve(const Clause& pos, const Clause& neg, Var pivot,
-               Clause& out) const;
-  void extend_model();
-  void release_staging();
 
   SolverIface& inner_;
-  PreprocessConfig config_;
-  PreprocessStats stats_;
-
-  Var next_var_ = 0;
-  bool preprocessed_ = false;
+  Simplifier simp_;
   bool flushed_ = false;
-  bool contradiction_ = false;
-
-  std::vector<StagedClause> db_;
-  std::size_t live_clauses_ = 0;
-  std::vector<std::vector<std::uint32_t>> occ_;  // per Lit::index(), lazy
-  std::vector<LBool> assigns_;
-  std::vector<Lit> trail_;
-  std::size_t qhead_ = 0;
-  std::vector<bool> frozen_;
-  std::vector<bool> eliminated_;
-  std::vector<Elimination> elim_stack_;
   std::vector<std::pair<Var, bool>> pending_phases_;
-  mutable std::uint64_t steps_ = 0;
 
   bool model_valid_ = false;
   std::vector<bool> model_;

@@ -4,10 +4,14 @@
 #include <algorithm>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "attacks/oracle.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
+#include "locking/scheme.h"
 #include "netlist/generator.h"
 #include "netlist/profiles.h"
 #include "netlist/simulator.h"
@@ -320,6 +324,151 @@ TEST(IoConstraintCone, MatchesLegacyKeySpace) {
           << "seed " << seed << " trial " << trial;
       if (trial == 0) {
         EXPECT_EQ(expected, sat::LBool::kTrue);
+      }
+    }
+  }
+}
+
+TEST(IoConstraintCone, RejectsLiteralFrontierValues) {
+  // The projection treats every variable below the solver's size as a
+  // frozen key; a frontier literal would be neither, so it is refused
+  // before anything reaches the solver.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const core::LockedCircuit locked = lock::lock_with(
+      "rll", original, lock::make_options(2, {}, "keys=16"));
+  const Netlist& net = locked.netlist;
+  netlist::KeyConePartition partition(net);
+  sat::Solver solver;
+  std::vector<sat::Var> keys(net.num_keys());
+  for (auto& v : keys) v = solver.new_var();
+  const sat::Var x = solver.new_var();
+  const std::vector<NetLit> frontier(net.num_gates(),
+                                     NetLit::of(sat::pos(x)));
+  const std::vector<bool> response(net.num_outputs(), false);
+  EXPECT_THROW(add_io_constraint_cone(net, solver, keys, partition.cone_topo(),
+                                      frontier, response),
+               std::invalid_argument);
+  EXPECT_EQ(solver.num_vars(), static_cast<int>(keys.size()) + 1);
+  EXPECT_EQ(solver.num_clauses(), 0u);
+}
+
+// The unprojected commit of one DIP copy: every Tseytin variable of the
+// encode reaches the solver, outputs pinned by unit clauses.
+void add_raw_io_constraint(const Netlist& net, sat::Solver& solver,
+                           const EncodeOptions& options,
+                           const std::vector<bool>& response) {
+  SolverSink sink(solver);
+  const EncodedCircuit copy = encode(net, sink, options);
+  for (std::size_t i = 0; i < response.size(); ++i) {
+    const NetLit o = copy.outputs[i];
+    if (o.is_const()) {
+      if (o.const_value() != response[i]) solver.add_clause({});
+      continue;
+    }
+    solver.add_clause({response[i] ? o.lit : ~o.lit});
+  }
+}
+
+TEST(IoConstraintProjection, AdmitsExactlyTheRawKeySpace) {
+  // add_io_constraint[_cone] commit each DIP copy with its own Tseytin
+  // variables eliminated. Soundness: after the same DIPs, the projected and
+  // the raw commits admit exactly the same keys — on point-function,
+  // routing and XOR locks, on the full and the cone path — probed with the
+  // correct key, each of its one-bit flips and 120 random keys.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const attacks::Oracle oracle(original);
+  const std::pair<const char*, const char*> locks[] = {
+      {"sarlock", "keys=8"},
+      {"antisat", "inputs=6"},
+      {"full-lock", "sizes=8"},
+      {"interlock", "sizes=8"},
+      // XOR key gates next to output ports: a pinned output fixes a key bit,
+      // which the projection must commit as a unit on the key variable.
+      {"rll", "keys=16"}};
+  for (const auto& [scheme, params] : locks) {
+    const core::LockedCircuit locked =
+        lock::lock_with(scheme, original, lock::make_options(2, {}, params));
+    const Netlist& net = locked.netlist;
+    ASSERT_FALSE(net.is_cyclic()) << scheme;
+    netlist::KeyConePartition partition(net);
+    netlist::Simulator fixed_sim(partition.fixed_region());
+    const std::span<const GateId> taps = partition.taps();
+    for (const bool cone : {false, true}) {
+      const std::string label =
+          std::string(scheme) + (cone ? " cone" : " full");
+      std::mt19937_64 rng(cone ? 11 : 7);
+      sat::Solver raw_solver, projected_solver;
+      std::vector<sat::Var> raw_keys(net.num_keys());
+      std::vector<sat::Var> projected_keys(net.num_keys());
+      for (auto& v : raw_keys) v = raw_solver.new_var();
+      for (auto& v : projected_keys) v = projected_solver.new_var();
+
+      for (int d = 0; d < 6; ++d) {
+        std::vector<bool> pattern(net.num_inputs());
+        for (std::size_t i = 0; i < pattern.size(); ++i) {
+          pattern[i] = (rng() & 1) != 0;
+        }
+        const std::vector<bool> response = oracle.query(pattern);
+        EncodeOptions raw;
+        raw.shared_key_vars = raw_keys;
+        std::vector<NetLit> frontier;
+        if (cone) {
+          std::vector<netlist::Word> words(net.num_inputs());
+          for (std::size_t i = 0; i < words.size(); ++i) {
+            words[i] = pattern[i] ? ~netlist::Word{0} : netlist::Word{0};
+          }
+          const std::vector<netlist::Word> tap_values =
+              fixed_sim.run(words, {});
+          frontier.assign(net.num_gates(), NetLit::constant(false));
+          for (std::size_t t = 0; t < taps.size(); ++t) {
+            frontier[taps[t]] = NetLit::constant((tap_values[t] & 1) != 0);
+          }
+          add_io_constraint_cone(net, projected_solver, projected_keys,
+                                 partition.cone_topo(), frontier, response);
+          raw.cone_topo = partition.cone_topo();
+          raw.frontier_lits = frontier;
+          raw.prune_dead_logic = true;
+        } else {
+          add_io_constraint(net, projected_solver, projected_keys, pattern,
+                            response);
+          raw.fixed_inputs = pattern;
+        }
+        add_raw_io_constraint(net, raw_solver, raw, response);
+      }
+      // The projection must actually have removed variables.
+      EXPECT_LT(projected_solver.num_vars(), raw_solver.num_vars()) << label;
+
+      std::vector<std::vector<bool>> probes = {locked.correct_key};
+      for (std::size_t i = 0; i < net.num_keys(); ++i) {
+        probes.push_back(locked.correct_key);
+        probes.back()[i] = !probes.back()[i];
+      }
+      for (int r = 0; r < 120; ++r) {
+        std::vector<bool> key(net.num_keys());
+        for (std::size_t i = 0; i < key.size(); ++i) key[i] = (rng() & 1) != 0;
+        probes.push_back(std::move(key));
+      }
+      int rejected = 0;
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        std::vector<sat::Lit> raw_assume, projected_assume;
+        for (std::size_t i = 0; i < net.num_keys(); ++i) {
+          raw_assume.push_back(sat::Lit(raw_keys[i], !probes[p][i]));
+          projected_assume.push_back(
+              sat::Lit(projected_keys[i], !probes[p][i]));
+        }
+        const sat::LBool expected = raw_solver.solve(raw_assume);
+        EXPECT_EQ(projected_solver.solve(projected_assume), expected)
+            << label << " probe " << p;
+        if (p == 0) {
+          EXPECT_EQ(expected, sat::LBool::kTrue) << label;
+        }
+        if (expected == sat::LBool::kFalse) ++rejected;
+      }
+      // Routing and XOR locks reject most probes after a few DIPs, so the
+      // comparison covers both answers.
+      if (std::string(scheme) != "sarlock" &&
+          std::string(scheme) != "antisat") {
+        EXPECT_GT(rejected, 0) << label;
       }
     }
   }

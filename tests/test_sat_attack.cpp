@@ -2,6 +2,7 @@
 // respects budgets, reports faithful statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -13,6 +14,7 @@
 #include "locking/lutlock.h"
 #include "locking/rll.h"
 #include "locking/sarlock.h"
+#include "locking/scheme.h"
 #include "netlist/profiles.h"
 
 namespace fl::attacks {
@@ -80,6 +82,65 @@ TEST(SatAttack, SarlockNeedsExponentialIterations) {
   EXPECT_GE(result.iterations, 32u);  // close to 2^6
   EXPECT_TRUE(
       core::verify_unlocks(original, locked.netlist, result.key, 16, 2, true));
+}
+
+TEST(SatAttack, SarlockDipConstraintsAddNoVariables) {
+  // Per-DIP growth guard. Each DIP constraint is committed as its projection
+  // onto the key variables: on SARLock it says "K differs from the DIP's
+  // compared bits, or K is the correct key", which needs no Tseytin
+  // variable and at most one clause per key bit per key copy — 16 here. An
+  // unprojected pair of copies adds 30 variables and up to 90 clauses.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const LockedCircuit locked = lock::lock_with(
+      "sarlock", original, lock::make_options(2, {}, "keys=8"));
+  ASSERT_EQ(locked.key_bits(), 8u);
+  const Oracle oracle(original);
+  struct MemorySink final : IterationTraceSink {
+    std::vector<IterationTrace> records;
+    void record(const IterationTrace& t) override { records.push_back(t); }
+  } sink;
+  AttackOptions options;
+  options.timeout_s = 60.0;
+  options.trace = &sink;
+  const AttackResult result = SatAttack(options).run(locked, oracle);
+  ASSERT_EQ(result.status, AttackStatus::kSuccess);
+  ASSERT_EQ(sink.records.size(), result.iterations);
+  EXPECT_EQ(result.iterations, 255u);  // 2^8 - 1: SARLock's DIP count
+  long long vars_added = 0;
+  long long max_clauses_added = 0;
+  for (const IterationTrace& t : sink.records) {
+    vars_added += t.vars_added;
+    max_clauses_added = std::max(max_clauses_added, t.clauses_added);
+  }
+  EXPECT_EQ(vars_added, 0);
+  EXPECT_LE(max_clauses_added, 2 * 8);
+  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
+                                   1, /*sat=*/true));
+}
+
+TEST(SatAttack, CyclicRepeatedDipsBanStatefulKeys) {
+  // On a cyclic lock the CNF admits stateful keys that dodge the DIP
+  // constraints, so the same DIP comes back; the policy then bans every key
+  // copy that does not pin the oracle's response. Every copy's key must be
+  // read from the model before the first ban (a ban backtracks the solver),
+  // and the loop must still end on a key that unlocks the circuit — with
+  // the base-miter preprocessor (which caches the model) and without it.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const LockedCircuit locked = lock::lock_with(
+      "full-lock", original, lock::make_options(3, {}, "sizes=4,cycle=allow"));
+  ASSERT_TRUE(locked.netlist.is_cyclic());
+  const Oracle oracle(original);
+  for (const bool preprocess : {true, false}) {
+    AttackOptions options;
+    options.timeout_s = 60.0;
+    options.preprocess = preprocess;
+    const AttackResult result = SatAttack(options).run(locked, oracle);
+    ASSERT_EQ(result.status, AttackStatus::kSuccess) << preprocess;
+    EXPECT_GT(result.banned_keys, 0u) << preprocess;
+    EXPECT_TRUE(
+        core::verify_unlocks(original, locked.netlist, result.key, 16, 1))
+        << preprocess;
+  }
 }
 
 TEST(SatAttack, IterationLimitHonored) {
