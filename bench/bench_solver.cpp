@@ -12,10 +12,6 @@
 //   --smoke       tiny workload set for CI (seconds, not minutes)
 //   --out PATH    output file (default BENCH_solver.json)
 //   --repeat N    timing repetitions per workload, min is reported (default 3)
-//   --threads K   parallel-attack comparison: each CLN miter runs with one
-//                 thread and then with K threads in share and cubes mode;
-//                 records carry threads/par_mode/speedup columns and
-//                 the ksat suite is skipped (schema in EXPERIMENTS.md)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -47,11 +43,6 @@ struct WorkloadResult {
   std::uint64_t propagations = 0;
   fl::sat::SolverStats stats;  // full stats of the timed run
   std::string status;
-  // Parallel-comparison columns (--threads); sequential rows keep the
-  // defaults so old and new records stay schema-compatible.
-  int threads = 1;
-  std::string par_mode = "none";
-  double speedup = 0.0;  // sequential wall / this wall, 0 when n/a
 };
 
 double seconds_since(Clock::time_point start) {
@@ -61,19 +52,12 @@ double seconds_since(Clock::time_point start) {
 // One Table 2 cell: CLN-only lock over the identity circuit, full
 // oracle-guided attack. The DIP loop is exactly the solver workload the
 // paper's tables are bounded by.
-WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat,
-                             int threads = 1,
-                             fl::sat::ParMode mode = fl::sat::ParMode::kShare) {
+WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat) {
   WorkloadResult r;
   r.suite = "cln_miter";
   r.name = std::string(topo == ClnTopology::kShuffleBlocking ? "blocking"
                                                              : "nonblocking") +
            "_n" + std::to_string(n);
-  r.threads = std::max(1, threads);
-  if (r.threads > 1) {
-    r.par_mode = fl::sat::to_string(mode);
-    r.name += std::string("_") + r.par_mode + "_t" + std::to_string(r.threads);
-  }
   const fl::netlist::Netlist original = fl::bench::identity_circuit(n);
   fl::core::FullLockConfig config = fl::core::FullLockConfig::with_plrs(
       {n}, topo, fl::core::CycleMode::kAvoid,
@@ -83,8 +67,6 @@ WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat,
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
   options.timeout_s = fl::bench::env_double("FULLLOCK_TIMEOUT_S", 120.0);
-  options.portfolio = r.threads > 1 ? r.threads : 0;
-  options.par_mode = mode;
   r.wall_s = 1e100;
   for (int rep = 0; rep < repeat; ++rep) {
     const auto start = Clock::now();
@@ -165,7 +147,6 @@ int main(int argc, char** argv) {
     bool smoke = false;
     std::string out_path = "BENCH_solver.json";
     int repeat = 3;
-    int threads = 1;
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         smoke = true;
@@ -173,12 +154,10 @@ int main(int argc, char** argv) {
         out_path = argv[++i];
       } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
         repeat = std::max(1, std::atoi(argv[++i]));
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        threads = std::max(1, std::atoi(argv[++i]));
       } else {
         std::fprintf(stderr,
-                     "usage: bench_solver [--smoke] [--out PATH] [--repeat N] "
-                     "[--threads K]\n");
+                     "usage: bench_solver [--smoke] [--out PATH] "
+                     "[--repeat N]\n");
         return 1;
       }
     }
@@ -204,31 +183,15 @@ int main(int argc, char** argv) {
                   results.back().name.c_str(), results.back().wall_s,
                   static_cast<unsigned long long>(results.back().conflicts));
       std::fflush(stdout);
-      if (threads > 1) {
-        const double base_wall = results.back().wall_s;
-        for (const fl::sat::ParMode mode :
-             {fl::sat::ParMode::kShare, fl::sat::ParMode::kCubes}) {
-          results.push_back(
-              run_cln_miter(m.topo, m.n, smoke ? 1 : repeat, threads, mode));
-          WorkloadResult& r = results.back();
-          r.speedup = r.wall_s > 0.0 ? base_wall / r.wall_s : 0.0;
-          std::printf("%-32s %10.4f s  %12llu conflicts  (%.2fx)\n",
-                      r.name.c_str(), r.wall_s,
-                      static_cast<unsigned long long>(r.conflicts), r.speedup);
-          std::fflush(stdout);
-        }
-      }
     }
-    // Phase-transition 3-SAT (m/n = 4.26), mixed SAT/UNSAT outcomes. The
-    // suite measures raw sequential CDCL throughput, so the parallel
-    // comparison (--threads) skips it.
+    // Phase-transition 3-SAT (m/n = 4.26), mixed SAT/UNSAT outcomes: raw
+    // CDCL throughput.
     struct KsatCell { int n; std::uint64_t seed; };
     const std::vector<KsatCell> ksats =
-        threads > 1 ? std::vector<KsatCell>{}
-        : smoke     ? std::vector<KsatCell>{{100, 1}, {100, 2}, {125, 1}}
-                    : std::vector<KsatCell>{{150, 1}, {150, 2}, {175, 1},
-                                            {175, 2}, {200, 1}, {200, 2},
-                                            {225, 1}, {225, 2}};
+        smoke ? std::vector<KsatCell>{{100, 1}, {100, 2}, {125, 1}}
+              : std::vector<KsatCell>{{150, 1}, {150, 2}, {175, 1},
+                                      {175, 2}, {200, 1}, {200, 2},
+                                      {225, 1}, {225, 2}};
     for (const KsatCell& k : ksats) {
       results.push_back(run_ksat(k.n, k.seed, repeat));
       std::printf("%-32s %10.4f s  %12llu conflicts  (%s)\n",
@@ -269,13 +232,6 @@ int main(int argc, char** argv) {
               r.wall_s > 0.0 ? static_cast<double>(r.conflicts) / r.wall_s
                              : 0.0)
           .field("wall_s", r.wall_s);
-      if (r.threads > 1) {
-        o.field("threads", r.threads)
-            .field("par_mode", r.par_mode)
-            .field("speedup", r.speedup)
-            .field("exported_clauses", r.stats.exported_clauses)
-            .field("imported_clauses", r.stats.imported_clauses);
-      }
       sink.write(i, o.str());
     }
     fl::runtime::JsonObject summary;
@@ -283,7 +239,6 @@ int main(int argc, char** argv) {
         .field("suite", "summary")
         .field("workloads", results.size())
         .field("smoke", smoke)
-        .field("threads", threads)
         .field("geomean_conflicts_per_s", geomean_cps)
         .field("geomean_wall_s", geomean_wall)
         .field("total_wall_s", total_wall);

@@ -17,25 +17,24 @@
 //            as .bench — the oracle/input side of a lock-attack pipeline.
 //   attack:  example_fulllock_cli attack <locked.bench> <oracle.bench>
 //                                        [timeout_s] [--attack NAME]
-//                                        [--portfolio K] [--par-mode M]
 //                                        [--encode M] [--no-preprocess]
 //                                        [--require-key] [--trace FILE]
 //            Runs an oracle-guided attack with the oracle circuit standing
-//            in for the activated chip. The lock scheme is recovered from
-//            the .bench provenance header when present. --attack picks the
-//            algorithm (auto, sat, cycsat, appsat, double-dip, fall; auto =
-//            cycsat on cyclic netlists, sat otherwise). --portfolio K uses
-//            K solver threads in one attack; --par-mode picks how they
-//            cooperate: share (K clause-sharing CDCL workers, the default)
-//            or cubes (cube-and-conquer over the swap-key variables). --encode
-//            selects the miter encoding (auto = key-cone on acyclic locks,
-//            cone, full; cone is rejected up front for cyclic-capable
-//            schemes) and --no-preprocess disables base-miter CNF
-//            preprocessing. --require-key exits 3 unless the recovered key
-//            is proved equivalent to the oracle by SAT (cyclic locks:
-//            checked by simulation only); the CI gate. The key line names
-//            the check: proved, simulated or REJECTED. --trace FILE appends
-//            one JSONL record per DIP iteration (schema in EXPERIMENTS.md).
+//            in for the activated chip, on one sequential CDCL solver. The
+//            lock scheme is recovered from the .bench provenance header when
+//            present. --attack picks the algorithm (auto, sat, cycsat,
+//            appsat, double-dip, fall; auto = cycsat on cyclic netlists, sat
+//            otherwise). --encode selects the miter encoding (auto =
+//            key-cone on acyclic locks, cone, full; cone is rejected up
+//            front for cyclic-capable schemes) and --no-preprocess disables
+//            base-miter CNF preprocessing. --require-key exits 3 unless the
+//            recovered key is proved equivalent to the oracle by SAT (cyclic
+//            locks: checked by simulation only); the CI gate. The key line
+//            names the check: proved, simulated or REJECTED. --trace FILE
+//            appends one JSONL record per DIP iteration (schema in
+//            EXPERIMENTS.md). attack and sweep exit 2 on an unknown --flag
+//            (attack also on a fourth positional argument) before reading
+//            any file.
 //   sweep:   example_fulllock_cli sweep <in.bench> [sizes...]
 //                                       [--scheme LIST] [--opt K=V,...]
 //                                       [the attack flags above]
@@ -132,12 +131,22 @@ int parse_size(std::string_view text) {
       "size", text, 1, std::numeric_limits<int>::max()));
 }
 
+// An argument of `attack` or `sweep` that no flag parser claimed. One that
+// starts with "--" is an unknown (misspelt or removed) flag: rejected by
+// name instead of being taken for a positional and silently dropped.
+std::string positional_arg(std::string_view arg) {
+  if (arg.starts_with("--")) {
+    throw std::invalid_argument("unknown flag '" + std::string(arg) + "'");
+  }
+  return std::string(arg);
+}
+
 // The attack flags `attack` and `sweep` share. Values are checked as they
 // are parsed — std::invalid_argument names the accepted values — so a bad
 // flag fails before any file is read.
 struct AttackFlags {
   std::string attack = "auto";
-  // portfolio, par_mode, encode_mode and preprocess; the rest is per run.
+  // encode_mode and preprocess; the rest is per run.
   attacks::AttackOptions options;
 
   // Consumes argv[i] (and its value) if it is an attack flag.
@@ -149,16 +158,6 @@ struct AttackFlags {
                                     attacks::attack_names());
       }
       attack = *v;
-    } else if (auto v = flag_value("--portfolio", argc, argv, i)) {
-      options.portfolio =
-          static_cast<int>(runtime::parse_int_flag("--portfolio", *v, 0, 256));
-    } else if (auto v = flag_value("--par-mode", argc, argv, i)) {
-      const std::optional<sat::ParMode> mode = sat::parse_par_mode(*v);
-      if (!mode.has_value()) {
-        throw std::invalid_argument("unknown --par-mode '" + *v +
-                                    "'; available modes: share, cubes");
-      }
-      options.par_mode = *mode;
     } else if (auto v = flag_value("--encode", argc, argv, i)) {
       const std::optional<attacks::EncodeMode> mode =
           attacks::parse_encode_mode(*v);
@@ -341,8 +340,13 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
       if (std::string_view(argv[i]) == "--require-key") {
         require_key = true;
       } else {
-        positional.push_back(argv[i]);
+        positional.push_back(positional_arg(argv[i]));
       }
+    }
+    if (positional.size() > 3) {
+      throw std::invalid_argument("unexpected argument '" + positional[3] +
+                                  "' (attack takes at most <locked.bench> "
+                                  "<oracle.bench> [timeout_s])");
     }
     if (positional.size() > 2) {
       timeout_s = runtime::parse_seconds_flag("timeout_s", positional[2]);
@@ -355,9 +359,6 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     std::fprintf(stderr,
                  "usage: attack <locked.bench> <oracle.bench> [timeout_s]\n"
                  "  --attack NAME   one of: %s (default: auto)\n"
-                 "  --portfolio K   use K solver threads in one attack\n"
-                 "  --par-mode M    share (clause-sharing workers, default) "
-                 "or cubes (cube-and-conquer)\n"
                  "  --encode M      miter encoding: auto (cone when acyclic), "
                  "cone, or full\n"
                  "  --no-preprocess disable CNF preprocessing of the base "
@@ -412,15 +413,6 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   if (!run.detail.empty()) {
     std::printf("%s: %s\n", run.attack.c_str(), run.detail.str().c_str());
   }
-  if (options.portfolio > 1) {
-    std::printf("parallel: %d %s workers, %llu clauses exported, %llu "
-                "imported\n",
-                options.portfolio, sat::to_string(options.par_mode),
-                static_cast<unsigned long long>(
-                    result.solver_stats.exported_clauses),
-                static_cast<unsigned long long>(
-                    result.solver_stats.imported_clauses));
-  }
   bool accepted = false;
   if (result.status == attacks::AttackStatus::kSuccess) {
     // --require-key gates on a proof: an acyclic key is proved equivalent
@@ -444,12 +436,12 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: sweep <in.bench> [sizes...] (--scheme LIST, "
-                 "--opt K=V, --attack NAME, --portfolio K, "
-                 "--par-mode share|cubes, --encode auto|cone|full, "
+                 "--opt K=V, --attack NAME, --encode auto|cone|full, "
                  "--no-preprocess, --jobs N, --jsonl PATH, --resume, "
                  "--retries N, --cell-timeout S, --mem-mb M, --trace PATH)\n");
     return 2;
   }
+  std::string bench_path;
   std::vector<int> sizes;
   std::vector<std::string> schemes;
   std::string opt_text;
@@ -458,6 +450,7 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   std::uint64_t base = 17;
   double timeout_s = 10.0;
   try {
+    bench_path = positional_arg(argv[2]);
     for (int i = 3; i < argc; ++i) {
       if (flags.parse(argc, argv, i)) continue;
       if (auto v = flag_value("--scheme", argc, argv, i)) {
@@ -471,7 +464,7 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
       } else if (auto v = flag_value("--opt", argc, argv, i)) {
         append_opt(opt_text, *v);
       } else {
-        sizes.push_back(parse_size(argv[i]));
+        sizes.push_back(parse_size(positional_arg(argv[i])));
       }
     }
     if (const char* env = std::getenv("FULLLOCK_SWEEP_SEEDS")) {
@@ -536,7 +529,7 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
       }
     }
   }
-  const netlist::Netlist original = netlist::read_bench_file(argv[2]);
+  const netlist::Netlist original = netlist::read_bench_file(bench_path);
   std::vector<CellResult> results(grid.size());
   TraceFile trace(run_args);
   flags.options.memory_limit_mb = run_args.memory_limit_mb;
@@ -555,7 +548,8 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   };
 
   std::printf("sweep %s: %zu cells on %d worker(s), %zu already done\n",
-              argv[2], grid.size(), run_args.jobs, session.num_resumed());
+              bench_path.c_str(), grid.size(), run_args.jobs,
+              session.num_resumed());
   const runtime::GridReport report = runtime::run_grid(
       grid.size(), session.grid_config(),
       [&](const runtime::CellContext& ctx) {
@@ -602,16 +596,6 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
               .merge(results[i].run.detail)
               .field("mean_iteration_s", attack.mean_iteration_seconds)
               .field("wall_s", attack.seconds);
-          // With width > 1 the solver counters above sum every worker's
-          // search (see EXPERIMENTS.md before comparing across widths).
-          if (options.portfolio > 1) {
-            o.field("portfolio", options.portfolio)
-                .field("par_mode", sat::to_string(options.par_mode))
-                .field("exported_clauses",
-                       attack.solver_stats.exported_clauses)
-                .field("imported_clauses",
-                       attack.solver_stats.imported_clauses);
-          }
           session.sink()->write(i, o.str());
         }
       });

@@ -119,44 +119,20 @@ MiterContext::MiterContext(const core::LockedCircuit& locked,
                            const Encoder& encoder,
                            const AttackOptions& options)
     : locked_(&locked) {
-  sat::SolverConfig base;
-  base.memory_limit_mb = options.memory_limit_mb;
-  std::unique_ptr<sat::SolverIface> engine;
-  if (options.portfolio > 1) {
-    sat::ParallelConfig pc;
-    pc.num_workers = options.portfolio;
-    pc.mode = options.par_mode;
-    pc.base = base;
-    engine = std::make_unique<sat::ParallelSolver>(pc);
-  } else {
-    engine = std::make_unique<sat::Solver>(base);
-  }
-  parallel_ = dynamic_cast<sat::ParallelSolver*>(engine.get());
+  engine_ = std::make_unique<sat::Solver>(
+      sat::SolverConfig{.memory_limit_mb = options.memory_limit_mb});
+  solver_ = engine_.get();
   if (options.preprocess) {
-    // The wrapper never renumbers, so variable ids handed out below (split
-    // candidates, assumption literals) stay valid across the flush.
-    inner_solver_ = std::move(engine);
-    auto pre = std::make_unique<sat::PreprocessSolver>(*inner_solver_);
-    pre_ = pre.get();
-    solver_ = std::move(pre);
-  } else {
-    solver_ = std::move(engine);
+    // The wrapper never renumbers, so variable ids handed out below (key
+    // copies, assumption literals) stay valid across the flush.
+    pre_ = std::make_unique<sat::PreprocessSolver>(*engine_);
+    solver_ = pre_.get();
   }
   init_cone(options.encode_mode);
   const auto t0 = Clock::now();
   parts_ = encoder(locked.netlist, *solver_, cone_.get());
   encode_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
   freeze_interface();
-  if (parallel_ != nullptr) {
-    // Cube-and-conquer splits on the CLN swap-key variables: hand the
-    // splitter every key copy's variables; it ranks them by VSIDS activity
-    // (or occurrence counts before any search history exists).
-    std::vector<sat::Var> keys;
-    for (const std::vector<sat::Var>& copy : parts_.key_copies) {
-      keys.insert(keys.end(), copy.begin(), copy.end());
-    }
-    parallel_->set_split_candidates(std::move(keys));
-  }
 }
 
 void MiterContext::init_cone(EncodeMode mode) {

@@ -51,7 +51,6 @@
 #include "core/locked_circuit.h"
 #include "netlist/simulator.h"
 #include "netlist/structure.h"
-#include "sat/parallel.h"
 #include "sat/preprocess.h"
 #include "sat/solver.h"
 
@@ -151,17 +150,6 @@ struct AttackOptions {
   // Polled inside every solve; a cancelled attack reports kInterrupted. The
   // attack never writes the flag. nullptr disables.
   const std::atomic<bool>* interrupt = nullptr;
-  // Parallel width: how many solver workers to run. 0 or 1 = one
-  // sequential solver. Winners and cube interleavings are timing-dependent,
-  // so leave this off when results must be reproducible.
-  int portfolio = 0;
-  // How portfolio width > 1 is spent, always inside one DIP loop over a
-  // sat::ParallelSolver:
-  //  * kShare — K diversified workers on the identical miter exchanging
-  //             core-tier learnt clauses.
-  //  * kCubes — each miter solve is cube-and-conquer split over the CLN
-  //             swap-key variables.
-  sat::ParMode par_mode = sat::ParMode::kShare;
   // Solver memory budget (sat::SolverConfig::memory_limit_mb): a solve
   // whose accounted memory crosses it returns with kOutOfMemory instead of
   // growing until the process is OOM-killed. 0 = unlimited.
@@ -287,11 +275,8 @@ class MiterContext {
   // the primary inputs, independent keys K1/K2, some output differs).
   static Encoder double_key();
 
-  // Routes the attack's parallel width through the solver: with
-  // options.portfolio > 1 the context owns a sat::ParallelSolver (cube mode
-  // is seeded with every key copy's variables as split candidates);
-  // otherwise a plain sequential solver. Either way the solver carries the
-  // attack's memory budget.
+  // Owns one sequential sat::Solver carrying the attack's memory budget,
+  // behind a sat::PreprocessSolver when options.preprocess is set.
   MiterContext(const core::LockedCircuit& locked, const Encoder& encoder,
                const AttackOptions& options);
 
@@ -352,13 +337,12 @@ class MiterContext {
   void freeze_interface();
 
   const core::LockedCircuit* locked_;
-  // When preprocessing: inner_solver_ is the real engine and solver_ the
-  // PreprocessSolver staging wrapper (declared after inner_solver_ so it is
-  // destroyed first). Otherwise solver_ owns the engine directly.
-  std::unique_ptr<sat::SolverIface> inner_solver_;
-  std::unique_ptr<sat::SolverIface> solver_;
-  sat::PreprocessSolver* pre_ = nullptr;      // view into solver_, or null
-  sat::ParallelSolver* parallel_ = nullptr;   // view into the engine, or null
+  // The CDCL engine, and the PreprocessSolver staging wrapper in front of
+  // it when preprocessing (declared after engine_ so it is destroyed
+  // first). solver_ is whichever of the two the attack talks to.
+  std::unique_ptr<sat::Solver> engine_;
+  std::unique_ptr<sat::PreprocessSolver> pre_;
+  sat::SolverIface* solver_ = nullptr;
   std::unique_ptr<netlist::KeyConePartition> cone_;  // null = full encoding
   std::unique_ptr<netlist::Simulator> fixed_sim_;    // over fixed_region()
   netlist::Simulator::Scratch fixed_scratch_;

@@ -20,8 +20,8 @@
 // Invariants PreprocessSolver maintains:
 //  - No variable renumbering: the inner solver allocates every staged
 //    variable at flush time, so external ids and inner ids coincide.
-//    Anything holding raw Var values across the boundary (parallel-solver
-//    split candidates, assumption literals) keeps working.
+//    Anything holding raw Var values across the boundary (key copies,
+//    assumption literals) keeps working.
 //  - Eliminated variables are pinned false in the inner solver with root
 //    unit clauses (which the CDCL solver does not store or count as problem
 //    clauses), so inner models assign them deterministically; the true

@@ -52,7 +52,12 @@ constexpr std::uint32_t kCoreLbd = 2;
 constexpr std::uint32_t kLearntFlag = 1;
 constexpr std::uint32_t kRelocatedFlag = 8;
 
-// Luby restart sequence (unit = 128 conflicts).
+// The search schedule: the classic MiniSat values.
+constexpr double kVarDecay = 0.95;      // VSIDS activity decay per conflict
+constexpr double kClauseDecay = 0.999;  // learnt-clause activity decay
+constexpr int kRestartUnit = 128;       // Luby restart unit, in conflicts
+
+// Luby restart sequence (scaled by kRestartUnit).
 double luby(double y, int x) {
   int size, seq;
   for (size = 1, seq = 0; size < x + 1; seq++, size = 2 * size + 1) {
@@ -90,30 +95,6 @@ const char* to_string(StopReason reason) {
     case StopReason::kOutOfMemory: return "out-of-memory";
   }
   return "?";
-}
-
-void aggregate_stats(SolverStats& into, const SolverStats& from) {
-  into.decisions += from.decisions;
-  into.propagations += from.propagations;
-  into.binary_propagations += from.binary_propagations;
-  into.conflicts += from.conflicts;
-  into.restarts += from.restarts;
-  into.learned_clauses += from.learned_clauses;
-  into.learned_literals += from.learned_literals;
-  into.learned_binary += from.learned_binary;
-  into.lbd_sum += from.lbd_sum;
-  into.glue_learned += from.glue_learned;
-  into.max_lbd = std::max(into.max_lbd, from.max_lbd);
-  into.promoted_clauses += from.promoted_clauses;
-  into.removed_clauses += from.removed_clauses;
-  into.db_size_after_reduce =
-      std::max(into.db_size_after_reduce, from.db_size_after_reduce);
-  into.simplify_removed_clauses += from.simplify_removed_clauses;
-  into.simplify_removed_literals += from.simplify_removed_literals;
-  // Workers hold their databases concurrently, so peaks add.
-  into.peak_memory_bytes += from.peak_memory_bytes;
-  into.exported_clauses += from.exported_clauses;
-  into.imported_clauses += from.imported_clauses;
 }
 
 Solver::Solver(SolverConfig config) : config_(config) {
@@ -226,7 +207,7 @@ void Solver::bump_var(Var v) {
   if (heap_pos_[v] >= 0) heap_up(heap_pos_[v]);
 }
 
-void Solver::decay_var_activity() { var_inc_ /= config_.var_decay; }
+void Solver::decay_var_activity() { var_inc_ /= kVarDecay; }
 
 void Solver::bump_clause(Cls c) {
   c.set_activity(c.activity() + cla_inc_);
@@ -317,47 +298,6 @@ bool Solver::add_clause(Clause clause) {
   attach(r);
   problem_clauses_.push_back(r);
   ++num_problem_clauses_;
-  return true;
-}
-
-bool Solver::import_clause(std::span<const Lit> lits, std::uint32_t lbd) {
-  assert(trail_lim_.empty());
-  if (!ok_) return false;
-  import_scratch_.clear();
-  for (const Lit l : lits) {
-    assert(l.var() >= 0 && l.var() < num_vars());
-    const LBool v = value(l);
-    if (v == LBool::kTrue) return true;  // root-satisfied: nothing to learn
-    if (v != LBool::kFalse) import_scratch_.push_back(l);
-  }
-  ++stats_.imported_clauses;
-  if (import_scratch_.empty()) {
-    ok_ = false;
-    return false;
-  }
-  if (import_scratch_.size() == 1) {
-    if (!enqueue(import_scratch_[0], kNullRef) || propagate() != kNullRef) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-  const ClauseRef r =
-      alloc_clause(import_scratch_, /*learnt=*/true);
-  Cls c = cls(r);
-  const std::uint32_t size = static_cast<std::uint32_t>(import_scratch_.size());
-  c.set_lbd(std::max<std::uint32_t>(1, std::min(lbd, size)));
-  // Binary imports join the kept-forever core tier like local binaries;
-  // longer imports stay in the local tier (with their glue-grade LBD they
-  // are the last reduce_db victims) so a long import stream cannot grow the
-  // database without bound.
-  if (size == 2) {
-    c.set_core();
-  } else {
-    ++num_local_learnts_;
-  }
-  attach(r);
-  learnt_clauses_.push_back(r);
   return true;
 }
 
@@ -636,12 +576,6 @@ void Solver::record_learnt(const Clause& learnt, std::uint32_t lbd) {
   stats_.lbd_sum += lbd;
   if (lbd <= kCoreLbd) ++stats_.glue_learned;
   if (lbd > stats_.max_lbd) stats_.max_lbd = lbd;
-  // Share exactly the core tier: the clauses the learnt DB already judged
-  // worth keeping forever are the only ones worth a pool round-trip.
-  if (export_hook_ != nullptr && c.core()) {
-    ++stats_.exported_clauses;
-    export_hook_(learnt, lbd);
-  }
 }
 
 void Solver::reduce_db() {
@@ -868,12 +802,10 @@ std::size_t Solver::memory_bytes() const {
 
 bool Solver::budget_exhausted(bool force_deadline_check) const {
   if (budget_hit_) return true;
-  for (const std::atomic<bool>* flag : interrupts_) {
-    if (flag != nullptr && flag->load(std::memory_order_relaxed)) {
-      budget_hit_ = true;
-      stop_reason_ = StopReason::kInterrupt;
-      return true;
-    }
+  if (interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed)) {
+    budget_hit_ = true;
+    stop_reason_ = StopReason::kInterrupt;
+    return true;
   }
   if (conflict_budget_ != 0 &&
       stats_.conflicts - conflicts_at_solve_ >= conflict_budget_) {
@@ -911,7 +843,7 @@ bool Solver::budget_exhausted(bool force_deadline_check) const {
 
 LBool Solver::search() {
   const std::uint64_t restart_budget = static_cast<std::uint64_t>(
-      luby(2.0, static_cast<int>(stats_.restarts)) * config_.restart_unit);
+      luby(2.0, static_cast<int>(stats_.restarts)) * kRestartUnit);
   std::uint64_t conflicts_this_restart = 0;
 
   Clause learnt;
@@ -932,15 +864,11 @@ LBool Solver::search() {
       backtrack_to(backtrack_level);
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNullRef);
-        if (export_hook_ != nullptr) {
-          ++stats_.exported_clauses;
-          export_hook_(learnt, 1);
-        }
       } else {
         record_learnt(learnt, lbd);
       }
       decay_var_activity();
-      cla_inc_ /= config_.clause_decay;
+      cla_inc_ /= kClauseDecay;
       // Deadline is always checked on conflicts: conflict analysis is where
       // a solve used to overshoot, and a clock read is noise next to it.
       if (budget_exhausted(/*force_deadline_check=*/true)) {
@@ -1013,16 +941,6 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   }
   LBool result = LBool::kUndef;
   while (result == LBool::kUndef) {
-    // Restart boundary (and the start of the solve): the trail is at level
-    // 0, so foreign clauses can be attached — and their units propagated —
-    // without any repair work.
-    if (import_hook_ != nullptr) {
-      import_hook_(*this);
-      if (!ok_) {
-        result = LBool::kFalse;
-        break;
-      }
-    }
     result = search();
     if (!ok_) {
       result = LBool::kFalse;

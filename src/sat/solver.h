@@ -28,11 +28,9 @@
 //    branching, propagations, conflicts ~ backtracks).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -42,14 +40,10 @@
 
 namespace fl::sat {
 
-// Search-parameter knobs. The defaults are the classic MiniSat values; the
-// parallel solver runs diversified variants of them as its workers (CDCL
-// runtimes are heavy-tailed, so diverse restart/decay schedules beat any
-// single schedule on hard miters).
+// The search schedule is fixed at the classic MiniSat values (kVarDecay,
+// kClauseDecay, kRestartUnit in solver.cpp); the one per-solver setting is
+// its memory budget.
 struct SolverConfig {
-  double var_decay = 0.95;     // VSIDS activity decay per conflict
-  double clause_decay = 0.999; // learnt-clause activity decay per conflict
-  int restart_unit = 128;      // Luby restart unit, in conflicts
   // Memory budget over the solver's own allocations (clause arena, learnt
   // DB, watch lists, trail and per-variable state; see memory_bytes()).
   // When the accounted total crosses the budget, solve() returns kUndef
@@ -109,16 +103,11 @@ class Solver final : public SolverIface {
     deadline_ = t;
   }
 
-  // Cooperative cancellation from other threads: the flags are polled at
-  // the same boundaries as the deadline and never written by the solver.
-  // nullptr disables a slot. The second slot exists for the parallel
-  // solver, which chains its own stop signal behind the caller's flag.
+  // Cooperative cancellation from other threads: the flag is polled at the
+  // same boundaries as the deadline and never written by the solver.
+  // nullptr disables.
   void set_interrupt(const std::atomic<bool>* flag) override {
-    interrupts_[0] = flag;
-  }
-  void set_interrupt_chain(const std::atomic<bool>* caller,
-                           const std::atomic<bool>* stop) {
-    interrupts_ = {caller, stop};
+    interrupt_ = flag;
   }
 
   // True iff the most recent solve() returned kUndef because a conflict
@@ -142,36 +131,6 @@ class Solver final : public SolverIface {
   }
   std::size_t num_clauses() const override { return num_problem_clauses_; }
   std::size_t num_learnts() const override { return learnt_clauses_.size(); }
-
-  // ---- Clause sharing (parallel portfolio) ------------------------------
-  //
-  // The export hook fires for every core-tier learnt — glue clauses
-  // (LBD <= 2), binaries, and learnt units — exactly the tier the learnt DB
-  // already keeps forever, so sharing adds no new quality judgement. It runs
-  // on the solver's own thread mid-search; implementations must be
-  // thread-safe against other solvers' hooks but get `lits` only for the
-  // duration of the call.
-  using ExportHook =
-      std::function<void(std::span<const Lit> lits, std::uint32_t lbd)>;
-  void set_export_hook(ExportHook hook) { export_hook_ = std::move(hook); }
-
-  // The import hook runs at decision level 0, once before the first restart
-  // of every solve() and then at every restart boundary — the only points
-  // where foreign clauses can be attached without repair work. It should
-  // call import_clause() for each clause it wants to hand over.
-  using ImportHook = std::function<void(Solver&)>;
-  void set_import_hook(ImportHook hook) { import_hook_ = std::move(hook); }
-
-  // Adds a clause learnt by another solver over the *same* formula. Must be
-  // called at decision level 0 (i.e. from an import hook). Root-satisfied
-  // clauses are skipped, root-falsified literals stripped; units are
-  // enqueued and propagated. Returns false iff the import made the formula
-  // UNSAT (the foreign clause was a consequence, so the formula really is).
-  bool import_clause(std::span<const Lit> lits, std::uint32_t lbd);
-
-  // VSIDS activity of `v` — the cube-and-conquer splitter ranks swap-key
-  // variables by it once a worker has search history.
-  double activity_of(Var v) const { return activity_[v]; }
 
  private:
   // Word offset of a clause in arena_. kNullRef doubles as "no reason"
@@ -282,12 +241,7 @@ class Solver final : public SolverIface {
   std::size_t simplified_trail_ = 0;  // root trail size at last simplify()
   std::uint64_t conflicts_at_simplify_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  // Interrupt flags, both polled at the same boundaries: [0] the caller's
-  // cancel token, [1] the parallel solver's internal stop flag.
-  std::array<const std::atomic<bool>*, 2> interrupts_{};
-  ExportHook export_hook_;
-  ImportHook import_hook_;
-  std::vector<Lit> import_scratch_;
+  const std::atomic<bool>* interrupt_ = nullptr;  // caller's cancel token
   mutable std::uint64_t deadline_check_countdown_ = 0;
   mutable bool budget_hit_ = false;
   mutable StopReason stop_reason_ = StopReason::kNone;

@@ -1,11 +1,10 @@
-// Abstract solver interface shared by the sequential CDCL solver and the
-// in-process parallel solver (clause-sharing portfolio / cube-and-conquer).
+// Abstract solver interface shared by the CDCL solver (sat::Solver) and the
+// preprocessing wrapper in front of it (sat::PreprocessSolver).
 //
 // The oracle-guided attack engine programs against this interface so the
-// same DIP loop can run on one CDCL worker or on K cooperating workers
-// without knowing the difference: incremental clause addition, solving
-// under assumptions, model readback, budgets, and the statistics the
-// paper's evaluation reads out.
+// same DIP loop runs with or without base-miter preprocessing: incremental
+// clause addition, solving under assumptions, model readback, budgets, and
+// the statistics the paper's evaluation reads out.
 #pragma once
 
 #include <atomic>
@@ -64,19 +63,7 @@ struct SolverStats {
   std::uint64_t simplify_removed_literals = 0;
   // High-water mark of memory_bytes(), sampled at the end of every solve().
   std::uint64_t peak_memory_bytes = 0;
-  // Clause sharing (parallel solving): core-tier learnts (glue + binaries +
-  // learnt units) handed to the export hook, and foreign clauses accepted by
-  // import_clause().
-  std::uint64_t exported_clauses = 0;
-  std::uint64_t imported_clauses = 0;
 };
-
-// Sums `from` into `into`. Counters add; high-water marks (max_lbd,
-// db_size_after_reduce) take the max; peak memory adds, because portfolio
-// workers hold their databases concurrently. Used to fold every parallel
-// worker's search effort into one SolverStats instead of dropping the
-// non-winners' work on the floor.
-void aggregate_stats(SolverStats& into, const SolverStats& from);
 
 // Cheap monotonic snapshot of the hot search counters, for callers that
 // measure deltas around a single solve() (the attack engine's

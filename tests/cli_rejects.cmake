@@ -3,7 +3,7 @@
 # exist, so an exit other than 2 also means the CLI read files before it
 # checked its flags.
 #
-#   cmake -DCLI=<cli> -DARGS="attack a.bench b.bench --portfolio four"
+#   cmake -DCLI=<cli> -DARGS="attack a.bench b.bench --bogus-flag 7"
 #         -DEXPECT="<regex>" -P cli_rejects.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${CLI}" ${args}

@@ -264,30 +264,6 @@ TEST(SatSolver, ExpiredDeadlineReturnsPromptly) {
   EXPECT_LT(waited, 1.0);
 }
 
-TEST(SatSolver, CustomConfigStillCorrect) {
-  // Aggressive restarts and fast decays must not change answers, only
-  // search order — cross-check every portfolio-style config on random
-  // instances against brute force.
-  const SolverConfig configs[] = {
-      {0.80, 0.999, 32}, {0.99, 0.995, 512}, {0.95, 0.999, 1024}};
-  std::mt19937_64 seeds(23);
-  for (const SolverConfig& cfg : configs) {
-    for (int trial = 0; trial < 20; ++trial) {
-      KSatConfig config;
-      config.num_vars = 12;
-      config.num_clauses = 12 + static_cast<int>(seeds() % 50);
-      config.seed = seeds();
-      const Cnf cnf = random_ksat(config);
-      Solver s(cfg);
-      for (int v = 0; v < cnf.num_vars; ++v) s.new_var();
-      for (const Clause& c : cnf.clauses) s.add_clause(c);
-      const LBool got = s.solve();
-      ASSERT_EQ(got == LBool::kTrue, brute_force_sat(cnf))
-          << "trial " << trial;
-    }
-  }
-}
-
 TEST(SatSolver, StatsArePopulated) {
   KSatConfig config;
   config.num_vars = 60;
