@@ -31,6 +31,7 @@
 #include "attacks/oracle.h"
 #include "attacks/sat_attack.h"
 #include "bench/bench_util.h"
+#include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "netlist/optimize.h"
@@ -67,61 +68,46 @@ struct ProfileResult {
   double speedup = 0.0;
   bool match_ok = false;       // wide outputs == legacy outputs
   bool accounting_ok = false;  // oracle charged exactly the patterns run
-  // Lock + bounded attack + verify. The attack runs twice over the same
-  // lock: once with the legacy full encoding (no preprocessing) and once
-  // with the key-cone encoding + CNF preprocessing, so the JSONL carries a
-  // direct clauses-per-iteration comparison.
+  // Lock + bounded attack (the engine's key-cone encoding behind base-miter
+  // preprocessing) + verify.
   double lock_s = 0.0;
-  std::string attack_status;       // cone leg (the production default)
+  std::string attack_status;
   std::uint64_t attack_iterations = 0;
   std::uint64_t attack_queries = 0;
-  double attack_wall_s = 0.0;      // cone leg
-  double legacy_attack_wall_s = 0.0;
-  std::string legacy_attack_status;
-  // Clauses *added* per DIP iteration — the per-iteration CNF growth the
-  // issue's acceptance is defined over. The legacy leg re-folds two full
-  // circuit copies per DIP; the cone leg sweeps the fixed region with the
-  // SIMD simulator and only emits the key-dependent residue that reaches a
-  // symbolic output pin. Base miter sizes are reported separately.
-  double legacy_clauses_per_iter = 0.0;
+  double attack_wall_s = 0.0;
+  // Clauses *added* per DIP iteration: the cone encoding sweeps the fixed
+  // region with the SIMD simulator and only emits the key-dependent residue
+  // that reaches a symbolic output pin. The base miter is reported
+  // separately.
   double cone_clauses_per_iter = 0.0;
-  double clause_reduction = 0.0;   // legacy / cone
-  // Clauses each encoding commits per DIP for the same fixed patterns (the
-  // legs above find different DIPs, and both commit every DIP constraint as
-  // its projection onto the key variables, so their growth compares the
-  // searches rather than the encodings). encode_ok gates on these.
+  // Clauses committed per DIP for the same fixed patterns by the attack's
+  // MiterContext (cone) and by the full-circuit encoding at the cnf layer
+  // (legacy). Both commit each DIP constraint as its projection onto the key
+  // variables. encode_ok gates on these.
   double legacy_committed_per_dip = 0.0;
   double cone_committed_per_dip = 0.0;
-  std::size_t legacy_base_clauses = 0;
   std::size_t cone_base_clauses = 0;
-  double legacy_encode_s_per_iter = 0.0;
   double cone_encode_s_per_iter = 0.0;
   double cone_preprocess_s = 0.0;
   std::size_t pp_eliminated_vars = 0;
-  bool keys_agree = false;   // both legs recover a verifying key
   bool encode_ok = false;    // cone commits no more per DIP than legacy
   bool verify_ok = false;
   double verify_s = 0.0;
   double total_wall_s = 0.0;
 };
 
-double per_iter(long long added, std::uint64_t iters) {
-  return static_cast<double>(added) /
-         static_cast<double>(std::max<std::uint64_t>(iters, 1));
+double per_iter(double total, std::uint64_t iters) {
+  return total / static_cast<double>(std::max<std::uint64_t>(iters, 1));
 }
 
-// Clauses one encoding commits per DIP constraint (both key copies) over a
-// fixed set of random patterns, on top of the bare base miter.
-double committed_per_dip(const fl::core::LockedCircuit& locked,
-                         const fl::attacks::Oracle& oracle,
-                         fl::attacks::EncodeMode mode) {
+// Regression gate: clauses committed per DIP constraint (both key copies)
+// over 8 fixed random patterns, by the attack's MiterContext (cone) and by
+// the full-circuit encoding at the cnf layer (legacy: the whole-netlist
+// miter, then cnf::add_io_constraint on a plain solver). The cone encoding
+// must never commit more.
+void committed_per_dip(const fl::core::LockedCircuit& locked,
+                       const fl::attacks::Oracle& oracle, ProfileResult& r) {
   constexpr int kPatterns = 8;
-  fl::attacks::AttackOptions options;
-  options.encode_mode = mode;
-  options.preprocess = false;
-  fl::attacks::MiterContext ctx(
-      locked, fl::attacks::MiterContext::double_key(), options);
-  ctx.finalize_encoding();
   std::mt19937_64 rng(0xD1Bull);
   std::vector<std::vector<bool>> patterns(kPatterns);
   std::vector<std::vector<bool>> responses;
@@ -130,9 +116,28 @@ double committed_per_dip(const fl::core::LockedCircuit& locked,
     for (std::size_t i = 0; i < p.size(); ++i) p[i] = (rng() & 1) != 0;
     responses.push_back(oracle.query(p));
   }
-  const std::size_t before = ctx.solver().num_clauses();
+
+  fl::attacks::MiterContext ctx(
+      locked, fl::attacks::MiterContext::double_key(), {});
+  ctx.finalize_encoding();
+  std::size_t before = ctx.solver().num_clauses();
   ctx.constrain_io_batch(patterns, responses);
-  return static_cast<double>(ctx.solver().num_clauses() - before) / kPatterns;
+  r.cone_committed_per_dip =
+      static_cast<double>(ctx.solver().num_clauses() - before) / kPatterns;
+
+  fl::sat::Solver solver;
+  const fl::cnf::AttackMiter miter =
+      fl::cnf::encode_attack_miter(locked.netlist, solver);
+  before = solver.num_clauses();
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    for (const std::vector<fl::sat::Var>* keys : {&miter.key1, &miter.key2}) {
+      fl::cnf::add_io_constraint(locked.netlist, solver, *keys, patterns[p],
+                                 responses[p]);
+    }
+  }
+  r.legacy_committed_per_dip =
+      static_cast<double>(solver.num_clauses() - before) / kPatterns;
+  r.encode_ok = r.cone_committed_per_dip <= r.legacy_committed_per_dip;
 }
 
 // Legacy-vs-wide oracle simulation throughput over the same random pattern
@@ -224,62 +229,25 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
 
   // Iteration-bounded attack: enough to prove the DIP loop (miter CNF,
   // oracle queries, key extraction) runs at this scale, deterministic
-  // because the bound — not the clock — ends it. Two legs over the same
-  // lock: legacy full encoding vs key-cone encoding + preprocessing.
+  // because the bound — not the clock — ends it.
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
   options.timeout_s = fl::bench::env_double("FULLLOCK_TIMEOUT_S", 600.0);
   options.max_iterations = attack_iters;
-
-  fl::attacks::AttackOptions legacy_options = options;
-  legacy_options.encode_mode = fl::attacks::EncodeMode::kFull;
-  legacy_options.preprocess = false;
-  start = Clock::now();
-  const fl::attacks::AttackResult legacy =
-      fl::attacks::SatAttack(legacy_options).run(locked, oracle);
-  r.legacy_attack_wall_s = seconds_since(start);
-  r.legacy_attack_status = fl::attacks::to_string(legacy.status);
-
-  fl::attacks::AttackOptions cone_options = options;
-  cone_options.encode_mode = fl::attacks::EncodeMode::kCone;
   start = Clock::now();
   const fl::attacks::AttackResult attack =
-      fl::attacks::SatAttack(cone_options).run(locked, oracle);
+      fl::attacks::SatAttack(options).run(locked, oracle);
   r.attack_wall_s = seconds_since(start);
   r.attack_status = fl::attacks::to_string(attack.status);
   r.attack_iterations = attack.iterations;
   r.attack_queries = attack.oracle_queries;
-
-  r.legacy_base_clauses = legacy.base_clauses;
   r.cone_base_clauses = attack.base_clauses;
-  r.legacy_clauses_per_iter = per_iter(legacy.clauses_added, legacy.iterations);
-  r.cone_clauses_per_iter = per_iter(attack.clauses_added, attack.iterations);
-  r.clause_reduction = r.cone_clauses_per_iter > 0.0
-                           ? r.legacy_clauses_per_iter / r.cone_clauses_per_iter
-                           : 0.0;
-  const auto iters_div = [](double s, std::uint64_t iters) {
-    return s / static_cast<double>(std::max<std::uint64_t>(iters, 1));
-  };
-  r.legacy_encode_s_per_iter =
-      iters_div(legacy.encode_seconds, legacy.iterations);
-  r.cone_encode_s_per_iter = iters_div(attack.encode_seconds, attack.iterations);
+  r.cone_clauses_per_iter =
+      per_iter(static_cast<double>(attack.clauses_added), attack.iterations);
+  r.cone_encode_s_per_iter = per_iter(attack.encode_seconds, attack.iterations);
   r.cone_preprocess_s = attack.preprocess.preprocess_s;
   r.pp_eliminated_vars = attack.preprocess.eliminated_vars;
-  // Regression gate: for the same DIPs the cone encoding must never commit
-  // more clauses than the legacy shape, and both legs must land on keys that
-  // unlock (iteration-bounded runs stop early, so compare via verify).
-  r.legacy_committed_per_dip =
-      committed_per_dip(locked, oracle, fl::attacks::EncodeMode::kFull);
-  r.cone_committed_per_dip =
-      committed_per_dip(locked, oracle, fl::attacks::EncodeMode::kCone);
-  r.encode_ok = r.cone_committed_per_dip <= r.legacy_committed_per_dip;
-  r.keys_agree =
-      fl::core::verify_unlocks(original, locked.netlist, legacy.key,
-                               /*rounds=*/2, /*seed=*/13,
-                               /*also_sat_check=*/false) ==
-      fl::core::verify_unlocks(original, locked.netlist, attack.key,
-                               /*rounds=*/2, /*seed=*/13,
-                               /*also_sat_check=*/false);
+  committed_per_dip(locked, oracle, r);
 
   start = Clock::now();
   r.verify_ok = fl::core::verify_unlocks(original, locked.netlist,
@@ -335,27 +303,23 @@ int main(int argc, char** argv) {
       std::printf(
           "%-10s %8zu gates  gen %.2fs  graph %.2fs  opt %.2fs  "
           "sim %.2fx (%.0f -> %.0f pat/s)  attack %s/%llu  "
-          "clauses/iter %.0f -> %.0f (%.1fx)  committed/DIP %.0f -> %.0f  "
-          "verify %s\n",
+          "clauses/iter %.0f  committed/DIP %.0f -> %.0f  verify %s\n",
           r.name.c_str(), r.gates, r.gen_s, r.graph_build_s, r.optimize_s,
           r.speedup, r.base_patterns_per_s, r.wide_patterns_per_s,
           r.attack_status.c_str(),
           static_cast<unsigned long long>(r.attack_iterations),
-          r.legacy_clauses_per_iter, r.cone_clauses_per_iter,
-          r.clause_reduction, r.legacy_committed_per_dip,
+          r.cone_clauses_per_iter, r.legacy_committed_per_dip,
           r.cone_committed_per_dip, r.verify_ok ? "ok" : "FAIL");
       std::fflush(stdout);
     }
 
     double log_speedup = 0.0, min_speedup = 1e100;
-    double min_clause_reduction = 1e100;
     bool all_ok = true;
     for (const ProfileResult& r : results) {
       log_speedup += std::log(std::max(r.speedup, 1e-9));
       min_speedup = std::min(min_speedup, r.speedup);
-      min_clause_reduction = std::min(min_clause_reduction, r.clause_reduction);
       all_ok = all_ok && r.match_ok && r.accounting_ok && r.verify_ok &&
-               r.encode_ok && r.keys_agree;
+               r.encode_ok;
     }
     const double geomean_speedup =
         results.empty()
@@ -381,19 +345,14 @@ int main(int argc, char** argv) {
           .field("accounting_ok", r.accounting_ok)
           .field("key_bits", r.key_bits)
           .field("attack_status", r.attack_status)
-          .field("legacy_attack_status", r.legacy_attack_status)
           .field("attack_iterations", r.attack_iterations)
           .field("attack_queries", r.attack_queries)
-          .field("legacy_base_clauses", r.legacy_base_clauses)
           .field("cone_base_clauses", r.cone_base_clauses)
-          .field("legacy_clauses_per_iter", r.legacy_clauses_per_iter)
           .field("cone_clauses_per_iter", r.cone_clauses_per_iter)
-          .field("clause_reduction", r.clause_reduction)
           .field("legacy_committed_per_dip", r.legacy_committed_per_dip)
           .field("cone_committed_per_dip", r.cone_committed_per_dip)
           .field("pp_eliminated_vars", r.pp_eliminated_vars)
           .field("encode_ok", r.encode_ok)
-          .field("keys_agree", r.keys_agree)
           .field("verify_ok", r.verify_ok)
           .field("speedup", r.speedup)
           .field("gen_s", r.gen_s)
@@ -406,8 +365,6 @@ int main(int argc, char** argv) {
           .field("wide_patterns_per_s", r.wide_patterns_per_s)
           .field("lock_s", r.lock_s)
           .field("attack_wall_s", r.attack_wall_s)
-          .field("legacy_attack_wall_s", r.legacy_attack_wall_s)
-          .field("legacy_encode_per_iter_s", r.legacy_encode_s_per_iter)
           .field("cone_encode_per_iter_s", r.cone_encode_s_per_iter)
           .field("cone_preprocess_s", r.cone_preprocess_s)
           .field("verify_s", r.verify_s)
@@ -423,15 +380,13 @@ int main(int argc, char** argv) {
         .field("all_checks_ok", all_ok)
         .field("min_speedup", min_speedup)
         .field("geomean_speedup", geomean_speedup)
-        .field("min_clause_reduction", min_clause_reduction)
         .field("attack_iters", attack_iters);
     sink.write_unordered(summary.str());
     sink.flush();
     std::printf(
-        "\nsimd level %d, geomean sim speedup %.2fx (min %.2fx), "
-        "min clause reduction %.1fx -> %s\n",
+        "\nsimd level %d, geomean sim speedup %.2fx (min %.2fx) -> %s\n",
         fl::netlist::simd::kSimdLevel, geomean_speedup, min_speedup,
-        min_clause_reduction, out_path.c_str());
+        out_path.c_str());
     return all_ok ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -17,24 +17,22 @@
 //            as .bench — the oracle/input side of a lock-attack pipeline.
 //   attack:  example_fulllock_cli attack <locked.bench> <oracle.bench>
 //                                        [timeout_s] [--attack NAME]
-//                                        [--encode M] [--no-preprocess]
 //                                        [--require-key] [--trace FILE]
 //            Runs an oracle-guided attack with the oracle circuit standing
 //            in for the activated chip, on one sequential CDCL solver. The
 //            lock scheme is recovered from the .bench provenance header when
 //            present. --attack picks the algorithm (auto, sat, cycsat,
 //            appsat, double-dip, fall; auto = cycsat on cyclic netlists, sat
-//            otherwise). --encode selects the miter encoding (auto =
-//            key-cone on acyclic locks, cone, full; cone is rejected up
-//            front for cyclic-capable schemes) and --no-preprocess disables
-//            base-miter CNF preprocessing. --require-key exits 3 unless the
-//            recovered key is proved equivalent to the oracle by SAT (cyclic
-//            locks: checked by simulation only); the CI gate. The key line
-//            names the check: proved, simulated or REJECTED. --trace FILE
-//            appends one JSONL record per DIP iteration (schema in
-//            EXPERIMENTS.md). attack and sweep exit 2 on an unknown --flag
-//            (attack also on a fourth positional argument) before reading
-//            any file.
+//            otherwise). The engine picks the miter encoding from the lock
+//            (key-cone on acyclic locks, full-circuit on cyclic ones) and
+//            always preprocesses the base miter. --require-key exits 3
+//            unless the recovered key is proved equivalent to the oracle by
+//            SAT (cyclic locks: checked by simulation only); the CI gate.
+//            The key line names the check: proved, simulated or REJECTED.
+//            --trace FILE appends one JSONL record per DIP iteration (schema
+//            in EXPERIMENTS.md). attack and sweep exit 2 on an unknown
+//            --flag or a bad runner flag value (attack also on a fourth
+//            positional argument) before reading any file.
 //   sweep:   example_fulllock_cli sweep <in.bench> [sizes...]
 //                                       [--scheme LIST] [--opt K=V,...]
 //                                       [the attack flags above]
@@ -64,7 +62,8 @@
 //   submit:  example_fulllock_cli submit <socket> lock|attack|sweep ... |
 //                                        status [ID] | cancel <ID> | shutdown
 //            Client for a running daemon. lock/sweep take --scheme NAME and
-//            --opt K=V,...; attack takes --encode M. Streams the job's
+//            --opt K=V,...; value flags also take --flag=VALUE. A usage
+//            error exits 2 before the socket is touched. Streams the job's
 //            event records (accepted/started/trace/cell/retry/terminal) to
 //            stdout and maps the outcome to an exit code: 0 done, 1 failed,
 //            2 usage, 3 rejected (overloaded/draining), 4 cancelled/
@@ -99,21 +98,7 @@ using namespace fl;
 
 namespace {
 
-// "--name VALUE" or "--name=VALUE" at argv[i]: the value (moving i past a
-// separate one), or nullopt when argv[i] is some other argument.
-std::optional<std::string> flag_value(std::string_view name, int argc,
-                                      char** argv, int& i) {
-  const std::string_view arg = argv[i];
-  if (arg.size() > name.size() && arg.substr(0, name.size()) == name &&
-      arg[name.size()] == '=') {
-    return std::string(arg.substr(name.size() + 1));
-  }
-  if (arg != name) return std::nullopt;
-  if (i + 1 >= argc) {
-    throw std::invalid_argument("missing value for " + std::string(name));
-  }
-  return std::string(argv[++i]);
-}
+using runtime::flag_value;
 
 // Repeated --opt flags accumulate into one "K=V,..." list.
 void append_opt(std::string& opt_text, const std::string& value) {
@@ -141,39 +126,21 @@ std::string positional_arg(std::string_view arg) {
   return std::string(arg);
 }
 
-// The attack flags `attack` and `sweep` share. Values are checked as they
-// are parsed — std::invalid_argument names the accepted values — so a bad
-// flag fails before any file is read.
-struct AttackFlags {
-  std::string attack = "auto";
-  // encode_mode and preprocess; the rest is per run.
-  attacks::AttackOptions options;
-
-  // Consumes argv[i] (and its value) if it is an attack flag.
-  bool parse(int argc, char** argv, int& i) {
-    if (auto v = flag_value("--attack", argc, argv, i)) {
-      if (!attacks::known_attack(*v)) {
-        throw std::invalid_argument("unknown attack '" + *v +
-                                    "'; available attacks: " +
-                                    attacks::attack_names());
-      }
-      attack = *v;
-    } else if (auto v = flag_value("--encode", argc, argv, i)) {
-      const std::optional<attacks::EncodeMode> mode =
-          attacks::parse_encode_mode(*v);
-      if (!mode.has_value()) {
-        throw std::invalid_argument("unknown --encode '" + *v +
-                                    "'; available modes: auto, cone, full");
-      }
-      options.encode_mode = *mode;
-    } else if (std::string_view(argv[i]) == "--no-preprocess") {
-      options.preprocess = false;
-    } else {
-      return false;
-    }
-    return true;
+// --attack NAME, shared by `attack` and `sweep`: consumes argv[i] (and its
+// value) into `attack` if it is that flag. An unknown name throws
+// std::invalid_argument listing the available attacks, so a bad flag fails
+// before any file is read.
+bool parse_attack_flag(int argc, char** argv, int& i, std::string& attack) {
+  std::optional<std::string> v = flag_value("--attack", argc, argv, i);
+  if (!v.has_value()) return false;
+  if (!attacks::known_attack(*v)) {
+    throw std::invalid_argument("unknown attack '" + *v +
+                                "'; available attacks: " +
+                                attacks::attack_names());
   }
-};
+  attack = *v;
+  return true;
+}
 
 int cmd_lock(int argc, char** argv) {
   std::vector<std::string> positional;
@@ -331,12 +298,12 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   // Flags may sit anywhere among the positionals. (--trace was already
   // stripped into run_args.)
   std::vector<std::string> positional;
-  AttackFlags flags;
+  std::string attack_name = "auto";
   bool require_key = false;
   double timeout_s = 60.0;
   try {
     for (int i = 2; i < argc; ++i) {
-      if (flags.parse(argc, argv, i)) continue;
+      if (parse_attack_flag(argc, argv, i, attack_name)) continue;
       if (std::string_view(argv[i]) == "--require-key") {
         require_key = true;
       } else {
@@ -359,10 +326,6 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     std::fprintf(stderr,
                  "usage: attack <locked.bench> <oracle.bench> [timeout_s]\n"
                  "  --attack NAME   one of: %s (default: auto)\n"
-                 "  --encode M      miter encoding: auto (cone when acyclic), "
-                 "cone, or full\n"
-                 "  --no-preprocess disable CNF preprocessing of the base "
-                 "miter\n"
                  "  --require-key   exit 3 unless the recovered key is "
                  "proved equivalent (cyclic locks: simulated)\n"
                  "  --trace FILE    per-DIP-iteration JSONL trace\n",
@@ -375,31 +338,13 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   const netlist::Netlist oracle_netlist =
       netlist::read_bench_file(positional[1]);
   const attacks::Oracle oracle(oracle_netlist);
-  attacks::AttackOptions options = flags.options;
-  // Reject --encode cone before any solver work: first against the scheme's
-  // declared capabilities, then against the loaded netlist itself.
-  try {
-    lock::validate_encode_option(attacks::to_string(options.encode_mode),
-                                 locked.scheme,
-                                 lock::make_options(1, {}, locked.params));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "attack: %s\n", e.what());
-    return 2;
-  }
-  if (options.encode_mode == attacks::EncodeMode::kCone &&
-      locked.netlist.is_cyclic()) {
-    std::fprintf(stderr,
-                 "attack: --encode cone requires an acyclic netlist, but %s "
-                 "is cyclic; use --encode auto or --encode full\n",
-                 positional[0].c_str());
-    return 2;
-  }
+  attacks::AttackOptions options;
   options.timeout_s = timeout_s;
   options.memory_limit_mb = run_args.memory_limit_mb;
   TraceFile trace(run_args);
   if (trace.sink.has_value()) options.trace = &*trace.sink;
 
-  attacks::RunResult run = attacks::run(flags.attack, locked, oracle, options);
+  attacks::RunResult run = attacks::run(attack_name, locked, oracle, options);
   const attacks::AttackResult& result = run.result;
   std::printf("%s attack on %s [scheme %s] (%zu key bits): %s\n",
               run.attack.c_str(), positional[0].c_str(), locked.scheme.c_str(),
@@ -436,23 +381,23 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: sweep <in.bench> [sizes...] (--scheme LIST, "
-                 "--opt K=V, --attack NAME, --encode auto|cone|full, "
-                 "--no-preprocess, --jobs N, --jsonl PATH, --resume, "
-                 "--retries N, --cell-timeout S, --mem-mb M, --trace PATH)\n");
+                 "--opt K=V, --attack NAME, --jobs N, --jsonl PATH, "
+                 "--resume, --retries N, --cell-timeout S, --mem-mb M, "
+                 "--trace PATH)\n");
     return 2;
   }
   std::string bench_path;
   std::vector<int> sizes;
   std::vector<std::string> schemes;
   std::string opt_text;
-  AttackFlags flags;
+  std::string attack_name = "auto";
   int replicas = 3;
   std::uint64_t base = 17;
   double timeout_s = 10.0;
   try {
     bench_path = positional_arg(argv[2]);
     for (int i = 3; i < argc; ++i) {
-      if (flags.parse(argc, argv, i)) continue;
+      if (parse_attack_flag(argc, argv, i, attack_name)) continue;
       if (auto v = flag_value("--scheme", argc, argv, i)) {
         // Split "a,b,c" scheme lists into grid values.
         for (std::size_t from = 0; from < v->size();) {
@@ -498,9 +443,6 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
       for (const int size : sizes) {
         s->validate(lock::make_options(base, {size}, opt_text));
       }
-      lock::validate_encode_option(
-          attacks::to_string(flags.options.encode_mode), scheme,
-          lock::make_options(base, sizes, opt_text));
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "sweep: %s\n", e.what());
       return 2;
@@ -532,7 +474,6 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   const netlist::Netlist original = netlist::read_bench_file(bench_path);
   std::vector<CellResult> results(grid.size());
   TraceFile trace(run_args);
-  flags.options.memory_limit_mb = run_args.memory_limit_mb;
 
   runtime::SweepSession session("cli_sweep", grid.size(), base, run_args);
   const auto record_base = [&](std::size_t i) {
@@ -559,8 +500,9 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
             schemes[cell.scheme], original,
             lock::make_options(cell.seed, {cell.size}, opt_text));
         const attacks::Oracle oracle(original);
-        attacks::AttackOptions options = flags.options;
+        attacks::AttackOptions options;
         options.timeout_s = ctx.effective_timeout(timeout_s);
+        options.memory_limit_mb = run_args.memory_limit_mb;
         options.interrupt = ctx.interrupt;
         if (trace.sink.has_value()) {
           options.trace = &*trace.sink;
@@ -569,7 +511,7 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
         results[i].key_bits = locked.key_bits();
         // "auto" follows each cell's cyclicity, and double-dip
         // (acyclic-only) degrades to cycsat on cyclic cells.
-        results[i].run = attacks::run(flags.attack, locked, oracle, options);
+        results[i].run = attacks::run(attack_name, locked, oracle, options);
         const attacks::AttackResult& attack = results[i].run.result;
         if (attack.status == attacks::AttackStatus::kInterrupted) {
           session.note_interrupted(i);
@@ -661,6 +603,90 @@ int cmd_serve(int argc, char** argv) {
   return daemon.serve_forever();
 }
 
+// The job spec of `submit <socket> lock|attack|sweep ...`, validated as the
+// daemon would at admission; nullopt when `op` names no job kind or a path
+// is missing (the caller prints usage). Bad flags and values throw
+// std::invalid_argument or serve::ProtocolError naming them.
+std::optional<serve::JobSpec> parse_job_spec(const std::string& op, int argc,
+                                             char** argv) {
+  serve::JobSpec spec;
+  if (op == "lock") {
+    spec.kind = serve::JobKind::kLock;
+  } else if (op == "attack") {
+    spec.kind = serve::JobKind::kAttack;
+  } else if (op == "sweep") {
+    spec.kind = serve::JobKind::kSweep;
+  } else {
+    return std::nullopt;
+  }
+  std::vector<std::string> positional;
+  for (int i = 4; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (auto v = flag_value("--priority", argc, argv, i)) {
+      spec.priority = static_cast<int>(
+          runtime::parse_int_flag("--priority", *v, -1000, 1000));
+    } else if (auto v = flag_value("--job-timeout", argc, argv, i)) {
+      spec.timeout_s = runtime::parse_seconds_flag("--job-timeout", *v);
+    } else if (auto v = flag_value("--retries", argc, argv, i)) {
+      spec.retries = static_cast<int>(
+          runtime::parse_int_flag("--retries", *v, 0, 1000000));
+    } else if (auto v = flag_value("--mem-mb", argc, argv, i)) {
+      spec.memory_limit_mb = static_cast<std::size_t>(
+          runtime::parse_int_flag("--mem-mb", *v, 0, 1LL << 40));
+    } else if (auto v = flag_value("--attack", argc, argv, i)) {
+      spec.attack = *v;
+    } else if (auto v = flag_value("--scheme", argc, argv, i)) {
+      spec.scheme = *v;
+    } else if (auto v = flag_value("--opt", argc, argv, i)) {
+      append_opt(spec.scheme_params, *v);
+    } else if (auto v = flag_value("--attack-timeout", argc, argv, i)) {
+      spec.attack_timeout_s =
+          runtime::parse_seconds_flag("--attack-timeout", *v);
+    } else if (auto v = flag_value("--jsonl", argc, argv, i)) {
+      spec.jsonl_path = *v;
+    } else if (auto v = flag_value("--replicas", argc, argv, i)) {
+      spec.replicas = static_cast<int>(
+          runtime::parse_int_flag("--replicas", *v, 1, 1000000));
+    } else if (auto v = flag_value("--seed", argc, argv, i)) {
+      spec.seed = parse_seed("--seed", *v);
+    } else if (arg == "--resume") {
+      spec.resume = true;
+    } else if (arg == "--detach") {
+      spec.detach = true;
+    } else if (arg == "--trace") {
+      spec.trace = true;
+    } else if (!arg.empty() && arg[0] != '-') {
+      positional.emplace_back(arg);
+    } else {
+      throw std::invalid_argument("unknown flag '" + std::string(arg) + "'");
+    }
+  }
+  std::size_t sizes_from = 0;
+  if (spec.kind == serve::JobKind::kLock) {
+    if (positional.size() < 2) return std::nullopt;
+    spec.bench_path = positional[0];
+    spec.out_path = positional[1];
+    sizes_from = 2;
+  } else if (spec.kind == serve::JobKind::kAttack) {
+    if (positional.size() < 2) return std::nullopt;
+    spec.locked_path = positional[0];
+    spec.oracle_path = positional[1];
+    sizes_from = positional.size();
+  } else {
+    if (positional.empty()) return std::nullopt;
+    spec.bench_path = positional[0];
+    sizes_from = 1;
+  }
+  for (std::size_t i = sizes_from; i < positional.size(); ++i) {
+    spec.sizes.push_back(static_cast<int>(
+        runtime::parse_int_flag("size", positional[i], 2, 4096)));
+  }
+  // Full admission-time validation (attack and scheme names, scheme
+  // parameters) lives in validate_spec, shared with the daemon.
+  serve::validate_spec(spec);
+  return spec;
+}
+
 int cmd_submit(int argc, char** argv) {
   const auto usage = [] {
     std::fprintf(
@@ -669,7 +695,7 @@ int cmd_submit(int argc, char** argv) {
         "  lock <in.bench> <out.bench> [sizes...] [--scheme NAME]\n"
         "       [--opt K=V,...] [--seed S]\n"
         "  attack <locked.bench> <oracle.bench> [--attack NAME]\n"
-        "         [--encode auto|cone|full] [--attack-timeout S] [--trace]\n"
+        "         [--attack-timeout S] [--trace]\n"
         "  sweep <in.bench> --jsonl PATH [sizes...] [--scheme NAME]\n"
         "        [--opt K=V,...] [--replicas N] [--seed S] [--resume]\n"
         "        [--attack NAME] [--attack-timeout S]\n"
@@ -678,122 +704,39 @@ int cmd_submit(int argc, char** argv) {
         "  --retries N, --mem-mb M, --detach\n"
         "exit codes: 0 done, 1 failed, 2 usage, 3 rejected, "
         "4 cancelled/interrupted, 5 connection lost\n");
-    return 2;
+    return serve::ClientExit::kUsage;
   };
   if (argc < 4) return usage();
   const std::string socket_path = argv[2];
   const std::string op = argv[3];
+  // Every argument is parsed and the job spec validated before the socket
+  // is touched: a usage error exits 2 whether or not a daemon listens.
+  std::optional<std::uint64_t> id;
+  std::optional<serve::JobSpec> spec;
   try {
-    serve::ServeClient client(socket_path);
     if (op == "status") {
-      std::optional<std::uint64_t> id;
       if (argc > 4) {
         id = static_cast<std::uint64_t>(
             runtime::parse_int_flag("status id", argv[4], 1));
       }
-      return client.status(id, std::cout);
-    }
-    if (op == "cancel") {
+    } else if (op == "cancel") {
       if (argc < 5) return usage();
-      return client.cancel(static_cast<std::uint64_t>(runtime::parse_int_flag(
-                               "cancel id", argv[4], 1)),
-                           std::cout);
+      id = static_cast<std::uint64_t>(
+          runtime::parse_int_flag("cancel id", argv[4], 1));
+    } else if (op != "shutdown") {
+      spec = parse_job_spec(op, argc, argv);
+      if (!spec.has_value()) return usage();
     }
-    if (op == "shutdown") return client.shutdown(std::cout);
-
-    serve::JobSpec spec;
-    if (op == "lock") {
-      spec.kind = serve::JobKind::kLock;
-    } else if (op == "attack") {
-      spec.kind = serve::JobKind::kAttack;
-    } else if (op == "sweep") {
-      spec.kind = serve::JobKind::kSweep;
-    } else {
-      return usage();
-    }
-    std::vector<std::string> positional;
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument("flag " + arg + " needs a value");
-        }
-        return argv[++i];
-      };
-      if (arg == "--priority") {
-        spec.priority = static_cast<int>(
-            runtime::parse_int_flag("--priority", value(), -1000, 1000));
-      } else if (arg == "--job-timeout") {
-        spec.timeout_s = runtime::parse_seconds_flag("--job-timeout", value());
-      } else if (arg == "--retries") {
-        spec.retries = static_cast<int>(
-            runtime::parse_int_flag("--retries", value(), 0, 1000000));
-      } else if (arg == "--mem-mb") {
-        spec.memory_limit_mb = static_cast<std::size_t>(
-            runtime::parse_int_flag("--mem-mb", value(), 0, 1LL << 40));
-      } else if (arg == "--attack") {
-        spec.attack = value();
-      } else if (arg == "--scheme") {
-        spec.scheme = value();
-      } else if (arg == "--opt") {
-        if (!spec.scheme_params.empty()) spec.scheme_params += ",";
-        spec.scheme_params += value();
-      } else if (arg == "--encode") {
-        spec.encode = value();
-      } else if (arg == "--attack-timeout") {
-        spec.attack_timeout_s =
-            runtime::parse_seconds_flag("--attack-timeout", value());
-      } else if (arg == "--jsonl") {
-        spec.jsonl_path = value();
-      } else if (arg == "--replicas") {
-        spec.replicas = static_cast<int>(
-            runtime::parse_int_flag("--replicas", value(), 1, 1000000));
-      } else if (arg == "--seed") {
-        spec.seed = static_cast<std::uint64_t>(
-            runtime::parse_int_flag("--seed", value(), 0));
-      } else if (arg == "--resume") {
-        spec.resume = true;
-      } else if (arg == "--detach") {
-        spec.detach = true;
-      } else if (arg == "--trace") {
-        spec.trace = true;
-      } else if (!arg.empty() && arg[0] != '-') {
-        positional.push_back(arg);
-      } else {
-        std::fprintf(stderr, "submit: unknown flag '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    std::size_t sizes_from = 0;
-    if (spec.kind == serve::JobKind::kLock) {
-      if (positional.size() < 2) return usage();
-      spec.bench_path = positional[0];
-      spec.out_path = positional[1];
-      sizes_from = 2;
-    } else if (spec.kind == serve::JobKind::kAttack) {
-      if (positional.size() < 2) return usage();
-      spec.locked_path = positional[0];
-      spec.oracle_path = positional[1];
-      sizes_from = positional.size();
-    } else {
-      if (positional.empty()) return usage();
-      spec.bench_path = positional[0];
-      sizes_from = 1;
-    }
-    for (std::size_t i = sizes_from; i < positional.size(); ++i) {
-      spec.sizes.push_back(static_cast<int>(
-          runtime::parse_int_flag("size", positional[i], 2, 4096)));
-    }
-    // Full admission-time validation (attack/scheme/encode names, scheme
-    // parameters) lives in validate_spec, shared with the daemon.
-    serve::validate_spec(spec);
-    return client.submit_and_stream(spec, std::cout);
-  } catch (const serve::ProtocolError& e) {
+  } catch (const std::exception& e) {  // std::invalid_argument, ProtocolError
     std::fprintf(stderr, "submit: %s\n", e.what());
-    return 2;
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "submit: %s\n", e.what());
-    return 2;
+    return serve::ClientExit::kUsage;
+  }
+  try {
+    serve::ServeClient client(socket_path);
+    if (spec.has_value()) return client.submit_and_stream(*spec, std::cout);
+    if (op == "status") return client.status(id, std::cout);
+    if (op == "cancel") return client.cancel(*id, std::cout);
+    return client.shutdown(std::cout);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "submit: %s\n", e.what());
     return serve::ClientExit::kConnectionLost;
@@ -812,8 +755,15 @@ int main(int argc, char** argv) {
     if (cmd == "submit") return cmd_submit(argc, argv);
     // Strips the shared runner flags (--jobs/--jsonl/--resume/--retries/
     // --cell-timeout/--mem-mb/--trace and their FL_* envs); attack and
-    // sweep consume them, the single-shot subcommands ignore them.
-    const runtime::RunnerArgs run_args = runtime::parse_runner_args(argc, argv);
+    // sweep consume them, the single-shot subcommands ignore them. A bad
+    // value is a usage error like any other flag's.
+    runtime::RunnerArgs run_args;
+    try {
+      run_args = runtime::parse_runner_args(argc, argv);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
+      return 2;
+    }
     if (cmd == "lock") return cmd_lock(argc, argv);
     if (cmd == "schemes") return cmd_schemes(argc, argv);
     if (cmd == "gen") return cmd_gen(argc, argv);

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "cnf/miter.h"
-#include "runtime/jsonl.h"
 
 namespace fl::attacks {
 
@@ -21,23 +20,7 @@ const char* to_string(AttackStatus status) {
   return "?";
 }
 
-const char* to_string(EncodeMode mode) {
-  switch (mode) {
-    case EncodeMode::kAuto: return "auto";
-    case EncodeMode::kCone: return "cone";
-    case EncodeMode::kFull: return "full";
-  }
-  return "?";
-}
-
-std::optional<EncodeMode> parse_encode_mode(std::string_view name) {
-  if (name == "auto") return EncodeMode::kAuto;
-  if (name == "cone") return EncodeMode::kCone;
-  if (name == "full") return EncodeMode::kFull;
-  return std::nullopt;
-}
-
-void JsonlTraceSink::record(const IterationTrace& trace) {
+runtime::JsonObject to_json(const IterationTrace& trace) {
   runtime::JsonObject o;
   o.field("attack", trace.attack);
   if (trace.cell >= 0) o.field("cell", trace.cell);
@@ -51,7 +34,11 @@ void JsonlTraceSink::record(const IterationTrace& trace) {
       .field("clauses_added", trace.clauses_added)
       .field("vars_added", trace.vars_added)
       .field("encode_s", trace.encode_s);
-  const std::string line = o.str();
+  return o;
+}
+
+void JsonlTraceSink::record(const IterationTrace& trace) {
+  const std::string line = to_json(trace).str();
   const std::lock_guard<std::mutex> lock(mu_);
   out_ << line << '\n';
   out_.flush();  // a trace is for post-mortems; don't buffer past a crash
@@ -118,78 +105,49 @@ MiterContext::Encoder MiterContext::double_key() {
 MiterContext::MiterContext(const core::LockedCircuit& locked,
                            const Encoder& encoder,
                            const AttackOptions& options)
-    : locked_(&locked) {
-  engine_ = std::make_unique<sat::Solver>(
-      sat::SolverConfig{.memory_limit_mb = options.memory_limit_mb});
-  solver_ = engine_.get();
-  if (options.preprocess) {
-    // The wrapper never renumbers, so variable ids handed out below (key
-    // copies, assumption literals) stay valid across the flush.
-    pre_ = std::make_unique<sat::PreprocessSolver>(*engine_);
-    solver_ = pre_.get();
+    : locked_(&locked),
+      engine_(sat::SolverConfig{.memory_limit_mb = options.memory_limit_mb}),
+      // The wrapper never renumbers, so variable ids handed out below (key
+      // copies, assumption literals) stay valid across the flush.
+      pre_(engine_) {
+  const netlist::Netlist& net = locked.netlist;
+  if (!net.is_cyclic() && net.num_keys() > 0) {
+    cone_ = std::make_unique<netlist::KeyConePartition>(net);
+    fixed_sim_ = std::make_unique<netlist::Simulator>(cone_->fixed_region());
+    // Only tap entries are ever read by the cone encoder; the const-0
+    // default covers the rest of the GateId space.
+    frontier_.assign(net.num_gates(), cnf::NetLit::constant(false));
   }
-  init_cone(options.encode_mode);
   const auto t0 = Clock::now();
-  parts_ = encoder(locked.netlist, *solver_, cone_.get());
+  parts_ = encoder(net, pre_, cone_.get());
   encode_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
   freeze_interface();
 }
 
-void MiterContext::init_cone(EncodeMode mode) {
-  const netlist::Netlist& net = locked_->netlist;
-  bool want = false;
-  switch (mode) {
-    case EncodeMode::kFull:
-      return;
-    case EncodeMode::kCone:
-      if (net.is_cyclic()) {
-        throw std::invalid_argument(
-            "MiterContext: cone encoding needs an acyclic lock (cyclic locks "
-            "fall back to full encoding under kAuto)");
-      }
-      want = net.num_keys() > 0;
-      break;
-    case EncodeMode::kAuto:
-      want = !net.is_cyclic() && net.num_keys() > 0;
-      break;
-  }
-  if (!want) return;
-  cone_ = std::make_unique<netlist::KeyConePartition>(net);
-  fixed_sim_ = std::make_unique<netlist::Simulator>(cone_->fixed_region());
-  // Only tap entries are ever read by the cone encoder; the const-0 default
-  // covers the rest of the GateId space.
-  frontier_.assign(net.num_gates(), cnf::NetLit::constant(false));
-}
-
 void MiterContext::freeze_interface() {
-  if (pre_ == nullptr) return;
   for (const sat::Var v : parts_.inputs) {
-    if (v != sat::kNullVar) pre_->freeze(v);
+    if (v != sat::kNullVar) pre_.freeze(v);
   }
   for (const std::vector<sat::Var>& copy : parts_.key_copies) {
     for (const sat::Var v : copy) {
-      if (v != sat::kNullVar) pre_->freeze(v);
+      if (v != sat::kNullVar) pre_.freeze(v);
     }
   }
-  if (parts_.activate.var() >= 0) pre_->freeze(parts_.activate.var());
+  if (parts_.activate.var() >= 0) pre_.freeze(parts_.activate.var());
 }
 
 void MiterContext::finalize_encoding() {
   if (finalized_) return;
   finalized_ = true;
-  if (pre_ != nullptr) pre_->flush();
-  base_clauses_ = solver_->num_clauses();
-  base_vars_ = static_cast<std::size_t>(solver_->num_vars());
-}
-
-sat::PreprocessStats MiterContext::preprocess_stats() const {
-  return pre_ != nullptr ? pre_->preprocess_stats() : sat::PreprocessStats{};
+  pre_.flush();
+  base_clauses_ = pre_.num_clauses();
+  base_vars_ = static_cast<std::size_t>(pre_.num_vars());
 }
 
 void MiterContext::sample_ratio() {
-  if (solver_->num_vars() > 0) {
-    last_ratio_ = static_cast<double>(solver_->num_clauses()) /
-                  static_cast<double>(solver_->num_vars());
+  if (pre_.num_vars() > 0) {
+    last_ratio_ = static_cast<double>(pre_.num_clauses()) /
+                  static_cast<double>(pre_.num_vars());
     ratio_sum_ += last_ratio_;
     ++ratio_samples_;
   }
@@ -203,7 +161,7 @@ double MiterContext::mean_ratio() const {
 std::vector<bool> MiterContext::extract_pattern() const {
   std::vector<bool> pattern(parts_.inputs.size());
   for (std::size_t i = 0; i < parts_.inputs.size(); ++i) {
-    pattern[i] = solver_->value_of(parts_.inputs[i]);
+    pattern[i] = pre_.value_of(parts_.inputs[i]);
   }
   return pattern;
 }
@@ -212,7 +170,7 @@ std::vector<bool> MiterContext::extract_key(
     std::span<const sat::Var> key_vars) const {
   std::vector<bool> key(key_vars.size());
   for (std::size_t i = 0; i < key_vars.size(); ++i) {
-    key[i] = solver_->value_of(key_vars[i]);
+    key[i] = pre_.value_of(key_vars[i]);
   }
   return key;
 }
@@ -234,7 +192,7 @@ void MiterContext::constrain_io_batch(
   if (cone_ == nullptr) {
     for (std::size_t p = 0; p < patterns.size(); ++p) {
       for (const std::vector<sat::Var>& keys : parts_.key_copies) {
-        cnf::add_io_constraint(locked_->netlist, *solver_, keys, patterns[p],
+        cnf::add_io_constraint(locked_->netlist, pre_, keys, patterns[p],
                                responses[p]);
       }
     }
@@ -266,7 +224,7 @@ void MiterContext::constrain_io_batch(
             cnf::NetLit::constant(v);
       }
       for (const std::vector<sat::Var>& keys : parts_.key_copies) {
-        cnf::add_io_constraint_cone(locked_->netlist, *solver_, keys,
+        cnf::add_io_constraint_cone(locked_->netlist, pre_, keys,
                                     cone_->cone_topo(), frontier_,
                                     responses[p]);
       }
@@ -282,7 +240,7 @@ void MiterContext::ban_key(std::span<const sat::Var> key_vars,
   for (std::size_t i = 0; i < key_vars.size(); ++i) {
     ban.push_back(sat::Lit(key_vars[i], key[i]));
   }
-  solver_->add_clause(std::move(ban));
+  pre_.add_clause(std::move(ban));
 }
 
 LoopAction DipPolicy::after_iteration(MiterContext&, const BudgetGuard&,

@@ -43,7 +43,6 @@
 #include <ostream>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -51,6 +50,7 @@
 #include "core/locked_circuit.h"
 #include "netlist/simulator.h"
 #include "netlist/structure.h"
+#include "runtime/jsonl.h"
 #include "sat/preprocess.h"
 #include "sat/solver.h"
 
@@ -70,25 +70,6 @@ enum class AttackStatus : std::uint8_t {
 };
 
 const char* to_string(AttackStatus status);
-
-// How MiterContext encodes the miter and the per-DIP constraints.
-//
-//  * kFull — the legacy shape: every circuit copy encodes the whole netlist
-//    (constant folding still shrinks fixed-input copies).
-//  * kCone — key-cone encoding: the base miter is restricted to the fanin
-//    support of the key-dependent outputs (cnf::encode_attack_miter with a
-//    KeyConePartition), and each DIP constraint simulates the key-free
-//    region bit-parallel (netlist::Simulator) and Tseytin-encodes only the
-//    key cone against the swept constants. Requires an acyclic lock;
-//    requesting it on a cyclic one throws std::invalid_argument.
-//  * kAuto — kCone whenever the lock is acyclic and has keys (CycSAT's
-//    cyclic locks fall back to kFull, which its relaxation oracle needs).
-enum class EncodeMode : std::uint8_t { kAuto, kCone, kFull };
-
-const char* to_string(EncodeMode mode);
-// "auto" | "cone" | "full" -> mode; std::nullopt for anything else. Shared
-// by the CLI's --encode flag and the serve JobSpec's encode field.
-std::optional<EncodeMode> parse_encode_mode(std::string_view name);
 
 // One completed DIP iteration, as handed to an IterationTraceSink. The
 // solver counters are deltas over the DIP-miter solve alone (policy work —
@@ -122,6 +103,11 @@ class IterationTraceSink {
   virtual void record(const IterationTrace& trace) = 0;
 };
 
+// The one serialization of an IterationTrace (schema in EXPERIMENTS.md):
+// each --trace line JsonlTraceSink writes, and the body of each "trace"
+// event a serve job streams.
+runtime::JsonObject to_json(const IterationTrace& trace);
+
 // Emits one JSONL object per iteration (schema in EXPERIMENTS.md) onto a
 // caller-owned stream. Thread-safe: one sink may serve every cell of a
 // parallel sweep (records carry their cell index), serialized by an
@@ -154,14 +140,6 @@ struct AttackOptions {
   // whose accounted memory crosses it returns with kOutOfMemory instead of
   // growing until the process is OOM-killed. 0 = unlimited.
   std::size_t memory_limit_mb = 0;
-  // Miter/constraint encoding shape; see EncodeMode. kAuto picks the cone
-  // encoding whenever the lock admits it.
-  EncodeMode encode_mode = EncodeMode::kAuto;
-  // Run SatELite-style preprocessing (sat::PreprocessSolver) over the base
-  // miter before the DIP loop: bounded variable elimination, subsumption,
-  // self-subsuming resolution. Inputs, key copies and the activation
-  // literal are frozen; everything the loop adds later is incremental.
-  bool preprocess = true;
   // Optional per-iteration observability (see IterationTrace). Not owned;
   // must outlive the attack.
   IterationTraceSink* trace = nullptr;
@@ -266,8 +244,8 @@ class MiterContext {
     sat::Lit activate = sat::kUndefLit;
     bool trivially_equal = false;
   };
-  // The partition pointer is non-null iff the context chose the cone
-  // encoding (EncodeMode); encoders that cannot exploit it may ignore it.
+  // The partition pointer is non-null iff the lock gets the cone encoding
+  // (acyclic with keys); encoders that cannot exploit it may ignore it.
   using Encoder = std::function<Parts(
       const netlist::Netlist&, sat::SolverIface&, netlist::KeyConePartition*)>;
 
@@ -275,14 +253,18 @@ class MiterContext {
   // the primary inputs, independent keys K1/K2, some output differs).
   static Encoder double_key();
 
-  // Owns one sequential sat::Solver carrying the attack's memory budget,
-  // behind a sat::PreprocessSolver when options.preprocess is set.
+  // The encoding follows the lock: key-cone encoding when it is acyclic and
+  // has keys, full-circuit encoding otherwise (CycSAT's cyclic locks). The
+  // miter is staged through a sat::PreprocessSolver in front of one
+  // sequential sat::Solver carrying the attack's memory budget.
   MiterContext(const core::LockedCircuit& locked, const Encoder& encoder,
                const AttackOptions& options);
+  MiterContext(const MiterContext&) = delete;
+  MiterContext& operator=(const MiterContext&) = delete;
 
   const core::LockedCircuit& locked() const { return *locked_; }
-  sat::SolverIface& solver() { return *solver_; }
-  const sat::SolverIface& solver() const { return *solver_; }
+  sat::SolverIface& solver() { return pre_; }
+  const sat::SolverIface& solver() const { return pre_; }
   const std::vector<sat::Var>& inputs() const { return parts_.inputs; }
   std::size_t num_key_copies() const { return parts_.key_copies.size(); }
   std::span<const sat::Var> key_copy(std::size_t i) const {
@@ -313,7 +295,7 @@ class MiterContext {
   void constrain_io_batch(std::span<const std::vector<bool>> patterns,
                           std::span<const std::vector<bool>> responses);
 
-  // Commits the staged base encoding: flushes the preprocessor (if any) and
+  // Commits the staged base encoding: flushes the preprocessor and
   // snapshots base_clauses()/base_vars(). Called by DipLoop::run before the
   // first solve, after policies had their chance to add preconditions (so
   // CycSAT's cycle-breaking clauses get preprocessed with the miter);
@@ -323,9 +305,11 @@ class MiterContext {
   std::size_t base_vars() const { return base_vars_; }
   bool cone_encoding() const { return cone_ != nullptr; }
   // Cumulative wall time spent in constrain_io/constrain_io_batch (cone
-  // sweep + Tseytin encode; the legacy full encode is timed too).
+  // sweep + Tseytin encode; the full-circuit encode is timed too).
   double encode_seconds() const { return encode_seconds_; }
-  sat::PreprocessStats preprocess_stats() const;
+  const sat::PreprocessStats& preprocess_stats() const {
+    return pre_.preprocess_stats();
+  }
 
   // Bans the exact assignment `key` of `key_vars` (BeSAT-style stateful-key
   // elimination on cyclic locks).
@@ -333,16 +317,14 @@ class MiterContext {
                const std::vector<bool>& key);
 
  private:
-  void init_cone(EncodeMode mode);
   void freeze_interface();
 
   const core::LockedCircuit* locked_;
   // The CDCL engine, and the PreprocessSolver staging wrapper in front of
-  // it when preprocessing (declared after engine_ so it is destroyed
-  // first). solver_ is whichever of the two the attack talks to.
-  std::unique_ptr<sat::Solver> engine_;
-  std::unique_ptr<sat::PreprocessSolver> pre_;
-  sat::SolverIface* solver_ = nullptr;
+  // it that the attack talks to (declared after engine_ so it is destroyed
+  // first).
+  sat::Solver engine_;
+  sat::PreprocessSolver pre_;
   std::unique_ptr<netlist::KeyConePartition> cone_;  // null = full encoding
   std::unique_ptr<netlist::Simulator> fixed_sim_;    // over fixed_region()
   netlist::Simulator::Scratch fixed_scratch_;

@@ -653,20 +653,6 @@ std::string resolve_attack(std::string_view requested, bool cyclic) {
   return name;
 }
 
-void validate_encode_option(std::string_view encode, std::string_view scheme,
-                            const SchemeOptions& options) {
-  if (encode != "cone") return;
-  const LockScheme* s = find_scheme(scheme);
-  if (s == nullptr) return;  // cyclicity is checked against the netlist
-  if (s->caps(options).may_be_cyclic) {
-    throw std::invalid_argument(
-        "--encode cone requires an acyclic lock, but scheme '" +
-        std::string(scheme) +
-        "' may produce cycles with these parameters; use --encode auto "
-        "(cone when acyclic) or --encode full");
-  }
-}
-
 void write_locked_circuit(const core::LockedCircuit& locked,
                           const std::string& path) {
   const auto header = [&](std::ostream& out) {

@@ -9,8 +9,8 @@
 // schemes, key/LUT counts for the logic schemes), and free-form key=value
 // parameters. Each scheme parses and range-checks its own parameters,
 // canonicalizes them back into LockedCircuit.params, and reports capability
-// flags (cyclic, removal-resilient, point-function) that drive attack
-// auto-selection and --encode validation before any attack runs.
+// flags (cyclic, removal-resilient, point-function, routing blocks) that the
+// `schemes` listing prints and the property tests check.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,8 @@ namespace fl::lock {
 // Capability flags for one (scheme, options) combination.
 struct SchemeCaps {
   // lock() may return a cyclic netlist (e.g. full-lock with cycle=force).
-  // Gates --encode cone at option-parse/admission time.
+  // Informational (the `schemes` listing prints it): attack selection and
+  // the miter encoding follow the locked netlist's own cyclicity.
   bool may_be_cyclic = false;
   // The removal attack's block bypass is expected to fail *functionally*
   // (driver negation, folded logic, or a stripped function), not just
@@ -107,13 +108,6 @@ core::LockedCircuit lock_with(std::string_view scheme,
 // (acyclic-only) degrades to cycsat on cyclic netlists. attacks::run
 // (attacks/registry.h, which also owns the attack names) applies it.
 std::string resolve_attack(std::string_view requested, bool cyclic);
-
-// Rejects --encode cone when the named scheme's capabilities say the lock
-// may be cyclic (cone encoding requires an acyclic netlist). Unknown scheme
-// names pass — cyclicity is then checked against the loaded netlist.
-// Throws std::invalid_argument with an actionable message.
-void validate_encode_option(std::string_view encode, std::string_view scheme,
-                            const SchemeOptions& options);
 
 // ---- Locked-circuit provenance I/O -----------------------------------
 

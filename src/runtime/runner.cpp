@@ -109,6 +109,20 @@ double parse_seconds_flag(std::string_view what, std::string_view text) {
   return value;
 }
 
+std::optional<std::string> flag_value(std::string_view name, int argc,
+                                      char** argv, int& i) {
+  const std::string_view arg = argv[i];
+  if (arg.size() > name.size() && arg.starts_with(name) &&
+      arg[name.size()] == '=') {
+    return std::string(arg.substr(name.size() + 1));
+  }
+  if (arg != name) return std::nullopt;
+  if (i + 1 >= argc) {
+    throw std::invalid_argument("missing value for " + std::string(name));
+  }
+  return std::string(argv[++i]);
+}
+
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("FL_JOBS"); env != nullptr) {
@@ -141,40 +155,23 @@ RunnerArgs parse_runner_args(int& argc, char** argv) {
   args.resume = env_flag("FL_RESUME");
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto take_value = [&](std::string_view flag,
-                                std::string_view* value) {
-      if (arg.rfind(flag, 0) != 0) return false;
-      if (arg.size() > flag.size() && arg[flag.size()] == '=') {
-        *value = arg.substr(flag.size() + 1);
-        return true;
-      }
-      if (arg.size() == flag.size()) {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument("missing value for " +
-                                      std::string(flag));
-        }
-        *value = argv[++i];
-        return true;
-      }
-      return false;
-    };
-    std::string_view value;
-    if (arg == "--resume") {
+    if (std::string_view(argv[i]) == "--resume") {
       args.resume = true;
-    } else if (take_value("--jobs", &value)) {
-      requested_jobs = static_cast<int>(parse_int_flag("--jobs", value, 0, 1 << 20));
-    } else if (take_value("--jsonl", &value)) {
-      args.jsonl_path = value;
-    } else if (take_value("--retries", &value)) {
-      args.retries = static_cast<int>(parse_int_flag("--retries", value, 0, 1000000));
-    } else if (take_value("--cell-timeout", &value)) {
-      args.cell_timeout_s = parse_seconds_flag("--cell-timeout", value);
-    } else if (take_value("--mem-mb", &value)) {
+    } else if (auto v = flag_value("--jobs", argc, argv, i)) {
+      requested_jobs =
+          static_cast<int>(parse_int_flag("--jobs", *v, 0, 1 << 20));
+    } else if (auto v = flag_value("--jsonl", argc, argv, i)) {
+      args.jsonl_path = *v;
+    } else if (auto v = flag_value("--retries", argc, argv, i)) {
+      args.retries =
+          static_cast<int>(parse_int_flag("--retries", *v, 0, 1000000));
+    } else if (auto v = flag_value("--cell-timeout", argc, argv, i)) {
+      args.cell_timeout_s = parse_seconds_flag("--cell-timeout", *v);
+    } else if (auto v = flag_value("--mem-mb", argc, argv, i)) {
       args.memory_limit_mb =
-          static_cast<std::size_t>(parse_int_flag("--mem-mb", value, 0));
-    } else if (take_value("--trace", &value)) {
-      args.trace_path = value;
+          static_cast<std::size_t>(parse_int_flag("--mem-mb", *v, 0));
+    } else if (auto v = flag_value("--trace", argc, argv, i)) {
+      args.trace_path = *v;
     } else {
       argv[out++] = argv[i];
     }

@@ -21,7 +21,9 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/cancel.h"
@@ -46,6 +48,14 @@ long long parse_int_flag(std::string_view what, std::string_view text,
 // Seconds >= 0; rejects negatives, junk, and non-finite values ("inf",
 // "nan" — an infinite budget is spelled 0, not inf).
 double parse_seconds_flag(std::string_view what, std::string_view text);
+
+// The one value-flag reader, shared by parse_runner_args, the serve daemon's
+// flags and every CLI subcommand: "--name VALUE" or "--name=VALUE" at
+// argv[i] yields the value (moving i past a separate one); any other
+// argument yields nullopt. A bare "--name" at the end of argv throws
+// std::invalid_argument("missing value for --name").
+std::optional<std::string> flag_value(std::string_view name, int argc,
+                                      char** argv, int& i);
 
 // Flags every sweep driver shares. parse_runner_args strips the flags it
 // recognizes out of argv (leaving positional arguments for the driver),

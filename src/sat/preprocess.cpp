@@ -8,6 +8,18 @@ namespace fl::sat {
 
 namespace {
 
+// Variable elimination accepts a variable iff the number of non-tautological
+// resolvents is at most (#positive + #negative occurrences) + kGrow.
+constexpr std::size_t kGrow = 0;
+// Reject an elimination outright if any resolvent would exceed this length.
+constexpr std::size_t kMaxResolventLen = 24;
+// Skip subsumption/elimination work on literals or variables whose
+// occurrence lists are larger than this (quadratic-blowup guard).
+constexpr std::size_t kMaxOccurrences = 400;
+// Global work budget in literal-visit steps; preprocessing stops cleanly
+// (but soundly) when exhausted.
+constexpr std::uint64_t kStepBudget = 40'000'000;
+
 bool lit_true(const Lit l, const std::vector<bool>& model) {
   return model[static_cast<std::size_t>(l.var())] != l.negated();
 }
@@ -68,6 +80,8 @@ bool resolve(const Clause& a, const Clause& b, Var pivot, std::size_t& size,
 }  // namespace
 
 // ---- Simplifier ----------------------------------------------------------
+
+bool Simplifier::budget_ok() const { return steps_ < kStepBudget; }
 
 Var Simplifier::new_var() {
   if (simplified_) {
@@ -257,7 +271,7 @@ void Simplifier::backward_subsume(std::size_t ci) {
       best = l;
     }
   }
-  if (best_size <= config_.max_occurrences) {
+  if (best_size <= kMaxOccurrences) {
     for (const std::uint32_t di : occ(best)) {
       if (di == ci || db_[di].deleted) continue;
       const StagedClause& d = db_[di];
@@ -276,7 +290,7 @@ void Simplifier::backward_subsume(std::size_t ci) {
   for (const Lit l : self) {
     if (contradiction_ || !budget_ok()) return;
     const std::span<const std::uint32_t> candidates = occ(~l);
-    if (candidates.size() > config_.max_occurrences) continue;
+    if (candidates.size() > kMaxOccurrences) continue;
     for (const std::uint32_t di : candidates) {
       if (di == ci || db_[di].deleted) continue;
       const StagedClause& d = db_[di];
@@ -352,21 +366,20 @@ void Simplifier::gather(Lit l, std::vector<std::uint32_t>& out) {
 bool Simplifier::try_eliminate(Var v) {
   gather(pos(v), pos_occ_);
   gather(neg(v), neg_occ_);
-  if (pos_occ_.size() + neg_occ_.size() > config_.max_occurrences) {
+  if (pos_occ_.size() + neg_occ_.size() > kMaxOccurrences) {
     return false;
   }
 
   // Count first: most candidates are rejected, and a rejection must not pay
   // for building resolvents.
-  const std::size_t limit = pos_occ_.size() + neg_occ_.size() +
-                            static_cast<std::size_t>(std::max(config_.grow, 0));
+  const std::size_t limit = pos_occ_.size() + neg_occ_.size() + kGrow;
   std::size_t count = 0;
   std::size_t size = 0;
   for (const std::uint32_t pi : pos_occ_) {
     for (const std::uint32_t ni : neg_occ_) {
       steps_ += db_[pi].lits.size() + db_[ni].lits.size();
       if (!resolve(db_[pi].lits, db_[ni].lits, v, size, nullptr)) continue;
-      if (size > config_.max_resolvent_len) return false;
+      if (size > kMaxResolventLen) return false;
       if (++count > limit) return false;
     }
   }
@@ -481,8 +494,7 @@ std::size_t Simplifier::memory_bytes() const {
 
 // ---- PreprocessSolver ----------------------------------------------------
 
-PreprocessSolver::PreprocessSolver(SolverIface& inner, PreprocessConfig config)
-    : inner_(inner), simp_(config) {
+PreprocessSolver::PreprocessSolver(SolverIface& inner) : inner_(inner) {
   if (inner_.num_vars() != 0 || inner_.num_clauses() != 0) {
     throw std::invalid_argument(
         "PreprocessSolver: inner solver must start empty (ids must coincide)");
@@ -521,7 +533,7 @@ bool PreprocessSolver::add_clause(Clause clause) {
 
 void PreprocessSolver::flush() {
   if (flushed_) return;
-  preprocess();
+  simp_.simplify(/*subsume=*/true);
   flushed_ = true;
   const Var n = simp_.num_vars();
   while (inner_.num_vars() < n) inner_.new_var();

@@ -44,20 +44,6 @@
 
 namespace fl::sat {
 
-struct PreprocessConfig {
-  // Variable elimination accepts a variable iff the number of non-tautological
-  // resolvents is at most (#positive + #negative occurrences) + grow.
-  int grow = 0;
-  // Reject an elimination outright if any resolvent would exceed this length.
-  std::size_t max_resolvent_len = 24;
-  // Skip subsumption/elimination work on literals or variables whose
-  // occurrence lists are larger than this (quadratic-blowup guard).
-  std::size_t max_occurrences = 400;
-  // Global work budget in literal-visit steps; preprocessing stops cleanly
-  // (but soundly) when exhausted.
-  std::uint64_t step_budget = 40'000'000;
-};
-
 struct PreprocessStats {
   bool ran = false;
   bool budget_exhausted = false;
@@ -75,8 +61,6 @@ struct PreprocessStats {
 
 class Simplifier {
  public:
-  explicit Simplifier(PreprocessConfig config = {}) : config_(config) {}
-
   Var new_var();
   int num_vars() const { return next_var_; }
 
@@ -149,7 +133,7 @@ class Simplifier {
     std::uint32_t cap = 0;
   };
 
-  bool budget_ok() const { return steps_ < config_.step_budget; }
+  bool budget_ok() const;
   std::span<const std::uint32_t> occ(Lit l) const;
   void occ_push(Lit l, std::uint32_t ci);
   void build_occurrences();
@@ -165,7 +149,6 @@ class Simplifier {
   void gather(Lit l, std::vector<std::uint32_t>& out);
   bool try_eliminate(Var v);
 
-  PreprocessConfig config_;
   PreprocessStats stats_;
 
   Var next_var_ = 0;
@@ -194,27 +177,23 @@ class PreprocessSolver final : public SolverIface {
  public:
   // `inner` must be empty (no variables, no clauses) and outlive this
   // wrapper; throws std::invalid_argument otherwise.
-  explicit PreprocessSolver(SolverIface& inner, PreprocessConfig config = {});
+  explicit PreprocessSolver(SolverIface& inner);
 
   // Marks `v` as untouchable by variable elimination. Must be called before
-  // preprocess()/flush(); throws std::logic_error afterwards.
+  // flush(); throws std::logic_error afterwards.
   void freeze(Var v) { simp_.freeze(v); }
 
-  // Runs the simplification passes over the staged clauses. Idempotent;
-  // invoked automatically by flush().
-  void preprocess() { simp_.simplify(/*subsume=*/true); }
-
-  // Commits the simplified formula to the inner solver (allocating all
-  // staged variables there first). Idempotent; invoked automatically by the
-  // first solve(), so clauses added between construction and the first
-  // solve — CycSAT's cycle-breaking conditions, attack preconditions — get
-  // preprocessed together with the miter.
+  // Runs every simplification pass over the staged clauses and commits the
+  // simplified formula to the inner solver (allocating all staged variables
+  // there first). Idempotent; invoked automatically by the first solve(),
+  // so clauses added between construction and the first solve — CycSAT's
+  // cycle-breaking conditions, attack preconditions — get preprocessed
+  // together with the miter.
   void flush();
   bool flushed() const { return flushed_; }
 
   bool is_eliminated(Var v) const { return simp_.is_eliminated(v); }
   const PreprocessStats& preprocess_stats() const { return simp_.stats(); }
-  SolverIface& inner() { return inner_; }
 
   // SolverIface:
   Var new_var() override;

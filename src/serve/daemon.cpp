@@ -12,71 +12,37 @@ namespace fl::serve {
 using runtime::JsonObject;
 
 ServeArgs parse_serve_args(int argc, char** argv, int first) {
+  using runtime::flag_value;
   ServeArgs args;
-  const auto need_value = [&](const std::string& flag, int i) {
-    if (i + 1 >= argc) {
-      throw std::invalid_argument("flag " + flag + " needs a value");
-    }
-    return std::string(argv[i + 1]);
-  };
   for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--state") {
-      args.journal_path = need_value(arg, i++);
-    } else if (arg.rfind("--state=", 0) == 0) {
-      args.journal_path = arg.substr(8);
-    } else if (arg == "--workers") {
+    if (auto v = flag_value("--state", argc, argv, i)) {
+      args.journal_path = *v;
+    } else if (auto v = flag_value("--workers", argc, argv, i)) {
       args.workers = static_cast<int>(
-          runtime::parse_int_flag("--workers", need_value(arg, i++), 1,
-                                  1 << 10));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      args.workers = static_cast<int>(
-          runtime::parse_int_flag("--workers", arg.substr(10), 1, 1 << 10));
-    } else if (arg == "--max-queue") {
-      args.max_queue = static_cast<std::size_t>(runtime::parse_int_flag(
-          "--max-queue", need_value(arg, i++), 1, 1 << 20));
-    } else if (arg.rfind("--max-queue=", 0) == 0) {
+          runtime::parse_int_flag("--workers", *v, 1, 1 << 10));
+    } else if (auto v = flag_value("--max-queue", argc, argv, i)) {
       args.max_queue = static_cast<std::size_t>(
-          runtime::parse_int_flag("--max-queue", arg.substr(12), 1, 1 << 20));
-    } else if (arg == "--job-timeout") {
-      args.job_timeout_s =
-          runtime::parse_seconds_flag("--job-timeout", need_value(arg, i++));
-    } else if (arg.rfind("--job-timeout=", 0) == 0) {
-      args.job_timeout_s =
-          runtime::parse_seconds_flag("--job-timeout", arg.substr(14));
-    } else if (arg == "--retries") {
-      args.retries = static_cast<int>(runtime::parse_int_flag(
-          "--retries", need_value(arg, i++), 0, 1000000));
-    } else if (arg.rfind("--retries=", 0) == 0) {
+          runtime::parse_int_flag("--max-queue", *v, 1, 1 << 20));
+    } else if (auto v = flag_value("--job-timeout", argc, argv, i)) {
+      args.job_timeout_s = runtime::parse_seconds_flag("--job-timeout", *v);
+    } else if (auto v = flag_value("--retries", argc, argv, i)) {
       args.retries = static_cast<int>(
-          runtime::parse_int_flag("--retries", arg.substr(10), 0, 1000000));
-    } else if (arg == "--backoff") {
-      args.backoff_s =
-          runtime::parse_seconds_flag("--backoff", need_value(arg, i++));
-    } else if (arg.rfind("--backoff=", 0) == 0) {
-      args.backoff_s =
-          runtime::parse_seconds_flag("--backoff", arg.substr(10));
-    } else if (arg == "--stall-grace") {
-      args.stall_grace_s =
-          runtime::parse_seconds_flag("--stall-grace", need_value(arg, i++));
+          runtime::parse_int_flag("--retries", *v, 0, 1000000));
+    } else if (auto v = flag_value("--backoff", argc, argv, i)) {
+      args.backoff_s = runtime::parse_seconds_flag("--backoff", *v);
+    } else if (auto v = flag_value("--stall-grace", argc, argv, i)) {
+      args.stall_grace_s = runtime::parse_seconds_flag("--stall-grace", *v);
       if (args.stall_grace_s <= 0.0) {
         throw std::invalid_argument(
             "--stall-grace must be > 0 seconds (the watchdog needs a real "
             "grace window before declaring a job stalled)");
       }
-    } else if (arg.rfind("--stall-grace=", 0) == 0) {
-      args.stall_grace_s =
-          runtime::parse_seconds_flag("--stall-grace", arg.substr(14));
-      if (args.stall_grace_s <= 0.0) {
-        throw std::invalid_argument(
-            "--stall-grace must be > 0 seconds (the watchdog needs a real "
-            "grace window before declaring a job stalled)");
-      }
-    } else if (args.socket_path.empty() && !arg.empty() && arg[0] != '-') {
+    } else if (const std::string_view arg = argv[i];
+               args.socket_path.empty() && !arg.empty() && arg[0] != '-') {
       args.socket_path = arg;
     } else {
       throw std::invalid_argument(
-          "unknown serve argument '" + arg +
+          "unknown serve argument '" + std::string(arg) +
           "' (expected <socket> [--state FILE] [--workers N] [--max-queue N] "
           "[--job-timeout S] [--retries N] [--backoff S] [--stall-grace S])");
     }

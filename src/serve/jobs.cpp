@@ -26,20 +26,7 @@ class StreamTraceSink final : public attacks::IterationTraceSink {
   explicit StreamTraceSink(JobContext& ctx) : ctx_(ctx) {}
 
   void record(const attacks::IterationTrace& trace) override {
-    JsonObject o;
-    o.field("attack", trace.attack);
-    if (trace.cell >= 0) o.field("cell", trace.cell);
-    o.field("iter", trace.iteration)
-        .field("dip", trace.dip)
-        .field("cv_ratio", trace.cv_ratio)
-        .field("decisions", trace.decisions)
-        .field("propagations", trace.propagations)
-        .field("conflicts", trace.conflicts)
-        .field("solve_s", trace.solve_s)
-        .field("clauses_added", trace.clauses_added)
-        .field("vars_added", trace.vars_added)
-        .field("encode_s", trace.encode_s);
-    ctx_.emit("trace", std::move(o));
+    ctx_.emit("trace", attacks::to_json(trace));
   }
 
  private:
@@ -51,13 +38,6 @@ std::string key_string(const std::vector<bool>& key) {
   s.reserve(key.size());
   for (const bool b : key) s.push_back(b ? '1' : '0');
   return s;
-}
-
-// Translates the spec's encode string (validated at admission; journals from
-// older daemons may omit it) into the attack engine's mode.
-attacks::EncodeMode encode_mode_of(const JobSpec& spec) {
-  return attacks::parse_encode_mode(spec.encode)
-      .value_or(attacks::EncodeMode::kAuto);
 }
 
 JobResult run_lock_job(const JobSpec& spec, JobContext& ctx) {
@@ -102,18 +82,12 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   const netlist::Netlist oracle_netlist =
       netlist::read_bench_file(spec.oracle_path);
   const attacks::Oracle oracle(oracle_netlist);
-  if (spec.encode == "cone" && locked.netlist.is_cyclic()) {
-    throw std::invalid_argument(
-        "encode mode 'cone' requires an acyclic netlist, but " +
-        spec.locked_path + " is cyclic; use encode auto or full");
-  }
 
   attacks::AttackOptions options;
   options.timeout_s = spec.attack_timeout_s;
   options.deadline = ctx.deadline;  // the job budget caps the attack budget
   options.interrupt = ctx.cancel != nullptr ? ctx.cancel->flag() : nullptr;
   options.memory_limit_mb = spec.memory_limit_mb;
-  options.encode_mode = encode_mode_of(spec);
   StreamTraceSink trace(ctx);
   if (spec.trace) options.trace = &trace;
 
@@ -204,7 +178,6 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
         options.deadline = ctx.deadline;
         options.interrupt = cell_ctx.interrupt;
         options.memory_limit_mb = spec.memory_limit_mb;
-        options.encode_mode = encode_mode_of(spec);
         const attacks::RunResult run =
             attacks::run(spec.attack, locked, oracle, options);
         const attacks::AttackResult& attack = run.result;

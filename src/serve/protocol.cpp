@@ -94,7 +94,6 @@ void append_spec_fields(JsonObject& o, const JobSpec& spec) {
   if (!spec.oracle_path.empty()) o.field("oracle_path", spec.oracle_path);
   o.field("attack", spec.attack)
       .field("attack_timeout_s", spec.attack_timeout_s)
-      .field("encode", spec.encode)
       .field("scheme", spec.scheme);
   if (!spec.scheme_params.empty()) {
     o.field("scheme_params", spec.scheme_params);
@@ -130,7 +129,6 @@ JobSpec parse_spec_fields(const std::string& line) {
   }
   if (auto v = runtime::json_string_field(line, "attack")) spec.attack = *v;
   spec.attack_timeout_s = seconds_in(line, "attack_timeout_s", 60.0);
-  if (auto v = runtime::json_string_field(line, "encode")) spec.encode = *v;
   if (auto v = runtime::json_string_field(line, "scheme")) spec.scheme = *v;
   if (auto v = runtime::json_string_field(line, "scheme_params")) {
     spec.scheme_params = *v;
@@ -154,8 +152,7 @@ JobSpec parse_spec_fields(const std::string& line) {
 namespace {
 
 // Admission-time scheme validation for lock/sweep jobs: the scheme must be
-// registered, its parameters must parse under every requested size, and
-// "--encode cone" is rejected up front for cyclic-capable configurations.
+// registered and its parameters must parse under every requested size.
 // ProtocolError carries the scheme's own message, so the client sees the
 // same diagnostics the CLI would print.
 void validate_scheme_fields(const JobSpec& spec) {
@@ -174,11 +171,6 @@ void validate_scheme_fields(const JobSpec& spec) {
       scheme->validate(
           lock::make_options(spec.seed, {size}, spec.scheme_params));
     }
-    if (spec.kind == JobKind::kSweep) {
-      lock::validate_encode_option(
-          spec.encode, spec.scheme,
-          lock::make_options(spec.seed, sizes, spec.scheme_params));
-    }
   } catch (const std::invalid_argument& e) {
     bad(e.what());
   }
@@ -196,11 +188,6 @@ void validate_spec(const JobSpec& spec) {
   if (!attacks::known_attack(spec.attack)) {
     bad("unknown attack '" + spec.attack + "' (known: " +
         attacks::attack_names() + ")");
-  }
-  if (spec.encode != "auto" && spec.encode != "cone" &&
-      spec.encode != "full") {
-    bad("unknown encode mode '" + spec.encode +
-        "' (expected auto|cone|full)");
   }
   switch (spec.kind) {
     case JobKind::kAttack:

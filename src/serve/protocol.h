@@ -91,9 +91,6 @@ struct JobSpec {
   std::string oracle_path;
   std::string attack = "auto";
   double attack_timeout_s = 60.0;
-  // attack: miter encoding "auto" | "cone" | "full". "cone" is rejected at
-  // admission for cyclic-capable schemes and at run time for cyclic files.
-  std::string encode = "auto";
   // sweep / lock
   std::string bench_path;
   std::string out_path;    // lock

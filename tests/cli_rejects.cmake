@@ -1,7 +1,7 @@
 # Runs the CLI with ARGS (a space-separated string) and passes only if it
-# exits 2 and its stderr matches EXPECT. The file arguments in ARGS do not
-# exist, so an exit other than 2 also means the CLI read files before it
-# checked its flags.
+# exits 2 and its stderr matches EXPECT. The file and socket arguments in
+# ARGS do not exist, so an exit other than 2 also means the CLI read files
+# or connected before it checked its flags.
 #
 #   cmake -DCLI=<cli> -DARGS="attack a.bench b.bench --bogus-flag 7"
 #         -DEXPECT="<regex>" -P cli_rejects.cmake

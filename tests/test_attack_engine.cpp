@@ -16,7 +16,6 @@
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
 #include "attacks/sat_attack.h"
-#include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "netlist/profiles.h"
@@ -57,7 +56,9 @@ std::vector<std::pair<std::string, AttackResult>> run_exact_attacks(
 
 TEST(AttackEngine, AllAttacksRecoverVerifiedKeys) {
   // Differential check: the same lock falls to every engine-backed attack,
-  // and every recovered key passes the SAT-based unlock verifier.
+  // and every recovered key passes the SAT-based unlock verifier. The lock
+  // is acyclic, so every attack runs the key-cone encoding behind the
+  // base-miter preprocessor (the engine's one rule).
   const Netlist original = netlist::make_circuit("c432", 41);
   const LockedCircuit locked =
       core::full_lock(original, core::FullLockConfig::with_plrs({4}));
@@ -71,6 +72,8 @@ TEST(AttackEngine, AllAttacksRecoverVerifiedKeys) {
                                      1, /*sat=*/true))
         << name;
     EXPECT_EQ(result.key.size(), locked.key_bits()) << name;
+    EXPECT_TRUE(result.cone_encoding) << name;
+    EXPECT_TRUE(result.preprocess.ran) << name;
     // The engine's uniform per-iteration accounting holds for every attack.
     EXPECT_GT(result.mean_clause_var_ratio, 1.0) << name;
     if (result.iterations > 0) {
@@ -209,76 +212,6 @@ TEST(AttackEngine, TraceCellStampedAndAttackLabeled) {
   }
   EXPECT_EQ(two_dip_records, result.iterations);
   EXPECT_EQ(mop_up_records, result.fallback_iterations);
-}
-
-TEST(AttackEngine, EncodeModesAndPreprocessingRecoverEquivalentKeys) {
-  // The perf machinery must not change what any attack computes: every
-  // combination of encoding shape (full re-encode vs key-cone) and CNF
-  // preprocessing (on/off) succeeds and recovers a verified key, for every
-  // engine-backed attack.
-  const Netlist original = netlist::make_circuit("c432", 47);
-  const LockedCircuit locked =
-      core::full_lock(original, core::FullLockConfig::with_plrs({4}));
-  const Oracle oracle(original);
-  struct Config {
-    EncodeMode mode;
-    bool preprocess;
-  };
-  const Config configs[] = {{EncodeMode::kFull, false},
-                            {EncodeMode::kCone, false},
-                            {EncodeMode::kFull, true},
-                            {EncodeMode::kCone, true}};
-  for (const Config& config : configs) {
-    AttackOptions options;
-    options.timeout_s = 60.0;
-    options.encode_mode = config.mode;
-    options.preprocess = config.preprocess;
-    for (const auto& [name, result] :
-         run_exact_attacks(options, locked, oracle)) {
-      const std::string label = name + " mode=" + to_string(config.mode) +
-                                " preprocess=" +
-                                (config.preprocess ? "on" : "off");
-      ASSERT_EQ(result.status, AttackStatus::kSuccess) << label;
-      EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key,
-                                       16, 1, /*sat=*/true))
-          << label;
-      EXPECT_GT(result.iterations, 0u) << label;
-      EXPECT_EQ(result.preprocess.ran, config.preprocess) << label;
-    }
-  }
-}
-
-TEST(AttackEngine, EncodeModesEnumerateConsistentDipCounts) {
-  // Lockstep sanity on the DIP loop itself: with a deterministic solver,
-  // the cone and full encodings of the *same* lock both converge, and each
-  // DIP either encoding learns is consistent with the other's final key
-  // (both keys unlock, so both CNFs ended with equivalent key spaces).
-  const Netlist original = netlist::make_circuit("c880", 48);
-  const LockedCircuit locked =
-      core::full_lock(original, core::FullLockConfig::with_plrs({4, 4}));
-  const Oracle oracle(original);
-
-  AttackOptions full_options;
-  full_options.timeout_s = 120.0;
-  full_options.encode_mode = EncodeMode::kFull;
-  full_options.preprocess = false;
-  const AttackResult full = SatAttack(full_options).run(locked, oracle);
-
-  AttackOptions cone_options;
-  cone_options.timeout_s = 120.0;
-  cone_options.encode_mode = EncodeMode::kCone;
-  const AttackResult cone = SatAttack(cone_options).run(locked, oracle);
-
-  ASSERT_EQ(full.status, AttackStatus::kSuccess);
-  ASSERT_EQ(cone.status, AttackStatus::kSuccess);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, full.key, 16, 1,
-                                   /*sat=*/true));
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, cone.key, 16, 1,
-                                   /*sat=*/true));
-  // Equivalent constraint encodings: the recovered keys make the locked
-  // circuit the same function, so they unlock each other's view.
-  EXPECT_TRUE(cnf::check_equivalence(locked.netlist, full.key, locked.netlist,
-                                     cone.key));
 }
 
 TEST(AttackEngine, BudgetGuardMapsEachBudgetToItsStatus) {

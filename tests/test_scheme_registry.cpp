@@ -109,26 +109,6 @@ TEST(SchemeRegistry, CapabilityFlags) {
   EXPECT_TRUE(lock::find_scheme("cross-lock")->caps().has_routing_blocks);
 }
 
-TEST(SchemeRegistry, ValidateEncodeOptionGatesConeOnCyclicCapableSchemes) {
-  // cone + a scheme that may emit cycles under these params: rejected.
-  EXPECT_THROW(lock::validate_encode_option(
-                   "cone", "full-lock", lock::make_options(1, {}, "cycle=force")),
-               std::invalid_argument);
-  // cone + acyclic-by-construction configurations: fine.
-  EXPECT_NO_THROW(
-      lock::validate_encode_option("cone", "full-lock", lock::make_options(1)));
-  EXPECT_NO_THROW(
-      lock::validate_encode_option("cone", "rll", lock::make_options(1)));
-  // Unknown scheme (e.g. provenance "file"): passes, the netlist decides.
-  EXPECT_NO_THROW(
-      lock::validate_encode_option("cone", "file", lock::make_options(1)));
-  // Other encode modes never gate here.
-  EXPECT_NO_THROW(lock::validate_encode_option(
-      "auto", "full-lock", lock::make_options(1, {}, "cycle=force")));
-  EXPECT_NO_THROW(lock::validate_encode_option(
-      "full", "full-lock", lock::make_options(1, {}, "cycle=force")));
-}
-
 TEST(SchemeRegistry, AttackHelpers) {
   EXPECT_EQ(lock::resolve_attack("auto", /*cyclic=*/false), "sat");
   EXPECT_EQ(lock::resolve_attack("auto", /*cyclic=*/true), "cycsat");

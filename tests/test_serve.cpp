@@ -49,7 +49,6 @@ JobSpec sweep_spec() {
   spec.resume = true;
   spec.scheme = "interlock";
   spec.scheme_params = "fold=1,negate=0.5";
-  spec.encode = "full";
   return spec;
 }
 
@@ -73,7 +72,6 @@ TEST(ServeProtocol, SubmitRoundTripsEveryField) {
   EXPECT_TRUE(got.resume);
   EXPECT_EQ(got.scheme, "interlock");
   EXPECT_EQ(got.scheme_params, "fold=1,negate=0.5");
-  EXPECT_EQ(got.encode, "full");
 }
 
 TEST(ServeProtocol, ControlOpsRoundTrip) {
@@ -164,18 +162,14 @@ TEST(ServeProtocol, SchemeFieldsValidatedAtAdmission) {
   sweep.attack = "nonesuch";
   EXPECT_THROW(validate_spec(sweep), ProtocolError);
   sweep.attack = "auto";
-  sweep.encode = "sideways";
-  EXPECT_THROW(validate_spec(sweep), ProtocolError);
-  // cone + a scheme configured to force cycles: rejected at admission.
-  sweep.encode = "cone";
+  // A scheme configured to force cycles is admitted: each cell's attack
+  // follows its locked netlist (CycSAT, full-circuit encoding).
   sweep.scheme = "full-lock";
   sweep.scheme_params = "cycle=force";
-  EXPECT_THROW(validate_spec(sweep), ProtocolError);
-  sweep.scheme_params = "";
   EXPECT_NO_THROW(validate_spec(sweep));
 
   // Attack jobs don't resolve scheme fields at admission (the scheme comes
-  // from the locked file's provenance), but encode is still checked.
+  // from the locked file's provenance), but the attack name is checked.
   JobSpec attack;
   attack.kind = JobKind::kAttack;
   attack.locked_path = "l.bench";
@@ -184,7 +178,7 @@ TEST(ServeProtocol, SchemeFieldsValidatedAtAdmission) {
   EXPECT_NO_THROW(validate_spec(attack));
   attack.attack = "fall";
   EXPECT_NO_THROW(validate_spec(attack));
-  attack.encode = "sideways";
+  attack.attack = "nonesuch";
   EXPECT_THROW(validate_spec(attack), ProtocolError);
 }
 
@@ -227,6 +221,33 @@ TEST(ServeJournal, AcceptedWithoutTerminalIsPending) {
   // are detached — the submitting client is gone after a daemon restart.
   EXPECT_TRUE(spec.resume);
   EXPECT_TRUE(spec.detach);
+}
+
+TEST(ServeJournal, ReplaysJobsJournaledWithTheRemovedEncodeField) {
+  // sweep_spec()'s "accepted" record exactly as a daemon that still had the
+  // `encode` spec field wrote it. An upgraded daemon must replay the job,
+  // ignoring that field and keeping every other one.
+  const std::string path = temp_path("fl_journal_encode.jsonl");
+  {
+    std::ofstream out(path);
+    out << "{\"record\":\"serve_job\",\"event\":\"accepted\",\"id\":5,"
+           "\"kind\":\"sweep\",\"priority\":7,\"timeout_s\":12.5,"
+           "\"retries\":2,\"memory_limit_mb\":512,\"detach\":false,"
+           "\"trace\":true,\"attack\":\"auto\",\"attack_timeout_s\":60,"
+           "\"encode\":\"full\",\"scheme\":\"interlock\","
+           "\"scheme_params\":\"fold=1,negate=0.5\",\"bench_path\":"
+           "\"c.bench\",\"jsonl_path\":\"out.jsonl\",\"sizes\":[4,8],"
+           "\"replicas\":3,\"seed\":99,\"resume\":true}\n";
+  }
+  const auto replay = JobJournal::replay(path);
+  EXPECT_EQ(replay.max_id, 5u);
+  ASSERT_EQ(replay.pending.size(), 1u);
+  EXPECT_EQ(replay.pending[0].first, 5u);
+  const JobSpec& spec = replay.pending[0].second;
+  EXPECT_NO_THROW(validate_spec(spec));
+  JobSpec expected = sweep_spec();
+  expected.detach = true;  // replay detaches every pending job
+  EXPECT_EQ(submit_line(spec), submit_line(expected));  // every field
 }
 
 TEST(ServeJournal, TornLastLineIsSkippedNotFatal) {
@@ -665,18 +686,26 @@ ServeArgs parse_args(std::vector<std::string> args) {
 }
 
 TEST(ServeArgsParse, ParsesEveryKnob) {
-  const ServeArgs args =
-      parse_args({"/tmp/fl.sock", "--state", "/tmp/fl.journal", "--workers",
-                  "4", "--max-queue", "32", "--job-timeout", "90",
-                  "--retries", "2", "--backoff", "0.5", "--stall-grace", "5"});
-  EXPECT_EQ(args.socket_path, "/tmp/fl.sock");
-  EXPECT_EQ(args.journal_path, "/tmp/fl.journal");
-  EXPECT_EQ(args.workers, 4);
-  EXPECT_EQ(args.max_queue, 32u);
-  EXPECT_DOUBLE_EQ(args.job_timeout_s, 90.0);
-  EXPECT_EQ(args.retries, 2);
-  EXPECT_DOUBLE_EQ(args.backoff_s, 0.5);
-  EXPECT_DOUBLE_EQ(args.stall_grace_s, 5.0);
+  // Both spellings of a value flag: "--flag VALUE" and "--flag=VALUE".
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"/tmp/fl.sock", "--state", "/tmp/fl.journal",
+                                 "--workers", "4", "--max-queue", "32",
+                                 "--job-timeout", "90", "--retries", "2",
+                                 "--backoff", "0.5", "--stall-grace", "5"},
+        std::vector<std::string>{"/tmp/fl.sock", "--state=/tmp/fl.journal",
+                                 "--workers=4", "--max-queue=32",
+                                 "--job-timeout=90", "--retries=2",
+                                 "--backoff=0.5", "--stall-grace=5"}}) {
+    const ServeArgs args = parse_args(flags);
+    EXPECT_EQ(args.socket_path, "/tmp/fl.sock");
+    EXPECT_EQ(args.journal_path, "/tmp/fl.journal");
+    EXPECT_EQ(args.workers, 4);
+    EXPECT_EQ(args.max_queue, 32u);
+    EXPECT_DOUBLE_EQ(args.job_timeout_s, 90.0);
+    EXPECT_EQ(args.retries, 2);
+    EXPECT_DOUBLE_EQ(args.backoff_s, 0.5);
+    EXPECT_DOUBLE_EQ(args.stall_grace_s, 5.0);
+  }
 }
 
 TEST(ServeArgsParse, RejectsJunkStrictly) {

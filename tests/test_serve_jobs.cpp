@@ -1,14 +1,19 @@
 // End-to-end through the serve daemon's production job runners (below the
 // socket/scheduler): a lock job writes scheme provenance the attack job
-// recovers, the FALL runner defeats SFLL-HD from files alone, and sweep
-// records carry the scheme axis.
+// recovers, the FALL runner defeats SFLL-HD from files alone, an attack
+// job's trace events are the --trace file's records, and sweep records
+// carry the scheme axis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "attacks/registry.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
@@ -83,6 +88,52 @@ TEST(ServeJobs, LockThenAttackKeepsSchemeProvenance) {
   for (const char c : *key) key_bits.push_back(c == '1');
   EXPECT_TRUE(core::verify_unlocks(original, reloaded.netlist, key_bits, 16, 1,
                                    /*also_sat_check=*/true));
+}
+
+// JSONL records with every wall-clock (`_s`) value masked: what two runs of
+// one deterministic attack must agree on, field for field.
+std::string mask_seconds(const std::string& records) {
+  static const std::regex seconds(R"re(("[a-z_]+_s":)[^,}]+)re");
+  return std::regex_replace(records, seconds, "$1_");
+}
+
+TEST(ServeJobs, AttackTraceEventsAreTheTraceFileRecords) {
+  // A traced attack job streams one "trace" event per DIP iteration, each
+  // the record `attack --trace` writes for that iteration.
+  const netlist::Netlist original = netlist::make_circuit("c432", 1);
+  JobSpec attack;
+  attack.kind = JobKind::kAttack;
+  attack.locked_path = temp_path("jobs_trace_locked.bench");
+  attack.oracle_path = temp_path("jobs_trace_c432.bench");
+  attack.attack = "sat";
+  attack.trace = true;
+  netlist::write_bench_file(original, attack.oracle_path);
+  lock::write_locked_circuit(
+      lock::lock_with("sarlock", original, lock::make_options(3, {}, "keys=6")),
+      attack.locked_path);
+  std::vector<std::string> events;
+  const std::string fields = run_job(attack, &events);
+  std::string streamed;
+  for (const std::string& event : events) {
+    if (event.starts_with("trace ")) streamed += event.substr(6) + "\n";
+  }
+
+  std::ostringstream file;
+  attacks::JsonlTraceSink sink(file);
+  attacks::AttackOptions options;
+  options.trace = &sink;
+  const attacks::AttackResult result =
+      attacks::run("sat", lock::read_locked_circuit(attack.locked_path),
+                   attacks::Oracle(original), options)
+          .result;
+  ASSERT_GT(result.iterations, 0u);
+  EXPECT_NE(fields.find("\"iterations\":" +
+                        std::to_string(result.iterations) + ","),
+            std::string::npos)
+      << fields;
+  EXPECT_EQ(std::count(streamed.begin(), streamed.end(), '\n'),
+            static_cast<std::ptrdiff_t>(result.iterations));
+  EXPECT_EQ(mask_seconds(streamed), mask_seconds(file.str()));
 }
 
 TEST(ServeJobs, SweepRecordsCarryTheSchemeAxis) {
