@@ -1,0 +1,256 @@
+#!/usr/bin/env python3
+"""A/B comparison of two revisions on keybench, in alternating pairs.
+
+Usage (from anywhere inside the repository):
+
+    python3 bench/ab_keybench.py --base REV --change REV|. \\
+        --workload cln,iscas --seed N --pairs K [--workdir DIR]
+    python3 bench/ab_keybench.py --self-test
+
+Each side is extracted with `git archive REV | tar -x` into the work
+directory (`.` means the working tree, uncommitted edits included); the
+repository's .git is only read. Each side runs its own keybench/run.py
+with its own CARGO_TARGET_DIR, for BENCHMARK.json's run_seconds, and
+builds there on its first run. Within each pair the side that runs first
+alternates.
+
+For every workload and end-to-end metric of BENCHMARK.json it prints both
+medians with their quartiles, the change's wins and ties over the pairs,
+the ratio of the medians and a verdict, judged against the metric's
+`better` and `bound`:
+
+    gain        the change wins at least 9 of 10 pairs and its median is
+                better than the base's by more than the base's IQR
+    worse       the change's median is worse than the base's by more than
+                the bound (relative)
+    unresolved  the base's IQR is wider than the bound (relative)
+    level       anything else
+
+Exits 1 if a run gives no result, a run reports `correct: false`, or the
+change fails more attacks than the base on some workload. Without
+--workdir the extracted trees and builds go to a temporary directory that
+is removed at exit; with it they are kept and reused by later calls.
+"""
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def quartiles(values):
+    """(q1, median, q3) of a sample; q1 = q3 = the value for one sample."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def relative(delta, reference):
+    if reference != 0:
+        return delta / abs(reference)
+    return 0.0 if delta == 0 else float("inf")
+
+
+def judge(base, change, better, bound):
+    """Compares paired samples of one metric (base[i] ran with change[i]).
+
+    Returns a dict with both quartile triples, the change's wins and ties,
+    the ratio of the medians and the verdict."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(1 for b, c in zip(base, change) if sign * (c - b) < 0)
+    ties = sum(1 for b, c in zip(base, change) if c == b)
+    bq, cq = quartiles(base), quartiles(change)
+    base_iqr = bq[2] - bq[0]
+    gap = sign * (bq[1] - cq[1])  # > 0: the change's median is better
+    if wins * 10 >= 9 * len(base) and gap > base_iqr:
+        verdict = "gain"
+    elif relative(-gap, bq[1]) > bound:
+        verdict = "worse"
+    elif relative(base_iqr, bq[1]) > bound:
+        verdict = "unresolved"
+    else:
+        verdict = "level"
+    ratio = cq[1] / bq[1] if bq[1] != 0 else float("nan")
+    return {"base": bq, "change": cq, "wins": wins, "ties": ties,
+            "ratio": ratio, "verdict": verdict}
+
+
+def self_test():
+    cases = [
+        # (base, change, better, bound, verdict)
+        ([4.0, 4.2, 4.4, 4.1, 4.3, 4.0, 4.2, 4.4, 4.1, 4.3],
+         [2.2, 2.3, 2.1, 2.2, 2.4, 2.2, 2.3, 2.1, 2.2, 2.4],
+         "lower", 0.25, "gain"),
+        # 8 wins of 10 is not a gain, however large the gap.
+        ([4.0] * 10, [2.0] * 8 + [4.5, 4.5], "lower", 0.25, "level"),
+        # A gap inside the base's IQR is not a gain.
+        ([3.0, 5.0, 3.0, 5.0, 4.0, 3.2, 4.8, 3.1, 4.9, 4.0],
+         [2.9, 4.9, 2.9, 4.9, 3.9, 3.1, 4.7, 3.0, 4.8, 3.9],
+         "lower", 0.9, "level"),
+        ([4.0, 4.1, 4.0, 4.1], [5.5, 5.6, 5.5, 5.6], "lower", 0.25, "worse"),
+        ([1.0, 1.0, 1.0], [0.9, 0.9, 0.9], "higher", 0.05, "worse"),
+        ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "higher", 0.05, "level"),
+        ([2.0, 6.0, 2.0, 6.0], [2.0, 6.0, 6.0, 2.0], "lower", 0.25,
+         "unresolved"),
+        ([86, 86, 86], [82, 82, 82], "lower", 0.2, "gain"),
+        ([0, 0, 0], [0, 0, 0], "lower", 0.2, "level"),
+    ]
+    failed = 0
+    for base, change, better, bound, want in cases:
+        got = judge(base, change, better, bound)["verdict"]
+        if got != want:
+            failed += 1
+            print("FAIL %s/%s bound %.2f: want %s, got %s\n  base %s\n"
+                  "  change %s" % (better, want, bound, want, got, base,
+                                   change))
+    r = judge([3.0, 1.0, 2.0], [1.0, 2.0, 2.0], "lower", 1.0)
+    if (r["wins"], r["ties"], r["base"][1], r["change"][1]) != (1, 1, 2.0,
+                                                               2.0):
+        failed += 1
+        print("FAIL wins/ties/medians: %s" % r)
+    print("self-test: %d of %d checks passed" %
+          (len(cases) + 1 - failed, len(cases) + 1))
+    return 1 if failed else 0
+
+
+def resolve(rev):
+    """The commit `rev` names (`.` stays `.`)."""
+    if rev == ".":
+        return rev
+    r = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                        rev + "^{commit}"], capture_output=True, text=True)
+    if r.returncode != 0:
+        raise SystemExit("ab_keybench: unknown revision %s" % rev)
+    return r.stdout.strip()
+
+
+def extract(rev, dest):
+    """The tree of commit `rev` under dest (`.`: the working tree itself);
+    an earlier extraction into dest is reused."""
+    if rev == ".":
+        return ROOT
+    if not os.path.isdir(dest):
+        os.makedirs(dest)
+        archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev],
+                                   stdout=subprocess.PIPE)
+        untar = subprocess.run(["tar", "-x", "-C", dest],
+                               stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() != 0 or untar.returncode != 0:
+            shutil.rmtree(dest, ignore_errors=True)
+            raise SystemExit("ab_keybench: cannot extract %s" % rev)
+    return dest
+
+
+def run_keybench(tree, target, workload, seed, seconds):
+    """One keybench run; its final JSON object, or None."""
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tree, "keybench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def fmt(v):
+    return "%.4g" % v
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base")
+    ap.add_argument("--change")
+    ap.add_argument("--workload", default="cln,iscas")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workdir")
+    ap.add_argument("--self-test", action="store_true")
+    args = ap.parse_args()
+    if args.self_test:
+        return self_test()
+    if not args.base or not args.change or args.pairs < 1:
+        ap.error("--base, --change and --pairs >= 1 are required")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    metrics = spec["end_to_end"]
+    workloads = [w for w in args.workload.split(",") if w]
+
+    workdir = args.workdir or tempfile.mkdtemp(prefix="ab_keybench.")
+    os.makedirs(workdir, exist_ok=True)
+    status = 0
+    try:
+        sides = {}
+        for side, rev in (("base", args.base), ("change", args.change)):
+            commit = resolve(rev)
+            name = "worktree" if commit == "." else commit[:12]
+            sides[side] = (extract(commit,
+                                   os.path.join(workdir, "tree-" + name)),
+                           os.path.join(workdir, "target-" + name))
+        for workload in workloads:
+            samples = {"base": [], "change": []}
+            failed = {"base": 0, "change": 0}
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else \
+                        ("change", "base")
+                for side in order:
+                    tree, target = sides[side]
+                    result = run_keybench(tree, target, workload, args.seed,
+                                          spec["run_seconds"])
+                    if result is None:
+                        print("%s %s pair %d: no result" %
+                              (workload, side, pair + 1))
+                        return 1
+                    if not result["correct"]:
+                        print("%s %s pair %d: correct: false" %
+                              (workload, side, pair + 1))
+                        status = 1
+                    failed[side] += result["failed"]
+                    samples[side].append(
+                        {m: v["value"] for m, v in result["metrics"].items()})
+                    print("  %s seed %d pair %d %-6s time_to_key_s %s" %
+                          (workload, args.seed, pair + 1, side,
+                           fmt(samples[side][-1]["time_to_key_s"])),
+                          flush=True)
+            print("== %s seed %d: %d pairs, base %s, change %s ==" %
+                  (workload, args.seed, args.pairs, args.base, args.change))
+            print("%-16s %-32s %-32s %5s %4s %6s  %s" %
+                  ("metric", "base median [q1, q3]", "change median [q1, q3]",
+                   "wins", "ties", "ratio", "verdict"))
+            for m in metrics:
+                base = [s[m["name"]] for s in samples["base"]]
+                change = [s[m["name"]] for s in samples["change"]]
+                r = judge(base, change, m["better"], m["bound"])
+                b, c = r["base"], r["change"]
+                print("%-16s %-32s %-32s %2d/%-2d %4d %6.3f  %s" %
+                      (m["name"],
+                       "%s [%s, %s]" % (fmt(b[1]), fmt(b[0]), fmt(b[2])),
+                       "%s [%s, %s]" % (fmt(c[1]), fmt(c[0]), fmt(c[2])),
+                       r["wins"], args.pairs, r["ties"], r["ratio"],
+                       r["verdict"]))
+            print("failed attacks: base %d, change %d" %
+                  (failed["base"], failed["change"]), flush=True)
+            if failed["change"] > failed["base"]:
+                status = 1
+    finally:
+        if not args.workdir:
+            shutil.rmtree(workdir, ignore_errors=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

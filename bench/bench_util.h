@@ -54,6 +54,7 @@ inline void append_attack_fields(runtime::JsonObject& o,
       .field("iterations", r.iterations)
       .field("mean_clause_var_ratio", r.mean_clause_var_ratio)
       .field("oracle_queries", r.oracle_queries)
+      .field("key_confirmed", r.key_confirmed)
       .field("banned_keys", r.banned_keys)
       .field("decisions", r.solver_stats.decisions)
       .field("propagations", r.solver_stats.propagations)

@@ -111,6 +111,7 @@ class DoubleDipPolicy final : public DipPolicy {
     mop_up_ = SatAttack(rest).run(locked_, oracle_);
     result.status = mop_up_->status;
     result.key = mop_up_->key;
+    result.key_confirmed = mop_up_->key_confirmed;
     result.banned_keys += mop_up_->banned_keys;
     return LoopAction::kDone;
   }

@@ -96,6 +96,7 @@ MiterContext::Encoder MiterContext::double_key() {
     Parts parts;
     parts.inputs = miter.inputs;
     parts.key_copies = {miter.key1, miter.key2};
+    parts.outputs = {miter.outputs1, miter.outputs2};
     parts.activate = miter.activate;
     parts.trivially_equal = miter.trivially_equal;
     return parts;
@@ -122,6 +123,17 @@ MiterContext::MiterContext(const core::LockedCircuit& locked,
   parts_ = encoder(net, pre_, cone_.get());
   encode_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
   freeze_interface();
+  if (parts_.outputs.size() >= 2) {
+    const std::vector<cnf::NetLit>& out0 = parts_.outputs[0];
+    const std::vector<cnf::NetLit>& out1 = parts_.outputs[1];
+    for (std::size_t p = 0; p < out0.size(); ++p) {
+      if (out0[p].kind != out1[p].kind ||
+          (!out0[p].is_const() && out0[p].lit != out1[p].lit)) {
+        key_dependent_ports_.push_back(p);
+      }
+    }
+  }
+  set_candidate(std::nullopt);
 }
 
 void MiterContext::freeze_interface() {
@@ -243,6 +255,60 @@ void MiterContext::ban_key(std::span<const sat::Var> key_vars,
   pre_.add_clause(std::move(ban));
 }
 
+void MiterContext::set_candidate(std::optional<std::vector<bool>> key) {
+  if (key.has_value() && key->size() != key_copy(0).size()) {
+    throw std::invalid_argument(
+        "MiterContext::set_candidate: key size mismatch");
+  }
+  candidate_ = std::move(key);
+  assumptions_.assign(1, parts_.activate);
+  if (candidate_.has_value()) {
+    const std::span<const sat::Var> keys = key_copy(0);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      assumptions_.push_back(sat::Lit(keys[i], !(*candidate_)[i]));
+    }
+  }
+}
+
+void MiterContext::update_candidate(const std::vector<bool>& response) {
+  if (parts_.outputs.size() < 2) {
+    throw std::logic_error(
+        "MiterContext::update_candidate: the encoder exposed no outputs");
+  }
+  const auto reproduces = [&](std::size_t copy) {
+    for (const std::size_t p : key_dependent_ports_) {
+      const cnf::NetLit o = parts_.outputs[copy][p];
+      const bool value = o.is_const()
+                             ? o.const_value()
+                             : pre_.value_of(o.lit.var()) != o.lit.negated();
+      if (value != response[p]) return false;
+    }
+    return true;
+  };
+  if (reproduces(0)) {
+    // With a candidate set, copy 0 carries it: nothing changes.
+    if (!candidate_.has_value()) set_candidate(extract_key(key_copy(0)));
+  } else if (reproduces(1)) {
+    set_candidate(extract_key(key_copy(1)));
+  } else {
+    set_candidate(std::nullopt);
+  }
+}
+
+sat::LBool MiterContext::check_candidate(const BudgetGuard& budget) {
+  if (!candidate_.has_value()) {
+    throw std::logic_error("MiterContext::check_candidate: no candidate");
+  }
+  std::vector<sat::Lit> fixed;
+  for (const std::vector<sat::Var>& keys : parts_.key_copies) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      fixed.push_back(sat::Lit(keys[i], !(*candidate_)[i]));
+    }
+  }
+  budget.arm(pre_);
+  return pre_.solve(fixed);
+}
+
 LoopAction DipPolicy::after_iteration(MiterContext&, const BudgetGuard&,
                                       AttackResult&) {
   return LoopAction::kContinue;
@@ -283,8 +349,9 @@ AttackResult DipLoop::run(MiterContext& ctx, DipPolicy& policy) {
 
   // Wall time spent inside completed DIP iterations (DIP solve + policy's
   // oracle query + constraint encoding); the divisor for
-  // mean_iteration_seconds. Miter encoding (before this loop) and the final
-  // key extraction are excluded.
+  // mean_iteration_seconds. Miter encoding (before this loop), the loop's
+  // last (UNSAT) solve and the guard or key-extraction solve after it are
+  // excluded.
   double dip_loop_seconds = 0.0;
 
   const auto finish = [&]() -> AttackResult& {
@@ -319,7 +386,6 @@ AttackResult DipLoop::run(MiterContext& ctx, DipPolicy& policy) {
     return finish();
   }
 
-  const sat::Lit activate[] = {ctx.activate()};
   while (true) {
     if (options_.max_iterations != 0 &&
         result.iterations >= options_.max_iterations) {
@@ -335,16 +401,37 @@ AttackResult DipLoop::run(MiterContext& ctx, DipPolicy& policy) {
     const double ratio = ctx.last_ratio();
     const sat::CounterSnapshot before = solver.counters();
     const auto solve_start = Clock::now();
-    const sat::LBool dip_found = solver.solve(activate);
+    const sat::LBool dip_found = solver.solve(ctx.dip_assumptions());
     const double solve_s =
         std::chrono::duration<double>(Clock::now() - solve_start).count();
     if (dip_found == sat::LBool::kUndef) {
       result.status = budget_.undef_status(solver);
       return finish();
     }
+    if (dip_found == sat::LBool::kFalse && ctx.candidate().has_value()) {
+      // No key consistent with the DIPs disagrees with the candidate on any
+      // input. That proves the candidate once the guard shows it is itself
+      // consistent with the DIPs; the guard takes the extraction solve's
+      // place.
+      const sat::LBool consistent = ctx.check_candidate(budget_);
+      if (consistent == sat::LBool::kUndef) {
+        result.status = budget_.undef_status(solver);
+        return finish();
+      }
+      if (consistent == sat::LBool::kTrue) {
+        result.key = *ctx.candidate();
+        result.key_confirmed = true;
+        result.status = AttackStatus::kSuccess;
+        return finish();
+      }
+      // Unreachable unless the candidate bookkeeping is wrong: go on with
+      // the free miter.
+      ctx.set_candidate(std::nullopt);
+      continue;
+    }
     if (dip_found == sat::LBool::kFalse) {
       if (policy.on_no_dip(ctx, budget_, result) == LoopAction::kRetry) {
-        continue;  // e.g. a stateful key candidate was banned
+        continue;  // e.g. a stateful extracted key was banned
       }
       return finish();
     }

@@ -3,7 +3,10 @@
 // Every oracle-guided attack in this repo (SAT attack, CycSAT, AppSAT,
 // Double-DIP) is the same loop: encode a key-differential miter, repeatedly
 // solve for a discriminating input pattern (DIP), query the activated-chip
-// oracle, constrain the key space, and finally extract a surviving key.
+// oracle, constrain the key space, and finally end on a key that no
+// remaining DIP can tell apart from the oracle — either a candidate key the
+// last solve proved (key confirmation) or one extracted from the surviving
+// key space.
 // What differs between the attacks is *policy* — which miter is encoded,
 // what happens per DIP, and how the endgame runs — not the loop itself.
 // This layer owns the loop:
@@ -11,7 +14,8 @@
 //   MiterContext   owns the incremental solver and the encoded miter
 //                  (inputs, key copies, activation literal), the per-solve
 //                  clauses/variables ratio sampling (Fig. 7's metric), DIP
-//                  constraint encoding and key extraction.
+//                  constraint encoding, the candidate key under
+//                  confirmation and key extraction.
 //   BudgetGuard    every attack budget in one place: wall-clock timeout,
 //                  cooperative interrupt, solver memory budget — and the
 //                  single mapping from an exhausted budget to AttackStatus,
@@ -19,11 +23,20 @@
 //                  thing for every attack.
 //   DipLoop        the driver: enforces the budgets, counts and times
 //                  iterations uniformly (mean_iteration_seconds,
-//                  mean_clause_var_ratio), and calls back into a DipPolicy
-//                  at the three points where attacks differ.
+//                  mean_clause_var_ratio), confirms a candidate key when
+//                  the solve under it finds no DIP, and calls back into a
+//                  DipPolicy at the three points where attacks differ.
 //   DipPolicy      per-attack behavior: on_dip (oracle query + key-space
-//                  pruning), after_iteration (AppSAT's settlement checks),
-//                  on_no_dip (key extraction / mop-up).
+//                  pruning, and the candidate update for policies that
+//                  confirm keys), after_iteration (AppSAT's settlement
+//                  checks), on_no_dip (key extraction / mop-up when no
+//                  candidate was confirmed).
+//
+// Key confirmation (Sweeney, Heule & Pileggi, "Modeling Techniques for
+// Logic Locking"): a candidate key agrees with every DIP so far. While one
+// is set, the DIP solve fixes it on key copy 0, so a SAT answer is still an
+// ordinary DIP and an UNSAT answer proves the candidate correct — once a
+// guard solve shows the candidate satisfies every DIP constraint on its own.
 //
 // Observability: an optional IterationTraceSink receives one record per
 // counted DIP iteration (index, the DIP, the miter-solve wall time, the
@@ -57,7 +70,8 @@
 namespace fl::attacks {
 
 enum class AttackStatus : std::uint8_t {
-  kSuccess,         // UNSAT miter: extracted key is provably correct
+  kSuccess,         // UNSAT miter: the key (confirmed candidate or
+                    // extracted survivor) is provably correct
   kTimeout,         // wall-clock budget exhausted (the paper's "TO")
   kIterationLimit,  // max_iterations reached
   kKeySpaceEmpty,   // constraints became UNSAT (should not happen with a
@@ -157,8 +171,9 @@ struct AttackResult {
   std::uint64_t iterations = 0;
   double seconds = 0.0;
   // Mean wall time of one DIP-loop iteration (DIP solve + oracle query +
-  // constraint encoding). Excludes the one-off miter encoding and the final
-  // key-extraction solve, so it matches the paper's per-iteration metric.
+  // constraint encoding). Excludes the one-off miter encoding, the loop's
+  // last (UNSAT) solve and the guard or key-extraction solve after it, so it
+  // matches the paper's per-iteration metric.
   double mean_iteration_seconds = 0.0;
   // Mean clauses/variables ratio over the CNF snapshots the DIP solver
   // actually worked on (one sample per DIP-miter solve).
@@ -169,6 +184,10 @@ struct AttackResult {
   // budget / out-of-memory behind the kUndef the solver reported.
   sat::StopReason stop_reason = sat::StopReason::kNone;
   std::uint64_t oracle_queries = 0;
+  // True iff the loop ended on key confirmation: the last DIP solve, with
+  // the candidate fixed on one key copy, was UNSAT, and the guard passed.
+  // False when the key was extracted from the surviving key space.
+  bool key_confirmed = false;
   // Stateful key assignments banned after repeated DIPs (cyclic locks
   // only; BeSAT-style progress guarantee).
   std::uint64_t banned_keys = 0;
@@ -235,12 +254,16 @@ class MiterContext {
  public:
   // What an encoder must produce: the shared primary-input variables, the
   // key-variable copies that receive per-DIP I/O constraints (copies[0] is
-  // the copy the final key is extracted from), and the activation literal
-  // assumed when searching for a DIP. `trivially_equal` short-circuits the
-  // whole attack (the output does not depend on the key).
+  // the copy the final key is extracted from, and the one a candidate key
+  // is fixed on), and the activation literal assumed when searching for a
+  // DIP. `outputs` holds copies 0 and 1's output ports when the encoder
+  // exposes them (double_key() does); update_candidate() needs them.
+  // `trivially_equal` short-circuits the whole attack (the output does not
+  // depend on the key).
   struct Parts {
     std::vector<sat::Var> inputs;
     std::vector<std::vector<sat::Var>> key_copies;
+    std::vector<std::vector<cnf::NetLit>> outputs;
     sat::Lit activate = sat::kUndefLit;
     bool trivially_equal = false;
   };
@@ -270,12 +293,12 @@ class MiterContext {
   std::span<const sat::Var> key_copy(std::size_t i) const {
     return parts_.key_copies[i];
   }
-  sat::Lit activate() const { return parts_.activate; }
   bool trivially_equal() const { return parts_.trivially_equal; }
 
   // One clauses/variables sample per DIP-miter solve: exactly the CNF
-  // snapshots the solver worked on, each counted once (the final
-  // key-extraction solve reuses the last snapshot, so it adds no sample).
+  // snapshots the solver worked on, each counted once (the guard or
+  // key-extraction solve after the last one reuses its snapshot, so it adds
+  // no sample).
   void sample_ratio();
   double last_ratio() const { return last_ratio_; }
   double mean_ratio() const;
@@ -316,6 +339,32 @@ class MiterContext {
   void ban_key(std::span<const sat::Var> key_vars,
                const std::vector<bool>& key);
 
+  // Key confirmation. The literals a DIP solve assumes: `activate`, plus
+  // the candidate on key copy 0 while one is set.
+  std::span<const sat::Lit> dip_assumptions() const { return assumptions_; }
+  const std::optional<std::vector<bool>>& candidate() const {
+    return candidate_;
+  }
+  // Sets (or with nullopt clears) the candidate. Any key of the key width
+  // may be set (std::invalid_argument otherwise): the loop accepts one only
+  // through check_candidate().
+  void set_candidate(std::optional<std::vector<bool>> key);
+  // After a SAT DIP solve whose DIP the oracle answered with `response`:
+  // the candidate becomes copy 0's key if copy 0's outputs reproduce the
+  // response, else copy 1's key if copy 1's do, else none. Both keys
+  // satisfy every earlier DIP constraint, so a matching one agrees with
+  // every DIP. Reads the model (the preprocessor's extended model, so no
+  // output needs freezing) on the ports where the copies differ; call it
+  // before the DIP's constraint is added. Throws std::logic_error when the
+  // encoder exposed no outputs.
+  void update_candidate(const std::vector<bool>& response);
+  // The soundness guard: one solve with the candidate fixed on every key
+  // copy and `activate` left free, armed by `budget`. kTrue iff the
+  // candidate satisfies every constraint committed so far; only then does
+  // an UNSAT DIP solve under it prove the candidate. Throws
+  // std::logic_error without a candidate.
+  sat::LBool check_candidate(const BudgetGuard& budget);
+
  private:
   void freeze_interface();
 
@@ -330,6 +379,11 @@ class MiterContext {
   netlist::Simulator::Scratch fixed_scratch_;
   std::vector<cnf::NetLit> frontier_;  // per-DIP tap constants, GateId-indexed
   Parts parts_;
+  // Output ports where copies 0 and 1 hold different NetLits: the only
+  // ports update_candidate() compares.
+  std::vector<std::size_t> key_dependent_ports_;
+  std::optional<std::vector<bool>> candidate_;
+  std::vector<sat::Lit> assumptions_;  // dip_assumptions()
   bool finalized_ = false;
   std::size_t base_clauses_ = 0;
   std::size_t base_vars_ = 0;
@@ -364,10 +418,12 @@ class DipPolicy {
                                      const BudgetGuard& budget,
                                      AttackResult& result);
 
-  // The miter is UNSAT: no DIP remains. The default extracts a model of the
-  // surviving key space (kKeySpaceEmpty when none) and reports success;
-  // attacks override to validate candidates (SAT attack on cyclic locks) or
-  // mop up with a stronger loop (Double-DIP).
+  // The miter is UNSAT with no candidate key fixed: no DIP remains. (An
+  // UNSAT solve under a candidate ends the loop on key confirmation and
+  // never reaches this hook.) The default extracts a model of the surviving
+  // key space (kKeySpaceEmpty when none) and reports success; attacks
+  // override to validate extracted keys (SAT attack on cyclic locks) or mop
+  // up with a stronger loop (Double-DIP).
   virtual LoopAction on_no_dip(MiterContext& ctx, const BudgetGuard& budget,
                                AttackResult& result);
 };
@@ -375,7 +431,10 @@ class DipPolicy {
 // The shared DIP loop driver. Enforces every budget (max_iterations plus
 // everything BudgetGuard owns), samples the c/v ratio once per DIP solve,
 // times iterations uniformly, emits trace records, and keeps the final key
-// sized to the key width on every exit path.
+// sized to the key width on every exit path. When a DIP solve under a
+// candidate key is UNSAT, it runs the guard: on SAT the candidate is the
+// key (kSuccess, key_confirmed); on UNSAT, which means a bug, it clears the
+// candidate and goes on with the free miter.
 class DipLoop {
  public:
   // `name` labels trace records ("sat", "appsat", ...).

@@ -115,7 +115,9 @@ RunResult run(std::string_view name, const core::LockedCircuit& locked,
     throw std::invalid_argument("unknown attack '" + std::string(name) +
                                 "' (known: " + attack_names() + ")");
   }
-  return entry->run(locked, oracle, options);
+  RunResult run = entry->run(locked, oracle, options);
+  run.detail.field("key_confirmed", run.result.key_confirmed);
+  return run;
 }
 
 }  // namespace fl::attacks

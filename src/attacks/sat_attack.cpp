@@ -1,7 +1,6 @@
 #include "attacks/sat_attack.h"
 
-#include <set>
-#include <utility>
+#include <map>
 
 #include "netlist/simulator.h"
 
@@ -37,10 +36,13 @@ bool functionally_pins(const netlist::Netlist& locked,
 }
 
 // The classic single-DIP policy: one oracle query per DIP, I/O constraints
-// on both key copies. On cyclic locks the CNF can take stateful
-// (multi-valued) assignments that dodge the constraint copies (BeSAT's
-// observation), so repeated DIPs trigger key bans and extracted candidates
-// are functionally validated against the whole DIP history.
+// on both key copies. On acyclic locks each response also updates the
+// miter's candidate key, so the loop ends on key confirmation whenever a
+// candidate survives to the last solve. On cyclic locks the DIP model can
+// carry stateful (multi-valued) keys that dodge the constraint copies
+// (BeSAT's observation), so there is no candidate: repeated DIPs trigger key
+// bans and extracted keys are functionally validated against the whole DIP
+// history.
 class SingleDipPolicy final : public DipPolicy {
  public:
   SingleDipPolicy(const core::LockedCircuit& locked, const Oracle& oracle)
@@ -50,12 +52,16 @@ class SingleDipPolicy final : public DipPolicy {
   LoopAction on_dip(MiterContext& ctx, const BudgetGuard&,
                     const std::vector<bool>& pattern,
                     AttackResult& result) override {
-    if (!seen_dips_.insert(pattern).second) {
+    const auto [entry, fresh] = dips_.try_emplace(pattern);
+    if (fresh) entry->second = oracle_.query(pattern);
+    const std::vector<bool>& response = entry->second;
+    if (!fresh) {
       // A repeated DIP means the I/O constraints did not prune this key
       // pair. Ban every involved key that is not functionally pinned to the
       // oracle on this pattern; the correct key is always single-valued and
-      // oracle-consistent, so it is never banned.
-      const std::vector<bool> response = oracle_.query(pattern);
+      // oracle-consistent, so it is never banned. The response is the one
+      // stored with the DIP: the oracle is asked once per pattern.
+      //
       // Read every copy's key before the first ban: adding a clause
       // backtracks the solver to the root, and the model goes with it.
       std::vector<std::vector<bool>> keys;
@@ -79,8 +85,7 @@ class SingleDipPolicy final : public DipPolicy {
       }
       return LoopAction::kRetry;
     }
-    const std::vector<bool> response = oracle_.query(pattern);
-    dip_history_.emplace_back(pattern, response);
+    if (!cyclic_) ctx.update_candidate(response);
     // Both key copies must reproduce the oracle on this pattern.
     ctx.constrain_io(pattern, response);
     return LoopAction::kContinue;
@@ -91,10 +96,10 @@ class SingleDipPolicy final : public DipPolicy {
     const LoopAction base = DipPolicy::on_no_dip(ctx, budget, result);
     if (cyclic_ && base == LoopAction::kDone &&
         result.status == AttackStatus::kSuccess) {
-      // The CNF may still admit stateful keys: validate the candidate
+      // The CNF may still admit stateful keys: validate the extracted key
       // functionally against every observed DIP; reject-and-ban until a
       // functional key (the correct key always qualifies) survives.
-      for (const auto& [pattern, response] : dip_history_) {
+      for (const auto& [pattern, response] : dips_) {
         if (!functionally_pins(locked_.netlist, result.key, pattern,
                                response)) {
           ctx.ban_key(ctx.key_copy(0), result.key);
@@ -111,8 +116,7 @@ class SingleDipPolicy final : public DipPolicy {
   const core::LockedCircuit& locked_;
   const Oracle& oracle_;
   const bool cyclic_;
-  std::set<std::vector<bool>> seen_dips_;
-  std::vector<std::pair<std::vector<bool>, std::vector<bool>>> dip_history_;
+  std::map<std::vector<bool>, std::vector<bool>> dips_;  // DIP -> response
 };
 
 }  // namespace

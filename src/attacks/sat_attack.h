@@ -4,10 +4,12 @@
 // queries the oracle, and constrains the key space until no DIP remains;
 // any remaining key is then functionally correct.
 //
-// The miter setup, DIP loop, budget handling and key extraction live in the
-// shared engine (attacks/engine.h); this class supplies the single-DIP
-// policy: one oracle query per DIP, I/O constraints on both key copies, and
-// BeSAT-style stateful-key banning on cyclic locks. Reports the statistics
+// The miter setup, DIP loop, budget handling, key confirmation and key
+// extraction live in the shared engine (attacks/engine.h); this class
+// supplies the single-DIP policy: one oracle query per DIP pattern, I/O
+// constraints on both key copies, the candidate-key update that lets an
+// acyclic attack end on a confirmed key, and BeSAT-style stateful-key
+// banning on cyclic locks. Reports the statistics
 // the paper's evaluation tables are built from: iteration count, wall time,
 // per-iteration time, and the average clauses-to-variables ratio of the CNF
 // the solver worked on (Fig. 7).

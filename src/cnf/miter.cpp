@@ -53,6 +53,8 @@ AttackMiter encode_attack_miter(const Netlist& locked,
   miter.inputs = copy1.input_vars;
   miter.key1 = copy1.key_vars;
   miter.key2 = copy2.key_vars;
+  miter.outputs1 = copy1.outputs;
+  miter.outputs2 = copy2.outputs;
 
   const NetLit diff = encode_difference(copy1.outputs, copy2.outputs, sink);
   if (diff.is_const()) {

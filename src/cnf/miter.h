@@ -19,6 +19,11 @@ struct AttackMiter {
   std::vector<sat::Var> inputs;
   std::vector<sat::Var> key1;
   std::vector<sat::Var> key2;
+  // Each copy's output ports. In the cone shape the copies share one NetLit
+  // on every key-independent port (a const-0 placeholder outside the
+  // support), so only ports whose two NetLits differ carry the keys' effect.
+  std::vector<NetLit> outputs1;
+  std::vector<NetLit> outputs2;
   sat::Lit activate;       // assume this to search for a DIP
   bool trivially_equal = false;  // outputs identical for all keys (no DIP)
 };

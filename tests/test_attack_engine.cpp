@@ -18,6 +18,7 @@
 #include "attacks/sat_attack.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
+#include "locking/scheme.h"
 #include "netlist/profiles.h"
 #include "runtime/jsonl.h"
 
@@ -234,6 +235,96 @@ TEST(AttackEngine, BudgetGuardMapsEachBudgetToItsStatus) {
   EXPECT_EQ(*stopped.exhausted(), AttackStatus::kInterrupted);
 }
 
+// Key confirmation's soundness guard, on one committed DIP of a SARLock
+// lock: every SARLock DIP flips exactly one copy's output, so one copy's key
+// reproduces the oracle (the candidate) and the other's is refuted by it.
+TEST(KeyConfirmation, GuardRejectsAKeyThatViolatesACommittedDip) {
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const LockedCircuit locked = lock::lock_with(
+      "sarlock", original, lock::make_options(2, {}, "keys=6"));
+  const Oracle oracle(original);
+  const AttackOptions options;
+  const BudgetGuard budget(options);
+  MiterContext ctx(locked, MiterContext::double_key(), options);
+  ctx.finalize_encoding();
+  ASSERT_FALSE(ctx.candidate().has_value());
+  EXPECT_THROW(ctx.check_candidate(budget), std::logic_error);
+  EXPECT_THROW(ctx.set_candidate(std::vector<bool>(3)), std::invalid_argument);
+  ASSERT_EQ(ctx.solver().solve(ctx.dip_assumptions()), sat::LBool::kTrue);
+  const std::vector<bool> pattern = ctx.extract_pattern();
+  const std::vector<bool> key0 = ctx.extract_key(ctx.key_copy(0));
+  const std::vector<bool> key1 = ctx.extract_key(ctx.key_copy(1));
+  const std::vector<bool> response = oracle.query(pattern);
+  ctx.update_candidate(response);
+  ASSERT_TRUE(ctx.candidate().has_value());
+  const std::vector<bool> consistent = *ctx.candidate();
+  ASSERT_TRUE(consistent == key0 || consistent == key1);
+  const std::vector<bool> refuted = consistent == key0 ? key1 : key0;
+  ASSERT_NE(refuted, consistent);
+
+  // Before the DIP is committed nothing refutes either key.
+  ctx.set_candidate(refuted);
+  EXPECT_EQ(ctx.check_candidate(budget), sat::LBool::kTrue);
+
+  ctx.constrain_io(pattern, response);
+  ctx.set_candidate(refuted);
+  EXPECT_EQ(ctx.check_candidate(budget), sat::LBool::kFalse);
+  // The refuted key on copy 0 contradicts the committed constraint, so the
+  // DIP solve under it is UNSAT at once: exactly the answer the guard stops
+  // from being read as a proof.
+  EXPECT_EQ(ctx.solver().solve(ctx.dip_assumptions()), sat::LBool::kFalse);
+
+  ctx.set_candidate(consistent);
+  EXPECT_EQ(ctx.check_candidate(budget), sat::LBool::kTrue);
+  ctx.set_candidate(locked.correct_key);
+  EXPECT_EQ(ctx.check_candidate(budget), sat::LBool::kTrue);
+}
+
+// Answers every DIP like the SAT attack, then fixes the key the oracle just
+// refuted as the candidate, so every DIP solve under a candidate is UNSAT
+// for the wrong reason.
+class RefutedCandidatePolicy final : public DipPolicy {
+ public:
+  explicit RefutedCandidatePolicy(const Oracle& oracle) : oracle_(oracle) {}
+
+  LoopAction on_dip(MiterContext& ctx, const BudgetGuard&,
+                    const std::vector<bool>& pattern, AttackResult&) override {
+    const std::vector<bool> key0 = ctx.extract_key(ctx.key_copy(0));
+    const std::vector<bool> key1 = ctx.extract_key(ctx.key_copy(1));
+    const std::vector<bool> response = oracle_.query(pattern);
+    ctx.update_candidate(response);
+    const bool copy0_refuted =
+        !ctx.candidate().has_value() || *ctx.candidate() != key0;
+    ctx.constrain_io(pattern, response);
+    ctx.set_candidate(copy0_refuted ? key0 : key1);
+    return LoopAction::kContinue;
+  }
+
+ private:
+  const Oracle& oracle_;
+};
+
+TEST(KeyConfirmation, LoopNeverReportsARefutedCandidate) {
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const LockedCircuit locked = lock::lock_with(
+      "sarlock", original, lock::make_options(2, {}, "keys=6"));
+  const Oracle oracle(original);
+  AttackOptions options;
+  options.timeout_s = 60.0;
+  const BudgetGuard budget(options);
+  MiterContext ctx(locked, MiterContext::double_key(), options);
+  RefutedCandidatePolicy policy(oracle);
+  const AttackResult result =
+      DipLoop(oracle, options, budget, "refuted").run(ctx, policy);
+  ASSERT_EQ(result.status, AttackStatus::kSuccess);
+  // Every candidate failed the guard, so the loop fell back to the free
+  // miter and ended on key extraction.
+  EXPECT_FALSE(result.key_confirmed);
+  EXPECT_EQ(result.iterations, 63u);  // 2^6 - 1, as without candidates
+  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
+                                   1, /*sat=*/true));
+}
+
 TEST(AttackRegistry, UnknownNameThrowsAndListsTheNames) {
   EXPECT_EQ(attack_names(), "auto, sat, cycsat, appsat, double-dip, fall");
   for (const char* name :
@@ -268,14 +359,17 @@ TEST(AttackRegistry, CyclicLocksRunAndReportCycSat) {
   AttackOptions options;
   options.timeout_s = 120.0;
   for (const char* name : {"auto", "double-dip"}) {
-    const RunResult run = attacks::run(name, locked, oracle, options);
+    RunResult run = attacks::run(name, locked, oracle, options);
     EXPECT_EQ(run.attack, "cycsat") << name;
     ASSERT_EQ(run.result.status, AttackStatus::kSuccess) << name;
     // Simulation check: SAT equivalence does not apply to cyclic netlists.
     EXPECT_TRUE(
         core::verify_unlocks(original, locked.netlist, run.result.key, 32, 1))
         << name;
-    EXPECT_TRUE(run.detail.empty()) << name;
+    // Cyclic locks end on key extraction, never on confirmation.
+    EXPECT_EQ(runtime::json_bool_field(run.detail.str(), "key_confirmed"),
+              false)
+        << name;
   }
 }
 
@@ -287,9 +381,11 @@ TEST(AttackRegistry, DetailCarriesTheAttackSpecificFields) {
   AttackOptions options;
   options.timeout_s = 60.0;
 
+  // key_confirmed is the one field every attack's detail carries.
   RunResult sat = attacks::run("auto", locked, oracle, options);
   EXPECT_EQ(sat.attack, "sat");
-  EXPECT_TRUE(sat.detail.empty());
+  EXPECT_EQ(runtime::json_bool_field(sat.detail.str(), "key_confirmed"),
+            sat.result.key_confirmed);
 
   RunResult app = attacks::run("appsat", locked, oracle, options);
   ASSERT_EQ(app.result.status, AttackStatus::kSuccess);
@@ -305,6 +401,9 @@ TEST(AttackRegistry, DetailCarriesTheAttackSpecificFields) {
   const std::string dd_detail = dd.detail.str();
   EXPECT_TRUE(runtime::json_int_field(dd_detail, "fallback_iterations")
                   .has_value())
+      << dd_detail;
+  EXPECT_EQ(runtime::json_bool_field(dd_detail, "key_confirmed"),
+            dd.result.key_confirmed)
       << dd_detail;
 }
 

@@ -114,6 +114,9 @@ TEST(SatAttack, SarlockDipConstraintsAddNoVariables) {
   }
   EXPECT_EQ(vars_added, 0);
   EXPECT_LE(max_clauses_added, 2 * 8);
+  // Each SARLock DIP flips exactly one copy's output, so the other copy's
+  // key is a candidate after every DIP and the loop ends on confirmation.
+  EXPECT_TRUE(result.key_confirmed);
   EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
                                    1, /*sat=*/true));
 }
@@ -124,8 +127,10 @@ TEST(SatAttack, CyclicRepeatedDipsBanStatefulKeys) {
   // copy that does not pin the oracle's response. Every copy's key must be
   // read from the model before the first ban (a ban backtracks the solver,
   // and the base-miter preprocessor caches the model), and the loop must
-  // still end on a key that unlocks the circuit. A cyclic lock always gets
-  // the full-circuit encoding.
+  // still end on a key that unlocks the circuit. A repeated DIP reuses the
+  // response stored with it, so the oracle is asked once per iteration. A
+  // cyclic lock always gets the full-circuit encoding and ends on key
+  // extraction, never on confirmation.
   const Netlist original = netlist::make_circuit("c432", 1);
   const LockedCircuit locked = lock::lock_with(
       "full-lock", original, lock::make_options(3, {}, "sizes=4,cycle=allow"));
@@ -137,6 +142,8 @@ TEST(SatAttack, CyclicRepeatedDipsBanStatefulKeys) {
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_FALSE(result.cone_encoding);
   EXPECT_GT(result.banned_keys, 0u);
+  EXPECT_EQ(result.oracle_queries, result.iterations);
+  EXPECT_FALSE(result.key_confirmed);
   EXPECT_TRUE(
       core::verify_unlocks(original, locked.netlist, result.key, 16, 1));
 }

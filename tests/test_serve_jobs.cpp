@@ -131,6 +131,10 @@ TEST(ServeJobs, AttackTraceEventsAreTheTraceFileRecords) {
                         std::to_string(result.iterations) + ","),
             std::string::npos)
       << fields;
+  // The record says how the attack ended: SARLock always leaves a
+  // candidate key, so the loop ends on confirmation.
+  EXPECT_EQ(runtime::json_bool_field(fields, "key_confirmed"), true)
+      << fields;
   EXPECT_EQ(std::count(streamed.begin(), streamed.end(), '\n'),
             static_cast<std::ptrdiff_t>(result.iterations));
   EXPECT_EQ(mask_seconds(streamed), mask_seconds(file.str()));
