@@ -7,6 +7,8 @@
 // blocking topology collapses hardness at equal N.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -49,6 +51,7 @@ struct Cell {
   std::size_t key_bits = 0;
 };
 std::vector<Cell> g_cells;
+double g_timeout_s = 0.0;
 
 void run_variant(benchmark::State& state) {
   const Variant& variant = variants()[state.range(0)];
@@ -72,7 +75,7 @@ void run_variant(benchmark::State& state) {
     cell.key_bits = locked.key_bits();
     const fl::attacks::Oracle oracle(original);
     fl::attacks::AttackOptions options;
-    options.timeout_s = fl::bench::attack_timeout_s();
+    options.timeout_s = g_timeout_s;
     const fl::attacks::AttackResult result =
         fl::attacks::SatAttack(options).run(locked, oracle);
     cell.seconds = result.seconds;
@@ -87,7 +90,7 @@ void run_variant(benchmark::State& state) {
 void print_table() {
   TablePrinter table("Ablation — SAT attack vs Full-Lock design choices "
                      "(1 PLR on c880, TO = " +
-                     std::to_string(fl::bench::attack_timeout_s()) + " s)");
+                     std::to_string(g_timeout_s) + " s)");
   table.row({"variant", "key_bits", "attack_s", "solver_decisions"}, 22);
   for (std::size_t i = 0; i < variants().size(); ++i) {
     table.row({variants()[i].label, std::to_string(g_cells[i].key_bits),
@@ -101,6 +104,12 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  try {
+    g_timeout_s = fl::bench::attack_timeout_s();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   g_cells.resize(variants().size());
   for (std::size_t i = 0; i < variants().size(); ++i) {

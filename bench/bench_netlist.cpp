@@ -3,8 +3,8 @@
 //
 // Per profile the bench runs the full substrate path end-to-end:
 //   generate -> graph caches (topo/fanout/levels) -> structural hashing
-//   (optimize) -> oracle simulation throughput, legacy 64-bit run() vs the
-//   wide run_batch() engine -> Full-Lock PLR lock -> iteration-bounded SAT
+//   (optimize) -> oracle simulation throughput, one-word query_batch()
+//   calls vs one wide batch -> Full-Lock PLR lock -> iteration-bounded SAT
 //   attack -> verify_unlocks with the correct key.
 //
 // Emits one JSONL record per profile plus a trailing summary record to
@@ -66,7 +66,7 @@ struct ProfileResult {
   double base_patterns_per_s = 0.0;
   double wide_patterns_per_s = 0.0;
   double speedup = 0.0;
-  bool match_ok = false;       // wide outputs == legacy outputs
+  bool match_ok = false;       // wide outputs == one-word outputs
   bool accounting_ok = false;  // oracle charged exactly the patterns run
   // Lock + bounded attack (the engine's key-cone encoding behind base-miter
   // preprocessing) + verify.
@@ -140,9 +140,8 @@ void committed_per_dip(const fl::core::LockedCircuit& locked,
   r.encode_ok = r.cone_committed_per_dip <= r.legacy_committed_per_dip;
 }
 
-// Legacy-vs-wide oracle simulation throughput over the same random pattern
-// matrix. The legacy path is the pre-arena behavior: one 64-pattern run()
-// per word with a fresh value vector each call.
+// Oracle simulation throughput over the same random pattern matrix: one
+// one-word query_batch() call per word (the baseline) vs one wide batch.
 void run_throughput(const fl::netlist::Netlist& original, std::size_t n_words,
                     int repeat, ProfileResult& r) {
   const std::size_t n_in = original.num_inputs();
@@ -159,11 +158,13 @@ void run_throughput(const fl::netlist::Netlist& original, std::size_t n_words,
   r.wide_wall_s = 1e100;
   for (int rep = 0; rep < repeat; ++rep) {
     const auto base_start = Clock::now();
-    std::vector<Word> in_w(n_in);
+    std::vector<Word> in_w(n_in), out_w(n_out);
     for (std::size_t w = 0; w < n_words; ++w) {
       for (std::size_t i = 0; i < n_in; ++i) in_w[i] = inputs[i * n_words + w];
-      const std::vector<Word> out = oracle.query_words(in_w, 64);
-      for (std::size_t o = 0; o < n_out; ++o) base_out[o * n_words + w] = out[o];
+      oracle.query_batch(in_w, 1, 64, out_w);
+      for (std::size_t o = 0; o < n_out; ++o) {
+        base_out[o * n_words + w] = out_w[o];
+      }
     }
     r.base_wall_s = std::min(r.base_wall_s, seconds_since(base_start));
 
@@ -188,7 +189,7 @@ void run_throughput(const fl::netlist::Netlist& original, std::size_t n_words,
 
 ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
                           std::size_t n_words, int repeat,
-                          std::uint64_t attack_iters) {
+                          std::uint64_t attack_iters, double timeout_s) {
   ProfileResult r;
   r.name = profile.name;
   const auto total_start = Clock::now();
@@ -232,7 +233,7 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
   // because the bound — not the clock — ends it.
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
-  options.timeout_s = fl::bench::env_double("FULLLOCK_TIMEOUT_S", 600.0);
+  options.timeout_s = timeout_s;
   options.max_iterations = attack_iters;
   start = Clock::now();
   const fl::attacks::AttackResult attack =
@@ -266,6 +267,8 @@ int main(int argc, char** argv) {
     std::string out_path = "BENCH_netlist.json";
     int repeat = 3;
     std::uint64_t attack_iters = 2;
+    const double timeout_s =
+        fl::bench::env_seconds("FULLLOCK_TIMEOUT_S", 600.0);
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         smoke = true;
@@ -298,7 +301,8 @@ int main(int argc, char** argv) {
     std::vector<ProfileResult> results;
     for (const std::string& name : profile_names) {
       const auto profile = fl::netlist::find_profile(name);
-      results.push_back(run_profile(*profile, n_words, repeat, attack_iters));
+      results.push_back(
+          run_profile(*profile, n_words, repeat, attack_iters, timeout_s));
       const ProfileResult& r = results.back();
       std::printf(
           "%-10s %8zu gates  gen %.2fs  graph %.2fs  opt %.2fs  "

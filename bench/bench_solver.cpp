@@ -52,7 +52,8 @@ double seconds_since(Clock::time_point start) {
 // One Table 2 cell: CLN-only lock over the identity circuit, full
 // oracle-guided attack. The DIP loop is exactly the solver workload the
 // paper's tables are bounded by.
-WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat) {
+WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat,
+                             double timeout_s) {
   WorkloadResult r;
   r.suite = "cln_miter";
   r.name = std::string(topo == ClnTopology::kShuffleBlocking ? "blocking"
@@ -66,7 +67,7 @@ WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat) {
   const fl::core::LockedCircuit locked = fl::core::full_lock(original, config);
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
-  options.timeout_s = fl::bench::env_double("FULLLOCK_TIMEOUT_S", 120.0);
+  options.timeout_s = timeout_s;
   r.wall_s = 1e100;
   for (int rep = 0; rep < repeat; ++rep) {
     const auto start = Clock::now();
@@ -147,6 +148,8 @@ int main(int argc, char** argv) {
     bool smoke = false;
     std::string out_path = "BENCH_solver.json";
     int repeat = 3;
+    const double timeout_s =
+        fl::bench::env_seconds("FULLLOCK_TIMEOUT_S", 120.0);
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         smoke = true;
@@ -178,7 +181,8 @@ int main(int argc, char** argv) {
                                        {ClnTopology::kBanyanNonBlocking, 16},
                                        {ClnTopology::kBanyanNonBlocking, 32}};
     for (const MiterCell& m : miters) {
-      results.push_back(run_cln_miter(m.topo, m.n, smoke ? 1 : repeat));
+      results.push_back(
+          run_cln_miter(m.topo, m.n, smoke ? 1 : repeat, timeout_s));
       std::printf("%-32s %10.4f s  %12llu conflicts\n",
                   results.back().name.c_str(), results.back().wall_s,
                   static_cast<unsigned long long>(results.back().conflicts));

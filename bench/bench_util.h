@@ -8,8 +8,15 @@
 //   FULLLOCK_SEED       base seed the per-cell seeds are derived from
 //   FL_JOBS             worker threads for sweep grids (flag: --jobs N)
 //   FL_JSONL            JSONL result file (flag: --jsonl PATH)
+//
+// Numeric knobs are parsed strictly (runtime::parse_seconds_flag /
+// parse_int_flag): junk, a negative timeout or an out-of-range integer
+// throws std::invalid_argument naming the variable. Each driver reads them
+// once in main, before any cell runs, so a bad value is a usage error and
+// not a failed cell.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,23 +31,27 @@
 
 namespace fl::bench {
 
-inline double env_double(const char* name, double fallback) {
+inline double env_seconds(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
+  return v != nullptr ? runtime::parse_seconds_flag(name, v) : fallback;
 }
 
-inline int env_int(const char* name, int fallback) {
+inline long long env_int(const char* name, long long fallback,
+                         long long min_value, long long max_value) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  return v != nullptr ? runtime::parse_int_flag(name, v, min_value, max_value)
+                      : fallback;
 }
 
 inline bool env_flag(const char* name) { return std::getenv(name) != nullptr; }
 
-inline double attack_timeout_s() { return env_double("FULLLOCK_TIMEOUT_S", 10.0); }
+inline double attack_timeout_s() {
+  return env_seconds("FULLLOCK_TIMEOUT_S", 10.0);
+}
 inline bool quick_mode() { return env_flag("FULLLOCK_QUICK"); }
 inline std::uint64_t base_seed(std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(env_int("FULLLOCK_SEED",
-                                            static_cast<int>(fallback)));
+  return static_cast<std::uint64_t>(env_int(
+      "FULLLOCK_SEED", static_cast<long long>(fallback), 0, 1LL << 62));
 }
 
 // The attack-stats block of the JSONL schema (see EXPERIMENTS.md): the

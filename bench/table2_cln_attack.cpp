@@ -48,15 +48,15 @@ const char* topology_name(ClnTopology topo) {
 }
 
 std::vector<int> sweep_sizes() {
+  const auto max_n = fl::bench::env_int("FULLLOCK_MAX_N", 512, 4, 1 << 16);
   if (fl::bench::quick_mode()) return {4, 8, 16};
-  const int max_n = fl::bench::env_int("FULLLOCK_MAX_N", 512);
   std::vector<int> sizes;
   for (int n = 4; n <= max_n; n *= 2) sizes.push_back(n);
   return sizes;
 }
 
 CellResult run_cell(const Cell& cell, const fl::runtime::CellContext& ctx,
-                    const fl::runtime::RunnerArgs& run_args,
+                    double timeout_s, const fl::runtime::RunnerArgs& run_args,
                     fl::bench::SweepTrace& trace) {
   CellResult result;
   const fl::netlist::Netlist original = fl::bench::identity_circuit(cell.n);
@@ -71,7 +71,7 @@ CellResult run_cell(const Cell& cell, const fl::runtime::CellContext& ctx,
   result.key_bits = locked.key_bits();
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
-  options.timeout_s = ctx.effective_timeout(fl::bench::attack_timeout_s());
+  options.timeout_s = ctx.effective_timeout(timeout_s);
   options.interrupt = ctx.interrupt;
   options.memory_limit_mb = run_args.memory_limit_mb;
   trace.wire(options, ctx.index);
@@ -81,10 +81,9 @@ CellResult run_cell(const Cell& cell, const fl::runtime::CellContext& ctx,
 
 void print_table(const std::vector<Cell>& grid,
                  const std::vector<CellResult>& results,
-                 const fl::runtime::GridReport& report) {
-  const double timeout = fl::bench::attack_timeout_s();
+                 const fl::runtime::GridReport& report, double timeout_s) {
   TablePrinter table("Table 2 — SAT attack on CLN-locked identity circuit "
-                     "(TO = " + std::to_string(timeout) + " s)");
+                     "(TO = " + std::to_string(timeout_s) + " s)");
   const auto emit = [&](ClnTopology topo, const char* name) {
     std::printf("-- %s --\n", name);
     table.row({"N", "key_bits", "iterations", "time_s"});
@@ -118,11 +117,13 @@ int main(int argc, char** argv) {
     const fl::runtime::RunnerArgs run_args =
         fl::runtime::parse_runner_args(argc, argv);
     const std::uint64_t base = fl::bench::base_seed(7);
+    const double timeout_s = fl::bench::attack_timeout_s();
+    const std::vector<int> sizes = sweep_sizes();
 
     std::vector<Cell> grid;
     for (const ClnTopology topo :
          {ClnTopology::kShuffleBlocking, ClnTopology::kBanyanNonBlocking}) {
-      for (const int n : sweep_sizes()) {
+      for (const int n : sizes) {
         grid.push_back({topo, n,
                         fl::runtime::derive_seed(
                             base, {static_cast<std::uint64_t>(topo),
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
         grid.size(), session.grid_config(),
         [&](const fl::runtime::CellContext& ctx) {
           const std::size_t i = ctx.index;
-          results[i] = run_cell(grid[i], ctx, run_args, trace);
+          results[i] = run_cell(grid[i], ctx, timeout_s, run_args, trace);
           if (results[i].attack.status ==
               fl::attacks::AttackStatus::kInterrupted) {
             session.note_interrupted(i);
@@ -163,7 +164,7 @@ int main(int argc, char** argv) {
           }
         });
 
-    print_table(grid, results, report);
+    print_table(grid, results, report, timeout_s);
     return session.finish(report, record_base);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

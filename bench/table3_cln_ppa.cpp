@@ -7,6 +7,8 @@
 // roughly one third of the power.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -55,6 +57,7 @@ std::vector<RowSpec> rows() {
 }
 
 std::vector<RowResult> g_results;
+double g_timeout_s = 0.0;
 
 void run_row(benchmark::State& state) {
   const RowSpec spec = rows()[state.range(0)];
@@ -86,7 +89,7 @@ void run_row(benchmark::State& state) {
         fl::core::full_lock(original, lock_config);
     const fl::attacks::Oracle oracle(original);
     fl::attacks::AttackOptions options;
-    options.timeout_s = fl::bench::attack_timeout_s();
+    options.timeout_s = g_timeout_s;
     const fl::attacks::AttackResult attack =
         fl::attacks::SatAttack(options).run(locked, oracle);
     row.sat_resilient = attack.status == fl::attacks::AttackStatus::kTimeout;
@@ -120,6 +123,12 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  try {
+    g_timeout_s = fl::bench::attack_timeout_s();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   g_results.resize(rows().size());
   for (std::size_t i = 0; i < rows().size(); ++i) {

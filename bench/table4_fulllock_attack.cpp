@@ -74,7 +74,7 @@ struct CellResult {
 
 CellResult run_cell(const std::string& circuit, const Column& column,
                     std::uint64_t seed, const fl::runtime::CellContext& ctx,
-                    const fl::runtime::RunnerArgs& run_args,
+                    double timeout_s, const fl::runtime::RunnerArgs& run_args,
                     fl::bench::SweepTrace& trace) {
   CellResult cell;
   const fl::netlist::Netlist original = fl::netlist::make_circuit(circuit, 1);
@@ -87,7 +87,7 @@ CellResult run_cell(const std::string& circuit, const Column& column,
   cell.cyclic = locked.netlist.is_cyclic();
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
-  options.timeout_s = ctx.effective_timeout(fl::bench::attack_timeout_s());
+  options.timeout_s = ctx.effective_timeout(timeout_s);
   options.interrupt = ctx.interrupt;
   options.memory_limit_mb = run_args.memory_limit_mb;
   trace.wire(options, ctx.index);
@@ -96,10 +96,9 @@ CellResult run_cell(const std::string& circuit, const Column& column,
 }
 
 void print_table(const std::vector<std::string>& names,
-                 const std::vector<CellResult>& results) {
-  TablePrinter table(
-      "Table 4 — CycSAT time (s) on Full-Lock, TO = " +
-      std::to_string(fl::bench::attack_timeout_s()) + " s");
+                 const std::vector<CellResult>& results, double timeout_s) {
+  TablePrinter table("Table 4 — CycSAT time (s) on Full-Lock, TO = " +
+                     std::to_string(timeout_s) + " s");
   std::vector<std::string> header{"circuit"};
   for (const Column& c : columns()) header.push_back(c.label);
   table.row(header);
@@ -128,6 +127,7 @@ int main(int argc, char** argv) {
     const fl::runtime::RunnerArgs run_args =
         fl::runtime::parse_runner_args(argc, argv);
     const std::uint64_t base = fl::bench::base_seed(11);
+    const double timeout_s = fl::bench::attack_timeout_s();
     const std::vector<std::string> names = circuits();
 
     std::vector<Cell> grid;
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
           const std::size_t i = ctx.index;
           const Cell& cell = grid[i];
           results[i] = run_cell(names[cell.circuit], columns()[cell.column],
-                                cell.seed, ctx, run_args, trace);
+                                cell.seed, ctx, timeout_s, run_args, trace);
           if (results[i].attack.status ==
               fl::attacks::AttackStatus::kInterrupted) {
             session.note_interrupted(i);
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
           }
         });
 
-    print_table(names, results);
+    print_table(names, results, timeout_s);
     return session.finish(report, record_base);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -100,12 +101,13 @@ struct SchemeResult {
 };
 // results[ladder display][circuit]
 std::map<std::string, std::map<std::string, SchemeResult>> g_results;
+double g_timeout_s = 0.0;
 
 bool attack_times_out(const fl::netlist::Netlist& original,
                       const fl::core::LockedCircuit& locked, double* seconds) {
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
-  options.timeout_s = fl::bench::attack_timeout_s();
+  options.timeout_s = g_timeout_s;
   const fl::attacks::AttackResult result =
       fl::attacks::SatAttack(options).run(locked, oracle);
   *seconds = result.seconds;
@@ -166,7 +168,7 @@ void print_table() {
   char title[96];
   std::snprintf(title, sizeof(title),
                 "Table 5 — smallest SAT-resilient configuration (TO = %g s)",
-                fl::bench::attack_timeout_s());
+                g_timeout_s);
   TablePrinter table(title);
   std::vector<std::string> header = {"circuit", "gates"};
   for (const SchemeLadder& ladder : ladders()) header.push_back(ladder.display);
@@ -188,6 +190,12 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  try {
+    g_timeout_s = fl::bench::attack_timeout_s();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   const auto names = circuits();
   for (std::size_t li = 0; li < ladders().size(); ++li) {

@@ -1,7 +1,6 @@
 #include "attacks/appsat.h"
 
 #include <bit>
-#include <optional>
 #include <random>
 
 #include "attacks/cycsat.h"
@@ -13,14 +12,6 @@ using netlist::Word;
 
 namespace {
 
-std::vector<Word> key_to_words(const std::vector<bool>& key) {
-  std::vector<Word> w(key.size());
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    w[i] = key[i] ? ~Word{0} : Word{0};
-  }
-  return w;
-}
-
 // The AppSAT policy: the plain single-DIP step, interleaved with
 // settlement checks that may end the attack early on an approximate key.
 class AppSatPolicy final : public DipPolicy {
@@ -28,9 +19,7 @@ class AppSatPolicy final : public DipPolicy {
   AppSatPolicy(const core::LockedCircuit& locked, const Oracle& oracle,
                const AppSatOptions& options)
       : locked_(locked), oracle_(oracle), options_(options),
-        cyclic_(locked.netlist.is_cyclic()), rng_(0xA99547ull) {
-    if (!cyclic_) locked_sim_.emplace(locked.netlist);
-  }
+        rng_(0xA99547ull) {}
 
   bool approximate() const { return approximate_; }
   double estimated_error() const { return estimated_error_; }
@@ -84,61 +73,35 @@ class AppSatPolicy final : public DipPolicy {
   }
 
  private:
-  // Estimates the error of `key` on random queries; feeds at most one
-  // failing pattern per round back into the solver (query reinforcement).
-  // Acyclic circuits settle all rounds in one oracle/simulator batch; cyclic
-  // ones fall back to per-round relaxation. Both draw the same RNG stream.
+  // Estimates the error of `key` on rounds_per_check x 64 random queries:
+  // one oracle batch and one simulation of the locked netlist, in which
+  // lanes that do not settle count as wrong on every output. The first
+  // failing pattern of each failing round is fed back as an I/O constraint
+  // (query reinforcement), all in one batch, so cone-mode encoding sweeps
+  // the key-free region for all of them in a single bit-parallel pass.
   double estimate_error(MiterContext& ctx, const std::vector<bool>& key) {
-    const std::vector<Word> kw = key_to_words(key);
-    if (!cyclic_) return estimate_error_batch(ctx, kw);
-    std::uint64_t wrong_bits = 0, total_bits = 0;
-    for (int round = 0; round < options_.rounds_per_check; ++round) {
-      std::vector<Word> inputs(locked_.netlist.num_inputs());
-      for (Word& w : inputs) w = rng_();
-      const std::vector<Word> golden = oracle_.query_words(inputs, 64);
-      const auto sim = netlist::simulate_cyclic(locked_.netlist, inputs, kw);
-      const std::vector<Word>& got = sim.outputs;
-      const Word valid = sim.converged;
-      Word any_diff = 0;
-      for (std::size_t o = 0; o < golden.size(); ++o) {
-        const Word diff = (golden[o] ^ got[o]) | ~valid;
-        any_diff |= diff;
-        wrong_bits += std::popcount(diff);
-        total_bits += 64;
-      }
-      if (any_diff != 0) {
-        reinforce(ctx, inputs, 1, golden, 1, 0, std::countr_zero(any_diff));
-      }
-    }
-    return total_bits == 0 ? 0.0
-                           : static_cast<double>(wrong_bits) / total_bits;
-  }
-
-  double estimate_error_batch(MiterContext& ctx, const std::vector<Word>& kw) {
     const std::size_t n_in = locked_.netlist.num_inputs();
     const std::size_t n_out = locked_.netlist.num_outputs();
     const std::size_t rounds =
         static_cast<std::size_t>(options_.rounds_per_check);
     if (rounds == 0) return 0.0;
-    // Net-major matrix, one word (column) per round. Filled round-by-round
-    // so the RNG stream matches the per-round path exactly.
+    // Net-major matrix, one word (column) per round, drawn round by round.
     std::vector<Word> inputs(n_in * rounds);
     for (std::size_t r = 0; r < rounds; ++r) {
       for (std::size_t i = 0; i < n_in; ++i) inputs[i * rounds + r] = rng_();
     }
     std::vector<Word> golden(n_out * rounds);
     oracle_.query_batch(inputs, rounds, rounds * 64, golden);
-    std::vector<Word> got(n_out * rounds);
-    locked_sim_->run_batch(inputs, kw, rounds, sim_scratch_, got);
+    const netlist::SimResult got = netlist::simulate(
+        locked_.netlist, inputs, netlist::broadcast(key), rounds);
     std::uint64_t wrong_bits = 0, total_bits = 0;
-    // Failing rounds are reinforced in one batch so cone-mode encoding can
-    // sweep the key-free region for all of them in a single bit-parallel
-    // simulator pass.
     std::vector<std::vector<bool>> patterns, responses;
     for (std::size_t r = 0; r < rounds; ++r) {
       Word any_diff = 0;
       for (std::size_t o = 0; o < n_out; ++o) {
-        const Word diff = golden[o * rounds + r] ^ got[o * rounds + r];
+        const Word diff =
+            (golden[o * rounds + r] ^ got.outputs[o * rounds + r]) |
+            ~got.converged[r];
         any_diff |= diff;
         wrong_bits += std::popcount(diff);
         total_bits += 64;
@@ -162,30 +125,9 @@ class AppSatPolicy final : public DipPolicy {
                            : static_cast<double>(wrong_bits) / total_bits;
   }
 
-  // Constrains the solver with pattern `bit` of word-column `word` taken
-  // from net-major matrices with the given strides.
-  void reinforce(MiterContext& ctx, std::span<const Word> inputs,
-                 std::size_t in_stride, std::span<const Word> golden,
-                 std::size_t out_stride, std::size_t word, int bit) {
-    const std::size_t n_in = inputs.size() / in_stride;
-    const std::size_t n_out = golden.size() / out_stride;
-    std::vector<bool> pattern(n_in);
-    for (std::size_t i = 0; i < n_in; ++i) {
-      pattern[i] = ((inputs[i * in_stride + word] >> bit) & 1) != 0;
-    }
-    std::vector<bool> response(n_out);
-    for (std::size_t o = 0; o < n_out; ++o) {
-      response[o] = ((golden[o * out_stride + word] >> bit) & 1) != 0;
-    }
-    ctx.constrain_io(pattern, response);
-  }
-
   const core::LockedCircuit& locked_;
   const Oracle& oracle_;
   const AppSatOptions& options_;
-  const bool cyclic_;
-  std::optional<netlist::Simulator> locked_sim_;
-  netlist::Simulator::Scratch sim_scratch_;
   std::mt19937_64 rng_;
   bool approximate_ = false;
   double estimated_error_ = 1.0;

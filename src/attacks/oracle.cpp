@@ -14,27 +14,11 @@ Oracle::Oracle(netlist::Netlist original)
 }
 
 std::vector<bool> Oracle::query(const std::vector<bool>& input) const {
-  if (input.size() != original_.num_inputs()) {
-    throw std::invalid_argument("oracle query width mismatch");
-  }
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Word> words(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    words[i] = input[i] ? ~Word{0} : Word{0};
-  }
-  const std::vector<Word> out = simulator_.run(words, {});
+  std::vector<Word> out(original_.num_outputs());
+  query_batch(netlist::broadcast(input), 1, 1, out);
   std::vector<bool> result(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) result[i] = (out[i] & 1) != 0;
+  for (std::size_t o = 0; o < out.size(); ++o) result[o] = (out[o] & 1) != 0;
   return result;
-}
-
-std::vector<Word> Oracle::query_words(std::span<const Word> inputs,
-                                      std::size_t n_patterns) const {
-  if (n_patterns == 0 || n_patterns > 64) {
-    throw std::invalid_argument("query_words: n_patterns must be in 1..64");
-  }
-  queries_.fetch_add(n_patterns, std::memory_order_relaxed);
-  return simulator_.run(inputs, {});
 }
 
 void Oracle::query_batch(std::span<const Word> inputs, std::size_t n_words,
@@ -44,15 +28,13 @@ void Oracle::query_batch(std::span<const Word> inputs, std::size_t n_words,
     throw std::invalid_argument(
         "query_batch: n_patterns must be in 1..n_words*64");
   }
+  if (inputs.size() != original_.num_inputs() * n_words ||
+      outputs.size() != original_.num_outputs() * n_words) {
+    throw std::invalid_argument("oracle query width mismatch");
+  }
   queries_.fetch_add(n_patterns, std::memory_order_relaxed);
-  // One scratch per thread: the Oracle is shared const across attack
-  // threads, so per-object scratch would race. The cache is capped: a
-  // sweep thread that served one million-gate cell would otherwise pin that
-  // cell's scratch (dozens of MB) for the rest of its life.
-  static constexpr std::size_t kScratchRetainBytes = std::size_t{16} << 20;
-  thread_local netlist::Simulator::Scratch scratch;
-  simulator_.run_batch(inputs, {}, n_words, scratch, outputs);
-  scratch.trim(kScratchRetainBytes);
+  const std::lock_guard<std::mutex> lock(scratch_mu_);
+  simulator_.run_batch(inputs, {}, n_words, scratch_, outputs);
 }
 
 }  // namespace fl::attacks

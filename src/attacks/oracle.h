@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -18,20 +19,14 @@ class Oracle {
   // `original` must be key-free and acyclic.
   explicit Oracle(netlist::Netlist original);
 
-  // Single-pattern query. Counts as 1 query.
+  // Single-pattern query: a one-word query_batch. Counts as 1 query.
   std::vector<bool> query(const std::vector<bool>& input) const;
 
-  // Bit-parallel batch (one word per input net, up to 64 patterns packed).
-  // `n_patterns` (1..64) is how many bit lanes actually carry patterns;
-  // exactly that many queries are charged.
-  std::vector<netlist::Word> query_words(std::span<const netlist::Word> inputs,
-                                         std::size_t n_patterns) const;
-
-  // Wide batch over net-major matrices: inputs[i * n_words + w] is word w of
+  // Batch over net-major matrices: inputs[i * n_words + w] is word w of
   // input i (inputs.size() == num_inputs * n_words) and outputs is written
-  // likewise (num_outputs * n_words). Charges `n_patterns` queries
-  // (n_patterns <= n_words * 64). Runs through the SIMD simulator with a
-  // thread_local scratch, so repeated large batches do not allocate.
+  // likewise (num_outputs * n_words). Charges `n_patterns` queries, which
+  // must be in 1..n_words * 64; a rejected call charges nothing. Runs
+  // through the SIMD simulator with the oracle's own scratch.
   void query_batch(std::span<const netlist::Word> inputs, std::size_t n_words,
                    std::size_t n_patterns,
                    std::span<netlist::Word> outputs) const;
@@ -44,9 +39,13 @@ class Oracle {
  private:
   netlist::Netlist original_;
   netlist::Simulator simulator_;
-  // Atomic so one oracle can serve concurrent attacks (parallel sweep
-  // jobs); Simulator::run is const with per-call scratch.
+  // One oracle may serve concurrent attacks (parallel sweep jobs): the
+  // counter is atomic and the mutex guards the scratch. Every oracle is
+  // built per attack or per sweep cell, so the lock is never contended. The
+  // scratch is allocated by the first query and freed with the oracle.
   mutable std::atomic<std::uint64_t> queries_{0};
+  mutable std::mutex scratch_mu_;
+  mutable netlist::Simulator::Scratch scratch_;
 };
 
 }  // namespace fl::attacks

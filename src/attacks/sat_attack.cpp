@@ -16,14 +16,8 @@ bool functionally_pins(const netlist::Netlist& locked,
                        const std::vector<bool>& key,
                        const std::vector<bool>& pattern,
                        const std::vector<bool>& response) {
-  std::vector<netlist::Word> in(pattern.size());
-  std::vector<netlist::Word> kw(key.size());
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    in[i] = pattern[i] ? ~netlist::Word{0} : 0;
-  }
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    kw[i] = key[i] ? ~netlist::Word{0} : 0;
-  }
+  const std::vector<netlist::Word> in = netlist::broadcast(pattern);
+  const std::vector<netlist::Word> kw = netlist::broadcast(key);
   for (const bool init_ones : {false, true}) {
     const netlist::CyclicSimResult sim =
         netlist::simulate_cyclic(locked, in, kw, 0, init_ones);

@@ -12,60 +12,31 @@ using netlist::Word;
 
 namespace {
 
-std::vector<Word> random_words(std::size_t n, std::mt19937_64& rng) {
-  std::vector<Word> w(n);
-  for (Word& x : w) x = rng();
-  return w;
-}
-
-std::vector<Word> key_words(const std::vector<bool>& key) {
-  std::vector<Word> w(key.size());
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    w[i] = key[i] ? ~Word{0} : Word{0};
-  }
-  return w;
-}
-
-// Returns (#differing bits, #total bits) for one 64-pattern round against a
-// cyclic locked netlist.
-std::pair<std::uint64_t, std::uint64_t> diff_round_cyclic(
-    const netlist::Simulator& gold, const Netlist& locked,
-    const std::vector<bool>& key, std::mt19937_64& rng) {
-  const std::vector<Word> inputs = random_words(locked.num_inputs(), rng);
-  const std::vector<Word> kw = key_words(key);
-  const std::vector<Word> expected = gold.run(inputs, {});
-  const netlist::CyclicSimResult r =
-      netlist::simulate_cyclic(locked, inputs, kw);
-  std::uint64_t diff = 0;
-  for (std::size_t o = 0; o < expected.size(); ++o) {
-    // Non-converged patterns count as wrong on every output.
-    diff += std::popcount((expected[o] ^ r.outputs[o]) | ~r.converged);
-  }
-  return {diff, expected.size() * 64};
-}
-
-// All rounds at once through the wide simulator (acyclic locked netlists).
-// Draws the RNG in the same round-major order as the per-round path, so
-// results are bit-identical for a given seed.
-std::pair<std::uint64_t, std::uint64_t> diff_batch(
-    const netlist::Simulator& gold, const netlist::Simulator& locked_sim,
-    const std::vector<bool>& key, int rounds, std::mt19937_64& rng) {
-  const std::size_t n_in = gold.netlist().num_inputs();
-  const std::size_t n_out = gold.netlist().num_outputs();
+// Compares `locked` under `key` with `original` on `rounds` x 64 random
+// patterns and returns (#differing output bits, #output bits). The pattern
+// matrix is drawn round by round; the original runs through the batch
+// engine and the locked netlist through whichever engine fits it. Lanes
+// that do not settle (cyclic oscillation) count as wrong on every output.
+std::pair<std::uint64_t, std::uint64_t> diff_outputs(
+    const Netlist& original, const Netlist& locked,
+    const std::vector<bool>& key, int rounds, std::uint64_t seed) {
+  const std::size_t n_in = original.num_inputs();
   const std::size_t n_words = static_cast<std::size_t>(rounds < 0 ? 0 : rounds);
+  std::mt19937_64 rng(seed);
   std::vector<Word> inputs(n_in * n_words);
   for (std::size_t r = 0; r < n_words; ++r) {
     for (std::size_t i = 0; i < n_in; ++i) inputs[i * n_words + r] = rng();
   }
-  const std::vector<Word> kw = key_words(key);
   netlist::Simulator::Scratch scratch;
-  std::vector<Word> expected(n_out * n_words);
-  std::vector<Word> got(n_out * n_words);
-  gold.run_batch(inputs, {}, n_words, scratch, expected);
-  locked_sim.run_batch(inputs, kw, n_words, scratch, got);
+  std::vector<Word> expected(original.num_outputs() * n_words);
+  netlist::Simulator(original).run_batch(inputs, {}, n_words, scratch,
+                                         expected);
+  const netlist::SimResult got =
+      netlist::simulate(locked, inputs, netlist::broadcast(key), n_words);
   std::uint64_t diff = 0;
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    diff += std::popcount(expected[i] ^ got[i]);
+    diff += std::popcount((expected[i] ^ got.outputs[i]) |
+                          ~got.converged[i % n_words]);
   }
   return {diff, expected.size() * 64};
 }
@@ -79,20 +50,10 @@ bool verify_unlocks(const Netlist& original, const Netlist& locked,
       original.num_outputs() != locked.num_outputs()) {
     return false;
   }
-  std::mt19937_64 rng(seed);
-  const netlist::Simulator gold(original);
-  const bool cyclic = locked.is_cyclic();
-  if (cyclic) {
-    for (int r = 0; r < rounds; ++r) {
-      const auto [diff, total] = diff_round_cyclic(gold, locked, key, rng);
-      if (diff != 0) return false;
-    }
-  } else {
-    const netlist::Simulator locked_sim(locked);
-    const auto [diff, total] = diff_batch(gold, locked_sim, key, rounds, rng);
-    if (diff != 0) return false;
+  if (diff_outputs(original, locked, key, rounds, seed).first != 0) {
+    return false;
   }
-  if (also_sat_check && !cyclic) {
+  if (also_sat_check && !locked.is_cyclic()) {
     return cnf::check_equivalence(original, {}, locked, key);
   }
   return true;
@@ -100,20 +61,7 @@ bool verify_unlocks(const Netlist& original, const Netlist& locked,
 
 double error_rate(const Netlist& original, const Netlist& locked,
                   const std::vector<bool>& key, int rounds, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  const netlist::Simulator gold(original);
-  const bool cyclic = locked.is_cyclic();
-  if (!cyclic) {
-    const netlist::Simulator locked_sim(locked);
-    const auto [diff, total] = diff_batch(gold, locked_sim, key, rounds, rng);
-    return total == 0 ? 0.0 : static_cast<double>(diff) / total;
-  }
-  std::uint64_t diff = 0, total = 0;
-  for (int r = 0; r < rounds; ++r) {
-    const auto [d, t] = diff_round_cyclic(gold, locked, key, rng);
-    diff += d;
-    total += t;
-  }
+  const auto [diff, total] = diff_outputs(original, locked, key, rounds, seed);
   return total == 0 ? 0.0 : static_cast<double>(diff) / total;
 }
 

@@ -54,7 +54,7 @@ Word eval_gate(GateType type, std::span<const Word> fanin) {
 
 namespace {
 
-// Shared inner loop: fills `value` for every gate given stimulus.
+// Writes the stimulus into the source nets of `value`.
 void sweep_sources(const Netlist& netlist, std::span<const Word> inputs,
                    std::span<const Word> keys, std::vector<Word>& value) {
   if (inputs.size() != netlist.num_inputs() ||
@@ -146,34 +146,6 @@ Simulator::Simulator(const Netlist& netlist) : netlist_(netlist) {
   }
   const std::span<const GateId> order = netlist.topo_span();
   order_.assign(order.begin(), order.end());
-}
-
-std::vector<Word> Simulator::run_full(std::span<const Word> inputs,
-                                      std::span<const Word> keys) const {
-  std::vector<Word> value(netlist_.num_gates(), 0);
-  std::vector<Word> big;
-  sweep_sources(netlist_, inputs, keys, value);
-  for (const GateId g : order_) {
-    const GateType type = netlist_.gate_type(g);
-    if (is_source(type)) {
-      if (type == GateType::kConst1) value[g] = ~Word{0};
-      if (type == GateType::kConst0) value[g] = 0;
-      continue;
-    }
-    value[g] = eval_gate_at(netlist_, g, value, big);
-  }
-  return value;
-}
-
-std::vector<Word> Simulator::run(std::span<const Word> inputs,
-                                 std::span<const Word> keys) const {
-  const std::vector<Word> value = run_full(inputs, keys);
-  std::vector<Word> out;
-  out.reserve(netlist_.num_outputs());
-  for (const OutputPort& o : netlist_.outputs()) {
-    out.push_back(value[o.gate]);
-  }
-  return out;
 }
 
 void Simulator::run_batch(std::span<const Word> inputs,
@@ -270,29 +242,50 @@ CyclicSimResult simulate_cyclic(const Netlist& netlist,
   return result;
 }
 
+SimResult simulate(const Netlist& netlist, std::span<const Word> inputs,
+                   std::span<const Word> keys, std::size_t n_words) {
+  const std::size_t n_in = netlist.num_inputs();
+  const std::size_t n_out = netlist.num_outputs();
+  if (inputs.size() != n_in * n_words || keys.size() != netlist.num_keys()) {
+    throw std::invalid_argument("simulate: stimulus width mismatch");
+  }
+  SimResult result{std::vector<Word>(n_out * n_words),
+                   std::vector<Word>(n_words, ~Word{0})};
+  // is_cyclic() fills the netlist's graph cache; the Simulator constructor
+  // reuses it, so the acyclic path runs a single Kahn pass.
+  if (!netlist.is_cyclic()) {
+    Simulator::Scratch scratch;
+    Simulator(netlist).run_batch(inputs, keys, n_words, scratch,
+                                 result.outputs);
+    return result;
+  }
+  std::vector<Word> in(n_in);
+  for (std::size_t w = 0; w < n_words; ++w) {
+    for (std::size_t i = 0; i < n_in; ++i) in[i] = inputs[i * n_words + w];
+    const CyclicSimResult r = simulate_cyclic(netlist, in, keys);
+    for (std::size_t o = 0; o < n_out; ++o) {
+      result.outputs[o * n_words + w] = r.outputs[o];
+    }
+    result.converged[w] = r.converged;
+  }
+  return result;
+}
+
+std::vector<Word> broadcast(const std::vector<bool>& bits) {
+  std::vector<Word> words(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    words[i] = bits[i] ? ~Word{0} : Word{0};
+  }
+  return words;
+}
+
 std::vector<bool> eval_once(const Netlist& netlist,
                             const std::vector<bool>& inputs,
                             const std::vector<bool>& keys) {
-  std::vector<Word> in_words(inputs.size());
-  std::vector<Word> key_words(keys.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~Word{0} : 0;
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    key_words[i] = keys[i] ? ~Word{0} : 0;
-  }
-  std::vector<Word> out_words;
-  // is_cyclic() fills the netlist's graph cache; the Simulator constructor
-  // below reuses it, so the acyclic path runs a single Kahn pass.
-  if (netlist.is_cyclic()) {
-    out_words = simulate_cyclic(netlist, in_words, key_words).outputs;
-  } else {
-    out_words = Simulator(netlist).run(in_words, key_words);
-  }
-  std::vector<bool> out(out_words.size());
-  for (std::size_t i = 0; i < out_words.size(); ++i) {
-    out[i] = (out_words[i] & 1u) != 0;
-  }
+  const std::vector<Word> words =
+      simulate(netlist, broadcast(inputs), broadcast(keys), 1).outputs;
+  std::vector<bool> out(words.size());
+  for (std::size_t o = 0; o < words.size(); ++o) out[o] = (words[o] & 1) != 0;
   return out;
 }
 

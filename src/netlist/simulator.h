@@ -2,15 +2,16 @@
 // engine sweeping simd::kSimdBits (512) patterns per pass.
 //
 // Engines:
-//  * Simulator       — acyclic netlists, single topological sweep. run()/
-//    run_full() are the legacy 64-pattern entry points; run_batch() sweeps
-//    arbitrarily many words per net through SIMD block kernels (AVX2 /
-//    AVX-512 / portable, see simd.h) and a caller-held Scratch, so large
-//    oracle batches do not allocate a fresh value vector per call.
+//  * Simulator::run_batch — the acyclic engine: one topological sweep per
+//    simd block of words through SIMD block kernels (AVX2 / AVX-512 /
+//    portable, see simd.h) and a caller-held Scratch, so repeated calls do
+//    not allocate. A single pattern is a one-word batch.
 //  * simulate_cyclic — structurally cyclic netlists (Full-Lock's cyclic PLR
 //    insertion), Gauss-Seidel relaxation to a fixpoint with oscillation
 //    detection. Patterns that fail to converge are flagged; callers treat
 //    them as corrupted outputs.
+//  * simulate — the one place the engine is chosen: run_batch on an acyclic
+//    netlist, simulate_cyclic word by word on a cyclic one.
 #pragma once
 
 #include <cstdint>
@@ -28,41 +29,18 @@ using Word = std::uint64_t;
 Word eval_gate(GateType type, std::span<const Word> fanin);
 
 // Acyclic simulator. Construction captures the (cached) topological order;
-// call run()/run_batch() many times with different stimuli. Throws
+// call run_batch() many times with different stimuli. Throws
 // std::invalid_argument if the netlist is cyclic.
 class Simulator {
  public:
   explicit Simulator(const Netlist& netlist);
 
-  // Reusable per-caller storage for run_batch()/run_full(). One Scratch per
-  // thread: the same object may be passed to any Simulator (it resizes to
-  // the largest netlist it has served).
+  // Reusable per-caller storage for run_batch(). One Scratch per thread:
+  // the same object may be passed to any Simulator (it resizes to the
+  // largest netlist it has served).
   struct Scratch {
     std::vector<Word> value;  // gate-major block values
-
-    std::size_t capacity_bytes() const {
-      return value.capacity() * sizeof(Word);
-    }
-    // Releases the backing storage if it exceeds `retain_bytes`. Long-lived
-    // scratches (thread_local caches) grow to the largest netlist they ever
-    // served; callers that only occasionally touch a huge netlist call this
-    // after the batch so the worker thread does not pin that high-water
-    // allocation forever.
-    void trim(std::size_t retain_bytes) {
-      if (capacity_bytes() <= retain_bytes) return;
-      value.clear();
-      value.shrink_to_fit();
-    }
   };
-
-  // inputs.size() == num_inputs(), keys.size() == num_keys().
-  // Returns one word per output port.
-  std::vector<Word> run(std::span<const Word> inputs,
-                        std::span<const Word> keys) const;
-
-  // As run(), but also exposes every internal net value (indexed by GateId).
-  std::vector<Word> run_full(std::span<const Word> inputs,
-                             std::span<const Word> keys) const;
 
   // Batch run over n_words words (64 patterns each) per net, laid out
   // net-major: inputs[i * n_words + w] is word w of primary input i, and
@@ -72,8 +50,6 @@ class Simulator {
   void run_batch(std::span<const Word> inputs, std::span<const Word> keys,
                  std::size_t n_words, Scratch& scratch,
                  std::span<Word> outputs) const;
-
-  const Netlist& netlist() const { return netlist_; }
 
  private:
   const Netlist& netlist_;
@@ -94,6 +70,22 @@ CyclicSimResult simulate_cyclic(const Netlist& netlist,
                                 std::span<const Word> keys,
                                 long long max_sweeps = 0 /* 0 = #gates + 8 */,
                                 bool init_ones = false);
+
+struct SimResult {
+  std::vector<Word> outputs;    // net-major: outputs[o * n_words + w]
+  std::vector<Word> converged;  // one mask per word (1 = the lane settled)
+};
+
+// Simulates `n_words` words (64 patterns each) per primary input of any
+// netlist, laid out net-major as for Simulator::run_batch, with one word per
+// key broadcast across the batch. Runs Simulator::run_batch when the netlist
+// is acyclic (every lane settles) and simulate_cyclic one word at a time
+// when it is not; callers count unsettled lanes as corrupted outputs.
+SimResult simulate(const Netlist& netlist, std::span<const Word> inputs,
+                   std::span<const Word> keys, std::size_t n_words);
+
+// Each bit as a whole word: all 64 lanes carry the same value.
+std::vector<Word> broadcast(const std::vector<bool>& bits);
 
 // Convenience single-pattern evaluation (bools in input order).
 std::vector<bool> eval_once(const Netlist& netlist,

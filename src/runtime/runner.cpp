@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
@@ -254,47 +253,6 @@ GridReport run_grid(std::size_t n, const GridConfig& config,
   }
   report.cancelled = config.cancel != nullptr && config.cancel->cancelled();
   return report;
-}
-
-void run_grid(std::size_t n, int jobs,
-              const std::function<void(std::size_t)>& fn) {
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  // (index, what()) of every cell whose exception was suppressed so the
-  // grid could drain; reported before the rethrow so a sweep failure names
-  // all broken cells, not just the first.
-  std::vector<std::pair<std::size_t, std::string>> failures;
-  {
-    ThreadPool pool(static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs), n > 0 ? n : 1)));
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&, i] {
-        try {
-          fn(i);
-        } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-          failures.emplace_back(i, e.what());
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-          failures.emplace_back(i, "unknown exception");
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  if (first_error) {
-    std::sort(failures.begin(), failures.end());
-    for (const auto& [index, what] : failures) {
-      std::cerr << "run_grid: cell " << index << " failed: " << what << "\n";
-    }
-    std::rethrow_exception(first_error);
-  }
 }
 
 }  // namespace fl::runtime

@@ -1,19 +1,22 @@
-// Sweep-grid execution: the one entry point every bench driver and the CLI
-// use to fan (benchmark × scheme × key-width × seed) grids over workers.
+// Sweep-grid execution: the one entry point every bench driver, the CLI and
+// the serve daemon use to fan (benchmark × scheme × key-width × seed) grids
+// over workers.
 //
 //   auto args = fl::runtime::parse_runner_args(argc, argv);  // --jobs/--jsonl
-//   fl::runtime::run_grid(grid.size(), args.jobs,
-//                         [&](std::size_t i) { results[i] = run_cell(grid[i]); });
+//   GridConfig config;
+//   config.jobs = args.jobs;
+//   run_grid(grid.size(), config, [&](const CellContext& ctx) {
+//     results[ctx.index] = run_cell(grid[ctx.index]);
+//   });
 //
 // jobs <= 1 runs the plain serial loop on the calling thread, in index
 // order — the reference behavior the parallel path must reproduce
-// field-for-field (modulo wall-clock) for identical seeds.
-//
-// The crash-safe entry point is the GridConfig overload: per-cell fault
-// isolation (a throwing cell becomes a structured CellOutcome instead of
-// poisoning the grid), bounded retry with budget escalation, a resume mask
-// of already-completed cells, cooperative cancellation, and deterministic
-// fault injection (fault.h) for testing all of the above.
+// field-for-field (modulo wall-clock) for identical seeds. On top of that:
+// per-cell fault isolation (a throwing cell becomes a structured
+// CellOutcome instead of poisoning the grid), bounded retry with budget
+// escalation, a resume mask of already-completed cells, cooperative
+// cancellation, and deterministic fault injection (fault.h) for testing all
+// of the above.
 #pragma once
 
 #include <atomic>
@@ -138,9 +141,9 @@ struct GridConfig {
   const FaultInjector* faults = nullptr;
 };
 
-// What a GridConfig run produced, one outcome per cell. Exceptions never
-// escape run_grid in this form — `first_error` keeps the completion-order
-// first failure for callers that want legacy rethrow semantics.
+// What a grid run produced, one outcome per cell. Exceptions never escape
+// run_grid — `first_error` keeps the completion-order first failure for
+// callers that want to rethrow it.
 struct GridReport {
   std::vector<CellOutcome> cells;
   std::exception_ptr first_error;
@@ -153,13 +156,5 @@ struct GridReport {
 // config, and reports per-cell outcomes instead of throwing.
 GridReport run_grid(std::size_t n, const GridConfig& config,
                     const std::function<void(const CellContext&)>& fn);
-
-// Legacy entry point. Runs fn(0), ..., fn(n-1) on `jobs` workers (serially
-// when jobs <= 1). Blocks until the whole grid finished. Serial runs throw
-// the first exception immediately (reference loop); parallel runs drain the
-// grid, report every suppressed cell failure (index + what()) to stderr,
-// then rethrow the first exception by completion order.
-void run_grid(std::size_t n, int jobs,
-              const std::function<void(std::size_t)>& fn);
 
 }  // namespace fl::runtime

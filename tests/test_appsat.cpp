@@ -1,6 +1,8 @@
 // AppSAT: approximate attack; settles early on point-function schemes.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "attacks/appsat.h"
 #include "attacks/oracle.h"
 #include "core/full_lock.h"
@@ -85,6 +87,52 @@ TEST(AppSat, FullLockResistsApproximation) {
   // Truncated or not, the key is sized to the key width for consumers that
   // index it unconditionally.
   EXPECT_EQ(result.key.size(), locked.netlist.num_keys());
+}
+
+TEST(AppSat, CyclicLockEndsOnVerifiedKeyDeterministically) {
+  // Settlement checks on a cyclic lock simulate it by relaxation, and lanes
+  // that do not settle count as wrong. The attack ends on a key that
+  // unlocks, and a second run reproduces the first in every field that is
+  // not a wall-clock time.
+  const Netlist original = netlist::make_circuit("c432", 101);
+  core::FullLockConfig config = core::FullLockConfig::with_plrs(
+      {4}, core::ClnTopology::kBanyanNonBlocking, core::CycleMode::kForce);
+  config.seed = 2;
+  const LockedCircuit locked = core::full_lock(original, config);
+  ASSERT_TRUE(locked.netlist.is_cyclic());
+  AppSatOptions options;
+  options.base.timeout_s = 120.0;
+  const auto attack = [&] {
+    const Oracle oracle(original);
+    return AppSat(options).run(locked, oracle);
+  };
+  const AppSatResult a = attack();
+  const AppSatResult b = attack();
+  ASSERT_EQ(a.status, AttackStatus::kSuccess);
+  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, a.key, 32, 1));
+  // Settlement estimates ran: each charges rounds_per_check x 64 queries on
+  // top of one query per DIP.
+  EXPECT_GT(a.oracle_queries, a.iterations);
+
+  // Every field except the wall-clock times, as one comparable row.
+  const auto fields = [](const AppSatResult& r) {
+    const sat::SolverStats& s = r.solver_stats;
+    const sat::PreprocessStats& p = r.preprocess;
+    return std::make_tuple(
+        r.status, r.key, r.iterations, r.mean_clause_var_ratio, r.stop_reason,
+        r.oracle_queries, r.key_confirmed, r.banned_keys, r.base_clauses,
+        r.base_vars, r.clauses_added, r.vars_added, r.cone_encoding,
+        r.approximate, r.estimated_error, s.decisions, s.propagations,
+        s.binary_propagations, s.conflicts, s.restarts, s.learned_clauses,
+        s.learned_literals, s.learned_binary, s.lbd_sum, s.glue_learned,
+        s.max_lbd, s.promoted_clauses, s.removed_clauses,
+        s.db_size_after_reduce, s.simplify_removed_clauses,
+        s.simplify_removed_literals, s.peak_memory_bytes, p.ran,
+        p.budget_exhausted, p.input_vars, p.input_clauses, p.output_clauses,
+        p.fixed_vars, p.eliminated_vars, p.removed_clauses,
+        p.subsumed_clauses, p.strengthened_literals, p.resolvents_added);
+  };
+  EXPECT_EQ(fields(a), fields(b));
 }
 
 }  // namespace

@@ -42,14 +42,12 @@ TEST(BenchIo, RoundTripPreservesFunction) {
       read_bench_string(write_bench_string(original), "reparsed");
   ASSERT_EQ(reparsed.num_inputs(), original.num_inputs());
   ASSERT_EQ(reparsed.num_outputs(), original.num_outputs());
-  const Simulator sim_a(original);
-  const Simulator sim_b(reparsed);
   std::mt19937_64 rng(9);
   for (int round = 0; round < 16; ++round) {
     std::vector<Word> in(original.num_inputs());
     for (Word& w : in) w = rng();
-    const auto out_a = sim_a.run(in, {});
-    const auto out_b = sim_b.run(in, {});
+    const auto out_a = simulate(original, in, {}, 1).outputs;
+    const auto out_b = simulate(reparsed, in, {}, 1).outputs;
     for (std::size_t o = 0; o < out_a.size(); ++o) {
       ASSERT_EQ(out_a[o], out_b[o]) << "round " << round << " output " << o;
     }

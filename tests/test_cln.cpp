@@ -97,11 +97,8 @@ TEST(Cln, TraceMatchesSimulation) {
 
       std::vector<Word> in(16);
       for (Word& w : in) w = rng();
-      std::vector<Word> kw(key.size());
-      for (std::size_t i = 0; i < key.size(); ++i) {
-        kw[i] = key[i] ? ~Word{0} : 0;
-      }
-      const auto out = netlist::Simulator(net).run(in, kw);
+      const auto out =
+          netlist::simulate(net, in, netlist::broadcast(key), 1).outputs;
       for (int j = 0; j < 16; ++j) {
         ASSERT_EQ(out[j], in[perm[j]]) << "output " << j;
       }
@@ -127,9 +124,8 @@ TEST(Cln, InverterLayerNegatesPerKeyBit) {
   std::vector<bool> key = select;
   key.insert(key.end(), {false, false, true, false});
   std::vector<Word> in{0x1, 0x2, 0x4, 0x8};
-  std::vector<Word> kw(key.size());
-  for (std::size_t i = 0; i < key.size(); ++i) kw[i] = key[i] ? ~Word{0} : 0;
-  const auto out = netlist::Simulator(net).run(in, kw);
+  const auto out =
+      netlist::simulate(net, in, netlist::broadcast(key), 1).outputs;
   for (int j = 0; j < 4; ++j) {
     const Word expect = j == 2 ? ~in[perm[j]] : in[perm[j]];
     EXPECT_EQ(out[j], expect);
@@ -213,9 +209,8 @@ TEST(Cln, ExtraStagesRouteCorrectly) {
     const std::vector<int> perm = inst.trace_permutation(key);
     std::vector<Word> in(8);
     for (Word& w : in) w = rng();
-    std::vector<Word> kw(key.size());
-    for (std::size_t i = 0; i < key.size(); ++i) kw[i] = key[i] ? ~Word{0} : 0;
-    const auto out = netlist::Simulator(net).run(in, kw);
+    const auto out =
+        netlist::simulate(net, in, netlist::broadcast(key), 1).outputs;
     for (int j = 0; j < 8; ++j) {
       ASSERT_EQ(out[j], in[perm[j]]) << "extra=" << extra;
     }
@@ -253,11 +248,8 @@ TEST(Cln, VerticalCopiesLogNmp) {
     full.resize(inst.key_gates.size(), false);  // inverters off
     std::vector<Word> in(8);
     for (Word& w : in) w = rng();
-    std::vector<Word> kw(full.size());
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      kw[i] = full[i] ? ~Word{0} : 0;
-    }
-    const auto out = netlist::Simulator(net).run(in, kw);
+    const auto out =
+        netlist::simulate(net, in, netlist::broadcast(full), 1).outputs;
     for (int j = 0; j < 8; ++j) {
       ASSERT_EQ(out[j], in[perm[j]]) << "trial " << trial;
     }

@@ -281,7 +281,6 @@ TEST(IoConstraintCone, MatchesLegacyKeySpace) {
     std::vector<sat::Var> legacy_keys(net.num_keys()), cone_keys(net.num_keys());
     for (auto& v : legacy_keys) v = legacy_solver.new_var();
     for (auto& v : cone_keys) v = cone_solver.new_var();
-    netlist::Simulator fixed_sim(partition.fixed_region());
     const std::span<const GateId> taps = partition.taps();
 
     for (int d = 0; d < 5; ++d) {
@@ -292,11 +291,10 @@ TEST(IoConstraintCone, MatchesLegacyKeySpace) {
 
       // Cone path: sweep the fixed region once, hand the tap values to the
       // encoder as frontier constants.
-      std::vector<Word> words(net.num_inputs());
-      for (std::size_t i = 0; i < words.size(); ++i) {
-        words[i] = pattern[i] ? ~Word{0} : Word{0};
-      }
-      const std::vector<Word> tap_values = fixed_sim.run(words, {});
+      const std::vector<Word> tap_values =
+          netlist::simulate(partition.fixed_region(),
+                            netlist::broadcast(pattern), {}, 1)
+              .outputs;
       std::vector<NetLit> frontier(net.num_gates(), NetLit::constant(false));
       for (std::size_t t = 0; t < taps.size(); ++t) {
         frontier[taps[t]] = NetLit::constant((tap_values[t] & 1) != 0);
@@ -391,7 +389,6 @@ TEST(IoConstraintProjection, AdmitsExactlyTheRawKeySpace) {
     const Netlist& net = locked.netlist;
     ASSERT_FALSE(net.is_cyclic()) << scheme;
     netlist::KeyConePartition partition(net);
-    netlist::Simulator fixed_sim(partition.fixed_region());
     const std::span<const GateId> taps = partition.taps();
     for (const bool cone : {false, true}) {
       const std::string label =
@@ -413,12 +410,10 @@ TEST(IoConstraintProjection, AdmitsExactlyTheRawKeySpace) {
         raw.shared_key_vars = raw_keys;
         std::vector<NetLit> frontier;
         if (cone) {
-          std::vector<netlist::Word> words(net.num_inputs());
-          for (std::size_t i = 0; i < words.size(); ++i) {
-            words[i] = pattern[i] ? ~netlist::Word{0} : netlist::Word{0};
-          }
           const std::vector<netlist::Word> tap_values =
-              fixed_sim.run(words, {});
+              netlist::simulate(partition.fixed_region(),
+                                netlist::broadcast(pattern), {}, 1)
+                  .outputs;
           frontier.assign(net.num_gates(), NetLit::constant(false));
           for (std::size_t t = 0; t < taps.size(); ++t) {
             frontier[taps[t]] = NetLit::constant((tap_values[t] & 1) != 0);

@@ -70,27 +70,44 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   EXPECT_EQ(count.load(), 50);
 }
 
+// A grid on `jobs` workers with no retries, cancellation or resume mask.
+GridConfig jobs_config(int jobs) {
+  GridConfig config;
+  config.jobs = jobs;
+  return config;
+}
+
 TEST(Runner, SerialAndParallelGridsProduceIdenticalResults) {
   const std::size_t n = 64;
   const auto cell = [](std::size_t i) {
     return derive_seed(3, {static_cast<std::uint64_t>(i)});
   };
   std::vector<std::uint64_t> serial(n, 0), parallel(n, 0);
-  run_grid(n, 1, [&](std::size_t i) { serial[i] = cell(i); });
-  run_grid(n, 4, [&](std::size_t i) { parallel[i] = cell(i); });
+  run_grid(n, jobs_config(1), [&](const CellContext& ctx) {
+    serial[ctx.index] = cell(ctx.index);
+  });
+  run_grid(n, jobs_config(4), [&](const CellContext& ctx) {
+    parallel[ctx.index] = cell(ctx.index);
+  });
   EXPECT_EQ(serial, parallel);
 }
 
 TEST(Runner, FirstExceptionPropagatesAfterDrain) {
-  std::atomic<int> ran{0};
-  const auto body = [&](std::size_t i) {
-    ran.fetch_add(1);
-    if (i == 3) throw std::runtime_error("cell 3 failed");
-  };
-  EXPECT_THROW(run_grid(8, 1, body), std::runtime_error);
-  ran.store(0);
-  EXPECT_THROW(run_grid(8, 4, body), std::runtime_error);
-  EXPECT_EQ(ran.load(), 8);  // the grid drains; remaining cells still ran
+  for (const int jobs : {1, 4}) {
+    std::atomic<int> ran{0};
+    const GridReport report =
+        run_grid(8, jobs_config(jobs), [&](const CellContext& ctx) {
+          ran.fetch_add(1);
+          if (ctx.index == 3) throw std::runtime_error("cell 3 failed");
+        });
+    EXPECT_EQ(ran.load(), 8) << jobs;  // the grid drains; every cell ran
+    EXPECT_EQ(report.failed, 1u) << jobs;
+    EXPECT_EQ(report.ok, 7u) << jobs;
+    EXPECT_EQ(report.cells[3].status, CellOutcome::Status::kFailed) << jobs;
+    EXPECT_THROW(std::rethrow_exception(report.first_error),
+                 std::runtime_error)
+        << jobs;
+  }
 }
 
 TEST(Runner, ResolveJobsPrecedence) {
@@ -167,21 +184,6 @@ TEST(Runner, ResolveJobsRejectsJunkEnv) {
   EXPECT_THROW(resolve_jobs(0), std::invalid_argument);
   ::unsetenv("FL_JOBS");
   EXPECT_GE(resolve_jobs(0), 1);
-}
-
-TEST(Runner, SuppressedParallelFailuresAreReportedToStderr) {
-  const auto body = [&](std::size_t i) {
-    if (i == 2) throw std::runtime_error("boom-two");
-    if (i == 5) throw std::runtime_error("boom-five");
-  };
-  ::testing::internal::CaptureStderr();
-  EXPECT_THROW(run_grid(8, 4, body), std::runtime_error);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  // Every suppressed failure is named, not just the rethrown first one.
-  EXPECT_NE(err.find("cell 2"), std::string::npos) << err;
-  EXPECT_NE(err.find("boom-two"), std::string::npos) << err;
-  EXPECT_NE(err.find("cell 5"), std::string::npos) << err;
-  EXPECT_NE(err.find("boom-five"), std::string::npos) << err;
 }
 
 TEST(Runner, GridConfigIsolatesAndRetriesFailingCells) {
@@ -451,7 +453,8 @@ TEST(Determinism, SerialAndParallelSweepsMatchModuloWallClock) {
   const auto sweep = [&](int jobs) {
     std::ostringstream out;
     JsonlSink sink(out);
-    run_grid(grid.size(), jobs, [&](std::size_t i) {
+    const auto run_cell = [&](const CellContext& ctx) {
+      const std::size_t i = ctx.index;
       const Cell& cell = grid[i];
       const std::uint64_t seed =
           derive_seed(41, {static_cast<std::uint64_t>(cell.size),
@@ -491,7 +494,10 @@ TEST(Determinism, SerialAndParallelSweepsMatchModuloWallClock) {
           .field("mean_iteration_s", result.mean_iteration_seconds)
           .field("wall_s", result.seconds);
       sink.write(i, std::move(o).str());
-    });
+    };
+    const GridReport report =
+        run_grid(grid.size(), jobs_config(jobs), run_cell);
+    EXPECT_EQ(report.ok, grid.size()) << jobs;  // no cell threw
     sink.flush();
     // Strip the wall-clock fields — the only part allowed to vary.
     static const std::regex wall_clock(",\"(mean_iteration_s|wall_s)\":[^,}]+");

@@ -49,17 +49,16 @@ TEST(EvalGate, NaryGates) {
 
 TEST(Simulator, C17KnownVectors) {
   const Netlist c17 = make_c17();
-  const Simulator sim(c17);
   // All-zero input: 10=NAND(0,0)=1, 11=1, 16=NAND(0,1)=1, 19=1,
   // 22=NAND(1,1)=0, 23=0.
   const std::vector<Word> zeros(5, 0);
-  const auto out0 = sim.run(zeros, {});
+  const auto out0 = simulate(c17, zeros, {}, 1).outputs;
   EXPECT_EQ(out0[0] & 1, 0u);
   EXPECT_EQ(out0[1] & 1, 0u);
   // All-one input: 10=0, 11=0, 16=NAND(1,0)=1, 19=NAND(0,1)=1,
   // 22=NAND(0,1)=1, 23=NAND(1,1)=0.
   const std::vector<Word> ones(5, ~Word{0});
-  const auto out1 = sim.run(ones, {});
+  const auto out1 = simulate(c17, ones, {}, 1).outputs;
   EXPECT_EQ(out1[0] & 1, 1u);
   EXPECT_EQ(out1[1] & 1, 0u);
 }
@@ -76,20 +75,23 @@ TEST(Simulator, RejectsCyclicNetlist) {
 
 TEST(Simulator, StimulusWidthChecked) {
   const Netlist c17 = make_c17();
-  const Simulator sim(c17);
   const std::vector<Word> wrong(3, 0);
-  EXPECT_THROW(sim.run(wrong, {}), std::invalid_argument);
+  EXPECT_THROW(simulate(c17, wrong, {}, 1), std::invalid_argument);
+  EXPECT_THROW(simulate(c17, std::vector<Word>(5), std::vector<Word>(1), 1),
+               std::invalid_argument);
 }
 
 TEST(SimulateCyclic, MatchesAcyclicOnDag) {
   // On an acyclic netlist, relaxation must agree with the topological sweep.
   const Netlist c17 = make_c17();
   const Simulator sim(c17);
+  Simulator::Scratch scratch;
   std::mt19937_64 rng(11);
   for (int round = 0; round < 8; ++round) {
     std::vector<Word> in(5);
     for (Word& w : in) w = rng();
-    const auto expected = sim.run(in, {});
+    std::vector<Word> expected(c17.num_outputs());
+    sim.run_batch(in, {}, 1, scratch, expected);
     const auto got = simulate_cyclic(c17, in, {});
     EXPECT_EQ(got.converged, ~Word{0});
     for (std::size_t o = 0; o < expected.size(); ++o) {
@@ -126,36 +128,48 @@ TEST(SimulateCyclic, OscillatingRingFlagsNonConvergence) {
 }
 
 TEST(EvalOnce, SinglePatternMatchesBitParallel) {
+  // eval_once runs the batch engine on an acyclic netlist; the reference is
+  // the scalar relaxation kernel.
   const Netlist c17 = make_c17();
-  const Simulator sim(c17);
   std::mt19937_64 rng(5);
   for (int trial = 0; trial < 16; ++trial) {
     std::vector<bool> in(5);
-    std::vector<Word> in_words(5);
-    for (int i = 0; i < 5; ++i) {
-      in[i] = (rng() & 1) != 0;
-      in_words[i] = in[i] ? ~Word{0} : 0;
-    }
+    for (int i = 0; i < 5; ++i) in[i] = (rng() & 1) != 0;
     const auto bits = eval_once(c17, in, {});
-    const auto words = sim.run(in_words, {});
+    const auto words = simulate_cyclic(c17, broadcast(in), {}).outputs;
     for (std::size_t o = 0; o < bits.size(); ++o) {
       EXPECT_EQ(bits[o], (words[o] & 1) != 0);
     }
   }
 }
 
-TEST(SimulatorScratch, TrimReleasesOnlyAboveRetainBudget) {
-  // Long-lived (thread_local) scratches grow to the largest batch they ever
-  // served; trim() frees the block only when it exceeds the retain budget.
-  Simulator::Scratch scratch;
-  scratch.value.resize(1 << 16);
-  const std::size_t grown = scratch.capacity_bytes();
-  ASSERT_GE(grown, (std::size_t{1} << 16) * sizeof(Word));
-  scratch.trim(grown);  // within budget: storage kept
-  EXPECT_GE(scratch.capacity_bytes(), grown);
-  scratch.trim(grown - 1);  // over budget: released
-  EXPECT_LT(scratch.capacity_bytes(), grown);
-  EXPECT_TRUE(scratch.value.empty());
+TEST(Simulate, PicksTheEngineThatFitsTheNetlist) {
+  // Acyclic: the batch engine, every lane settles. Cyclic (L = XOR(a, L)):
+  // relaxation word by word, and the lanes with a=1 oscillate.
+  const Netlist c17 = make_c17();
+  std::mt19937_64 rng(3);
+  const std::size_t n_words = 3;
+  std::vector<Word> in(5 * n_words);
+  for (Word& w : in) w = rng();
+  const SimResult dag = simulate(c17, in, {}, n_words);
+  EXPECT_EQ(dag.converged, std::vector<Word>(n_words, ~Word{0}));
+  for (std::size_t w = 0; w < n_words; ++w) {
+    std::vector<Word> column(5);
+    for (std::size_t i = 0; i < 5; ++i) column[i] = in[i * n_words + w];
+    const CyclicSimResult ref = simulate_cyclic(c17, column, {});
+    for (std::size_t o = 0; o < ref.outputs.size(); ++o) {
+      EXPECT_EQ(dag.outputs[o * n_words + w], ref.outputs[o]);
+    }
+  }
+
+  Netlist ring;
+  const GateId a = ring.add_input("a");
+  const GateId loop = ring.add_gate(GateType::kXor, {a, a});
+  ring.set_fanin(loop, {a, loop});
+  ring.mark_output(loop, "y");
+  const std::vector<Word> lanes{0x00FF, 0xF000};
+  const SimResult cyc = simulate(ring, lanes, {}, 2);
+  EXPECT_EQ(cyc.converged, (std::vector<Word>{~Word{0x00FF}, ~Word{0xF000}}));
 }
 
 }  // namespace

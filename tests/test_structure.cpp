@@ -85,13 +85,11 @@ TEST(Compact, RemovesDeadKeepsInterface) {
 TEST(Compact, PreservesFunction) {
   const Netlist n = make_circuit("i4", 6);
   const Netlist c = compact(n);
-  const Simulator sim_a(n);
-  const Simulator sim_b(c);
   std::mt19937_64 rng(2);
   std::vector<Word> in(n.num_inputs());
   for (Word& w : in) w = rng();
-  const auto out_a = sim_a.run(in, {});
-  const auto out_b = sim_b.run(in, {});
+  const auto out_a = simulate(n, in, {}, 1).outputs;
+  const auto out_b = simulate(c, in, {}, 1).outputs;
   for (std::size_t o = 0; o < out_a.size(); ++o) {
     EXPECT_EQ(out_a[o], out_b[o]);
   }
@@ -131,14 +129,12 @@ TEST(Decompose, PreservesFunction) {
     config.seed = seed;
     const Netlist n = generate_circuit(config);
     const Netlist low = decompose_to_two_input(n);
-    const Simulator sim_a(n);
-    const Simulator sim_b(low);
     std::mt19937_64 rng(seed);
     for (int round = 0; round < 8; ++round) {
       std::vector<Word> in(n.num_inputs());
       for (Word& w : in) w = rng();
-      const auto out_a = sim_a.run(in, {});
-      const auto out_b = sim_b.run(in, {});
+      const auto out_a = simulate(n, in, {}, 1).outputs;
+      const auto out_b = simulate(low, in, {}, 1).outputs;
       for (std::size_t o = 0; o < out_a.size(); ++o) {
         ASSERT_EQ(out_a[o], out_b[o]) << "seed " << seed;
       }
@@ -155,12 +151,10 @@ TEST(Decompose, OddFaninAndEveryFamily) {
     n.mark_output(n.add_gate(t, ins), std::string(to_string(t)));
   }
   const Netlist low = decompose_to_two_input(n);
-  const Simulator sim_a(n);
-  const Simulator sim_b(low);
   std::mt19937_64 rng(4);
   std::vector<Word> in(5);
   for (Word& w : in) w = rng();
-  EXPECT_EQ(sim_a.run(in, {}), sim_b.run(in, {}));
+  EXPECT_EQ(simulate(n, in, {}, 1).outputs, simulate(low, in, {}, 1).outputs);
 }
 
 TEST(Decompose, RejectsCyclic) {
@@ -292,14 +286,17 @@ TEST(KeyConePartition, FixedRegionMatchesFullSimulationAtTaps) {
   std::vector<Word> keys(net.num_keys());
   for (auto& w : keys) w = rng();
 
-  const Simulator full_sim(net);
-  const std::vector<Word> all_nets = full_sim.run_full(inputs, keys);
-  const Simulator fixed_sim(fixed);
-  const std::vector<Word> tap_values = fixed_sim.run(inputs, {});
+  // The full netlist with every tap marked as an extra output exposes the
+  // tap values under the random key.
   const std::span<const GateId> taps = partition.taps();
+  Netlist probed = net;
+  for (const GateId tap : taps) probed.mark_output(tap);
+  const std::vector<Word> all_outputs =
+      simulate(probed, inputs, keys, 1).outputs;
+  const std::vector<Word> tap_values = simulate(fixed, inputs, {}, 1).outputs;
   ASSERT_EQ(tap_values.size(), taps.size());
   for (std::size_t t = 0; t < taps.size(); ++t) {
-    EXPECT_EQ(tap_values[t], all_nets[taps[t]]) << "tap " << t;
+    EXPECT_EQ(tap_values[t], all_outputs[net.num_outputs() + t]) << "tap " << t;
   }
 }
 

@@ -129,8 +129,9 @@ TEST(Arena, GrowingSetFaninRelocatesSegment) {
 
 // --- wide SIMD simulation -------------------------------------------------
 
-// run_batch must agree with the legacy per-word run() on random circuits,
-// including a partial final block (n_words not a multiple of kSimdWords).
+// run_batch must agree with the scalar relaxation kernel (simulate_cyclic,
+// word by word) on random circuits, including a partial final block
+// (n_words not a multiple of kSimdWords).
 TEST(WideSim, MatchesLegacyRunOnRandomCircuits) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const Netlist net = random_circuit(400, seed);
@@ -149,7 +150,7 @@ TEST(WideSim, MatchesLegacyRunOnRandomCircuits) {
     std::vector<Word> in_w(n_in);
     for (std::size_t w = 0; w < n_words; ++w) {
       for (std::size_t i = 0; i < n_in; ++i) in_w[i] = inputs[i * n_words + w];
-      const std::vector<Word> out = sim.run(in_w, {});
+      const std::vector<Word> out = simulate_cyclic(net, in_w, {}).outputs;
       for (std::size_t o = 0; o < n_out; ++o) {
         EXPECT_EQ(wide[o * n_words + w], out[o])
             << "seed " << seed << " word " << w << " output " << o;
@@ -175,7 +176,7 @@ TEST(WideSim, HandlesArityAboveEight) {
   std::vector<Word> in_w(in.size());
   for (std::size_t w = 0; w < n_words; ++w) {
     for (std::size_t i = 0; i < in.size(); ++i) in_w[i] = inputs[i * n_words + w];
-    const std::vector<Word> out = sim.run(in_w, {});
+    const std::vector<Word> out = simulate_cyclic(n, in_w, {}).outputs;
     EXPECT_EQ(wide[0 * n_words + w], out[0]);
     EXPECT_EQ(wide[1 * n_words + w], out[1]);
   }
@@ -196,10 +197,7 @@ TEST(WideSim, BroadcastKeysMatchPerWordKeys) {
   std::mt19937_64 rng(17);
   std::vector<Word> inputs(n_in * n_words);
   for (Word& w : inputs) w = rng();
-  std::vector<Word> key_one(n_key);
-  for (std::size_t k = 0; k < n_key; ++k) {
-    key_one[k] = locked.correct_key[k] ? ~Word{0} : Word{0};
-  }
+  const std::vector<Word> key_one = broadcast(locked.correct_key);
   std::vector<Word> key_wide(n_key * n_words);
   for (std::size_t k = 0; k < n_key; ++k) {
     for (std::size_t w = 0; w < n_words; ++w) {
@@ -270,12 +268,13 @@ TEST(Strash, PreservesFunctionOnRandomCircuits) {
     OptimizeStats stats;
     const Netlist opt = optimize(net, &stats);
     EXPECT_LE(opt.num_gates(), net.num_gates());
-    const Simulator sim_a(net), sim_b(opt);
     std::mt19937_64 rng(seed);
     for (int round = 0; round < 8; ++round) {
       std::vector<Word> in(net.num_inputs());
       for (Word& w : in) w = rng();
-      EXPECT_EQ(sim_a.run(in, {}), sim_b.run(in, {})) << "seed " << seed;
+      EXPECT_EQ(simulate(net, in, {}, 1).outputs,
+                simulate(opt, in, {}, 1).outputs)
+          << "seed " << seed;
     }
   }
 }
@@ -289,16 +288,13 @@ TEST(Strash, PreservesLockedFunctionUnderCorrectKey) {
   const core::LockedCircuit locked = core::full_lock(original, config);
   const Netlist opt = optimize(locked.netlist);
   ASSERT_EQ(opt.num_keys(), locked.netlist.num_keys());
-  const Simulator sim_a(locked.netlist), sim_b(opt);
-  std::vector<Word> key(locked.correct_key.size());
-  for (std::size_t k = 0; k < key.size(); ++k) {
-    key[k] = locked.correct_key[k] ? ~Word{0} : Word{0};
-  }
+  const std::vector<Word> key = broadcast(locked.correct_key);
   std::mt19937_64 rng(22);
   for (int round = 0; round < 8; ++round) {
     std::vector<Word> in(original.num_inputs());
     for (Word& w : in) w = rng();
-    EXPECT_EQ(sim_a.run(in, key), sim_b.run(in, key));
+    EXPECT_EQ(simulate(locked.netlist, in, key, 1).outputs,
+              simulate(opt, in, key, 1).outputs);
   }
 }
 

@@ -1,11 +1,15 @@
 // Verification & corruption metrics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/rll.h"
 #include "locking/sarlock.h"
 #include "netlist/profiles.h"
+#include "netlist/simulator.h"
 
 namespace fl::core {
 namespace {
@@ -13,6 +17,7 @@ namespace {
 using netlist::GateId;
 using netlist::GateType;
 using netlist::Netlist;
+using netlist::Word;
 
 TEST(VerifyUnlocks, AcceptsIdentity) {
   const Netlist c17 = netlist::make_c17();
@@ -58,6 +63,71 @@ TEST(ErrorRate, HalfForInvertedOutput) {
   broken.set_output_gate(0, inv);
   const double e = error_rate(c17, broken, {}, 16, 3);
   EXPECT_NEAR(e, 0.5, 1e-9);
+}
+
+// (#wrong output bits, #output bits) of `key` computed word by word: the
+// round-major pattern stream error_rate and verify_unlocks draw, each round
+// run through the scalar relaxation kernel. A lane that does not settle is
+// wrong on every output.
+std::pair<std::uint64_t, std::uint64_t> reference_diff(
+    const Netlist& original, const Netlist& locked,
+    const std::vector<bool>& key, int rounds, std::uint64_t seed,
+    std::uint64_t* unsettled) {
+  std::vector<Word> kw(key.size());
+  for (std::size_t i = 0; i < key.size(); ++i) kw[i] = key[i] ? ~Word{0} : 0;
+  std::mt19937_64 rng(seed);
+  std::uint64_t diff = 0, total = 0;
+  for (int r = 0; r < rounds; ++r) {
+    std::vector<Word> in(original.num_inputs());
+    for (Word& w : in) w = rng();
+    const netlist::CyclicSimResult gold =
+        netlist::simulate_cyclic(original, in, {});
+    const netlist::CyclicSimResult got =
+        netlist::simulate_cyclic(locked, in, kw);
+    *unsettled += std::popcount(~got.converged);
+    for (std::size_t o = 0; o < gold.outputs.size(); ++o) {
+      diff += std::popcount((gold.outputs[o] ^ got.outputs[o]) |
+                            ~got.converged);
+      total += 64;
+    }
+  }
+  return {diff, total};
+}
+
+TEST(ErrorRate, CyclicLockMatchesWordByWordRelaxation) {
+  // The correct key and every one-bit flip of it on a cyclic Full-Lock:
+  // error_rate and verify_unlocks agree with the word-by-word reference.
+  const Netlist original = netlist::make_circuit("c432", 101);
+  FullLockConfig config = FullLockConfig::with_plrs(
+      {4}, ClnTopology::kBanyanNonBlocking, CycleMode::kForce);
+  config.seed = 2;
+  const LockedCircuit locked = full_lock(original, config);
+  ASSERT_TRUE(locked.netlist.is_cyclic());
+  std::vector<std::vector<bool>> keys = {locked.correct_key};
+  for (std::size_t b = 0; b < locked.correct_key.size(); ++b) {
+    keys.push_back(locked.correct_key);
+    keys.back()[b] = !keys.back()[b];
+  }
+  int wrong_keys = 0;
+  std::uint64_t unsettled = 0;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const auto [diff, total] =
+        reference_diff(original, locked.netlist, keys[k], 8, 3, &unsettled);
+    EXPECT_EQ(error_rate(original, locked.netlist, keys[k], 8, 3),
+              static_cast<double>(diff) / static_cast<double>(total))
+        << "key " << k;
+    EXPECT_EQ(verify_unlocks(original, locked.netlist, keys[k], 8, 3),
+              diff == 0)
+        << "key " << k;
+    if (k == 0) {
+      EXPECT_EQ(diff, 0u);
+    } else if (diff != 0) {
+      ++wrong_keys;
+    }
+  }
+  // Some flips corrupt outputs, and some leave lanes oscillating.
+  EXPECT_GT(wrong_keys, 0);
+  EXPECT_GT(unsettled, 0u);
 }
 
 TEST(Corruption, FullLockBeatsSarlock) {
