@@ -253,7 +253,7 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
   start = Clock::now();
   r.verify_ok = fl::core::verify_unlocks(original, locked.netlist,
                                          locked.correct_key, /*rounds=*/4,
-                                         /*seed=*/11, /*also_sat_check=*/false);
+                                         /*seed=*/11);
   r.verify_s = seconds_since(start);
   r.total_wall_s = seconds_since(total_start);
   return r;

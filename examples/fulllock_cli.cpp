@@ -25,10 +25,13 @@
 //            appsat, double-dip, fall; auto = cycsat on cyclic netlists, sat
 //            otherwise). The engine picks the miter encoding from the lock
 //            (key-cone on acyclic locks, full-circuit on cyclic ones) and
-//            always preprocesses the base miter. --require-key exits 3
-//            unless the recovered key is proved equivalent to the oracle by
-//            SAT (cyclic locks: checked by simulation only); the CI gate.
-//            The key line names the check: proved, simulated or REJECTED.
+//            always preprocesses the base miter. The recovered key is
+//            proved equivalent to the oracle (cnf::check_equivalence: the
+//            lock specialised to the key, hashed against the oracle, the
+//            outputs that do not merge SAT-checked). A cyclic lock is proved
+//            when its key cuts every cycle, and simulated only when a cycle
+//            survives. The key line names the check: proved, simulated or
+//            REJECTED; --require-key exits 3 on REJECTED (the CI gate).
 //            --trace FILE appends one JSONL record per DIP iteration (schema
 //            in EXPERIMENTS.md). attack and sweep exit 2 on an unknown
 //            --flag or a bad runner flag value (attack also on a fourth
@@ -75,12 +78,14 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
+#include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
@@ -326,8 +331,8 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     std::fprintf(stderr,
                  "usage: attack <locked.bench> <oracle.bench> [timeout_s]\n"
                  "  --attack NAME   one of: %s (default: auto)\n"
-                 "  --require-key   exit 3 unless the recovered key is "
-                 "proved equivalent (cyclic locks: simulated)\n"
+                 "  --require-key   exit 3 when the recovered key is "
+                 "REJECTED\n"
                  "  --trace FILE    per-DIP-iteration JSONL trace\n",
                  attacks::attack_names().c_str());
     return 2;
@@ -360,17 +365,19 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   }
   bool accepted = false;
   if (result.status == attacks::AttackStatus::kSuccess) {
-    // --require-key gates on a proof: an acyclic key is proved equivalent
-    // (cnf::check_equivalence), a cyclic one can only be simulated. Without
-    // the flag the fast simulated check stays, because a proof on a large
-    // circuit can take minutes.
-    accepted = core::verify_unlocks(oracle_netlist, locked.netlist,
-                                    result.key, 16, 1,
-                                    /*also_sat_check=*/require_key);
-    const bool proved = require_key && !locked.netlist.is_cyclic();
-    std::printf("recovered key (%s):", !accepted ? "REJECTED"
-                                       : proved  ? "proved"
-                                                 : "simulated");
+    // Every key is proved (cnf::check_equivalence), a cyclic one on the
+    // netlist its key specialises it to. Only a key that leaves a cycle
+    // standing, which the proof refuses, falls back to simulation.
+    const char* method = "proved";
+    try {
+      accepted = cnf::check_equivalence(oracle_netlist, {}, locked.netlist,
+                                        result.key);
+    } catch (const std::invalid_argument&) {
+      method = "simulated";
+      accepted = core::verify_unlocks(oracle_netlist, locked.netlist,
+                                      result.key, 16, 1);
+    }
+    std::printf("recovered key (%s):", accepted ? method : "REJECTED");
     for (const bool b : result.key) std::printf("%d", b ? 1 : 0);
     std::printf("\n");
   }

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "cnf/miter.h"
 #include "cnf/tseytin.h"
 #include "core/verify.h"
 #include "locking/sfll_hd.h"
@@ -191,9 +192,10 @@ FallResult fall_attack(const core::LockedCircuit& locked,
         }
       }
       ++result.candidates_tested;
+      // Simulation filters the candidate; the proof decides.
       if (core::verify_unlocks(oracle.circuit(), net, candidate,
-                               options.verify_rounds, options.seed,
-                               /*also_sat_check=*/true)) {
+                               options.verify_rounds, options.seed) &&
+          cnf::check_equivalence(oracle.circuit(), {}, net, candidate)) {
         result.key_recovered = true;
         result.key = std::move(candidate);
         result.hd = h;

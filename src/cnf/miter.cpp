@@ -3,10 +3,12 @@
 #include <random>
 #include <stdexcept>
 
+#include "netlist/optimize.h"
 #include "sat/preprocess.h"
 
 namespace fl::cnf {
 
+using netlist::GateId;
 using netlist::Netlist;
 using sat::Lit;
 using sat::Var;
@@ -265,38 +267,66 @@ bool check_equivalence(const Netlist& a, const std::vector<bool>& key_a,
   if (a.num_inputs() != b.num_inputs() || a.num_outputs() != b.num_outputs()) {
     throw std::invalid_argument("check_equivalence: interface mismatch");
   }
-  if (a.is_cyclic() || b.is_cyclic()) {
-    throw std::invalid_argument("check_equivalence: needs acyclic netlists");
-  }
   if (key_a.size() != a.num_keys() || key_b.size() != b.num_keys()) {
     throw std::invalid_argument("check_equivalence: key size mismatch");
   }
-  sat::Solver solver;
-  SolverSink sink(solver);
-
-  EncodeOptions options_a;
-  const EncodedCircuit enc_a = encode(a, sink, options_a);
-  for (std::size_t i = 0; i < key_a.size(); ++i) {
-    solver.add_clause({Lit(enc_a.key_vars[i], !key_a[i])});
+  // Both netlists with their keys folded in, over shared primary inputs.
+  // Constant folding and structural hashing then merge every output pair
+  // whose two sides reduce to the same node.
+  Netlist both("miter");
+  std::vector<GateId> inputs;
+  for (const GateId g : a.inputs()) {
+    inputs.push_back(both.add_input(a.gate_name(g)));
   }
-
-  EncodeOptions options_b;
-  options_b.shared_input_vars = enc_a.input_vars;
-  const EncodedCircuit enc_b = encode(b, sink, options_b);
-  for (std::size_t i = 0; i < key_b.size(); ++i) {
-    solver.add_clause({Lit(enc_b.key_vars[i], !key_b[i])});
+  for (const GateId g : netlist::append_specialized(both, inputs, a, key_a)) {
+    both.mark_output(g);
   }
-  const NetLit diff = encode_difference(enc_a.outputs, enc_b.outputs, sink);
-  if (diff.is_const()) return !diff.const_value();
-  solver.add_clause({diff.lit});
-  const sat::LBool result = solver.solve();
-  if (result == sat::LBool::kTrue && counterexample != nullptr) {
-    counterexample->assign(a.num_inputs(), false);
-    for (std::size_t i = 0; i < enc_a.input_vars.size(); ++i) {
-      (*counterexample)[i] = solver.value_of(enc_a.input_vars[i]);
+  for (const GateId g : netlist::append_specialized(both, inputs, b, key_b)) {
+    both.mark_output(g);
+  }
+  Netlist merged = netlist::optimize(both);
+
+  // Only the pairs that did not merge reach the solver, encoded from their
+  // own fanin cone.
+  const std::size_t n = a.num_outputs();
+  std::vector<GateId> lhs, rhs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const GateId x = merged.outputs()[i].gate;
+    const GateId y = merged.outputs()[n + i].gate;
+    if (x != y) {
+      lhs.push_back(x);
+      rhs.push_back(y);
     }
   }
-  return result == sat::LBool::kFalse;
+  if (lhs.empty()) return true;
+  merged.clear_outputs();
+  for (const GateId g : lhs) merged.mark_output(g);
+  for (const GateId g : rhs) merged.mark_output(g);
+  const Netlist cone = netlist::compact(merged);
+
+  sat::Solver solver;
+  SolverSink sink(solver);
+  const EncodedCircuit enc = encode(cone, sink);
+  const std::span<const NetLit> outputs = enc.outputs;
+  const NetLit diff = encode_difference(outputs.first(lhs.size()),
+                                        outputs.subspan(lhs.size()), sink);
+  if (diff.is_const()) {
+    if (!diff.const_value()) return true;
+    // The outputs differ on every pattern, all-zero included.
+    if (counterexample != nullptr) {
+      counterexample->assign(a.num_inputs(), false);
+    }
+    return false;
+  }
+  solver.add_clause({diff.lit});
+  if (solver.solve() == sat::LBool::kFalse) return true;
+  if (counterexample != nullptr) {
+    counterexample->assign(a.num_inputs(), false);
+    for (std::size_t i = 0; i < enc.input_vars.size(); ++i) {
+      (*counterexample)[i] = solver.value_of(enc.input_vars[i]);
+    }
+  }
+  return false;
 }
 
 }  // namespace fl::cnf

@@ -77,10 +77,16 @@ void add_io_constraint_cone(const netlist::Netlist& locked,
 double deobfuscation_cnf_ratio(const netlist::Netlist& locked, int num_dips,
                                std::uint64_t seed);
 
-// SAT equivalence check of two acyclic netlists with equal PI/PO counts.
-// Keys of either netlist are fixed to the supplied constants (pass empty
-// spans for key-less netlists). Returns true iff functionally equivalent.
-// Throws std::invalid_argument on interface mismatches or cyclic inputs.
+// Equivalence proof of two netlists with equal PI/PO counts, each under a
+// constant key (pass {} for a key-less netlist). Both are specialised to
+// their keys (netlist::append_specialized) into one netlist over shared
+// primary inputs and optimised (netlist::optimize); an output pair that
+// lands on one node is equal, and only the cone of the pairs that do not
+// merge is SAT-checked. Returns true iff functionally equivalent; on false
+// `counterexample` (if non-null) receives an input pattern on which the
+// two differ. Throws std::invalid_argument on interface or key-size
+// mismatches, and when a structural cycle survives the specialisation (a
+// cyclic lock under a key that does not cut its cycles).
 bool check_equivalence(const netlist::Netlist& a, const std::vector<bool>& key_a,
                        const netlist::Netlist& b, const std::vector<bool>& key_b,
                        std::vector<bool>* counterexample = nullptr);

@@ -10,18 +10,17 @@ namespace fl::core {
 
 // Checks that `locked` under `key` matches `original` on `rounds` x 64
 // random patterns (relaxation simulation if the locked netlist is cyclic).
-// For acyclic locked netlists, pass `also_sat_check` to additionally run a
-// complete SAT equivalence proof.
+// A sample, not a proof: cnf::check_equivalence proves a key.
 bool verify_unlocks(const netlist::Netlist& original,
                     const netlist::Netlist& locked,
-                    const std::vector<bool>& key, int rounds, std::uint64_t seed,
-                    bool also_sat_check = false);
+                    const std::vector<bool>& key, int rounds,
+                    std::uint64_t seed);
 
 inline bool verify_unlocks(const netlist::Netlist& original,
                            const LockedCircuit& locked, int rounds,
-                           std::uint64_t seed, bool also_sat_check = false) {
+                           std::uint64_t seed) {
   return verify_unlocks(original, locked.netlist, locked.correct_key, rounds,
-                        seed, also_sat_check);
+                        seed);
 }
 
 // Fraction of (pattern, output-bit) pairs that differ from the original

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "netlist/simulator.h"
+
 namespace fl::netlist {
 
 Reachability::Reachability(const Netlist& netlist)
@@ -275,6 +277,104 @@ Netlist compact(const Netlist& netlist, std::vector<GateId>* remap_out) {
   out.validate();
   if (remap_out != nullptr) *remap_out = std::move(remap);
   return out;
+}
+
+std::vector<GateId> append_specialized(Netlist& out,
+                                       std::span<const GateId> inputs,
+                                       const Netlist& source,
+                                       const std::vector<bool>& key) {
+  if (inputs.size() != source.num_inputs() || key.size() != source.num_keys()) {
+    throw std::invalid_argument("append_specialized: interface size mismatch");
+  }
+  GateId consts[2] = {kNullGate, kNullGate};
+  const auto constant = [&](bool value) {
+    if (consts[value] == kNullGate) consts[value] = out.add_const(value);
+    return consts[value];
+  };
+  const auto value_of = [&](GateId net) {  // 0, 1, or -1 when not constant
+    const GateType type = out.gate_type(net);
+    return type == GateType::kConst0 ? 0 : type == GateType::kConst1 ? 1 : -1;
+  };
+
+  enum : std::uint8_t { kNew, kOnPath, kDone };
+  std::vector<std::uint8_t> state(source.num_gates(), kNew);
+  std::vector<GateId> map(source.num_gates(), kNullGate);  // source -> out
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    map[source.inputs()[i]] = inputs[i];
+    state[source.inputs()[i]] = kDone;
+  }
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    map[source.keys()[i]] = constant(key[i]);
+    state[source.keys()[i]] = kDone;
+  }
+
+  // The fanins `g` reads once everything before them is folded: a MUX reads
+  // its select first, then only the data fanin a constant select picks.
+  const auto reads = [&](GateId g) {
+    std::span<const GateId> fanin = source.fanin(g);
+    if (source.gate_type(g) != GateType::kMux) return fanin;
+    if (state[fanin[0]] != kDone) return fanin.first(1);
+    const int select = value_of(map[fanin[0]]);
+    return select < 0 ? fanin : fanin.subspan(1 + select, 1);
+  };
+  std::vector<GateId> fanin;
+  std::vector<Word> words;
+  const auto emit = [&](GateId g) {
+    const GateType type = source.gate_type(g);
+    if (type == GateType::kConst0 || type == GateType::kConst1) {
+      return constant(type == GateType::kConst1);
+    }
+    const std::span<const GateId> src = reads(g);
+    if (type == GateType::kMux && src.size() == 1) return map[src[0]];
+    fanin.clear();
+    words.clear();
+    bool all_constant = true;
+    for (const GateId f : src) {
+      fanin.push_back(map[f]);
+      const int value = value_of(map[f]);
+      all_constant = all_constant && value >= 0;
+      words.push_back(value > 0 ? ~Word{0} : Word{0});
+    }
+    if (all_constant) return constant((eval_gate(type, words) & 1) != 0);
+    return out.add_gate(type, std::span<const GateId>(fanin));
+  };
+
+  // Depth-first from every output port; `path` is exactly the gates on the
+  // current path, so reading one of them again closes a cycle.
+  std::vector<GateId> path;
+  std::vector<GateId> result;
+  result.reserve(source.num_outputs());
+  for (const OutputPort& port : source.outputs()) {
+    path.push_back(port.gate);
+    while (!path.empty()) {
+      const GateId g = path.back();
+      if (state[g] == kDone) {
+        path.pop_back();
+        continue;
+      }
+      state[g] = kOnPath;
+      GateId next = kNullGate;
+      for (const GateId f : reads(g)) {
+        if (state[f] == kOnPath) {
+          throw std::invalid_argument(
+              "append_specialized: a structural cycle survives the key");
+        }
+        if (state[f] == kNew) {
+          next = f;
+          break;
+        }
+      }
+      if (next != kNullGate) {
+        path.push_back(next);
+        continue;
+      }
+      map[g] = emit(g);
+      state[g] = kDone;
+      path.pop_back();
+    }
+    result.push_back(map[port.gate]);
+  }
+  return result;
 }
 
 namespace {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -99,6 +100,20 @@ std::vector<Edge> feedback_edges(const Netlist& netlist);
 // (kNullGate for removed gates).
 Netlist compact(const Netlist& netlist,
                 std::vector<GateId>* remap_out = nullptr);
+
+// Appends `source` to `out` specialised to the constant key `key`: its
+// primary inputs read `inputs` (nets of `out`, one per source input, in
+// order), its key inputs become constants, a gate whose fanins are all
+// constant becomes a constant, and a MUX whose select is constant becomes
+// the fanin it selects — which cuts a cyclic lock's routing cycles. Only
+// logic that reaches an output under that rewiring is copied. Returns the
+// nets of `out` driving source's output ports, in port order. Throws
+// std::invalid_argument on a size mismatch or when a structural cycle
+// survives the specialisation.
+std::vector<GateId> append_specialized(Netlist& out,
+                                       std::span<const GateId> inputs,
+                                       const Netlist& source,
+                                       const std::vector<bool>& key);
 
 // Functionally equivalent copy with every n-ary gate (n > 2) lowered to a
 // balanced tree of 2-input gates of the same family (the final tree node

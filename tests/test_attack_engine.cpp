@@ -16,6 +16,7 @@
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
 #include "attacks/sat_attack.h"
+#include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
@@ -69,8 +70,8 @@ TEST(AttackEngine, AllAttacksRecoverVerifiedKeys) {
   for (const auto& [name, result] :
        run_exact_attacks(options, locked, oracle)) {
     ASSERT_EQ(result.status, AttackStatus::kSuccess) << name;
-    EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                     1, /*sat=*/true))
+    EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                       result.key))
         << name;
     EXPECT_EQ(result.key.size(), locked.key_bits()) << name;
     EXPECT_TRUE(result.cone_encoding) << name;
@@ -321,8 +322,7 @@ TEST(KeyConfirmation, LoopNeverReportsARefutedCandidate) {
   // miter and ended on key extraction.
   EXPECT_FALSE(result.key_confirmed);
   EXPECT_EQ(result.iterations, 63u);  // 2^6 - 1, as without candidates
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   1, /*sat=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(AttackRegistry, UnknownNameThrowsAndListsTheNames) {

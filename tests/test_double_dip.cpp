@@ -3,6 +3,7 @@
 
 #include "attacks/double_dip.h"
 #include "attacks/oracle.h"
+#include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/rll.h"
@@ -25,8 +26,7 @@ TEST(DoubleDip, BreaksRll) {
   options.timeout_s = 60.0;
   const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   1, /*sat=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(DoubleDip, NoTwoDipExistsForPureSarlock) {
@@ -44,8 +44,7 @@ TEST(DoubleDip, NoTwoDipExistsForPureSarlock) {
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_EQ(result.iterations, 0u);  // no 2-DIP on a pure point function
   EXPECT_GT(result.fallback_iterations, 0u);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   2, /*sat=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(DoubleDip, UsesTwoDipsOnBroadlyCorruptingSchemes) {
@@ -61,8 +60,7 @@ TEST(DoubleDip, UsesTwoDipsOnBroadlyCorruptingSchemes) {
   const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_GT(result.iterations, 0u);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   4, /*sat=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(DoubleDip, FullLockStillResists) {

@@ -8,6 +8,7 @@
 #include "attacks/removal.h"
 #include "attacks/sat_attack.h"
 #include "attacks/sps.h"
+#include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/interlock.h"
 #include "locking/scheme.h"
@@ -30,8 +31,8 @@ TEST(InterLock, CorrectKeyUnlocksWithSatProof) {
   const LockedCircuit locked = lock::lock_with(
       "interlock", original, lock::make_options(5, {}, "sizes=8"));
   EXPECT_FALSE(locked.netlist.is_cyclic());
-  EXPECT_TRUE(core::verify_unlocks(original, locked, 16, 1,
-                                   /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                     locked.correct_key));
   EXPECT_FALSE(locked.routing_blocks.empty());
   EXPECT_GT(locked.key_bits(), 0u);
 }
@@ -96,8 +97,7 @@ TEST(InterLock, SatAttackRecoversAWorkingKey) {
   const attacks::AttackResult result =
       attacks::SatAttack(options).run(locked, oracle);
   ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   1, /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(InterLock, DeterministicInSeed) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 
+#include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/profiles.h"
@@ -68,9 +69,10 @@ TEST_P(LockProperty, InterfaceAndUnlockInvariants) {
   ASSERT_GT(locked.key_bits(), 0u);
   EXPECT_NO_THROW(locked.netlist.validate());
 
-  // (2) Correct key unlocks (simulation; SAT proof where acyclic).
-  EXPECT_TRUE(core::verify_unlocks(original, locked, 12, p.seed,
-                                   !locked.netlist.is_cyclic()));
+  // (2) Correct key unlocks, proved (a cyclic lock on the netlist its key
+  // specialises it to).
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                     locked.correct_key));
 
   // (3) Deterministic in the seed.
   const LockedCircuit again = lock_case(p, original);
@@ -104,11 +106,15 @@ TEST_P(LockProperty, InterfaceAndUnlockInvariants) {
     // different function. Random sampling can miss the corrupted minterms
     // for schemes with few small key cones (e.g. lut-lock's 6 LUTs deep in
     // i4's wide AND cones), so where the netlist is acyclic we settle it
-    // with the SAT miter instead of pattern counting.
+    // with the equivalence proof instead of pattern counting.
     std::vector<bool> flipped = locked.correct_key;
     flipped.flip();
-    EXPECT_FALSE(core::verify_unlocks(original, locked.netlist, flipped, 16,
-                                      p.seed, !locked.netlist.is_cyclic()))
+    const bool equivalent =
+        locked.netlist.is_cyclic()
+            ? core::verify_unlocks(original, locked.netlist, flipped, 16,
+                                   p.seed)
+            : cnf::check_equivalence(original, {}, locked.netlist, flipped);
+    EXPECT_FALSE(equivalent)
         << "non-point-function scheme is equivalent under the flipped key";
   }
 }

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "attacks/cycsat.h"
 #include "attacks/oracle.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
@@ -17,6 +19,8 @@
 #include "netlist/simulator.h"
 #include "netlist/structure.h"
 #include "sat/solver.h"
+
+#include "miter_reference.h"
 
 namespace fl::cnf {
 namespace {
@@ -82,6 +86,152 @@ TEST(CheckEquivalence, InterfaceMismatchThrows) {
   tiny.add_input("a");
   tiny.mark_output(tiny.add_gate(GateType::kNot, {0}), "y");
   EXPECT_THROW(check_equivalence(c17, {}, tiny, {}), std::invalid_argument);
+}
+
+// True iff `pattern` makes `locked` under `key` and `original` disagree on
+// some output.
+bool distinguishes(const Netlist& original, const Netlist& locked,
+                   const std::vector<bool>& key,
+                   const std::vector<bool>& pattern) {
+  const std::vector<netlist::Word> inputs = netlist::broadcast(pattern);
+  const netlist::SimResult expected =
+      netlist::simulate(original, inputs, {}, 1);
+  const netlist::SimResult got =
+      netlist::simulate(locked, inputs, netlist::broadcast(key), 1);
+  for (std::size_t o = 0; o < expected.outputs.size(); ++o) {
+    if (((expected.outputs[o] ^ got.outputs[o]) & 1) != 0) return true;
+  }
+  return false;
+}
+
+TEST(CheckEquivalence, ConstantDifferenceStillYieldsACounterexample) {
+  // Outputs tied to opposite constants: the difference is constant before
+  // any solve, and every pattern distinguishes.
+  Netlist zero;
+  zero.add_input("a");
+  zero.mark_output(zero.add_const(false), "y");
+  Netlist one;
+  one.add_input("a");
+  one.mark_output(one.add_const(true), "y");
+  std::vector<bool> cex;
+  EXPECT_FALSE(check_equivalence(zero, {}, one, {}, &cex));
+  ASSERT_EQ(cex.size(), 1u);
+  EXPECT_TRUE(distinguishes(zero, one, {}, cex));
+
+  // A flipped key turns y = ~a into y = a: once the key is folded in, the
+  // pair (~a, a) differs on every pattern, again without a solve.
+  Netlist original;
+  const GateId a0 = original.add_input("a");
+  original.mark_output(original.add_gate(GateType::kNot, {a0}), "y");
+  Netlist locked;
+  const GateId a1 = locked.add_input("a");
+  const GateId k = locked.add_key("k");
+  const GateId inv = locked.add_gate(GateType::kNot, {a1});
+  locked.mark_output(locked.add_gate(GateType::kXor, {inv, k}), "y");
+  cex.clear();
+  EXPECT_FALSE(check_equivalence(original, {}, locked, {true}, &cex));
+  ASSERT_EQ(cex.size(), 1u);
+  EXPECT_TRUE(distinguishes(original, locked, {true}, cex));
+}
+
+TEST(CheckEquivalence, ProvesAKeyThatCutsTheCycleAndThrowsOnOneThatKeepsIt) {
+  // y = MUX(k, a, z) with z = NOT y: k = 0 routes a straight to y, k = 1
+  // closes the loop y -> z -> y.
+  Netlist original;
+  original.mark_output(original.add_input("a"), "y");
+  Netlist locked;
+  const GateId a = locked.add_input("a");
+  const GateId k = locked.add_key("k");
+  const GateId y = locked.add_gate(GateType::kMux, {k, a, a});
+  const GateId z = locked.add_gate(GateType::kNot, {y});
+  locked.set_fanin(y, std::vector<GateId>{k, a, z});
+  locked.mark_output(y, "y");
+  ASSERT_TRUE(locked.is_cyclic());
+  EXPECT_TRUE(check_equivalence(original, {}, locked, {false}));
+  EXPECT_THROW(check_equivalence(original, {}, locked, {true}),
+               std::invalid_argument);
+}
+
+// Each scheme's lock-matrix leg (.github/workflows/lock-matrix.yml).
+const std::map<std::string, std::string, std::less<>>& matrix_params() {
+  static const std::map<std::string, std::string, std::less<>> params = {
+      {"antisat", "inputs=6"},
+      {"cross-lock", "sources=8,dests=12"},
+      {"full-lock", "sizes=8"},
+      {"interlock", "sizes=8"},
+      {"lut-lock", "luts=6"},
+      {"rll", "keys=16"},
+      {"sarlock", "keys=8"},
+      {"sfll-hd", "keys=8,hd=1"},
+  };
+  return params;
+}
+
+TEST(CheckEquivalence, AgreesWithTheTwoCopyMiterOnEverySchemeAndKeyFlip) {
+  // Differential check of the specialise-hash-solve proof against the
+  // two-copy miter it replaced: every registered scheme on c432 and c880 at
+  // lock seeds 1-3. The correct key must be proved, each of its first 32
+  // one-bit flips must get the reference's verdict, and every refutation
+  // must carry a pattern on which simulation tells the netlists apart.
+  for (const lock::LockScheme* scheme : lock::registry()) {
+    const auto params = matrix_params().find(scheme->name());
+    ASSERT_NE(params, matrix_params().end())
+        << "add a matrix_params() row for " << scheme->name();
+    for (const char* profile : {"c432", "c880"}) {
+      const Netlist original = netlist::make_circuit(profile, 1);
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const core::LockedCircuit locked =
+            lock::lock_with(scheme->name(), original,
+                            lock::make_options(seed, {}, params->second));
+        const std::string label = std::string(scheme->name()) + " on " +
+                                  profile + " seed " + std::to_string(seed);
+        const Netlist& net = locked.netlist;
+        ASSERT_FALSE(net.is_cyclic()) << label;
+        EXPECT_TRUE(check_equivalence(original, {}, net, locked.correct_key))
+            << label;
+        const std::size_t flips = std::min<std::size_t>(32, net.num_keys());
+        int refuted = 0;
+        for (std::size_t bit = 0; bit < flips; ++bit) {
+          std::vector<bool> key = locked.correct_key;
+          key[bit] = !key[bit];
+          std::vector<bool> cex;
+          const bool equal = check_equivalence(original, {}, net, key, &cex);
+          ASSERT_EQ(equal, reference_equivalent(original, {}, net, key))
+              << label << " bit " << bit;
+          if (!equal) {
+            ++refuted;
+            ASSERT_EQ(cex.size(), original.num_inputs()) << label;
+            EXPECT_TRUE(distinguishes(original, net, key, cex))
+                << label << " bit " << bit;
+          }
+        }
+        EXPECT_GT(refuted, 0) << label;
+      }
+    }
+  }
+}
+
+TEST(CheckEquivalence, ProvesCycSatKeysOnCyclicFullLock) {
+  // CycSAT's routing key cuts every cycle of a cyclic Full-Lock, so the key
+  // is proved on the acyclic netlist it specialises the lock to.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const attacks::Oracle oracle(original);
+  int cyclic = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const core::LockedCircuit locked = lock::lock_with(
+        "full-lock", original,
+        lock::make_options(seed, {}, "sizes=4,cycle=allow"));
+    if (!locked.netlist.is_cyclic()) continue;
+    ++cyclic;
+    attacks::AttackOptions options;
+    options.timeout_s = 60.0;
+    const attacks::AttackResult result =
+        attacks::CycSat(options).run(locked, oracle);
+    ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess) << seed;
+    EXPECT_TRUE(check_equivalence(original, {}, locked.netlist, result.key))
+        << seed;
+  }
+  EXPECT_GT(cyclic, 0);
 }
 
 TEST(AttackMiter, KeylessCircuitIsTriviallyEqual) {

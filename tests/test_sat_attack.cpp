@@ -7,6 +7,7 @@
 
 #include "attacks/oracle.h"
 #include "attacks/sat_attack.h"
+#include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/antisat.h"
@@ -30,8 +31,7 @@ void expect_breaks(const Netlist& original, const LockedCircuit& locked,
   options.timeout_s = 60.0;
   const AttackResult result = SatAttack(options).run(locked, oracle);
   ASSERT_EQ(result.status, AttackStatus::kSuccess) << locked.scheme;
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   1, /*sat=*/true))
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key))
       << locked.scheme;
   if (max_expected_iterations != 0) {
     EXPECT_LE(result.iterations, max_expected_iterations) << locked.scheme;
@@ -80,8 +80,7 @@ TEST(SatAttack, SarlockNeedsExponentialIterations) {
   const AttackResult result = SatAttack(options).run(locked, oracle);
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_GE(result.iterations, 32u);  // close to 2^6
-  EXPECT_TRUE(
-      core::verify_unlocks(original, locked.netlist, result.key, 16, 2, true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(SatAttack, SarlockDipConstraintsAddNoVariables) {
@@ -117,8 +116,7 @@ TEST(SatAttack, SarlockDipConstraintsAddNoVariables) {
   // Each SARLock DIP flips exactly one copy's output, so the other copy's
   // key is a candidate after every DIP and the loop ends on confirmation.
   EXPECT_TRUE(result.key_confirmed);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, result.key, 16,
-                                   1, /*sat=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(SatAttack, CyclicRepeatedDipsBanStatefulKeys) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "attacks/registry.h"
+#include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
@@ -86,8 +87,7 @@ TEST(ServeJobs, LockThenAttackKeepsSchemeProvenance) {
   ASSERT_EQ(key->size(), 8u);
   std::vector<bool> key_bits;
   for (const char c : *key) key_bits.push_back(c == '1');
-  EXPECT_TRUE(core::verify_unlocks(original, reloaded.netlist, key_bits, 16, 1,
-                                   /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, reloaded.netlist, key_bits));
 }
 
 // JSONL records with every wall-clock (`_s`) value masked: what two runs of

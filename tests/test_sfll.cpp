@@ -10,6 +10,7 @@
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
 #include "attacks/sat_attack.h"
+#include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "locking/sfll_hd.h"
@@ -37,8 +38,8 @@ TEST(SfllHd, CorrectKeyUnlocksWithSatProof) {
   EXPECT_EQ(locked.scheme, "sfll-hd");
   EXPECT_EQ(locked.key_bits(), 8u);
   EXPECT_FALSE(locked.netlist.is_cyclic());
-  EXPECT_TRUE(core::verify_unlocks(original, locked, 16, 1,
-                                   /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                     locked.correct_key));
 }
 
 TEST(SfllHd, WrongKeysCorruptOnlyAPointFunctionSliver) {
@@ -55,8 +56,8 @@ TEST(SfllHd, WrongKeysCorruptOnlyAPointFunctionSliver) {
 TEST(SfllHd, HdZeroDegeneratesToSingleShellAndStillUnlocks) {
   const Netlist original = netlist::make_circuit("c432", 2);
   const LockedCircuit locked = lock_sfll(original, 6, 0);
-  EXPECT_TRUE(core::verify_unlocks(original, locked, 16, 1,
-                                   /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                     locked.correct_key));
 }
 
 TEST(SfllHd, BuildHdEqualsCountsExactly) {
@@ -96,8 +97,7 @@ TEST(SfllHd, FallAttackRecoversKeyAndHammingDistance) {
   ASSERT_TRUE(fall.key_recovered);
   EXPECT_EQ(fall.hd, 1);
   EXPECT_EQ(fall.key, locked.correct_key);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, fall.key, 16, 1,
-                                   /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, fall.key));
 }
 
 TEST(SfllHd, FallAttackRecoversKeyAtLargerDistance) {
@@ -107,8 +107,7 @@ TEST(SfllHd, FallAttackRecoversKeyAtLargerDistance) {
   const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
   ASSERT_TRUE(fall.key_recovered);
   EXPECT_EQ(fall.hd, 2);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, fall.key, 16, 1,
-                                   /*also_sat_check=*/true));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, fall.key));
 }
 
 TEST(SfllHd, FallBailsOnNonSfllLocks) {

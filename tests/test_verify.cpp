@@ -4,6 +4,7 @@
 #include <bit>
 #include <random>
 
+#include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/rll.h"
@@ -21,7 +22,7 @@ using netlist::Word;
 
 TEST(VerifyUnlocks, AcceptsIdentity) {
   const Netlist c17 = netlist::make_c17();
-  EXPECT_TRUE(verify_unlocks(c17, c17, {}, 8, 1, /*sat=*/true));
+  EXPECT_TRUE(verify_unlocks(c17, c17, {}, 8, 1));
 }
 
 TEST(VerifyUnlocks, RejectsWrongKey) {
@@ -29,11 +30,10 @@ TEST(VerifyUnlocks, RejectsWrongKey) {
   const LockedCircuit locked =
       full_lock(original, FullLockConfig::with_plrs({8}));
   // Inverting the whole key scrambles routing, inverters and LUT tables;
-  // use the complete SAT check so the verdict is exact.
+  // use the equivalence proof so the verdict is exact.
   std::vector<bool> wrong = locked.correct_key;
   wrong.flip();
-  EXPECT_FALSE(
-      verify_unlocks(original, locked.netlist, wrong, 16, 1, /*sat=*/true));
+  EXPECT_FALSE(cnf::check_equivalence(original, {}, locked.netlist, wrong));
   // And statistically: random wrong keys corrupt at least sometimes.
   const CorruptionStats stats = output_corruption(original, locked, 16, 4, 9);
   EXPECT_GT(stats.mean_error_rate, 0.0);
