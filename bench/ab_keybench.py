@@ -26,10 +26,15 @@ the ratio of the medians and a verdict, judged against the metric's
     unresolved  the base's IQR is wider than the bound (relative)
     level       anything else
 
+Each run's per-instance records (keybench/run.py's results file, which
+the next run on that side overwrites) are copied to
+records/<side>-<workload>-seed<N>-pair<K>.jsonl in the work directory.
+
 Exits 1 if a run gives no result, a run reports `correct: false`, or the
 change fails more attacks than the base on some workload. Without
---workdir the extracted trees and builds go to a temporary directory that
-is removed at exit; with it they are kept and reused by later calls.
+--workdir the extracted trees, builds and records go to a temporary
+directory that is removed at exit; with it they are kept, and the trees
+and builds are reused by later calls.
 """
 import argparse
 import json
@@ -190,8 +195,10 @@ def main():
     metrics = spec["end_to_end"]
     workloads = [w for w in args.workload.split(",") if w]
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="ab_keybench.")
-    os.makedirs(workdir, exist_ok=True)
+    workdir = os.path.abspath(args.workdir or
+                              tempfile.mkdtemp(prefix="ab_keybench."))
+    records = os.path.join(workdir, "records")
+    os.makedirs(records, exist_ok=True)
     status = 0
     try:
         sides = {}
@@ -215,6 +222,12 @@ def main():
                         print("%s %s pair %d: no result" %
                               (workload, side, pair + 1))
                         return 1
+                    stem = "%s-seed%d" % (workload, args.seed)
+                    shutil.copyfile(
+                        os.path.join(target, "keybench", "results",
+                                     stem + "-trace0.jsonl"),
+                        os.path.join(records, "%s-%s-pair%d.jsonl" %
+                                     (side, stem, pair + 1)))
                     if not result["correct"]:
                         print("%s %s pair %d: correct: false" %
                               (workload, side, pair + 1))

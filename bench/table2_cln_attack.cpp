@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
 #include "runtime/jsonl.h"
@@ -40,7 +40,7 @@ struct Cell {
 
 struct CellResult {
   std::size_t key_bits = 0;
-  fl::attacks::AttackResult attack;
+  fl::attacks::RunResult run;
 };
 
 const char* topology_name(ClnTopology topo) {
@@ -57,7 +57,7 @@ std::vector<int> sweep_sizes() {
 
 CellResult run_cell(const Cell& cell, const fl::runtime::CellContext& ctx,
                     double timeout_s, const fl::runtime::RunnerArgs& run_args,
-                    fl::bench::SweepTrace& trace) {
+                    fl::attacks::TraceFile& trace) {
   CellResult result;
   const fl::netlist::Netlist original = fl::bench::identity_circuit(cell.n);
   // CLN-only lock: no LUT twisting so the instance is exactly one CLN,
@@ -74,8 +74,9 @@ CellResult run_cell(const Cell& cell, const fl::runtime::CellContext& ctx,
   options.timeout_s = ctx.effective_timeout(timeout_s);
   options.interrupt = ctx.interrupt;
   options.memory_limit_mb = run_args.memory_limit_mb;
-  trace.wire(options, ctx.index);
-  result.attack = fl::attacks::SatAttack(options).run(locked, oracle);
+  options.trace = trace.sink();
+  options.trace_cell = static_cast<long long>(ctx.index);
+  result.run = fl::attacks::run("sat", locked, oracle, options);
   return result;
 }
 
@@ -95,12 +96,13 @@ void print_table(const std::vector<Cell>& grid,
         continue;
       }
       const CellResult& cell = results[i];
+      const fl::attacks::AttackResult& attack = cell.run.result;
       const bool timed_out =
-          cell.attack.status == fl::attacks::AttackStatus::kTimeout;
+          attack.status == fl::attacks::AttackStatus::kTimeout;
       table.row({std::to_string(grid[i].n), std::to_string(cell.key_bits),
-                 timed_out ? ">" + std::to_string(cell.attack.iterations)
-                           : std::to_string(cell.attack.iterations),
-                 fl::bench::fmt_time_or_to(timed_out, cell.attack.seconds)});
+                 timed_out ? ">" + std::to_string(attack.iterations)
+                           : std::to_string(attack.iterations),
+                 fl::bench::fmt_time_or_to(timed_out, attack.seconds)});
     }
   };
   emit(ClnTopology::kShuffleBlocking, "shuffle-based blocking CLN");
@@ -131,7 +133,7 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<CellResult> results(grid.size());
-    fl::bench::SweepTrace trace(run_args);
+    fl::attacks::TraceFile trace(run_args.trace_path);
 
     fl::runtime::SweepSession session("table2", grid.size(), base, run_args);
     const auto record_base = [&](std::size_t i) {
@@ -151,15 +153,15 @@ int main(int argc, char** argv) {
         [&](const fl::runtime::CellContext& ctx) {
           const std::size_t i = ctx.index;
           results[i] = run_cell(grid[i], ctx, timeout_s, run_args, trace);
-          if (results[i].attack.status ==
+          if (results[i].run.result.status ==
               fl::attacks::AttackStatus::kInterrupted) {
             session.note_interrupted(i);
             return;
           }
           if (session.sink() != nullptr) {
             fl::runtime::JsonObject o = record_base(i);
-            o.field("key_bits", results[i].key_bits);
-            fl::bench::append_attack_fields(o, results[i].attack);
+            o.field("key_bits", results[i].key_bits)
+                .merge(fl::attacks::to_json(results[i].run));
             session.sink()->write(i, o.str());
           }
         });

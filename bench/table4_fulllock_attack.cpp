@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
 #include "netlist/profiles.h"
@@ -69,13 +69,13 @@ struct Cell {
 
 struct CellResult {
   bool cyclic = false;
-  fl::attacks::AttackResult attack;
+  fl::attacks::RunResult run;
 };
 
 CellResult run_cell(const std::string& circuit, const Column& column,
                     std::uint64_t seed, const fl::runtime::CellContext& ctx,
                     double timeout_s, const fl::runtime::RunnerArgs& run_args,
-                    fl::bench::SweepTrace& trace) {
+                    fl::attacks::TraceFile& trace) {
   CellResult cell;
   const fl::netlist::Netlist original = fl::netlist::make_circuit(circuit, 1);
   // Random insertion (paper §3.3): cycles allowed, hence CycSAT.
@@ -90,8 +90,9 @@ CellResult run_cell(const std::string& circuit, const Column& column,
   options.timeout_s = ctx.effective_timeout(timeout_s);
   options.interrupt = ctx.interrupt;
   options.memory_limit_mb = run_args.memory_limit_mb;
-  trace.wire(options, ctx.index);
-  cell.attack = fl::attacks::CycSat(options).run(locked, oracle);
+  options.trace = trace.sink();
+  options.trace_cell = static_cast<long long>(ctx.index);
+  cell.run = fl::attacks::run("cycsat", locked, oracle, options);
   return cell;
 }
 
@@ -107,9 +108,9 @@ void print_table(const std::vector<std::string>& names,
     for (std::size_t col = 0; col < columns().size(); ++col) {
       const CellResult& cell = results[ci * columns().size() + col];
       const bool timed_out =
-          cell.attack.status != fl::attacks::AttackStatus::kSuccess;
+          cell.run.result.status != fl::attacks::AttackStatus::kSuccess;
       std::string text =
-          fl::bench::fmt_time_or_to(timed_out, cell.attack.seconds);
+          fl::bench::fmt_time_or_to(timed_out, cell.run.result.seconds);
       if (cell.cyclic) text += "*";
       cells.push_back(text);
     }
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<CellResult> results(grid.size());
-    fl::bench::SweepTrace trace(run_args);
+    fl::attacks::TraceFile trace(run_args.trace_path);
 
     fl::runtime::SweepSession session("table4", grid.size(), base, run_args);
     const auto record_base = [&](std::size_t i) {
@@ -162,15 +163,15 @@ int main(int argc, char** argv) {
           const Cell& cell = grid[i];
           results[i] = run_cell(names[cell.circuit], columns()[cell.column],
                                 cell.seed, ctx, timeout_s, run_args, trace);
-          if (results[i].attack.status ==
+          if (results[i].run.result.status ==
               fl::attacks::AttackStatus::kInterrupted) {
             session.note_interrupted(i);
             return;
           }
           if (session.sink() != nullptr) {
             fl::runtime::JsonObject o = record_base(i);
-            o.field("cyclic", results[i].cyclic);
-            fl::bench::append_attack_fields(o, results[i].attack);
+            o.field("cyclic", results[i].cyclic)
+                .merge(fl::attacks::to_json(results[i].run));
             session.sink()->write(i, o.str());
           }
         });

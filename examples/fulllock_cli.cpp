@@ -39,17 +39,17 @@
 //   sweep:   example_fulllock_cli sweep <in.bench> [sizes...]
 //                                       [--scheme LIST] [--opt K=V,...]
 //                                       [the attack flags above]
-//            Locks <in.bench> once per (scheme, size, seed index) cell and
-//            attacks each instance, fanning the grid out over a worker
-//            pool. --scheme takes a comma-separated list of registry names
-//            (default: full-lock) as an extra grid axis. --jobs N / FL_JOBS
-//            sets the pool size (1 = serial reference loop); --jsonl PATH /
-//            FL_JSONL records one JSON object per cell (durably — flushed +
-//            fsynced as written); --resume continues an interrupted sweep,
-//            skipping cells already in the file; --retries/--cell-timeout/
-//            --mem-mb bound per-cell failures (see EXPERIMENTS.md).
-//            FULLLOCK_SEED / FULLLOCK_SWEEP_SEEDS set the base seed and
-//            per-size replica count.
+//            The serve daemon's sweep (attacks/sweep.h): locks <in.bench>
+//            once per (scheme, size, replica) cell and attacks each, over a
+//            worker pool. --scheme takes a comma-separated list of registry
+//            names (default: full-lock). --jobs N / FL_JOBS sets the pool
+//            size (1 = serial reference loop); --jsonl PATH / FL_JSONL
+//            durably records one JSON object per cell, as a serve sweep
+//            does; --resume continues an interrupted sweep, skipping cells
+//            already in the file; --retries/--cell-timeout/--mem-mb bound
+//            per-cell failures (see EXPERIMENTS.md). FULLLOCK_SEED /
+//            FULLLOCK_SWEEP_SEEDS set the base seed and per-size replica
+//            count; a cell's lock seed hashes (base, size, replica).
 //   report:  example_fulllock_cli report <netlist.bench>
 //            Prints structural statistics and the PPA estimate.
 //   serve:   example_fulllock_cli serve <socket> [--state FILE] [--workers N]
@@ -85,6 +85,7 @@
 
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
+#include "attacks/sweep.h"
 #include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
@@ -92,10 +93,7 @@
 #include "netlist/profiles.h"
 #include "netlist/verilog_io.h"
 #include "ppa/estimator.h"
-#include "runtime/jsonl.h"
 #include "runtime/runner.h"
-#include "runtime/seed.h"
-#include "runtime/sweep.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 
@@ -286,19 +284,6 @@ int cmd_gen(int argc, char** argv) {
   return 0;
 }
 
-// One --trace sink shared by every attack a command runs (thread-safe, so
-// parallel sweep cells may interleave records).
-struct TraceFile {
-  explicit TraceFile(const runtime::RunnerArgs& run_args) {
-    if (!run_args.trace_path.empty()) {
-      file.emplace(runtime::open_jsonl(run_args.trace_path));
-      sink.emplace(*file);
-    }
-  }
-  std::optional<std::ofstream> file;
-  std::optional<attacks::JsonlTraceSink> sink;
-};
-
 int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   // Flags may sit anywhere among the positionals. (--trace was already
   // stripped into run_args.)
@@ -346,8 +331,8 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   attacks::AttackOptions options;
   options.timeout_s = timeout_s;
   options.memory_limit_mb = run_args.memory_limit_mb;
-  TraceFile trace(run_args);
-  if (trace.sink.has_value()) options.trace = &*trace.sink;
+  attacks::TraceFile trace(run_args.trace_path);
+  options.trace = trace.sink();
 
   attacks::RunResult run = attacks::run(attack_name, locked, oracle, options);
   const attacks::AttackResult& result = run.result;
@@ -394,17 +379,14 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     return 2;
   }
   std::string bench_path;
-  std::vector<int> sizes;
   std::vector<std::string> schemes;
-  std::string opt_text;
-  std::string attack_name = "auto";
-  int replicas = 3;
-  std::uint64_t base = 17;
-  double timeout_s = 10.0;
+  attacks::SweepSpec spec;
+  spec.replicas = 3;
+  spec.timeout_s = 10.0;
   try {
     bench_path = positional_arg(argv[2]);
     for (int i = 3; i < argc; ++i) {
-      if (parse_attack_flag(argc, argv, i, attack_name)) continue;
+      if (parse_attack_flag(argc, argv, i, spec.attack)) continue;
       if (auto v = flag_value("--scheme", argc, argv, i)) {
         // Split "a,b,c" scheme lists into grid values.
         for (std::size_t from = 0; from < v->size();) {
@@ -414,159 +396,53 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
           from = comma + 1;
         }
       } else if (auto v = flag_value("--opt", argc, argv, i)) {
-        append_opt(opt_text, *v);
+        append_opt(spec.scheme_params, *v);
       } else {
-        sizes.push_back(parse_size(positional_arg(argv[i])));
+        spec.sizes.push_back(parse_size(positional_arg(argv[i])));
       }
     }
     if (const char* env = std::getenv("FULLLOCK_SWEEP_SEEDS")) {
-      replicas = static_cast<int>(
+      spec.replicas = static_cast<int>(
           runtime::parse_int_flag("FULLLOCK_SWEEP_SEEDS", env, 1, 1000000));
     }
     if (const char* env = std::getenv("FULLLOCK_SEED")) {
-      base = parse_seed("FULLLOCK_SEED", env);
+      spec.seed = parse_seed("FULLLOCK_SEED", env);
     }
     if (const char* env = std::getenv("FULLLOCK_TIMEOUT_S")) {
-      timeout_s = runtime::parse_seconds_flag("FULLLOCK_TIMEOUT_S", env);
+      spec.timeout_s = runtime::parse_seconds_flag("FULLLOCK_TIMEOUT_S", env);
     }
+    if (!schemes.empty()) spec.schemes = schemes;
+    // Every (scheme, size) pair is validated before the grid runs, so a bad
+    // parameter fails the whole sweep at parse time, not cell 37.
+    attacks::validate_sweep(spec.schemes, spec.sizes, spec.scheme_params);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "sweep: %s\n", e.what());
     return 2;
   }
-  if (schemes.empty()) schemes = {"full-lock"};
-  if (sizes.empty()) sizes = {4, 8, 16};
 
-  // Every (scheme, size) combination is validated before the grid runs, so
-  // a bad parameter fails the whole sweep at parse time, not cell 37.
-  for (const std::string& scheme : schemes) {
-    const lock::LockScheme* s = lock::find_scheme(scheme);
-    if (s == nullptr) {
-      std::fprintf(stderr,
-                   "unknown lock scheme '%s'; available schemes: %s\n",
-                   scheme.c_str(), lock::scheme_names().c_str());
-      return 2;
-    }
-    try {
-      for (const int size : sizes) {
-        s->validate(lock::make_options(base, {size}, opt_text));
-      }
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "sweep: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  struct Cell {
-    int scheme;  // index into `schemes`
-    int size;
-    int replica;
-    std::uint64_t seed;
-  };
-  struct CellResult {
-    std::size_t key_bits = 0;
-    attacks::RunResult run;
-  };
-  std::vector<Cell> grid;
-  for (int s = 0; s < static_cast<int>(schemes.size()); ++s) {
-    for (const int size : sizes) {
-      for (int r = 0; r < replicas; ++r) {
-        grid.push_back({s, size, r,
-                        runtime::derive_seed(
-                            base, {static_cast<std::uint64_t>(s),
-                                   static_cast<std::uint64_t>(size),
-                                   static_cast<std::uint64_t>(r)})});
-      }
-    }
-  }
-  const netlist::Netlist original = netlist::read_bench_file(bench_path);
-  std::vector<CellResult> results(grid.size());
-  TraceFile trace(run_args);
-
-  runtime::SweepSession session("cli_sweep", grid.size(), base, run_args);
-  const auto record_base = [&](std::size_t i) {
-    runtime::JsonObject o;
-    o.field("cell", i)
-        .field("bench", "cli_sweep")
-        .field("circuit", original.name())
-        .field("scheme", schemes[grid[i].scheme])
-        .field("plr_size", grid[i].size)
-        .field("replica", grid[i].replica)
-        .field("seed", grid[i].seed);
-    return o;
-  };
-
-  std::printf("sweep %s: %zu cells on %d worker(s), %zu already done\n",
-              bench_path.c_str(), grid.size(), run_args.jobs,
-              session.num_resumed());
-  const runtime::GridReport report = runtime::run_grid(
-      grid.size(), session.grid_config(),
-      [&](const runtime::CellContext& ctx) {
-        const std::size_t i = ctx.index;
-        const Cell& cell = grid[i];
-        const core::LockedCircuit locked = lock::lock_with(
-            schemes[cell.scheme], original,
-            lock::make_options(cell.seed, {cell.size}, opt_text));
-        const attacks::Oracle oracle(original);
-        attacks::AttackOptions options;
-        options.timeout_s = ctx.effective_timeout(timeout_s);
-        options.memory_limit_mb = run_args.memory_limit_mb;
-        options.interrupt = ctx.interrupt;
-        if (trace.sink.has_value()) {
-          options.trace = &*trace.sink;
-          options.trace_cell = static_cast<long long>(i);
-        }
-        results[i].key_bits = locked.key_bits();
-        // "auto" follows each cell's cyclicity, and double-dip
-        // (acyclic-only) degrades to cycsat on cyclic cells.
-        results[i].run = attacks::run(attack_name, locked, oracle, options);
-        const attacks::AttackResult& attack = results[i].run.result;
-        if (attack.status == attacks::AttackStatus::kInterrupted) {
-          session.note_interrupted(i);
-          return;
-        }
-        if (session.sink() != nullptr) {
-          runtime::JsonObject o = record_base(i);
-          o.field("key_bits", results[i].key_bits)
-              .field("cyclic", locked.netlist.is_cyclic())
-              .field("attack", results[i].run.attack)
-              .field("status", attacks::to_string(attack.status))
-              .field("stop_reason", sat::to_string(attack.stop_reason))
-              .field("iterations", attack.iterations)
-              .field("mean_clause_var_ratio", attack.mean_clause_var_ratio)
-              .field("oracle_queries", attack.oracle_queries)
-              .field("conflicts", attack.solver_stats.conflicts)
-              .field("binary_propagations",
-                     attack.solver_stats.binary_propagations)
-              .field("learned_clauses", attack.solver_stats.learned_clauses)
-              .field("glue_learned", attack.solver_stats.glue_learned)
-              .field("promoted_clauses", attack.solver_stats.promoted_clauses)
-              .field("db_size_after_reduce",
-                     attack.solver_stats.db_size_after_reduce)
-              .merge(results[i].run.detail)
-              .field("mean_iteration_s", attack.mean_iteration_seconds)
-              .field("wall_s", attack.seconds);
-          session.sink()->write(i, o.str());
-        }
-      });
-
+  const attacks::SweepResult sweep = attacks::run_sweep(
+      netlist::read_bench_file(bench_path), spec, run_args);
+  std::printf("sweep %s: %zu cells on %d worker(s), %zu resumed\n",
+              bench_path.c_str(), sweep.cells.size(), run_args.jobs,
+              sweep.report.skipped);
   std::printf("%-11s %-6s %-8s %-10s %-12s %-10s %s\n", "scheme", "size",
               "replica", "key_bits", "status", "iters", "time_s");
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const char* scheme_name = schemes[grid[i].scheme].c_str();
-    if (report.cells[i].status != runtime::CellOutcome::Status::kOk) {
-      std::printf("%-11s %-6d %-8d %-10s %-12s\n", scheme_name,
-                  grid[i].size, grid[i].replica, "-",
-                  runtime::to_string(report.cells[i].status));
+  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+    const attacks::SweepCell& cell = sweep.cells[i];
+    if (sweep.report.cells[i].status != runtime::CellOutcome::Status::kOk) {
+      std::printf("%-11s %-6d %-8d %-10s %-12s\n", cell.scheme.c_str(),
+                  cell.size, cell.replica, "-",
+                  runtime::to_string(sweep.report.cells[i].status));
       continue;
     }
-    const attacks::AttackResult& attack = results[i].run.result;
-    std::printf("%-11s %-6d %-8d %-10zu %-12s %-10llu %.2f\n", scheme_name,
-                grid[i].size, grid[i].replica, results[i].key_bits,
+    const attacks::AttackResult& attack = cell.run.result;
+    std::printf("%-11s %-6d %-8d %-10zu %-12s %-10llu %.2f\n",
+                cell.scheme.c_str(), cell.size, cell.replica, attack.key.size(),
                 attacks::to_string(attack.status),
                 static_cast<unsigned long long>(attack.iterations),
                 attack.seconds);
   }
-  return session.finish(report, record_base);
+  return sweep.exit_code;
 }
 
 int cmd_report(int argc, char** argv) {

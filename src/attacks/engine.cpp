@@ -44,6 +44,12 @@ void JsonlTraceSink::record(const IterationTrace& trace) {
   out_.flush();  // a trace is for post-mortems; don't buffer past a crash
 }
 
+TraceFile::TraceFile(const std::string& path) {
+  if (path.empty()) return;
+  file_.emplace(runtime::open_jsonl(path));
+  sink_.emplace(*file_);
+}
+
 BudgetGuard::BudgetGuard(const AttackOptions& options, Clock::time_point start)
     : start_(start), interrupt_(options.interrupt) {
   if (options.timeout_s > 0.0) {

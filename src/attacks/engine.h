@@ -49,6 +49,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -134,6 +135,19 @@ class JsonlTraceSink final : public IterationTraceSink {
  private:
   std::ostream& out_;
   std::mutex mu_;
+};
+
+// A command's --trace FILE: the opened file and the JsonlTraceSink writing
+// it, shared by every attack the command runs. sink() is nullptr when
+// `path` is empty; an unwritable path throws std::runtime_error.
+class TraceFile {
+ public:
+  explicit TraceFile(const std::string& path);
+  IterationTraceSink* sink() { return sink_ ? &*sink_ : nullptr; }
+
+ private:
+  std::optional<std::ofstream> file_;
+  std::optional<JsonlTraceSink> sink_;
 };
 
 struct AttackOptions {

@@ -120,4 +120,49 @@ RunResult run(std::string_view name, const core::LockedCircuit& locked,
   return run;
 }
 
+runtime::JsonObject to_json(const RunResult& run) {
+  const AttackResult& r = run.result;
+  const sat::SolverStats& st = r.solver_stats;
+  const sat::PreprocessStats& pp = r.preprocess;
+  runtime::JsonObject o;
+  o.field("attack", run.attack)
+      .field("status", to_string(r.status))
+      .field("stop_reason", sat::to_string(r.stop_reason))
+      .field("iterations", r.iterations)
+      .field("mean_clause_var_ratio", r.mean_clause_var_ratio)
+      .field("oracle_queries", r.oracle_queries)
+      .field("banned_keys", r.banned_keys)
+      .field("decisions", st.decisions)
+      .field("propagations", st.propagations)
+      .field("binary_propagations", st.binary_propagations)
+      .field("conflicts", st.conflicts)
+      .field("restarts", st.restarts)
+      .field("learned_clauses", st.learned_clauses)
+      .field("learned_binary", st.learned_binary)
+      .field("glue_learned", st.glue_learned)
+      .field("max_lbd", st.max_lbd)
+      .field("promoted_clauses", st.promoted_clauses)
+      .field("removed_clauses", st.removed_clauses)
+      .field("db_size_after_reduce", st.db_size_after_reduce)
+      .field("simplify_removed_clauses", st.simplify_removed_clauses)
+      .field("cone_encoding", r.cone_encoding)
+      .field("base_clauses", r.base_clauses)
+      .field("base_vars", r.base_vars)
+      .field("clauses_added", r.clauses_added)
+      .field("vars_added", r.vars_added)
+      .field("pp_ran", pp.ran)
+      .field("pp_input_clauses", pp.input_clauses)
+      .field("pp_output_clauses", pp.output_clauses)
+      .field("pp_fixed_vars", pp.fixed_vars)
+      .field("pp_eliminated_vars", pp.eliminated_vars)
+      .field("pp_subsumed_clauses", pp.subsumed_clauses)
+      .field("pp_strengthened_literals", pp.strengthened_literals)
+      .merge(run.detail)
+      .field("mean_iteration_s", r.mean_iteration_seconds)
+      .field("encode_s", r.encode_seconds)
+      .field("preprocess_s", pp.preprocess_s)
+      .field("wall_s", r.seconds);
+  return o;
+}
+
 }  // namespace fl::attacks

@@ -1,16 +1,18 @@
 // One name-keyed entry point for every attack a caller picks by name.
 //
-// The CLI's attack and sweep subcommands, the serve job runners and the
-// examples all choose their attack from a string ("auto", "sat", "cycsat",
-// "appsat", "double-dip", "fall"). run() is the one place that maps such a
-// name onto an attack: it resolves "auto" (and Double-DIP on cyclic locks)
-// through lock::resolve_attack, runs the attack, and reports
+// The CLI's attack subcommand, the sweep (attacks/sweep.h), the serve job
+// runners, the table drivers and the examples all choose their attack from
+// a string ("auto", "sat", "cycsat", "appsat", "double-dip", "fall"). run()
+// is the one place that maps such a name onto an attack: it resolves "auto"
+// (and Double-DIP on cyclic locks) through lock::resolve_attack, runs the
+// attack, and reports
 //   * the resolved name,
 //   * a uniform AttackResult (FALL, which has no DIP loop, is mapped onto
 //     it here and nowhere else), and
 //   * a `detail` block with the extras only one attack has — AppSAT's
 //     approximation verdict, Double-DIP's mop-up count, FALL's restore-unit
-//     statistics — ready to merge into a JSONL record.
+//     statistics — plus every attack's `key_confirmed`.
+// to_json(RunResult) is the one attack record every writer emits.
 #pragma once
 
 #include <string>
@@ -44,5 +46,12 @@ bool known_attack(std::string_view name);
 // Throws std::invalid_argument naming attack_names() for unknown names.
 RunResult run(std::string_view name, const core::LockedCircuit& locked,
               const Oracle& oracle, const AttackOptions& options = {});
+
+// The attack block of every JSONL record that reports an attack (schema in
+// EXPERIMENTS.md): `attack`, the deterministic AttackResult fields, the
+// `detail` block, then the wall-clock fields. Their `_s` suffix marks them
+// as the only fields two runs of one seed grid may disagree on, and they
+// come last.
+runtime::JsonObject to_json(const RunResult& run);
 
 }  // namespace fl::attacks

@@ -56,6 +56,18 @@ std::size_t value_pos(std::string_view line, std::string_view key) {
   return at == std::string_view::npos ? at : at + token.size();
 }
 
+template <typename Int>
+std::optional<Int> int_field(std::string_view line, std::string_view key) {
+  const std::size_t at = value_pos(line, key);
+  if (at == std::string_view::npos) return std::nullopt;
+  Int value = 0;
+  const auto [end, ec] =
+      std::from_chars(line.data() + at, line.data() + line.size(), value);
+  if (ec != std::errc{}) return std::nullopt;
+  (void)end;
+  return value;
+}
+
 }  // namespace
 
 JsonObject& JsonObject::raw(std::string_view key, std::string_view value) {
@@ -220,14 +232,7 @@ std::uint64_t JsonlWriter::sync_sequence() {
 
 std::optional<long long> json_int_field(std::string_view line,
                                         std::string_view key) {
-  const std::size_t at = value_pos(line, key);
-  if (at == std::string_view::npos) return std::nullopt;
-  long long value = 0;
-  const auto [end, ec] =
-      std::from_chars(line.data() + at, line.data() + line.size(), value);
-  if (ec != std::errc{}) return std::nullopt;
-  (void)end;
-  return value;
+  return int_field<long long>(line, key);
 }
 
 std::optional<std::string> json_string_field(std::string_view line,
@@ -309,7 +314,7 @@ std::string run_header_line(std::string_view bench, std::size_t grid_size,
 }
 
 ResumeState scan_jsonl_resume(const std::string& path, std::string_view bench,
-                              std::size_t grid_size) {
+                              std::size_t grid_size, std::uint64_t base_seed) {
   ResumeState state;
   state.completed.assign(grid_size, false);
   std::ifstream in(path);
@@ -323,15 +328,16 @@ ResumeState scan_jsonl_resume(const std::string& path, std::string_view bench,
         record && *record == "run_header") {
       const auto header_bench = json_string_field(line, "bench");
       const auto cells = json_int_field(line, "grid_cells");
+      // Seeds are unsigned 64-bit, past the range of json_int_field.
+      const auto seed = int_field<std::uint64_t>(line, "base_seed");
       if (!header_bench || *header_bench != bench || !cells ||
-          static_cast<std::size_t>(*cells) != grid_size) {
+          static_cast<std::size_t>(*cells) != grid_size || seed != base_seed) {
         throw std::runtime_error(
             path + ":" + std::to_string(line_no) +
-            ": run manifest does not match this sweep (bench '" +
-            header_bench.value_or("?") + "', " +
-            std::to_string(cells.value_or(-1)) + " cells; expected '" +
-            std::string(bench) + "', " + std::to_string(grid_size) +
-            " cells) — refusing to resume");
+            ": run manifest does not match this sweep (found " + line +
+            ", expected bench '" + std::string(bench) + "', " +
+            std::to_string(grid_size) + " cells, base seed " +
+            std::to_string(base_seed) + ") — refusing to resume");
       }
       continue;
     }

@@ -190,11 +190,13 @@ struct ResumeState {
 // Parses `path` and marks every grid index that already has a record (a
 // `"cell":i` field). Failure records count as completed — a cell that
 // exhausted its retries is a terminal outcome, not a hole. Validates the
-// run-manifest header when present: `bench` and `grid_cells` must match, or
-// the scan throws std::runtime_error (resuming a different sweep onto this
-// file would corrupt it). A missing file yields an empty state (fresh run).
+// run-manifest header when present: `bench`, `grid_cells` and `base_seed`
+// must match, or the scan throws std::runtime_error (resuming a different
+// sweep onto this file would corrupt it, and one under another base seed
+// would finish it with other cells). A missing file yields an empty state
+// (fresh run).
 ResumeState scan_jsonl_resume(const std::string& path, std::string_view bench,
-                              std::size_t grid_size);
+                              std::size_t grid_size, std::uint64_t base_seed);
 
 // The atomic run-manifest header every logging sweep writes (and syncs)
 // before its first cell record; scan_jsonl_resume() checks it on --resume.

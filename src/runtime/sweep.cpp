@@ -24,7 +24,8 @@ SweepSession::SweepSession(std::string bench, std::size_t grid_size,
     const bool have_file =
         args_.resume && std::ifstream(args_.jsonl_path).good();
     if (have_file) {
-      resume_ = scan_jsonl_resume(args_.jsonl_path, bench_, grid_size_);
+      resume_ = scan_jsonl_resume(args_.jsonl_path, bench_, grid_size_,
+                                  base_seed);
     }
     writer_.emplace(args_.jsonl_path, /*append=*/have_file, options_.faults);
     sink_.emplace(writer_->stream(), [w = &*writer_] { w->sync(); });

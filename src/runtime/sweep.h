@@ -1,4 +1,5 @@
-// Crash-safe sweep harness shared by the bench drivers and the CLI.
+// Crash-safe sweep harness shared by the bench drivers and the
+// lock-and-attack sweep of the CLI and the serve daemon (attacks/sweep.h).
 //
 // SweepSession bundles everything a resumable sweep needs around run_grid:
 //   - a durable JSONL sink (JsonlWriter + fsync after every committed line)
@@ -9,25 +10,12 @@
 //   - structured failure records for cells that exhausted their retries,
 //   - the process exit code (0 / 1 on failures / 128+signo on interrupt).
 //
-// Driver shape:
-//
-//   auto args = parse_runner_args(argc, argv);
-//   SweepSession session("table2", grid.size(), base_seed, args);
-//   const auto base = [&](std::size_t i) {        // deterministic fields
-//     JsonObject o;                               // shared by result and
-//     o.field("cell", i).field("bench", "table2") // failure records
-//         .field("n", grid[i].n).field("seed", grid[i].seed);
-//     return o;
-//   };
-//   GridReport report = run_grid(grid.size(), session.grid_config(),
-//       [&](const CellContext& ctx) {
-//         results[ctx.index] = run_cell(grid[ctx.index], ctx);
-//         if (interrupted) { session.note_interrupted(ctx.index); return; }
-//         if (session.sink()) { auto o = base(ctx.index); ...;
-//                               session.sink()->write(ctx.index, o.str()); }
-//       });
-//   print_table(...);
-//   return session.finish(report, base);
+// A driver opens the session on its grid, runs run_grid(n,
+// session.grid_config(), cell), writes each cell's record through
+// session.sink() (or calls note_interrupted), and returns
+// session.finish(report, record_base), where record_base(i) builds the
+// cell's coordinate fields. attacks::run_sweep and
+// bench/table2_cln_attack.cpp are worked examples.
 //
 // Interrupted cells write no record (note_interrupted unblocks the in-order
 // sink), so --resume re-runs them; failed cells get a failure record
@@ -67,10 +55,10 @@ struct SweepSessionOptions {
 class SweepSession {
  public:
   // Opens the JSONL file named by `args` (append mode when resuming onto an
-  // existing file, after validating its manifest against `bench` and
-  // `grid_size`), writes + syncs the run header on fresh runs, and installs
-  // the signal handler (unless `options` opts out). Throws
-  // std::runtime_error on an unwritable path or a manifest mismatch.
+  // existing file, after validating its manifest against `bench`,
+  // `grid_size` and `base_seed`), writes + syncs the run header on fresh
+  // runs, and installs the signal handler (unless `options` opts out).
+  // Throws std::runtime_error on an unwritable path or a manifest mismatch.
   SweepSession(std::string bench, std::size_t grid_size,
                std::uint64_t base_seed, RunnerArgs args,
                SweepSessionOptions options = {});
@@ -80,11 +68,9 @@ class SweepSession {
 
   // nullptr when the sweep runs without --jsonl.
   JsonlSink* sink() { return sink_ ? &*sink_ : nullptr; }
-  const RunnerArgs& args() const { return args_; }
   const CancelToken& cancel() const {
     return options_.cancel != nullptr ? *options_.cancel : cancel_;
   }
-  bool cancelled() const { return cancel().cancelled(); }
   // Cells already completed in the resumed file (0 on fresh runs).
   std::size_t num_resumed() const { return resume_.num_completed; }
 

@@ -1,16 +1,13 @@
 #include "serve/jobs.h"
 
-#include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
+#include "attacks/sweep.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
-#include "runtime/seed.h"
-#include "runtime/sweep.h"
 #include "serve/protocol.h"
 
 namespace fl::serve {
@@ -98,41 +95,26 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
     result.interrupted = true;
     return result;
   }
-  result.fields.field("attack", run.attack)
-      .field("scheme", locked.scheme)
-      .field("status", attacks::to_string(attack.status))
-      .field("iterations", attack.iterations)
-      .field("oracle_queries", attack.oracle_queries)
-      .field("key_bits", locked.netlist.num_keys())
-      .field("mean_clause_var_ratio", attack.mean_clause_var_ratio)
-      .field("attack_s", attack.seconds);
+  result.fields.field("scheme", locked.scheme)
+      .field("key_bits", locked.netlist.num_keys());
   if (attack.status == attacks::AttackStatus::kSuccess) {
     result.fields.field("key", key_string(attack.key));
   }
-  result.fields.merge(run.detail);
+  result.fields.merge(attacks::to_json(run));
   return result;
 }
 
 JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
-  JobResult result;
-  const netlist::Netlist original = netlist::read_bench_file(spec.bench_path);
-
-  struct Cell {
-    int size;
-    int replica;
-    std::uint64_t seed;
-  };
-  std::vector<int> sizes = spec.sizes.empty() ? std::vector<int>{4, 8, 16}
-                                              : spec.sizes;
-  std::vector<Cell> grid;
-  for (const int size : sizes) {
-    for (int r = 0; r < spec.replicas; ++r) {
-      grid.push_back({size, r,
-                      runtime::derive_seed(
-                          spec.seed, {static_cast<std::uint64_t>(size),
-                                      static_cast<std::uint64_t>(r)})});
-    }
-  }
+  attacks::SweepSpec sweep;
+  sweep.bench = "serve_sweep";
+  sweep.schemes = {spec.scheme};
+  sweep.scheme_params = spec.scheme_params;
+  sweep.sizes = spec.sizes;
+  sweep.replicas = spec.replicas;
+  sweep.seed = spec.seed;
+  sweep.attack = spec.attack;
+  sweep.timeout_s = spec.attack_timeout_s;
+  sweep.deadline = ctx.deadline;
 
   // Cells run serially inside the job: the daemon parallelizes across jobs,
   // and a serial grid keeps the checkpoint byte-identical across restarts.
@@ -144,90 +126,30 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
   run_args.resume = spec.resume || ctx.attempt > 0;
   run_args.memory_limit_mb = spec.memory_limit_mb;
 
-  runtime::SweepSessionOptions session_options;
-  session_options.install_signal_handler = false;  // the daemon owns signals
-  session_options.cancel = ctx.cancel;
-  session_options.faults = ctx.faults;
-  runtime::SweepSession session("serve_sweep", grid.size(), spec.seed,
-                                run_args, session_options);
+  // The daemon owns the signals, so the job's cancel token stops the grid.
+  // Each durable cell record doubles as the client's "cell" event.
+  const attacks::SweepResult done = attacks::run_sweep(
+      netlist::read_bench_file(spec.bench_path), sweep, run_args,
+      {.install_signal_handler = false, .cancel = ctx.cancel,
+       .faults = ctx.faults},
+      [&ctx](JsonObject record) { ctx.emit("cell", std::move(record)); });
 
-  const auto record_base = [&](std::size_t i) {
-    JsonObject o;
-    o.field("cell", i)
-        .field("bench", "serve_sweep")
-        .field("circuit", original.name())
-        .field("scheme", spec.scheme)
-        .field("plr_size", grid[i].size)
-        .field("replica", grid[i].replica)
-        .field("seed", grid[i].seed);
-    return o;
-  };
-
-  const runtime::GridReport report = runtime::run_grid(
-      grid.size(), session.grid_config(),
-      [&](const runtime::CellContext& cell_ctx) {
-        const std::size_t i = cell_ctx.index;
-        const core::LockedCircuit locked = lock::lock_with(
-            spec.scheme, original,
-            lock::make_options(grid[i].seed, {grid[i].size},
-                               spec.scheme_params));
-        const attacks::Oracle oracle(original);
-
-        attacks::AttackOptions options;
-        options.timeout_s = cell_ctx.effective_timeout(spec.attack_timeout_s);
-        options.deadline = ctx.deadline;
-        options.interrupt = cell_ctx.interrupt;
-        options.memory_limit_mb = spec.memory_limit_mb;
-        const attacks::RunResult run =
-            attacks::run(spec.attack, locked, oracle, options);
-        const attacks::AttackResult& attack = run.result;
-        if (attack.status == attacks::AttackStatus::kInterrupted) {
-          session.note_interrupted(i);
-          return;
-        }
-        if (session.sink() != nullptr) {
-          JsonObject o = record_base(i);
-          o.field("key_bits", locked.key_bits())
-              .field("cyclic", locked.netlist.is_cyclic())
-              .field("attack", run.attack)
-              .field("status", attacks::to_string(attack.status))
-              .field("iterations", attack.iterations)
-              .field("mean_clause_var_ratio", attack.mean_clause_var_ratio)
-              .field("oracle_queries", attack.oracle_queries)
-              .merge(run.detail)
-              .field("mean_iteration_s", attack.mean_iteration_seconds)
-              .field("wall_s", attack.seconds);
-          session.sink()->write(i, o.str());
-        }
-        // Mirror the committed cell to the streaming client.
-        JsonObject o;
-        o.field("cell", i)
-            .field("scheme", spec.scheme)
-            .field("plr_size", grid[i].size)
-            .field("replica", grid[i].replica)
-            .field("status", attacks::to_string(attack.status))
-            .field("iterations", attack.iterations)
-            .field("wall_s", attack.seconds);
-        ctx.emit("cell", std::move(o));
-      });
-
-  // finish() writes failure records, drains + syncs the checkpoint, and maps
-  // the outcome to an exit code; >= 128 means the cancel token fired.
-  const int exit_code = session.finish(report, record_base);
-  if (exit_code >= 128 ||
+  // exit_code >= 128 means the cancel token fired.
+  JobResult result;
+  if (done.exit_code >= 128 ||
       (ctx.cancel != nullptr && ctx.cancel->cancelled())) {
     result.interrupted = true;
     return result;
   }
-  if (exit_code != 0) {
+  if (done.exit_code != 0) {
     throw std::runtime_error(
-        "sweep finished with " + std::to_string(report.failed) +
-        " failed cell(s) of " + std::to_string(report.cells.size()) +
+        "sweep finished with " + std::to_string(done.report.failed) +
+        " failed cell(s) of " + std::to_string(done.cells.size()) +
         " (checkpoint " + spec.jsonl_path + ")");
   }
-  result.fields.field("cells", grid.size())
-      .field("cells_ok", report.ok)
-      .field("cells_resumed", session.num_resumed())
+  result.fields.field("cells", done.cells.size())
+      .field("cells_ok", done.report.ok)
+      .field("cells_resumed", done.report.skipped)
       .field("jsonl_path", spec.jsonl_path);
   return result;
 }

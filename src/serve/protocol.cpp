@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "attacks/registry.h"
-#include "locking/scheme.h"
+#include "attacks/sweep.h"
 
 namespace fl::serve {
 
@@ -149,35 +149,6 @@ JobSpec parse_spec_fields(const std::string& line) {
   return spec;
 }
 
-namespace {
-
-// Admission-time scheme validation for lock/sweep jobs: the scheme must be
-// registered and its parameters must parse under every requested size.
-// ProtocolError carries the scheme's own message, so the client sees the
-// same diagnostics the CLI would print.
-void validate_scheme_fields(const JobSpec& spec) {
-  const lock::LockScheme* scheme = lock::find_scheme(spec.scheme);
-  if (scheme == nullptr) {
-    bad("unknown lock scheme '" + spec.scheme + "' (known: " +
-        lock::scheme_names() + ")");
-  }
-  try {
-    std::vector<int> sizes = spec.sizes;
-    if (sizes.empty()) {
-      sizes = spec.kind == JobKind::kSweep ? std::vector<int>{4, 8, 16}
-                                           : std::vector<int>{16};
-    }
-    for (const int size : sizes) {
-      scheme->validate(
-          lock::make_options(spec.seed, {size}, spec.scheme_params));
-    }
-  } catch (const std::invalid_argument& e) {
-    bad(e.what());
-  }
-}
-
-}  // namespace
-
 void validate_spec(const JobSpec& spec) {
   for (const int n : spec.sizes) {
     if (n < 2 || n > 4096) {
@@ -193,20 +164,28 @@ void validate_spec(const JobSpec& spec) {
     case JobKind::kAttack:
       if (spec.locked_path.empty()) bad("attack job requires locked_path");
       if (spec.oracle_path.empty()) bad("attack job requires oracle_path");
-      break;
+      return;
     case JobKind::kSweep:
       if (spec.bench_path.empty()) bad("sweep job requires bench_path");
       if (spec.jsonl_path.empty()) {
         bad("sweep job requires jsonl_path (the durable checkpoint file "
             "that makes the job resumable)");
       }
-      validate_scheme_fields(spec);
       break;
     case JobKind::kLock:
       if (spec.bench_path.empty()) bad("lock job requires bench_path");
       if (spec.out_path.empty()) bad("lock job requires out_path");
-      validate_scheme_fields(spec);
       break;
+  }
+  // Lock and sweep jobs pass the scheme check the CLI runs before its grid
+  // (a lock job without sizes locks at 16); the ProtocolError carries the
+  // sweep's or the scheme's own message.
+  std::vector<int> sizes = spec.sizes;
+  if (spec.kind == JobKind::kLock && sizes.empty()) sizes = {16};
+  try {
+    attacks::validate_sweep({spec.scheme}, sizes, spec.scheme_params);
+  } catch (const std::invalid_argument& e) {
+    bad(e.what());
   }
 }
 

@@ -229,6 +229,10 @@ TEST(Resume, ManifestMismatchRefusesToResume) {
                std::runtime_error);
   EXPECT_THROW(SweepSession("mini", kCells + 1, kBaseSeed, other),
                std::runtime_error);
+  // Nor may one under another base seed: it would finish the file with
+  // cells the first run never asked for.
+  EXPECT_THROW(SweepSession("mini", kCells, kBaseSeed + 1, other),
+               std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <regex>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 
 #include "attacks/oracle.h"
 #include "attacks/sat_attack.h"
+#include "attacks/sweep.h"
 #include "core/full_lock.h"
 #include "netlist/generator.h"
 #include "runtime/cancel.h"
@@ -398,7 +400,7 @@ TEST(Jsonl, ScanResumeRecoversCompletedCells) {
     out << "{\"record\":\"note\",\"text\":\"no cell field\"}\n";  // foreign
     out << "{\"cell\":99,\"bench\":\"table2\"}\n";  // out of range: ignored
   }
-  const ResumeState state = scan_jsonl_resume(path, "table2", 5);
+  const ResumeState state = scan_jsonl_resume(path, "table2", 5, 7);
   EXPECT_EQ(state.num_completed, 2u);
   EXPECT_EQ(state.num_failed, 1u);
   const std::vector<bool> expected = {true, false, false, true, false};
@@ -406,12 +408,13 @@ TEST(Jsonl, ScanResumeRecoversCompletedCells) {
 
   // Mismatched manifest: resuming a different sweep onto this file would
   // corrupt it, so the scan must refuse.
-  EXPECT_THROW(scan_jsonl_resume(path, "table4", 5), std::runtime_error);
-  EXPECT_THROW(scan_jsonl_resume(path, "table2", 6), std::runtime_error);
+  EXPECT_THROW(scan_jsonl_resume(path, "table4", 5, 7), std::runtime_error);
+  EXPECT_THROW(scan_jsonl_resume(path, "table2", 6, 7), std::runtime_error);
+  EXPECT_THROW(scan_jsonl_resume(path, "table2", 5, 8), std::runtime_error);
 
   // Missing file: fresh run, nothing completed.
   const ResumeState fresh =
-      scan_jsonl_resume(path + ".does-not-exist", "table2", 5);
+      scan_jsonl_resume(path + ".does-not-exist", "table2", 5, 7);
   EXPECT_EQ(fresh.num_completed, 0u);
   EXPECT_EQ(fresh.completed.size(), 5u);
   std::remove(path.c_str());
@@ -442,70 +445,40 @@ TEST(Cancel, TokenInterruptsAnAttack) {
 
 // The tentpole guarantee: a parallel sweep writes the same JSONL byte
 // stream as the serial reference loop, except for the `_s` wall-clock
-// fields. Runs a miniature attack grid both ways and compares.
+// fields. Runs the production sweep (attacks::run_sweep, the one behind
+// `fulllock sweep` and serve sweep jobs) on a miniature grid three ways.
 TEST(Determinism, SerialAndParallelSweepsMatchModuloWallClock) {
-  struct Cell {
-    int size;
-    int replica;
-  };
-  const std::vector<Cell> grid = {{4, 0}, {4, 1}, {8, 0}, {8, 1}};
+  netlist::GeneratorConfig gen;
+  gen.num_inputs = 12;
+  gen.num_outputs = 6;
+  gen.num_gates = 120;
+  gen.seed = 5;
+  const netlist::Netlist original = netlist::generate_circuit(gen);
+  attacks::SweepSpec spec;
+  spec.sizes = {4, 8};
+  spec.replicas = 2;
+  spec.seed = 5;         // every cell solves in well under a second
+  spec.timeout_s = 0.0;  // a deadline could cut two runs at different DIPs
 
   const auto sweep = [&](int jobs) {
+    RunnerArgs args;
+    args.jobs = jobs;
+    args.jsonl_path = ::testing::TempDir() + "/fl_determinism.jsonl";
+    const attacks::SweepResult result =
+        attacks::run_sweep(original, spec, args);
+    EXPECT_EQ(result.exit_code, 0) << jobs;
+    EXPECT_EQ(result.report.ok, result.cells.size()) << jobs;  // none threw
+    std::ifstream in(args.jsonl_path);
     std::ostringstream out;
-    JsonlSink sink(out);
-    const auto run_cell = [&](const CellContext& ctx) {
-      const std::size_t i = ctx.index;
-      const Cell& cell = grid[i];
-      const std::uint64_t seed =
-          derive_seed(41, {static_cast<std::uint64_t>(cell.size),
-                           static_cast<std::uint64_t>(cell.replica)});
-      netlist::GeneratorConfig gen;
-      gen.num_inputs = 12;
-      gen.num_outputs = 6;
-      gen.num_gates = 120;
-      gen.seed = seed;
-      const netlist::Netlist original = netlist::generate_circuit(gen);
-      core::FullLockConfig config =
-          core::FullLockConfig::with_plrs({cell.size});
-      config.seed = seed;
-      const core::LockedCircuit locked = core::full_lock(original, config);
-      const attacks::Oracle oracle(original);
-      const attacks::AttackResult result =
-          attacks::SatAttack().run(locked, oracle);
-      JsonObject o;
-      o.field("size", cell.size)
-          .field("replica", cell.replica)
-          .field("seed", seed)
-          .field("key_bits", locked.key_bits())
-          .field("status", attacks::to_string(result.status))
-          .field("iterations", result.iterations)
-          .field("mean_clause_var_ratio", result.mean_clause_var_ratio)
-          .field("oracle_queries", result.oracle_queries)
-          .field("conflicts", result.solver_stats.conflicts)
-          .field("binary_propagations", result.solver_stats.binary_propagations)
-          .field("learned_clauses", result.solver_stats.learned_clauses)
-          .field("glue_learned", result.solver_stats.glue_learned)
-          .field("max_lbd", result.solver_stats.max_lbd)
-          .field("promoted_clauses", result.solver_stats.promoted_clauses)
-          .field("db_size_after_reduce",
-                 result.solver_stats.db_size_after_reduce)
-          .field("simplify_removed_clauses",
-                 result.solver_stats.simplify_removed_clauses)
-          .field("mean_iteration_s", result.mean_iteration_seconds)
-          .field("wall_s", result.seconds);
-      sink.write(i, std::move(o).str());
-    };
-    const GridReport report =
-        run_grid(grid.size(), jobs_config(jobs), run_cell);
-    EXPECT_EQ(report.ok, grid.size()) << jobs;  // no cell threw
-    sink.flush();
+    out << in.rdbuf();
+    std::remove(args.jsonl_path.c_str());
     // Strip the wall-clock fields — the only part allowed to vary.
-    static const std::regex wall_clock(",\"(mean_iteration_s|wall_s)\":[^,}]+");
+    static const std::regex wall_clock(",\"[a-z_]+_s\":[^,}]+");
     return std::regex_replace(out.str(), wall_clock, "");
   };
 
   const std::string serial = sweep(1);
-  EXPECT_FALSE(serial.empty());
+  EXPECT_NE(serial.find("\"cell\":3,"), std::string::npos) << serial;
   EXPECT_EQ(serial, sweep(4));
   EXPECT_EQ(serial, sweep(3));  // worker count must not matter either
 }

@@ -20,6 +20,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/profiles.h"
 #include "runtime/jsonl.h"
+#include "runtime/seed.h"
 #include "serve/jobs.h"
 #include "serve/protocol.h"
 
@@ -180,6 +181,65 @@ TEST(ServeJobs, SweepRecordsCarryTheSchemeAxis) {
     }
   }
   EXPECT_TRUE(found_event);
+}
+
+TEST(ServeJobs, ResumedSweepKeepsTheCheckpointsSeeds) {
+  // A daemon upgraded mid-sweep replays the journal and resumes the old
+  // daemon's checkpoint: header and cell 0 below are verbatim what the
+  // earlier serve sweep wrote. The cells it adds must be the ones that
+  // checkpoint began with, at derive_seed(seed, {size, replica}).
+  const std::string bench = temp_path("jobs_replay_c432.bench");
+  netlist::write_bench_file(netlist::make_circuit("c432", 1), bench);
+  const std::string checkpoint =
+      "{\"record\":\"run_header\",\"bench\":\"serve_sweep\","
+      "\"grid_cells\":3,\"base_seed\":17}\n"
+      "{\"cell\":0,\"bench\":\"serve_sweep\",\"circuit\":"
+      "\"jobs_replay_c432.bench\",\"scheme\":\"rll\",\"plr_size\":4,"
+      "\"replica\":0,\"seed\":1975475462755043301,\"key_bits\":8,"
+      "\"cyclic\":false,\"attack\":\"sat\",\"status\":\"success\","
+      "\"iterations\":3,\"mean_clause_var_ratio\":2.2222222222222223,"
+      "\"oracle_queries\":3,\"key_confirmed\":true,"
+      "\"mean_iteration_s\":0.00015885366666666667,"
+      "\"wall_s\":0.001749474}\n";
+  JobSpec sweep;
+  sweep.kind = JobKind::kSweep;
+  sweep.bench_path = bench;
+  sweep.jsonl_path = temp_path("jobs_replay.jsonl");
+  std::ofstream(sweep.jsonl_path) << checkpoint;
+  sweep.scheme = "rll";
+  sweep.scheme_params = "keys=8";
+  sweep.sizes = {4};
+  sweep.replicas = 3;
+  sweep.seed = 17;
+  sweep.attack = "sat";
+  sweep.resume = true;
+  validate_spec(sweep);
+  std::vector<std::string> events;
+  const std::string fields = run_job(sweep, &events);
+  EXPECT_NE(fields.find("\"cells_resumed\":1"), std::string::npos) << fields;
+
+  std::ifstream in(sweep.jsonl_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  ASSERT_EQ(text.str().compare(0, checkpoint.size(), checkpoint), 0)
+      << text.str();
+  std::istringstream added(text.str().substr(checkpoint.size()));
+  std::vector<std::string> cells;
+  for (std::string line; std::getline(added, line);) cells.push_back(line);
+  ASSERT_EQ(cells.size(), 2u) << text.str();
+  for (int r = 1; r <= 2; ++r) {
+    const std::string& line = cells[r - 1];
+    EXPECT_EQ(runtime::json_int_field(line, "cell"), r) << line;
+    const std::uint64_t seed =
+        runtime::derive_seed(17, {4, static_cast<std::uint64_t>(r)});
+    EXPECT_NE(line.find("\"seed\":" + std::to_string(seed) + ","),
+              std::string::npos)
+        << line;
+    // The streamed cell event is the durable record itself.
+    EXPECT_NE(std::find(events.begin(), events.end(), "cell " + line),
+              events.end())
+        << line;
+  }
 }
 
 }  // namespace
