@@ -74,7 +74,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -91,7 +90,6 @@
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
 #include "netlist/profiles.h"
-#include "netlist/verilog_io.h"
 #include "ppa/estimator.h"
 #include "runtime/runner.h"
 #include "serve/client.h"
@@ -202,10 +200,6 @@ int cmd_lock(int argc, char** argv) {
   }
   const std::string out_path = positional[1];
   lock::write_locked_circuit(locked, out_path);
-  {
-    std::ofstream v_file(out_path + ".v");
-    netlist::write_verilog(locked.netlist, v_file);
-  }
   std::printf("locked %s with %s (%s): %zu -> %zu gates, %zu key bits\n",
               positional[0].c_str(), locked.scheme.c_str(),
               locked.params.c_str(), original.num_logic_gates(),

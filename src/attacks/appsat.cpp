@@ -12,6 +12,8 @@ using netlist::Word;
 
 namespace {
 
+constexpr std::size_t kRoundsPerCheck = 8;  // 64-pattern rounds per estimate
+
 // The AppSAT policy: the plain single-DIP step, interleaved with
 // settlement checks that may end the attack early on an approximate key.
 class AppSatPolicy final : public DipPolicy {
@@ -73,7 +75,7 @@ class AppSatPolicy final : public DipPolicy {
   }
 
  private:
-  // Estimates the error of `key` on rounds_per_check x 64 random queries:
+  // Estimates the error of `key` on kRoundsPerCheck x 64 random queries:
   // one oracle batch and one simulation of the locked netlist, in which
   // lanes that do not settle count as wrong on every output. The first
   // failing pattern of each failing round is fed back as an I/O constraint
@@ -82,9 +84,7 @@ class AppSatPolicy final : public DipPolicy {
   double estimate_error(MiterContext& ctx, const std::vector<bool>& key) {
     const std::size_t n_in = locked_.netlist.num_inputs();
     const std::size_t n_out = locked_.netlist.num_outputs();
-    const std::size_t rounds =
-        static_cast<std::size_t>(options_.rounds_per_check);
-    if (rounds == 0) return 0.0;
+    constexpr std::size_t rounds = kRoundsPerCheck;
     // Net-major matrix, one word (column) per round, drawn round by round.
     std::vector<Word> inputs(n_in * rounds);
     for (std::size_t r = 0; r < rounds; ++r) {

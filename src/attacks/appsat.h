@@ -16,7 +16,6 @@ namespace fl::attacks {
 struct AppSatOptions {
   AttackOptions base;
   int settle_every = 4;         // DIP iterations between settlement checks
-  int rounds_per_check = 8;     // 64-pattern rounds per error estimate
   double error_threshold = 0.005;
 };
 

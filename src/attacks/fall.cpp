@@ -7,6 +7,7 @@
 #include "core/verify.h"
 #include "locking/sfll_hd.h"
 #include "netlist/netlist.h"
+#include "netlist/structure.h"
 #include "sat/solver.h"
 
 namespace fl::attacks {
@@ -16,6 +17,11 @@ using netlist::GateType;
 using netlist::Netlist;
 
 namespace {
+
+constexpr int kMaxPatterns = 64;    // error patterns to collect
+constexpr int kMaxCandidates = 64;  // key candidates per Hamming distance
+constexpr int kVerifyRounds = 32;   // simulation rounds per candidate
+constexpr std::uint64_t kVerifySeed = 1;
 
 // Transitive fanout of the key inputs.
 std::vector<bool> key_taint(const Netlist& net) {
@@ -43,7 +49,7 @@ bool model_bit(const sat::Solver& solver, sat::Var v) {
 }  // namespace
 
 FallResult fall_attack(const core::LockedCircuit& locked,
-                       const Oracle& oracle, const FallOptions& options) {
+                       const Oracle& oracle) {
   FallResult result;
   const Netlist& net = locked.netlist;
   const std::size_t num_keys = net.num_keys();
@@ -81,7 +87,7 @@ FallResult fall_attack(const core::LockedCircuit& locked,
   const std::vector<bool> zero_key(num_keys, false);
   result.stripped_error_rate =
       core::error_rate(oracle.circuit(), stripped, zero_key,
-                       options.verify_rounds, options.seed);
+                       kVerifyRounds, kVerifySeed);
 
   // 2. Map key bits to protected inputs through the restore unit's
   // x XOR k comparator layer.
@@ -129,7 +135,7 @@ FallResult fall_attack(const core::LockedCircuit& locked,
         enc_oracle.outputs, enc_stripped.outputs, sink);
     cnf::assert_true(sink, diff);
 
-    while (static_cast<int>(patterns.size()) < options.max_patterns) {
+    while (static_cast<int>(patterns.size()) < kMaxPatterns) {
       if (solver.solve() != sat::LBool::kTrue) break;
       std::vector<bool> projected(k);
       sat::Clause block;
@@ -164,22 +170,15 @@ FallResult fall_attack(const core::LockedCircuit& locked,
       }
       terms.push_back(lock::build_hd_equals(constraints, diff_bits, h));
     }
-    while (terms.size() > 1) {
-      std::vector<GateId> next;
-      for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-        next.push_back(
-            constraints.add_gate(GateType::kAnd, {terms[i], terms[i + 1]}));
-      }
-      if (terms.size() % 2 == 1) next.push_back(terms.back());
-      terms = std::move(next);
-    }
-    constraints.mark_output(terms[0], "consistent");
+    constraints.mark_output(
+        netlist::balanced_tree(constraints, std::move(terms), GateType::kAnd),
+        "consistent");
 
     sat::Solver solver;
     cnf::SolverSink sink(solver);
     const cnf::EncodedCircuit enc = cnf::encode(constraints, sink);
     cnf::assert_true(sink, enc.outputs[0]);
-    for (int c = 0; c < options.max_candidates; ++c) {
+    for (int c = 0; c < kMaxCandidates; ++c) {
       if (solver.solve() != sat::LBool::kTrue) break;
       std::vector<bool> candidate(num_keys, false);
       sat::Clause block;
@@ -194,7 +193,7 @@ FallResult fall_attack(const core::LockedCircuit& locked,
       ++result.candidates_tested;
       // Simulation filters the candidate; the proof decides.
       if (core::verify_unlocks(oracle.circuit(), net, candidate,
-                               options.verify_rounds, options.seed) &&
+                               kVerifyRounds, kVerifySeed) &&
           cnf::check_equivalence(oracle.circuit(), {}, net, candidate)) {
         result.key_recovered = true;
         result.key = std::move(candidate);

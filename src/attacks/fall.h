@@ -24,13 +24,6 @@
 
 namespace fl::attacks {
 
-struct FallOptions {
-  int max_patterns = 64;    // error patterns to collect (SAT-enumerated)
-  int max_candidates = 64;  // key candidates tested per Hamming distance
-  int verify_rounds = 32;   // random-simulation rounds per candidate
-  std::uint64_t seed = 1;
-};
-
 struct FallResult {
   // Step 1: a stripped-function / restore-unit seam was found.
   bool restore_identified = false;
@@ -50,6 +43,6 @@ struct FallResult {
 // locked netlist has no key-cone/key-free XOR seam on any output — the
 // attack is SFLL-specific by design.
 FallResult fall_attack(const core::LockedCircuit& locked,
-                       const Oracle& oracle, const FallOptions& options = {});
+                       const Oracle& oracle);
 
 }  // namespace fl::attacks

@@ -31,17 +31,30 @@ FullLockConfig FullLockConfig::with_plrs(std::vector<int> cln_sizes,
 LockedCircuit full_lock(const Netlist& original, const FullLockConfig& config,
                         FullLockReport* report) {
   std::mt19937_64 rng(config.seed);
+  return insert_blocks(
+      config.decompose_two_input ? netlist::decompose_to_two_input(original)
+                                 : original,
+      "full-lock", "_fulllock", config.plrs.size(),
+      [&](Netlist& netlist, std::size_t p) {
+        return insert_plr(netlist, config.plrs[p], rng,
+                          "plr" + std::to_string(p));
+      },
+      report);
+}
+
+LockedCircuit insert_blocks(
+    Netlist host, const std::string& scheme, const std::string& suffix,
+    std::size_t count,
+    const std::function<PlrInsertion(Netlist&, std::size_t)>& insert,
+    FullLockReport* report) {
   LockedCircuit locked;
-  locked.scheme = "full-lock";
-  locked.netlist = config.decompose_two_input
-                       ? netlist::decompose_to_two_input(original)
-                       : original;
-  locked.netlist.set_name(original.name() + "_fulllock");
+  locked.scheme = scheme;
+  host.set_name(host.name() + suffix);
+  locked.netlist = std::move(host);
 
   FullLockReport rep;
-  for (std::size_t p = 0; p < config.plrs.size(); ++p) {
-    PlrInsertion insertion = insert_plr(locked.netlist, config.plrs[p], rng,
-                                        "plr" + std::to_string(p));
+  for (std::size_t b = 0; b < count; ++b) {
+    PlrInsertion insertion = insert(locked.netlist, b);
     locked.correct_key.insert(locked.correct_key.end(),
                               insertion.added_key_values.begin(),
                               insertion.added_key_values.end());

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/insertion.h"
@@ -43,5 +44,16 @@ struct FullLockReport {
 LockedCircuit full_lock(const netlist::Netlist& original,
                         const FullLockConfig& config,
                         FullLockReport* report = nullptr);
+
+// The block loop of Full-Lock and InterLock: renames `host` to
+// `host.name() + suffix`, inserts blocks 0..count-1 with `insert(netlist,
+// b)` and concatenates their keys and hints in block order. Then strips the
+// dead gates LUT replacement leaves behind and remaps the hints onto the
+// compacted ids. The report sums the insertions' counts.
+LockedCircuit insert_blocks(
+    netlist::Netlist host, const std::string& scheme,
+    const std::string& suffix, std::size_t count,
+    const std::function<PlrInsertion(netlist::Netlist&, std::size_t)>& insert,
+    FullLockReport* report);
 
 }  // namespace fl::core

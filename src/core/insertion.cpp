@@ -13,6 +13,8 @@ using netlist::GateId;
 using netlist::GateType;
 using netlist::Netlist;
 
+namespace {
+
 bool negatable_gate(GateType type) {
   switch (type) {
     case GateType::kAnd:
@@ -42,8 +44,6 @@ GateType negated_gate_type(GateType type) {
     default: throw std::logic_error("gate type is not negatable");
   }
 }
-
-namespace {
 
 // Wires eligible to feed a CLN: logic gates or primary inputs with at least
 // one *live* reader (a reader feeding some primary output — otherwise the
@@ -90,8 +90,6 @@ std::vector<GateId> candidate_wires(const Netlist& netlist) {
   }
   return candidates;
 }
-
-}  // namespace
 
 std::vector<GateId> select_routing_wires(const Netlist& netlist, int n,
                                          CycleMode mode,
@@ -156,45 +154,77 @@ std::vector<GateId> select_routing_wires(const Netlist& netlist, int n,
   return chosen;
 }
 
-namespace {
-
-struct Reader {
-  GateId gate;       // kNullGate for output ports
-  std::size_t slot;  // fanin pin, or output-port index
-};
-
 }  // namespace
 
-PlrInsertion insert_plr(Netlist& netlist, const PlrConfig& config,
-                        std::mt19937_64& rng, const std::string& name_prefix) {
-  if (config.negate_probability > 0.0 && !config.cln.with_inverters) {
-    throw std::invalid_argument(
-        "leading-gate negation requires the CLN inverter layer");
-  }
-  const int n = config.cln.n;
-  const std::vector<GateId> wires =
-      select_routing_wires(netlist, n, config.cycle_mode, rng);
-
-  // Record every reader of each selected wire before any edit.
-  std::vector<std::vector<Reader>> readers(n);
+std::vector<Reader> find_readers(const Netlist& netlist,
+                                 std::span<const GateId> wires) {
+  const auto wire_of = [&wires](GateId g) {
+    return static_cast<int>(std::find(wires.begin(), wires.end(), g) -
+                            wires.begin());
+  };
+  const int none = static_cast<int>(wires.size());
+  std::vector<Reader> readers;
   for (GateId g = 0; g < netlist.num_gates(); ++g) {
     const netlist::Gate& gate = netlist.gate(g);
     for (std::size_t pin = 0; pin < gate.fanin.size(); ++pin) {
-      const auto it = std::find(wires.begin(), wires.end(), gate.fanin[pin]);
-      if (it != wires.end()) {
-        readers[it - wires.begin()].push_back(Reader{g, pin});
-      }
+      const int w = wire_of(gate.fanin[pin]);
+      if (w != none) readers.push_back(Reader{g, pin, w});
     }
   }
   for (std::size_t oi = 0; oi < netlist.num_outputs(); ++oi) {
-    const auto it =
-        std::find(wires.begin(), wires.end(), netlist.outputs()[oi].gate);
-    if (it != wires.end()) {
-      readers[it - wires.begin()].push_back(Reader{netlist::kNullGate, oi});
-    }
+    const int w = wire_of(netlist.outputs()[oi].gate);
+    if (w != none) readers.push_back(Reader{netlist::kNullGate, oi, w});
   }
+  return readers;
+}
 
-  PlrInsertion result;
+void rewire(Netlist& netlist, const Reader& reader, GateId source) {
+  if (reader.gate == netlist::kNullGate) {
+    netlist.set_output_gate(reader.slot, source);
+    return;
+  }
+  std::vector<GateId> fanin = netlist.gate(reader.gate).fanin_vector();
+  fanin[reader.slot] = source;
+  netlist.set_fanin(reader.gate, std::move(fanin));
+}
+
+std::vector<GateId> wires_with_readers(const Netlist& netlist) {
+  const auto fanout = netlist.fanout_map();
+  std::vector<bool> is_output(netlist.num_gates(), false);
+  for (const netlist::OutputPort& o : netlist.outputs()) {
+    is_output[o.gate] = true;
+  }
+  std::vector<GateId> wires;
+  for (GateId g = 0; g < netlist.num_gates(); ++g) {
+    const GateType t = netlist.gate(g).type;
+    if (t == GateType::kKey || t == GateType::kConst0 ||
+        t == GateType::kConst1) {
+      continue;
+    }
+    if (fanout[g].empty() && !is_output[g]) continue;
+    wires.push_back(g);
+  }
+  return wires;
+}
+
+RoutedBlock route_wires(Netlist& netlist, const ClnConfig& cln_config,
+                        CycleMode cycle_mode, double negate_probability,
+                        std::mt19937_64& rng, const std::string& name_prefix) {
+  if (negate_probability > 0.0 && !cln_config.with_inverters) {
+    throw std::invalid_argument(
+        "leading-gate negation requires the CLN inverter layer");
+  }
+  const int n = cln_config.n;
+  const std::vector<GateId> wires =
+      select_routing_wires(netlist, n, cycle_mode, rng);
+
+  // Record every reader of each selected wire before any edit.
+  RoutedBlock block;
+  block.readers.resize(n);
+  for (const Reader& r : find_readers(netlist, wires)) {
+    block.readers[r.wire].push_back(r);
+  }
+  PlrInsertion& result = block.insertion;
   result.selected_wires.assign(wires.begin(), wires.end());
 
   // Negate a random subset of the leading (driver) gates; the CLN's inverter
@@ -203,7 +233,7 @@ PlrInsertion insert_plr(Netlist& netlist, const PlrConfig& config,
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   for (int i = 0; i < n; ++i) {
     if (negatable_gate(netlist.gate(wires[i]).type) &&
-        coin(rng) < config.negate_probability) {
+        coin(rng) < negate_probability) {
       netlist.retype(wires[i], negated_gate_type(netlist.gate(wires[i]).type));
       negated[i] = true;
       ++result.num_negated_drivers;
@@ -211,76 +241,76 @@ PlrInsertion insert_plr(Netlist& netlist, const PlrConfig& config,
   }
 
   // Build the CLN fed by the selected wires.
-  const ClnBuilder builder(config.cln);
+  const ClnBuilder builder(cln_config);
   const ClnInstance cln = builder.build(netlist, wires, name_prefix);
 
   // Choose the correct routing key, derive the realized permutation, and set
   // the inverter bits to absorb the driver negations.
-  const std::vector<bool> select_key = builder.random_routing_key(rng);
-  const std::vector<int> perm = cln.trace_permutation(select_key);
-  std::vector<bool> inverter_key;
-  if (config.cln.with_inverters) {
-    inverter_key.resize(n);
+  result.added_key_values = builder.random_routing_key(rng);
+  const std::vector<int> perm = cln.trace_permutation(result.added_key_values);
+  std::vector<bool> inverter_key(n, false);
+  if (cln_config.with_inverters) {
     for (int j = 0; j < n; ++j) inverter_key[j] = negated[perm[j]];
+    result.added_key_values.insert(result.added_key_values.end(),
+                                   inverter_key.begin(), inverter_key.end());
   }
 
   // Rewire: readers of wire perm[j] now read CLN output j.
   for (int j = 0; j < n; ++j) {
-    const int i = perm[j];
-    for (const Reader& r : readers[i]) {
-      if (r.gate == netlist::kNullGate) {
-        netlist.set_output_gate(r.slot, cln.outputs[j]);
-      } else {
-        // Replace only this pin.
-        std::vector<GateId> fanin = netlist.gate(r.gate).fanin_vector();
-        fanin[r.slot] = cln.outputs[j];
-        netlist.set_fanin(r.gate, std::move(fanin));
-      }
+    for (const Reader& r : block.readers[perm[j]]) {
+      rewire(netlist, r, cln.outputs[j]);
     }
   }
 
-  result.added_key_values = select_key;
-  result.added_key_values.insert(result.added_key_values.end(),
-                                 inverter_key.begin(), inverter_key.end());
-
-  // LUT-twist the consuming gates (paper §3.2): every gate reading a CLN
-  // output becomes a key-programmable LUT.
-  std::map<GateId, GateId> replaced;  // old gate -> LUT tree root
-  if (config.twist_luts) {
-    std::vector<GateId> consumers;
-    for (int i = 0; i < n; ++i) {
-      for (const Reader& r : readers[i]) {
-        if (r.gate != netlist::kNullGate &&
-            std::find(consumers.begin(), consumers.end(), r.gate) ==
-                consumers.end()) {
-          consumers.push_back(r.gate);
-        }
-      }
-    }
-    for (const GateId g : consumers) {
-      if (!lut_replaceable(netlist, g)) continue;
-      if (replaced.count(g) != 0) continue;
-      const KeyLutResult lut = replace_with_key_lut(
-          netlist, g, name_prefix + "_lut" + std::to_string(result.num_luts));
-      replaced[g] = lut.root;
-      result.added_key_values.insert(result.added_key_values.end(),
-                                     lut.correct_key.begin(),
-                                     lut.correct_key.end());
-      ++result.num_luts;
-    }
-  }
-
-  // Removal-attack hint (drivers may have been LUT-replaced in cyclic mode).
-  result.hint.block_inputs.reserve(n);
-  for (const GateId w : wires) {
-    const auto it = replaced.find(w);
-    result.hint.block_inputs.push_back(it == replaced.end() ? w : it->second);
-  }
+  result.hint.block_inputs = wires;
   result.hint.block_outputs = cln.outputs;
   result.hint.permutation = perm;
-  result.hint.inverted.assign(n, false);
-  if (config.cln.with_inverters) result.hint.inverted = inverter_key;
-  return result;
+  result.hint.inverted = std::move(inverter_key);
+  return block;
+}
+
+GateId twist_reader(Netlist& netlist, RoutedBlock& block, const Reader& reader,
+                    const std::string& stem) {
+  if (reader.gate == netlist::kNullGate || block.luts.count(reader.gate) != 0 ||
+      !lut_replaceable(netlist, reader.gate)) {
+    return netlist::kNullGate;
+  }
+  PlrInsertion& result = block.insertion;
+  const KeyLutResult lut = replace_with_key_lut(
+      netlist, reader.gate, stem + std::to_string(result.num_luts));
+  block.luts[reader.gate] = lut.root;
+  result.added_key_values.insert(result.added_key_values.end(),
+                                 lut.correct_key.begin(),
+                                 lut.correct_key.end());
+  ++result.num_luts;
+  return lut.root;
+}
+
+PlrInsertion finish_block(RoutedBlock block) {
+  // In cyclic modes a selected wire may itself read another and be
+  // replaced; its LUT now drives the block input.
+  for (GateId& w : block.insertion.hint.block_inputs) {
+    const auto it = block.luts.find(w);
+    if (it != block.luts.end()) w = it->second;
+  }
+  return std::move(block.insertion);
+}
+
+PlrInsertion insert_plr(Netlist& netlist, const PlrConfig& config,
+                        std::mt19937_64& rng, const std::string& name_prefix) {
+  RoutedBlock block =
+      route_wires(netlist, config.cln, config.cycle_mode,
+                  config.negate_probability, rng, name_prefix);
+  // LUT-twist the consuming gates (paper §3.2): every gate reading a CLN
+  // output becomes a key-programmable LUT.
+  if (config.twist_luts) {
+    for (const std::vector<Reader>& readers : block.readers) {
+      for (const Reader& r : readers) {
+        twist_reader(netlist, block, r, name_prefix + "_lut");
+      }
+    }
+  }
+  return finish_block(std::move(block));
 }
 
 }  // namespace fl::core

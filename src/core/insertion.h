@@ -2,10 +2,16 @@
 // negates a subset of the driving ("leading") gates (absorbed by the CLN's
 // key-configurable inverters), and replaces the consuming ("proceeding")
 // gates with key-programmable LUTs.
+//
+// The routing part (route_wires) is shared with InterLock, which differs
+// only in its consumer step; the reader capture and rewiring below are also
+// Cross-Lock's.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <random>
+#include <span>
 
 #include "core/cln.h"
 #include "core/locked_circuit.h"
@@ -41,21 +47,52 @@ struct PlrInsertion {
 PlrInsertion insert_plr(netlist::Netlist& netlist, const PlrConfig& config,
                         std::mt19937_64& rng, const std::string& name_prefix);
 
-// Building blocks shared with other routing-based schemes (InterLock).
+// A pin that reads a wire: fanin `slot` of `gate`, or output port `slot`
+// when `gate` is kNullGate.
+struct Reader {
+  netlist::GateId gate;
+  std::size_t slot;
+  int wire;  // index into the wire list the reader was found for
+};
 
-// True for the gate types whose polarity can be flipped by a retype
-// (AND<->NAND, OR<->NOR, XOR<->XNOR, BUF<->NOT).
-bool negatable_gate(netlist::GateType type);
-// The negated counterpart; throws std::logic_error if !negatable_gate.
-netlist::GateType negated_gate_type(netlist::GateType type);
+// Every reader of `wires`: gates by id with their pins in order, then the
+// output ports.
+std::vector<Reader> find_readers(const netlist::Netlist& netlist,
+                                 std::span<const netlist::GateId> wires);
+// Points `reader` at `source`.
+void rewire(netlist::Netlist& netlist, const Reader& reader,
+            netlist::GateId source);
 
-// Selects `n` distinct routing-eligible wires (live logic gates or primary
-// inputs, outside any key cone) under the cycle-mode constraint: kAvoid
-// picks an antichain, kForce a comparable pair plus fill, kAllow anything.
-// Throws std::invalid_argument when the netlist cannot supply them.
-std::vector<netlist::GateId> select_routing_wires(const netlist::Netlist&
-                                                      netlist,
-                                                  int n, CycleMode mode,
-                                                  std::mt19937_64& rng);
+// Logic gates and primary inputs that a gate or an output port reads, by
+// id: the wires RLL and Cross-Lock pick from.
+std::vector<netlist::GateId> wires_with_readers(const netlist::Netlist&
+                                                    netlist);
+
+// A routed block before its consumer step.
+struct RoutedBlock {
+  // Hint, routing and inverter key values, negation count and wires so far.
+  PlrInsertion insertion;
+  // readers[i]: the readers of wire i before the rewiring.
+  std::vector<std::vector<Reader>> readers;
+  std::map<netlist::GateId, netlist::GateId> luts;  // gate -> LUT root
+};
+
+// The routing part of a PLR: selects `cln.n` wires under `cycle_mode`,
+// negates a random subset of their drivers, builds the CLN, draws its
+// routing key (inverters absorb the negations) and points every reader of
+// wire permutation[j] at CLN output j. Throws as insert_plr does.
+RoutedBlock route_wires(netlist::Netlist& netlist, const ClnConfig& cln,
+                        CycleMode cycle_mode, double negate_probability,
+                        std::mt19937_64& rng, const std::string& name_prefix);
+
+// Consumer step: replaces the gate behind `reader` with a key LUT named
+// `<stem><k>` (k counts the block's LUTs), appends the LUT's key to the
+// block and returns its root. kNullGate when the reader is an output port,
+// a gate already replaced, or a gate too wide for a LUT.
+netlist::GateId twist_reader(netlist::Netlist& netlist, RoutedBlock& block,
+                             const Reader& reader, const std::string& stem);
+
+// Ends a block: a hint input whose driver was LUT-replaced names the LUT.
+PlrInsertion finish_block(RoutedBlock block);
 
 }  // namespace fl::core

@@ -4,6 +4,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "netlist/structure.h"
+
 namespace fl::lock {
 
 using netlist::GateId;
@@ -39,25 +41,14 @@ core::LockedCircuit antisat_lock(const netlist::Netlist& original,
     locked.correct_key.push_back(kshared[i]);
   }
 
-  auto and_tree = [&net](std::vector<GateId> v) {
-    while (v.size() > 1) {
-      std::vector<GateId> next;
-      for (std::size_t i = 0; i + 1 < v.size(); i += 2) {
-        next.push_back(net.add_gate(GateType::kAnd, {v[i], v[i + 1]}));
-      }
-      if (v.size() % 2 == 1) next.push_back(v.back());
-      v = std::move(next);
-    }
-    return v[0];
-  };
-
   std::vector<GateId> left(k), right(k);
   for (int i = 0; i < k; ++i) {
     left[i] = net.add_gate(GateType::kXor, {net.inputs()[i], k1[i]});
     right[i] = net.add_gate(GateType::kXor, {net.inputs()[i], k2[i]});
   }
-  const GateId g_left = and_tree(left);             // g(X xor K1)
-  const GateId g_right = and_tree(right);           // g(X xor K2)
+  // g(X xor K1) and g(X xor K2).
+  const GateId g_left = netlist::balanced_tree(net, left, GateType::kAnd);
+  const GateId g_right = netlist::balanced_tree(net, right, GateType::kAnd);
   const GateId g_right_n = net.add_gate(GateType::kNot, {g_right});
   const GateId y = net.add_gate(GateType::kAnd, {g_left, g_right_n});
 

@@ -5,6 +5,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "core/insertion.h"
 #include "netlist/structure.h"
 
 namespace fl::lock {
@@ -44,19 +45,7 @@ core::LockedCircuit crosslock_lock(const netlist::Netlist& original,
 
   // Antichain wire selection (no selected wire reaches another), so the
   // all-to-all crossbar cannot close a combinational cycle.
-  const auto fanout = net.fanout_map();
-  std::vector<bool> is_output(net.num_gates(), false);
-  for (const netlist::OutputPort& o : net.outputs()) is_output[o.gate] = true;
-  std::vector<GateId> candidates;
-  for (GateId g = 0; g < net.num_gates(); ++g) {
-    const GateType t = net.gate(g).type;
-    if (t == GateType::kKey || t == GateType::kConst0 ||
-        t == GateType::kConst1) {
-      continue;
-    }
-    if (fanout[g].empty() && !is_output[g]) continue;
-    candidates.push_back(g);
-  }
+  std::vector<GateId> candidates = core::wires_with_readers(net);
   std::shuffle(candidates.begin(), candidates.end(), rng);
   netlist::Reachability reach(net);
   std::vector<GateId> wires;
@@ -76,29 +65,7 @@ core::LockedCircuit crosslock_lock(const netlist::Netlist& original,
   }
 
   // Destination pins: readers of the selected wires.
-  struct Pin {
-    GateId gate;       // kNullGate for an output port
-    std::size_t slot;  // fanin pin or output index
-    int source;        // index into `wires`
-  };
-  std::vector<Pin> pins;
-  for (GateId g = 0; g < net.num_gates(); ++g) {
-    const netlist::Gate& gate = net.gate(g);
-    for (std::size_t pin = 0; pin < gate.fanin.size(); ++pin) {
-      const auto it = std::find(wires.begin(), wires.end(), gate.fanin[pin]);
-      if (it != wires.end()) {
-        pins.push_back(Pin{g, pin, static_cast<int>(it - wires.begin())});
-      }
-    }
-  }
-  for (std::size_t oi = 0; oi < net.num_outputs(); ++oi) {
-    const auto it =
-        std::find(wires.begin(), wires.end(), net.outputs()[oi].gate);
-    if (it != wires.end()) {
-      pins.push_back(Pin{netlist::kNullGate, oi,
-                         static_cast<int>(it - wires.begin())});
-    }
-  }
+  std::vector<core::Reader> pins = core::find_readers(net, wires);
   std::shuffle(pins.begin(), pins.end(), rng);
   if (static_cast<int>(pins.size()) > config.num_destinations) {
     pins.resize(config.num_destinations);
@@ -115,7 +82,7 @@ core::LockedCircuit crosslock_lock(const netlist::Netlist& original,
     std::vector<GateId> selects(bits);
     for (int b = 0; b < bits; ++b) {
       selects[b] = net.add_key("keyinput_xb" + std::to_string(key_counter++));
-      locked.correct_key.push_back(((pins[d].source >> b) & 1) != 0);
+      locked.correct_key.push_back(((pins[d].wire >> b) & 1) != 0);
     }
     const GateId out =
         mux_tree(net, leaves, selects, 0, padded, bits - 1);
@@ -123,16 +90,10 @@ core::LockedCircuit crosslock_lock(const netlist::Netlist& original,
     core::RoutingBlockHint hint;
     hint.block_inputs.assign(wires.begin(), wires.end());
     hint.block_outputs = {out};
-    hint.permutation = {pins[d].source};
+    hint.permutation = {pins[d].wire};
     hint.inverted = {false};
     locked.routing_blocks.push_back(std::move(hint));
-    if (pins[d].gate == netlist::kNullGate) {
-      net.set_output_gate(pins[d].slot, out);
-    } else {
-      std::vector<GateId> fanin = net.gate(pins[d].gate).fanin_vector();
-      fanin[pins[d].slot] = out;
-      net.set_fanin(pins[d].gate, std::move(fanin));
-    }
+    core::rewire(net, pins[d], out);
   }
 
   return locked;

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <random>
-#include <stdexcept>
 
-#include "core/cln.h"
-#include "core/plr.h"
-#include "netlist/structure.h"
+#include "core/full_lock.h"
 
 namespace fl::lock {
 
@@ -33,132 +29,42 @@ InterLockConfig InterLockConfig::with_blocks(std::vector<int> cln_sizes,
 
 namespace {
 
-struct Reader {
-  GateId gate;       // kNullGate for output ports
-  std::size_t slot;  // fanin pin, or output-port index
-};
-
-// One routing block: CLN over an antichain of wires, driver negation
-// absorbed by the inverter layer, and a subset of the consuming gates
-// folded into the block as key-programmable LUTs.
-struct BlockInsertion {
-  core::RoutingBlockHint hint;
-  std::vector<bool> added_key_values;
-  int num_folded = 0;
-  int num_negated = 0;
-};
-
-BlockInsertion insert_block(Netlist& netlist,
-                            const InterLockBlockConfig& config,
-                            std::mt19937_64& rng,
-                            const std::string& prefix) {
-  if (config.negate_probability > 0.0 && !config.cln.with_inverters) {
-    throw std::invalid_argument(
-        "leading-gate negation requires the CLN inverter layer");
-  }
-  const int n = config.cln.n;
-  const std::vector<GateId> wires = core::select_routing_wires(
-      netlist, n, core::CycleMode::kAvoid, rng);
-
-  // Record every reader of each selected wire before any edit.
-  std::vector<std::vector<Reader>> readers(n);
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    const netlist::Gate& gate = netlist.gate(g);
-    for (std::size_t pin = 0; pin < gate.fanin.size(); ++pin) {
-      const auto it = std::find(wires.begin(), wires.end(), gate.fanin[pin]);
-      if (it != wires.end()) {
-        readers[it - wires.begin()].push_back(Reader{g, pin});
-      }
-    }
-  }
-  for (std::size_t oi = 0; oi < netlist.num_outputs(); ++oi) {
-    const auto it =
-        std::find(wires.begin(), wires.end(), netlist.outputs()[oi].gate);
-    if (it != wires.end()) {
-      readers[it - wires.begin()].push_back(Reader{netlist::kNullGate, oi});
-    }
-  }
-
-  BlockInsertion result;
-
-  // Negate a random subset of the drivers (undone by the inverter layer).
-  std::vector<bool> negated(n, false);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  for (int i = 0; i < n; ++i) {
-    if (core::negatable_gate(netlist.gate(wires[i]).type) &&
-        coin(rng) < config.negate_probability) {
-      netlist.retype(wires[i],
-                     core::negated_gate_type(netlist.gate(wires[i]).type));
-      negated[i] = true;
-      ++result.num_negated;
-    }
-  }
-
-  const core::ClnBuilder builder(config.cln);
-  const core::ClnInstance cln = builder.build(netlist, wires, prefix);
-  const std::vector<bool> select_key = builder.random_routing_key(rng);
-  const std::vector<int> perm = cln.trace_permutation(select_key);
-  std::vector<bool> inverter_key;
-  if (config.cln.with_inverters) {
-    inverter_key.resize(n);
-    for (int j = 0; j < n; ++j) inverter_key[j] = negated[perm[j]];
-  }
-
-  // Rewire: readers of wire perm[j] now read CLN output j.
-  for (int j = 0; j < n; ++j) {
-    for (const Reader& r : readers[perm[j]]) {
-      if (r.gate == netlist::kNullGate) {
-        netlist.set_output_gate(r.slot, cln.outputs[j]);
-      } else {
-        std::vector<GateId> fanin = netlist.gate(r.gate).fanin_vector();
-        fanin[r.slot] = cln.outputs[j];
-        netlist.set_fanin(r.gate, std::move(fanin));
-      }
-    }
-  }
-
-  result.added_key_values = select_key;
-  result.added_key_values.insert(result.added_key_values.end(),
-                                 inverter_key.begin(), inverter_key.end());
-
-  result.hint.block_inputs.assign(wires.begin(), wires.end());
-  result.hint.block_outputs = cln.outputs;
-  result.hint.permutation = perm;
-  result.hint.inverted.assign(n, false);
-  if (config.cln.with_inverters) result.hint.inverted = inverter_key;
+// One routing block: a PLR's routing part over an antichain of wires, then
+// a subset of the consuming gates folded into the block as key LUTs.
+core::PlrInsertion insert_block(Netlist& netlist,
+                                const InterLockBlockConfig& config,
+                                std::mt19937_64& rng,
+                                const std::string& prefix) {
+  core::RoutedBlock block =
+      core::route_wires(netlist, config.cln, core::CycleMode::kAvoid,
+                        config.negate_probability, rng, prefix);
 
   // Fold consumers into the block: for a random subset of the outputs, one
   // consuming gate becomes a key-programmable LUT whose truth table is part
   // of the block configuration. The LUT root is listed as an extra block
   // output routed from the same source wire, so the removal attack's
   // block-bypass loses the folded gate's function along with the fabric.
+  const int n = config.cln.n;
   std::vector<int> fold_order(n);
   for (int j = 0; j < n; ++j) fold_order[j] = j;
   std::shuffle(fold_order.begin(), fold_order.end(), rng);
   const int fold_target = static_cast<int>(
       std::lround(config.fold_fraction * static_cast<double>(n)));
-  std::map<GateId, GateId> folded;  // old gate -> LUT tree root
+  core::RoutingBlockHint& hint = block.insertion.hint;
   for (const int j : fold_order) {
-    if (result.num_folded >= fold_target) break;
-    for (const Reader& r : readers[perm[j]]) {
-      if (r.gate == netlist::kNullGate) continue;
-      if (folded.count(r.gate) != 0) continue;
-      if (!core::lut_replaceable(netlist, r.gate)) continue;
-      const core::KeyLutResult lut = core::replace_with_key_lut(
-          netlist, r.gate,
-          prefix + "_fold" + std::to_string(result.num_folded));
-      folded[r.gate] = lut.root;
-      result.added_key_values.insert(result.added_key_values.end(),
-                                     lut.correct_key.begin(),
-                                     lut.correct_key.end());
-      result.hint.block_outputs.push_back(lut.root);
-      result.hint.permutation.push_back(perm[j]);
-      result.hint.inverted.push_back(false);
-      ++result.num_folded;
+    if (block.insertion.num_luts >= fold_target) break;
+    const int source = hint.permutation[j];
+    for (const core::Reader& r : block.readers[source]) {
+      const GateId root =
+          core::twist_reader(netlist, block, r, prefix + "_fold");
+      if (root == netlist::kNullGate) continue;
+      hint.block_outputs.push_back(root);
+      hint.permutation.push_back(source);
+      hint.inverted.push_back(false);
       break;  // one folded consumer per output
     }
   }
-  return result;
+  return core::finish_block(std::move(block));
 }
 
 }  // namespace
@@ -167,36 +73,20 @@ core::LockedCircuit interlock_lock(const Netlist& original,
                                    const InterLockConfig& config,
                                    InterLockReport* report) {
   std::mt19937_64 rng(config.seed);
-  core::LockedCircuit locked;
-  locked.scheme = "interlock";
-  locked.netlist = original;
-  locked.netlist.set_name(original.name() + "_interlock");
-
-  InterLockReport rep;
-  for (std::size_t b = 0; b < config.blocks.size(); ++b) {
-    BlockInsertion insertion = insert_block(locked.netlist, config.blocks[b],
-                                            rng,
-                                            "ilb" + std::to_string(b));
-    locked.correct_key.insert(locked.correct_key.end(),
-                              insertion.added_key_values.begin(),
-                              insertion.added_key_values.end());
-    locked.routing_blocks.push_back(std::move(insertion.hint));
-    ++rep.num_blocks;
-    rep.num_folded_gates += insertion.num_folded;
-    rep.num_negated_drivers += insertion.num_negated;
+  core::FullLockReport totals;
+  core::LockedCircuit locked = core::insert_blocks(
+      original, "interlock", "_interlock", config.blocks.size(),
+      [&](Netlist& netlist, std::size_t b) {
+        return insert_block(netlist, config.blocks[b], rng,
+                            "ilb" + std::to_string(b));
+      },
+      &totals);
+  if (report != nullptr) {
+    report->num_blocks = totals.num_plrs;
+    report->num_folded_gates = totals.num_luts;
+    report->num_negated_drivers = totals.num_negated_drivers;
+    report->key_bits = totals.key_bits;
   }
-
-  // Strip the dead originals left behind by LUT folding, remapping the
-  // removal-attack hints onto the compacted ids.
-  std::vector<GateId> remap;
-  locked.netlist = netlist::compact(locked.netlist, &remap);
-  for (core::RoutingBlockHint& hint : locked.routing_blocks) {
-    for (GateId& g : hint.block_inputs) g = remap[g];
-    for (GateId& g : hint.block_outputs) g = remap[g];
-  }
-
-  rep.key_bits = locked.correct_key.size();
-  if (report != nullptr) *report = rep;
   return locked;
 }
 

@@ -4,6 +4,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "core/insertion.h"
+
 namespace fl::lock {
 
 using netlist::GateId;
@@ -19,19 +21,7 @@ core::LockedCircuit rll_lock(const netlist::Netlist& original,
   netlist::Netlist& net = locked.netlist;
 
   // Lockable wires: any logic gate or PI with a reader.
-  const auto fanout = net.fanout_map();
-  std::vector<bool> is_output(net.num_gates(), false);
-  for (const netlist::OutputPort& o : net.outputs()) is_output[o.gate] = true;
-  std::vector<GateId> wires;
-  for (GateId g = 0; g < net.num_gates(); ++g) {
-    const GateType t = net.gate(g).type;
-    if (t == GateType::kKey || t == GateType::kConst0 ||
-        t == GateType::kConst1) {
-      continue;
-    }
-    if (fanout[g].empty() && !is_output[g]) continue;
-    wires.push_back(g);
-  }
+  std::vector<GateId> wires = core::wires_with_readers(net);
   if (static_cast<int>(wires.size()) < config.num_keys) {
     throw std::invalid_argument("rll: not enough wires for requested keys");
   }

@@ -4,6 +4,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "netlist/structure.h"
+
 namespace fl::lock {
 
 using netlist::GateId;
@@ -48,19 +50,8 @@ core::LockedCircuit sarlock_lock(const netlist::Netlist& original,
     ne_bits[i] = net.add_gate(kstar[i] ? GateType::kNot : GateType::kBuf,
                               {keys[i]});
   }
-  auto reduce = [&net](std::vector<GateId> v, GateType op) {
-    while (v.size() > 1) {
-      std::vector<GateId> next;
-      for (std::size_t i = 0; i + 1 < v.size(); i += 2) {
-        next.push_back(net.add_gate(op, {v[i], v[i + 1]}));
-      }
-      if (v.size() % 2 == 1) next.push_back(v.back());
-      v = std::move(next);
-    }
-    return v[0];
-  };
-  const GateId match = reduce(eq_bits, GateType::kAnd);
-  const GateId differs = reduce(ne_bits, GateType::kOr);
+  const GateId match = netlist::balanced_tree(net, eq_bits, GateType::kAnd);
+  const GateId differs = netlist::balanced_tree(net, ne_bits, GateType::kOr);
   const GateId flip = net.add_gate(GateType::kAnd, {match, differs});
 
   // Flip the first output.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +17,7 @@
 #include "locking/sarlock.h"
 #include "locking/sfll_hd.h"
 #include "netlist/bench_io.h"
+#include "netlist/verilog_io.h"
 
 namespace fl::lock {
 
@@ -41,8 +41,6 @@ void parse_params_into(SchemeOptions& options, std::string_view text) {
         std::string(entry.substr(eq + 1));
   }
 }
-
-namespace {
 
 // Typed accessors over SchemeOptions.params. Every accepted key is recorded
 // (with its resolved value) so finish() can reject unknown parameters and
@@ -218,401 +216,184 @@ class ParamReader {
   std::string canonical_;
 };
 
-// ---- Full-Lock -------------------------------------------------------
+namespace {
 
-core::ClnTopology parse_topology(const std::string& name) {
-  return name == "shuffle" ? core::ClnTopology::kShuffleBlocking
-                           : core::ClnTopology::kBanyanNonBlocking;
+core::ClnTopology parse_topology(ParamReader& reader) {
+  return reader.get_choice("topology", "banyan", {"banyan", "shuffle"}) ==
+                 "shuffle"
+             ? core::ClnTopology::kShuffleBlocking
+             : core::ClnTopology::kBanyanNonBlocking;
 }
 
-class FullLockScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "full-lock"; }
-  std::string_view description() const override {
-    return "PLRs: key-routed CLN + key-configurable inverters + "
-           "key-programmable LUTs (the paper's scheme)";
-  }
-  std::string_view params_help() const override {
-    return "sizes=16 (CLN widths, '+'-separated; one PLR each), "
-           "topology=banyan|shuffle, cycle=avoid|allow|force, twist=1, "
-           "negate=0.5, decompose=0";
-  }
-  SchemeCaps caps(const SchemeOptions& options) const override {
-    SchemeCaps caps;
-    caps.has_routing_blocks = true;
-    const auto cycle = options.params.find("cycle");
-    caps.may_be_cyclic =
-        cycle != options.params.end() && cycle->second != "avoid";
-    const auto twist = options.params.find("twist");
-    const auto negate = options.params.find("negate");
-    caps.removal_resilient =
-        (twist == options.params.end() || twist->second != "0") ||
-        (negate != options.params.end() && std::atof(negate->second.c_str()) > 0.0);
-    return caps;
-  }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const core::FullLockConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = core::full_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  core::FullLockConfig parse(const SchemeOptions& options,
-                             std::string* canonical) const {
-    ParamReader reader(name(), options);
-    const std::vector<int> sizes = reader.get_sizes({16}, 4, 4096);
-    const std::string topology =
-        reader.get_choice("topology", "banyan", {"banyan", "shuffle"});
-    const std::string cycle =
-        reader.get_choice("cycle", "avoid", {"avoid", "allow", "force"});
-    const bool twist = reader.get_bool("twist", true);
-    const double negate = reader.get_double("negate", 0.5, 0.0, 1.0);
-    const bool decompose = reader.get_bool("decompose", false);
-    reader.finish();
-    core::CycleMode mode = core::CycleMode::kAvoid;
-    if (cycle == "allow") mode = core::CycleMode::kAllow;
-    if (cycle == "force") mode = core::CycleMode::kForce;
-    core::FullLockConfig config = core::FullLockConfig::with_plrs(
-        sizes, parse_topology(topology), mode, twist, negate, options.seed);
-    config.decompose_two_input = decompose;
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
+// The registry, sorted by name. Each entry reads only its own parameters;
+// LockScheme rejects the rest and stamps the canonical string.
+constexpr LockScheme kSchemes[] = {
+    {"antisat",
+     "g(X^K1) AND NOT g(X^K2) block XORed into one output (SPS's skew "
+     "target)",
+     "inputs=8 (block inputs; or first size; clamped to the input count)",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       AntiSatConfig config;
+       config.seed = seed;
+       config.block_inputs =
+           static_cast<int>(reader.get_knob("inputs", 8, 1, 256));
+       return {{.point_function = true},
+               [config](const netlist::Netlist& host) {
+                 return antisat_lock(host, config);
+               }};
+     }},
+    {"cross-lock",
+     "crossbar MUX-tree interconnect locking (no inverters/LUTs; removal "
+     "recovers it)",
+     "sources=32 (or first size), dests=sources+4",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       CrossLockConfig config;
+       config.seed = seed;
+       config.num_sources =
+           static_cast<int>(reader.get_knob("sources", 32, 2, 4096));
+       config.num_destinations = static_cast<int>(
+           reader.get_int("dests", config.num_sources + 4, 2, 8192));
+       return {{.has_routing_blocks = true},
+               [config](const netlist::Netlist& host) {
+                 return crosslock_lock(host, config);
+               }};
+     }},
+    {"full-lock",
+     "PLRs: key-routed CLN + key-configurable inverters + key-programmable "
+     "LUTs (the paper's scheme)",
+     "sizes=16 (CLN widths, '+'-separated; one PLR each), "
+     "topology=banyan|shuffle, cycle=avoid|allow|force, twist=1, "
+     "negate=0.5, decompose=0",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       const std::vector<int> sizes = reader.get_sizes({16}, 4, 4096);
+       const core::ClnTopology topology = parse_topology(reader);
+       const std::string cycle =
+           reader.get_choice("cycle", "avoid", {"avoid", "allow", "force"});
+       const bool twist = reader.get_bool("twist", true);
+       const double negate = reader.get_double("negate", 0.5, 0.0, 1.0);
+       core::CycleMode mode = core::CycleMode::kAvoid;
+       if (cycle == "allow") mode = core::CycleMode::kAllow;
+       if (cycle == "force") mode = core::CycleMode::kForce;
+       core::FullLockConfig config = core::FullLockConfig::with_plrs(
+           sizes, topology, mode, twist, negate, seed);
+       config.decompose_two_input = reader.get_bool("decompose", false);
+       // Negated drivers or twisted consumers leave a bypassed block wrong.
+       return {{.may_be_cyclic = mode != core::CycleMode::kAvoid,
+                .removal_resilient = twist || negate > 0.0,
+                .has_routing_blocks = true},
+               [config](const netlist::Netlist& host) {
+                 return core::full_lock(host, config);
+               }};
+     }},
+    {"interlock",
+     "logic folded into key-routed CLN blocks; removal loses real logic "
+     "(Full-Lock successor)",
+     "sizes=8 (CLN widths, '+'-separated; one block each), fold=1 "
+     "(fraction of outputs absorbing a consumer LUT), negate=0.5, "
+     "topology=banyan|shuffle",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       const std::vector<int> sizes = reader.get_sizes({8}, 4, 4096);
+       const double fold = reader.get_double("fold", 1.0, 0.0, 1.0);
+       const double negate = reader.get_double("negate", 0.5, 0.0, 1.0);
+       const core::ClnTopology topology = parse_topology(reader);
+       InterLockConfig config =
+           InterLockConfig::with_blocks(sizes, fold, negate, seed);
+       for (InterLockBlockConfig& block : config.blocks) {
+         block.cln.topology = topology;
+       }
+       return {{.removal_resilient = true, .has_routing_blocks = true},
+               [config](const netlist::Netlist& host) {
+                 return interlock_lock(host, config);
+               }};
+     }},
+    {"lut-lock",
+     "selected gates replaced by key-programmable LUTs (no routing fabric)",
+     "luts=8 (or first size), prefer_small=1",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       LutLockConfig config;
+       config.seed = seed;
+       config.num_luts =
+           static_cast<int>(reader.get_knob("luts", 8, 1, 100000));
+       config.prefer_small = reader.get_bool("prefer_small", true);
+       return {{}, [config](const netlist::Netlist& host) {
+                 return lutlock_lock(host, config);
+               }};
+     }},
+    {"rll", "random XOR/XNOR key gates (EPIC baseline)",
+     "keys=32 (or first size)",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       RllConfig config;
+       config.seed = seed;
+       config.num_keys =
+           static_cast<int>(reader.get_knob("keys", 32, 1, 100000));
+       return {{}, [config](const netlist::Netlist& host) {
+                 return rll_lock(host, config);
+               }};
+     }},
+    {"sarlock",
+     "point-function comparator: each wrong key errs on exactly one input "
+     "pattern",
+     "keys=16 (or first size; clamped to the input count)",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       SarLockConfig config;
+       config.seed = seed;
+       config.num_keys = static_cast<int>(reader.get_knob("keys", 16, 1, 256));
+       return {{.point_function = true},
+               [config](const netlist::Netlist& host) {
+                 return sarlock_lock(host, config);
+               }};
+     }},
+    {"sfll-hd",
+     "stripped function + Hamming-distance restore unit (FALL's target)",
+     "keys=16 (or first size; clamped to the input count), hd=2",
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+       SfllHdConfig config;
+       config.seed = seed;
+       config.num_keys = static_cast<int>(reader.get_knob("keys", 16, 1, 256));
+       config.hd = static_cast<int>(reader.get_int("hd", 2, 0, 256));
+       if (config.hd > config.num_keys) {
+         reader.fail("parameter hd must be <= keys");
+       }
+       // Stripping the restore unit leaves the FSC, not the original
+       // circuit.
+       return {{.removal_resilient = true, .point_function = true},
+               [config](const netlist::Netlist& host) {
+                 return sfll_hd_lock(host, config);
+               }};
+     }},
 };
-
-// ---- InterLock -------------------------------------------------------
-
-class InterLockScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "interlock"; }
-  std::string_view description() const override {
-    return "logic folded into key-routed CLN blocks; removal loses real "
-           "logic (Full-Lock successor)";
-  }
-  std::string_view params_help() const override {
-    return "sizes=8 (CLN widths, '+'-separated; one block each), fold=1 "
-           "(fraction of outputs absorbing a consumer LUT), negate=0.5, "
-           "topology=banyan|shuffle";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override {
-    SchemeCaps caps;
-    caps.removal_resilient = true;
-    caps.has_routing_blocks = true;
-    return caps;
-  }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const InterLockConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = interlock_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  InterLockConfig parse(const SchemeOptions& options,
-                        std::string* canonical) const {
-    ParamReader reader(name(), options);
-    const std::vector<int> sizes = reader.get_sizes({8}, 4, 4096);
-    const double fold = reader.get_double("fold", 1.0, 0.0, 1.0);
-    const double negate = reader.get_double("negate", 0.5, 0.0, 1.0);
-    const std::string topology =
-        reader.get_choice("topology", "banyan", {"banyan", "shuffle"});
-    reader.finish();
-    InterLockConfig config =
-        InterLockConfig::with_blocks(sizes, fold, negate, options.seed);
-    for (InterLockBlockConfig& block : config.blocks) {
-      block.cln.topology = parse_topology(topology);
-    }
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-// ---- Cross-Lock ------------------------------------------------------
-
-class CrossLockScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "cross-lock"; }
-  std::string_view description() const override {
-    return "crossbar MUX-tree interconnect locking (no inverters/LUTs; "
-           "removal recovers it)";
-  }
-  std::string_view params_help() const override {
-    return "sources=32 (or first size), dests=sources+4";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override {
-    SchemeCaps caps;
-    caps.has_routing_blocks = true;
-    return caps;
-  }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const CrossLockConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = crosslock_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  CrossLockConfig parse(const SchemeOptions& options,
-                        std::string* canonical) const {
-    ParamReader reader(name(), options);
-    CrossLockConfig config;
-    config.seed = options.seed;
-    config.num_sources =
-        static_cast<int>(reader.get_knob("sources", 32, 2, 4096));
-    config.num_destinations = static_cast<int>(
-        reader.get_int("dests", config.num_sources + 4, 2, 8192));
-    reader.finish();
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-// ---- LUT-Lock --------------------------------------------------------
-
-class LutLockScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "lut-lock"; }
-  std::string_view description() const override {
-    return "selected gates replaced by key-programmable LUTs (no routing "
-           "fabric)";
-  }
-  std::string_view params_help() const override {
-    return "luts=8 (or first size), prefer_small=1";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override { return {}; }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const LutLockConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = lutlock_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  LutLockConfig parse(const SchemeOptions& options,
-                      std::string* canonical) const {
-    ParamReader reader(name(), options);
-    LutLockConfig config;
-    config.seed = options.seed;
-    config.num_luts = static_cast<int>(reader.get_knob("luts", 8, 1, 100000));
-    config.prefer_small = reader.get_bool("prefer_small", true);
-    reader.finish();
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-// ---- RLL -------------------------------------------------------------
-
-class RllScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "rll"; }
-  std::string_view description() const override {
-    return "random XOR/XNOR key gates (EPIC baseline)";
-  }
-  std::string_view params_help() const override {
-    return "keys=32 (or first size)";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override { return {}; }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const RllConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = rll_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  RllConfig parse(const SchemeOptions& options, std::string* canonical) const {
-    ParamReader reader(name(), options);
-    RllConfig config;
-    config.seed = options.seed;
-    config.num_keys = static_cast<int>(reader.get_knob("keys", 32, 1, 100000));
-    reader.finish();
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-// ---- SARLock ---------------------------------------------------------
-
-class SarLockScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "sarlock"; }
-  std::string_view description() const override {
-    return "point-function comparator: each wrong key errs on exactly one "
-           "input pattern";
-  }
-  std::string_view params_help() const override {
-    return "keys=16 (or first size; clamped to the input count)";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override {
-    SchemeCaps caps;
-    caps.point_function = true;
-    return caps;
-  }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const SarLockConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = sarlock_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  SarLockConfig parse(const SchemeOptions& options,
-                      std::string* canonical) const {
-    ParamReader reader(name(), options);
-    SarLockConfig config;
-    config.seed = options.seed;
-    config.num_keys = static_cast<int>(reader.get_knob("keys", 16, 1, 256));
-    reader.finish();
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-// ---- Anti-SAT --------------------------------------------------------
-
-class AntiSatScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "antisat"; }
-  std::string_view description() const override {
-    return "g(X^K1) AND NOT g(X^K2) block XORed into one output (SPS's "
-           "skew target)";
-  }
-  std::string_view params_help() const override {
-    return "inputs=8 (block inputs; or first size; clamped to the input "
-           "count)";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override {
-    SchemeCaps caps;
-    caps.point_function = true;
-    return caps;
-  }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const AntiSatConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = antisat_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  AntiSatConfig parse(const SchemeOptions& options,
-                      std::string* canonical) const {
-    ParamReader reader(name(), options);
-    AntiSatConfig config;
-    config.seed = options.seed;
-    config.block_inputs =
-        static_cast<int>(reader.get_knob("inputs", 8, 1, 256));
-    reader.finish();
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-// ---- SFLL-HD ---------------------------------------------------------
-
-class SfllHdScheme final : public LockScheme {
- public:
-  std::string_view name() const override { return "sfll-hd"; }
-  std::string_view description() const override {
-    return "stripped function + Hamming-distance restore unit (FALL's "
-           "target)";
-  }
-  std::string_view params_help() const override {
-    return "keys=16 (or first size; clamped to the input count), hd=2";
-  }
-  SchemeCaps caps(const SchemeOptions&) const override {
-    SchemeCaps caps;
-    caps.point_function = true;
-    // Stripping the restore unit leaves the FSC, not the original circuit.
-    caps.removal_resilient = true;
-    return caps;
-  }
-  void validate(const SchemeOptions& options) const override {
-    parse(options, nullptr);
-  }
-  core::LockedCircuit lock(const netlist::Netlist& original,
-                           const SchemeOptions& options) const override {
-    std::string canonical;
-    const SfllHdConfig config = parse(options, &canonical);
-    core::LockedCircuit locked = sfll_hd_lock(original, config);
-    locked.params = canonical;
-    return locked;
-  }
-
- private:
-  SfllHdConfig parse(const SchemeOptions& options,
-                     std::string* canonical) const {
-    ParamReader reader(name(), options);
-    SfllHdConfig config;
-    config.seed = options.seed;
-    config.num_keys = static_cast<int>(reader.get_knob("keys", 16, 1, 256));
-    config.hd = static_cast<int>(reader.get_int("hd", 2, 0, 256));
-    if (config.hd > config.num_keys) {
-      reader.fail("parameter hd must be <= keys");
-    }
-    reader.finish();
-    if (canonical != nullptr) *canonical = reader.canonical();
-    return config;
-  }
-};
-
-std::vector<std::unique_ptr<LockScheme>> make_registry() {
-  std::vector<std::unique_ptr<LockScheme>> schemes;
-  schemes.push_back(std::make_unique<AntiSatScheme>());
-  schemes.push_back(std::make_unique<CrossLockScheme>());
-  schemes.push_back(std::make_unique<FullLockScheme>());
-  schemes.push_back(std::make_unique<InterLockScheme>());
-  schemes.push_back(std::make_unique<LutLockScheme>());
-  schemes.push_back(std::make_unique<RllScheme>());
-  schemes.push_back(std::make_unique<SarLockScheme>());
-  schemes.push_back(std::make_unique<SfllHdScheme>());
-  return schemes;
-}
 
 }  // namespace
 
+LockScheme::Parsed LockScheme::parse(const SchemeOptions& options,
+                                     std::string* canonical) const {
+  ParamReader reader(name_, options);
+  Parsed parsed = parse_(reader, options.seed);
+  reader.finish();
+  if (canonical != nullptr) *canonical = reader.canonical();
+  return parsed;
+}
+
+SchemeCaps LockScheme::caps(const SchemeOptions& options) const {
+  return parse(options, nullptr).caps;
+}
+
+void LockScheme::validate(const SchemeOptions& options) const {
+  parse(options, nullptr);
+}
+
+core::LockedCircuit LockScheme::lock(const netlist::Netlist& original,
+                                     const SchemeOptions& options) const {
+  std::string canonical;
+  core::LockedCircuit locked = parse(options, &canonical).lock(original);
+  locked.params = std::move(canonical);
+  return locked;
+}
+
 const std::vector<const LockScheme*>& registry() {
-  static const std::vector<std::unique_ptr<LockScheme>> owned =
-      make_registry();
   static const std::vector<const LockScheme*> view = [] {
     std::vector<const LockScheme*> v;
-    for (const auto& s : owned) v.push_back(s.get());
+    for (const LockScheme& s : kSchemes) v.push_back(&s);
     return v;
   }();
   return view;
@@ -678,6 +459,13 @@ void write_locked_circuit(const core::LockedCircuit& locked,
     if (!key_file) {
       throw std::runtime_error("writing " + path +
                                ".key failed (disk full?)");
+    }
+  }
+  {
+    std::ofstream v_file(path + ".v");
+    netlist::write_verilog(locked.netlist, v_file);
+    if (!v_file) {
+      throw std::runtime_error("writing " + path + ".v failed (disk full?)");
     }
   }
 }

@@ -7,13 +7,15 @@
 // A scheme is configured by a SchemeOptions: a seed, a generic integer
 // `sizes` axis (the per-scheme "main knob" — PLR/CLN widths for the routing
 // schemes, key/LUT counts for the logic schemes), and free-form key=value
-// parameters. Each scheme parses and range-checks its own parameters,
-// canonicalizes them back into LockedCircuit.params, and reports capability
-// flags (cyclic, removal-resilient, point-function, routing blocks) that the
-// `schemes` listing prints and the property tests check.
+// parameters. Each scheme is one table entry whose one parse range-checks
+// its own parameters and yields its capability flags (cyclic,
+// removal-resilient, point-function, routing blocks: the `schemes` listing
+// prints them and the property tests check them) and its lock; the
+// resolved parameters are stamped into LockedCircuit.params.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -63,30 +65,56 @@ inline SchemeOptions make_options(std::uint64_t seed,
   return options;
 }
 
+class ParamReader;  // scheme.cpp: strict typed access to SchemeOptions
+
+// One registered scheme: a name, its help text and one strict parse of its
+// parameters, which yields both its capability flags and its lock.
 class LockScheme {
  public:
-  virtual ~LockScheme() = default;
+  struct Parsed {
+    SchemeCaps caps;
+    std::function<core::LockedCircuit(const netlist::Netlist&)> lock;
+  };
+  // Reads this scheme's parameters from `reader` (failing through it on a
+  // bad value) and configures a lock at `seed`.
+  using Parse = Parsed (*)(ParamReader& reader, std::uint64_t seed);
 
-  virtual std::string_view name() const = 0;
-  virtual std::string_view description() const = 0;
+  constexpr LockScheme(std::string_view name, std::string_view description,
+                       std::string_view params_help, Parse parse)
+      : name_(name),
+        description_(description),
+        params_help_(params_help),
+        parse_(parse) {}
+
+  std::string_view name() const { return name_; }
+  std::string_view description() const { return description_; }
   // One-line "key=value" summary of the accepted parameters and defaults.
-  virtual std::string_view params_help() const = 0;
+  std::string_view params_help() const { return params_help_; }
 
-  // Capability flags under `options` (parameters are read leniently here —
-  // call validate() for strict checking).
-  virtual SchemeCaps caps(const SchemeOptions& options) const = 0;
+  // Capability flags under `options`. Throws as validate() does.
+  SchemeCaps caps(const SchemeOptions& options) const;
   SchemeCaps caps() const { return caps(SchemeOptions{}); }
 
   // Strict parameter parsing without locking anything: throws
   // std::invalid_argument naming the offending parameter. Used by the CLI
   // at flag-parse time and by the serve daemon at admission.
-  virtual void validate(const SchemeOptions& options) const = 0;
+  void validate(const SchemeOptions& options) const;
 
   // Locks a copy of `original`. The result carries this scheme's canonical
   // name and parameter string (LockedCircuit.scheme / .params). Throws
   // std::invalid_argument on bad parameters or an unsuitable circuit.
-  virtual core::LockedCircuit lock(const netlist::Netlist& original,
-                                   const SchemeOptions& options) const = 0;
+  core::LockedCircuit lock(const netlist::Netlist& original,
+                           const SchemeOptions& options) const;
+
+ private:
+  // Runs parse_ and rejects parameters it did not read; `canonical`
+  // (optional) receives the resolved parameter string.
+  Parsed parse(const SchemeOptions& options, std::string* canonical) const;
+
+  std::string_view name_;
+  std::string_view description_;
+  std::string_view params_help_;
+  Parse parse_;
 };
 
 // All registered schemes, sorted by name. Never empty; pointers live for
@@ -112,8 +140,9 @@ std::string resolve_attack(std::string_view requested, bool cyclic);
 // ---- Locked-circuit provenance I/O -----------------------------------
 
 // Writes `path` (.bench with "# lock-scheme:"/"# lock-params:" header
-// comments) and `path`.key (same header + one "name bit" line per key).
-// Throws std::runtime_error when a write fails.
+// comments), `path`.key (same header + one "name bit" line per key) and
+// `path`.v (structural Verilog). Throws std::runtime_error when a write
+// fails.
 void write_locked_circuit(const core::LockedCircuit& locked,
                           const std::string& path);
 

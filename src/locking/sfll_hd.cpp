@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "netlist/structure.h"
+
 namespace fl::lock {
 
 using netlist::GateId;
@@ -49,15 +51,7 @@ GateId build_hd_equals(netlist::Netlist& net, const std::vector<GateId>& bits,
     const bool h_bit = ((h >> j) & 1) != 0;
     eq[j] = net.add_gate(h_bit ? GateType::kBuf : GateType::kNot, {sum[j]});
   }
-  while (eq.size() > 1) {
-    std::vector<GateId> next;
-    for (std::size_t i = 0; i + 1 < eq.size(); i += 2) {
-      next.push_back(net.add_gate(GateType::kAnd, {eq[i], eq[i + 1]}));
-    }
-    if (eq.size() % 2 == 1) next.push_back(eq.back());
-    eq = std::move(next);
-  }
-  return eq[0];
+  return netlist::balanced_tree(net, std::move(eq), GateType::kAnd);
 }
 
 core::LockedCircuit sfll_hd_lock(const netlist::Netlist& original,

@@ -399,6 +399,19 @@ bool inverted_family(GateType type) {
 
 }  // namespace
 
+GateId balanced_tree(Netlist& netlist, std::vector<GateId> leaves,
+                     GateType op) {
+  while (leaves.size() > 1) {
+    std::vector<GateId> next;
+    for (std::size_t i = 0; i + 1 < leaves.size(); i += 2) {
+      next.push_back(netlist.add_gate(op, {leaves[i], leaves[i + 1]}));
+    }
+    if (leaves.size() % 2 == 1) next.push_back(leaves.back());
+    leaves = std::move(next);
+  }
+  return leaves[0];
+}
+
 Netlist decompose_to_two_input(const Netlist& netlist) {
   Netlist out(netlist.name());
   std::vector<GateId> remap(netlist.num_gates(), kNullGate);

@@ -122,6 +122,12 @@ std::vector<GateId> append_specialized(Netlist& out,
 // MUX gates and 1..2-input gates pass through unchanged.
 Netlist decompose_to_two_input(const Netlist& netlist);
 
+// Reduces `leaves` (non-empty) with 2-input `op` gates, level by level:
+// each level pairs neighbours in order and carries an odd last leaf up
+// unpaired. Returns the root (the leaf itself when there is one).
+GateId balanced_tree(Netlist& netlist, std::vector<GateId> leaves,
+                     GateType op);
+
 // Signal probabilities under the independence assumption (inputs at 0.5),
 // topological propagation. Key inputs also at 0.5. Cyclic netlists:
 // relaxation with damping, bounded sweeps.

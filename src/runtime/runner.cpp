@@ -30,6 +30,9 @@ bool env_flag(const char* name) {
   return !v.empty() && v != "0" && v != "false" && v != "no";
 }
 
+// Each retry multiplies the cell's wall budget by this.
+constexpr double kRetryBackoff = 2.0;
+
 // Runs one cell to a terminal outcome: bounded retries with budget
 // escalation, fault injection at every attempt, cancellation taking
 // precedence over failure (an interrupted solve often surfaces as an
@@ -73,9 +76,7 @@ CellOutcome run_one_cell(const GridConfig& config, const FaultInjector& faults,
       outcome.status = CellOutcome::Status::kCancelled;
       return outcome;
     }
-    if (budget > 0.0 && config.retry_backoff > 0.0) {
-      budget *= config.retry_backoff;
-    }
+    if (budget > 0.0) budget *= kRetryBackoff;
   }
   return outcome;
 }

@@ -125,11 +125,10 @@ const char* to_string(CellOutcome::Status status);
 struct GridConfig {
   int jobs = 1;
   // Per-cell retry budget: a cell that throws is retried up to `retries`
-  // more times before its failure is recorded. Each retry escalates the
-  // attempt's wall budget by `retry_backoff`.
+  // more times before its failure is recorded. Each retry doubles the
+  // attempt's wall budget.
   int retries = 0;
   double cell_timeout_s = 0.0;  // first attempt's budget (0 = none)
-  double retry_backoff = 2.0;   // budget multiplier per retry
   // Cooperative cancellation (signal handler, tests). Cells not yet started
   // when it fires are marked kCancelled; in-flight cells see it through
   // CellContext::interrupt.

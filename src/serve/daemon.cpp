@@ -91,7 +91,6 @@ void Daemon::start() {
   config.default_job_timeout_s = args_.job_timeout_s;
   config.backoff_base_s = args_.backoff_s;
   config.stall_grace_s = args_.stall_grace_s;
-  config.watchdog_period_s = args_.watchdog_period_s;
   config.faults = faults_override_;
   config.first_id = replay.max_id + 1;
   scheduler_.emplace(std::move(config), runner_);

@@ -52,7 +52,6 @@ struct ServeArgs {
   int retries = 0;               // --retries (default job retry budget)
   double backoff_s = 0.25;       // --backoff (retry backoff base)
   double stall_grace_s = 2.0;    // --stall-grace (watchdog escalation)
-  double watchdog_period_s = 0.02;
 };
 
 // Strict flag parsing for the serve subcommand; argv[first] is the socket

@@ -44,23 +44,15 @@ JobResult run_lock_job(const JobSpec& spec, JobContext& ctx) {
     result.interrupted = true;
     return result;
   }
-  const std::vector<int> sizes = spec.sizes.empty() ? std::vector<int>{16}
-                                                    : spec.sizes;
+  // Empty sizes lock at the scheme's own default, as `fulllock lock` does.
   const core::LockedCircuit locked = lock::lock_with(
       spec.scheme, original,
-      lock::make_options(spec.seed, sizes, spec.scheme_params));
+      lock::make_options(spec.seed, spec.sizes, spec.scheme_params));
   if (!core::verify_unlocks(original, locked, 16, 1)) {
     throw std::runtime_error("lock verification failed: correct key does not "
                              "unlock the circuit");
   }
-  try {
-    // Writes the .bench (with scheme/params provenance headers) + .key pair.
-    lock::write_locked_circuit(locked, spec.out_path);
-  } catch (const runtime::WriteFault&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw runtime::WriteFault(e.what());
-  }
+  lock::write_locked_circuit(locked, spec.out_path);
   result.fields.field("scheme", locked.scheme)
       .field("params", locked.params)
       .field("gates_before", original.num_logic_gates())

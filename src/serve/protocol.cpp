@@ -6,6 +6,7 @@
 
 #include "attacks/registry.h"
 #include "attacks/sweep.h"
+#include "locking/scheme.h"
 
 namespace fl::serve {
 
@@ -177,13 +178,19 @@ void validate_spec(const JobSpec& spec) {
       if (spec.out_path.empty()) bad("lock job requires out_path");
       break;
   }
-  // Lock and sweep jobs pass the scheme check the CLI runs before its grid
-  // (a lock job without sizes locks at 16); the ProtocolError carries the
-  // sweep's or the scheme's own message.
-  std::vector<int> sizes = spec.sizes;
-  if (spec.kind == JobKind::kLock && sizes.empty()) sizes = {16};
+  // Lock and sweep jobs pass the scheme check the CLI runs before it reads
+  // the circuit: a lock job its scheme's validate() on its own sizes and
+  // params (as `fulllock lock`), a sweep job the sweep's. The ProtocolError
+  // carries the sweep's or the scheme's own message.
   try {
-    attacks::validate_sweep({spec.scheme}, sizes, spec.scheme_params);
+    const lock::LockScheme* scheme = lock::find_scheme(spec.scheme);
+    if (spec.kind == JobKind::kLock && scheme != nullptr) {
+      scheme->validate(
+          lock::make_options(spec.seed, spec.sizes, spec.scheme_params));
+    } else {
+      // Also names an unknown scheme, for either kind.
+      attacks::validate_sweep({spec.scheme}, spec.sizes, spec.scheme_params);
+    }
   } catch (const std::invalid_argument& e) {
     bad(e.what());
   }

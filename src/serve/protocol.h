@@ -100,8 +100,8 @@ struct JobSpec {
   // own validate(), so a bad submit is rejected before it queues.
   std::string scheme = "full-lock";
   std::string scheme_params;
-  std::vector<int> sizes;  // scheme size axis (sweep/lock); default
-                           // {4,8,16}/{16}
+  std::vector<int> sizes;  // scheme size axis (sweep/lock); empty: the
+                           // sweep's {4,8,16} / the scheme's own default
   int replicas = 1;        // sweep: seeds per size
   std::uint64_t seed = 17;
   bool resume = false;     // sweep: continue jsonl_path if it exists
@@ -114,8 +114,11 @@ void append_spec_fields(runtime::JsonObject& o, const JobSpec& spec);
 // Parses the spec fields back out of a request/journal line. Missing fields
 // keep their defaults; type mismatches throw ProtocolError.
 JobSpec parse_spec_fields(const std::string& line);
-// Field/bounds validation (paths present for the kind, sane numeric ranges).
-// Throws ProtocolError naming the field.
+// Field/bounds validation (paths present for the kind, sane numeric ranges)
+// plus the scheme check: a lock job's scheme validates the job's own sizes
+// and params, as `fulllock lock` does; a sweep job passes the sweep's
+// check. Throws ProtocolError naming the field or carrying the scheme's
+// message.
 void validate_spec(const JobSpec& spec);
 
 struct Request {

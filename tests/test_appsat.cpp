@@ -111,7 +111,7 @@ TEST(AppSat, CyclicLockEndsOnVerifiedKeyDeterministically) {
   const AppSatResult b = attack();
   ASSERT_EQ(a.status, AttackStatus::kSuccess);
   EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, a.key, 32, 1));
-  // Settlement estimates ran: each charges rounds_per_check x 64 queries on
+  // Settlement estimates ran: each charges 8 x 64 queries on
   // top of one query per DIP.
   EXPECT_GT(a.oracle_queries, a.iterations);
 

@@ -18,7 +18,6 @@
 #include "attacks/sat_attack.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
-#include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/profiles.h"
 #include "runtime/jsonl.h"
@@ -362,9 +361,8 @@ TEST(AttackRegistry, CyclicLocksRunAndReportCycSat) {
     RunResult run = attacks::run(name, locked, oracle, options);
     EXPECT_EQ(run.attack, "cycsat") << name;
     ASSERT_EQ(run.result.status, AttackStatus::kSuccess) << name;
-    // Simulation check: SAT equivalence does not apply to cyclic netlists.
-    EXPECT_TRUE(
-        core::verify_unlocks(original, locked.netlist, run.result.key, 32, 1))
+    EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                       run.result.key))
         << name;
     // Cyclic locks end on key extraction, never on confirmation.
     EXPECT_EQ(runtime::json_bool_field(run.detail.str(), "key_confirmed"),

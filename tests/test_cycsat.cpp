@@ -3,8 +3,8 @@
 
 #include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "cnf/miter.h"
 #include "core/full_lock.h"
-#include "core/verify.h"
 #include "netlist/profiles.h"
 
 namespace fl::attacks {
@@ -32,10 +32,8 @@ TEST(CycSat, BreaksCyclicFullLockSmall) {
   const AttackResult result = attack.run(locked, oracle);
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_GT(attack.preprocess_stats().feedback_edges, 0);
-  // The recovered key must functionally unlock (simulation check; the
-  // netlist is cyclic so SAT equivalence does not apply).
-  EXPECT_TRUE(
-      core::verify_unlocks(original, locked.netlist, result.key, 32, 1));
+  // The recovered key cuts every cycle, so it is proved, not sampled.
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
 TEST(CycSat, NcConditionsAdmitCorrectKey) {
@@ -86,7 +84,7 @@ TEST(CycSat, PlainSatAttackStruggleOnCycles) {
   options.timeout_s = 120.0;
   const AttackResult cyc = CycSat(options).run(locked, oracle);
   ASSERT_EQ(cyc.status, AttackStatus::kSuccess);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, cyc.key, 32, 2));
+  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, cyc.key));
 }
 
 }  // namespace

@@ -92,6 +92,16 @@ TEST(SchemeRegistry, CapabilityFlags) {
   EXPECT_TRUE(full->caps().has_routing_blocks);
   EXPECT_TRUE(
       full->caps(lock::make_options(1, {}, "cycle=force")).may_be_cyclic);
+  // Caps come from the parse that locks: negate defaults to 0.5, so an
+  // untwisted lock still negates drivers and a bypassed block stays wrong;
+  // "false" is as false as "0"; a bad value throws as validate() does.
+  EXPECT_TRUE(full->caps(lock::make_options(1, {}, "sizes=8,twist=0"))
+                  .removal_resilient);
+  EXPECT_FALSE(
+      full->caps(lock::make_options(1, {}, "sizes=8,twist=false,negate=0"))
+          .removal_resilient);
+  EXPECT_THROW(full->caps(lock::make_options(1, {}, "cycle=bogus")),
+               std::invalid_argument);
 
   const lock::LockScheme* interlock = lock::find_scheme("interlock");
   ASSERT_NE(interlock, nullptr);

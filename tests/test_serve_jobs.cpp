@@ -91,6 +91,42 @@ TEST(ServeJobs, LockThenAttackKeepsSchemeProvenance) {
   EXPECT_TRUE(cnf::check_equivalence(original, {}, reloaded.netlist, key_bits));
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(ServeJobs, LockJobWritesWhatTheLibraryLockWrites) {
+  // A lock job without sizes locks at the scheme's own default, as
+  // `fulllock lock` does, and writes the same .bench, .key and .v.
+  const std::string bench = temp_path("jobs_rll_c432.bench");
+  netlist::write_bench_file(netlist::make_circuit("c432", 1), bench);
+
+  JobSpec lock;
+  lock.kind = JobKind::kLock;
+  lock.bench_path = bench;
+  lock.out_path = temp_path("jobs_rll_job.bench");
+  lock.scheme = "rll";
+  lock.seed = 7;
+  validate_spec(lock);
+  run_job(lock);
+
+  // The circuit as the job reads it (its name comes from the file).
+  const netlist::Netlist read = netlist::read_bench_file(bench);
+  const std::string expected = temp_path("jobs_rll_library.bench");
+  lock::write_locked_circuit(
+      lock::lock_with("rll", read, lock::make_options(7)), expected);
+  for (const char* suffix : {"", ".key", ".v"}) {
+    const std::string written = read_file(lock.out_path + suffix);
+    EXPECT_FALSE(written.empty()) << suffix;
+    EXPECT_EQ(written, read_file(expected + suffix)) << suffix;
+  }
+  EXPECT_NE(read_file(lock.out_path).find("# lock-params: keys=32"),
+            std::string::npos);
+}
+
 // JSONL records with every wall-clock (`_s`) value masked: what two runs of
 // one deterministic attack must agree on, field for field.
 std::string mask_seconds(const std::string& records) {
