@@ -95,7 +95,9 @@ const std::vector<SchemeLadder>& ladders() {
 }
 
 struct SchemeResult {
-  std::string config;  // first resilient rung, or "broken thru <max>"
+  // First resilient rung, "broken thru <last attacked rung>", or "n/a" when
+  // no rung fits the circuit.
+  std::string config = "n/a";
   bool found = false;
   double attack_seconds_at_break = 0.0;  // time of last breakable rung
 };
@@ -141,7 +143,6 @@ void run_ladder(benchmark::State& state) {
   const SchemeLadder& ladder = ladders()[state.range(0)];
   const std::string circuit = circuits()[state.range(1)];
   SchemeResult score;
-  score.config = "broken thru " + ladder.rungs.back().label;
   for (auto _ : state) {
     const fl::netlist::Netlist original = fl::netlist::make_circuit(circuit, 1);
     for (const Rung& rung : ladder.rungs) {
@@ -157,6 +158,7 @@ void run_ladder(benchmark::State& state) {
         score.found = true;
         break;
       }
+      score.config = "broken thru " + rung.label;
       score.attack_seconds_at_break = seconds;
     }
   }

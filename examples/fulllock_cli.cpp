@@ -9,9 +9,9 @@
 //            provenance header comments, the key to <out.bench>.key, and a
 //            structural Verilog view to <out.bench>.v.
 //   schemes: example_fulllock_cli schemes [--names]
-//            Lists every registered lock scheme with its parameters and
-//            capability flags; --names prints bare names (one per line) for
-//            scripting.
+//            Lists every registered lock scheme with its parameters, and
+//            marks the point-function ones; --names prints bare names (one
+//            per line) for scripting.
 //   gen:     example_fulllock_cli gen <profile> <out.bench> [--seed S]
 //            Writes a benchmark circuit (c17 or a Table 5 / scaled profile)
 //            as .bench — the oracle/input side of a lock-attack pipeline.
@@ -217,16 +217,11 @@ int cmd_schemes(int argc, char** argv) {
       std::printf("%s\n", name.c_str());
       continue;
     }
-    const lock::SchemeCaps caps = s->caps();
     std::printf("%-11s %s\n", name.c_str(),
                 std::string(s->description()).c_str());
     std::printf("            params: %s\n",
                 std::string(s->params_help()).c_str());
-    std::printf("            caps:%s%s%s%s\n",
-                caps.may_be_cyclic ? " may-be-cyclic" : "",
-                caps.removal_resilient ? " removal-resilient" : "",
-                caps.point_function ? " point-function" : "",
-                caps.has_routing_blocks ? " routing-blocks" : "");
+    if (s->point_function()) std::printf("            point-function\n");
   }
   return 0;
 }

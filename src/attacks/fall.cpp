@@ -23,25 +23,6 @@ constexpr int kMaxCandidates = 64;  // key candidates per Hamming distance
 constexpr int kVerifyRounds = 32;   // simulation rounds per candidate
 constexpr std::uint64_t kVerifySeed = 1;
 
-// Transitive fanout of the key inputs.
-std::vector<bool> key_taint(const Netlist& net) {
-  const auto fanout = net.fanout_map();
-  std::vector<bool> tainted(net.num_gates(), false);
-  std::vector<GateId> stack(net.keys().begin(), net.keys().end());
-  for (const GateId k : stack) tainted[k] = true;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const GateId out : fanout[g]) {
-      if (!tainted[out]) {
-        tainted[out] = true;
-        stack.push_back(out);
-      }
-    }
-  }
-  return tainted;
-}
-
 bool model_bit(const sat::Solver& solver, sat::Var v) {
   return v != sat::kNullVar && solver.value_of(v);
 }
@@ -54,7 +35,7 @@ FallResult fall_attack(const core::LockedCircuit& locked,
   const Netlist& net = locked.netlist;
   const std::size_t num_keys = net.num_keys();
   if (num_keys == 0 || net.is_cyclic()) return result;
-  const std::vector<bool> tainted = key_taint(net);
+  const std::vector<bool> tainted = net.fanout_cone(net.keys());
 
   // 1. Locate the stripped-function / restore-unit seam: an output XOR
   // whose fanins split into one key-free and one key-bearing cone.

@@ -13,20 +13,7 @@ SpsReport sps_attack(const netlist::Netlist& locked, int top_k) {
   const std::vector<double> p = netlist::signal_probabilities(locked);
 
   // Key-dependent nets: transitive fanout of the key inputs.
-  const auto fanout = locked.fanout_map();
-  std::vector<bool> key_dep(locked.num_gates(), false);
-  std::vector<GateId> stack(locked.keys().begin(), locked.keys().end());
-  for (const GateId k : stack) key_dep[k] = true;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const GateId out : fanout[g]) {
-      if (!key_dep[out]) {
-        key_dep[out] = true;
-        stack.push_back(out);
-      }
-    }
-  }
+  const std::vector<bool> key_dep = locked.fanout_cone(locked.keys());
 
   SpsReport report;
   std::vector<SkewedNet> nets;

@@ -45,50 +45,16 @@ GateType negated_gate_type(GateType type) {
   }
 }
 
-// Wires eligible to feed a CLN: logic gates or primary inputs with at least
-// one *live* reader (a reader feeding some primary output — otherwise the
-// rerouted/negated wire would be functionally invisible). Key inputs,
-// constants, and anything downstream of a key (i.e. inside a previously
-// inserted PLR) are excluded — PLRs lock the original logic, not each
-// other.
+// Wires eligible to feed a CLN: wires with a reader that are live (they
+// feed some primary output — otherwise the rerouted/negated wire would be
+// functionally invisible) and that no key reaches (a previously inserted
+// PLR: PLRs lock the original logic, not each other).
 std::vector<GateId> candidate_wires(const Netlist& netlist) {
-  const auto fanout = netlist.fanout_map();
   const std::vector<bool> live = netlist::live_gates(netlist);
-  std::vector<bool> is_output(netlist.num_gates(), false);
-  for (const netlist::OutputPort& o : netlist.outputs()) is_output[o.gate] = true;
-  std::vector<bool> key_tainted(netlist.num_gates(), false);
-  {
-    std::vector<GateId> stack(netlist.keys().begin(), netlist.keys().end());
-    for (const GateId k : stack) key_tainted[k] = true;
-    while (!stack.empty()) {
-      const GateId g = stack.back();
-      stack.pop_back();
-      for (const GateId out : fanout[g]) {
-        if (!key_tainted[out]) {
-          key_tainted[out] = true;
-          stack.push_back(out);
-        }
-      }
-    }
-  }
-  std::vector<GateId> candidates;
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    const GateType t = netlist.gate(g).type;
-    if (t == GateType::kKey || t == GateType::kConst0 ||
-        t == GateType::kConst1 || key_tainted[g]) {
-      continue;
-    }
-    bool has_live_reader = is_output[g];
-    for (const GateId r : fanout[g]) {
-      if (live[r]) {
-        has_live_reader = true;
-        break;
-      }
-    }
-    if (!has_live_reader) continue;
-    candidates.push_back(g);
-  }
-  return candidates;
+  const std::vector<bool> keyed = netlist.fanout_cone(netlist.keys());
+  std::vector<GateId> wires = wires_with_readers(netlist);
+  std::erase_if(wires, [&](GateId g) { return !live[g] || keyed[g]; });
+  return wires;
 }
 
 std::vector<GateId> select_routing_wires(const Netlist& netlist, int n,
@@ -98,57 +64,42 @@ std::vector<GateId> select_routing_wires(const Netlist& netlist, int n,
   if (static_cast<int>(candidates.size()) < n) {
     throw std::invalid_argument("not enough candidate wires for PLR");
   }
+  if (mode == CycleMode::kAvoid) {
+    std::vector<GateId> chosen =
+        antichain_wires(netlist, std::move(candidates), n, rng);
+    if (static_cast<int>(chosen.size()) < n) {
+      throw std::invalid_argument(
+          "could not select enough wires under the cycle-mode constraint");
+    }
+    return chosen;
+  }
   std::shuffle(candidates.begin(), candidates.end(), rng);
   if (mode == CycleMode::kAllow) {
     candidates.resize(n);
     return candidates;
   }
+  // kForce: a comparable pair (a reaches b) so the rewiring closes a cycle,
+  // then the other candidates in order.
   netlist::Reachability reach(netlist);
   std::vector<GateId> chosen;
-  if (mode == CycleMode::kForce) {
-    // Find a comparable pair (a reaches b) so the rewiring closes a cycle.
-    for (std::size_t i = 0; i < candidates.size() && chosen.empty(); ++i) {
-      for (std::size_t j = 0; j < candidates.size(); ++j) {
-        if (i == j) continue;
-        if (reach.reaches(candidates[i], candidates[j])) {
-          chosen.push_back(candidates[i]);
-          chosen.push_back(candidates[j]);
-          break;
-        }
+  for (std::size_t i = 0; i < candidates.size() && chosen.empty(); ++i) {
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      if (i == j) continue;
+      if (reach.reaches(candidates[i], candidates[j])) {
+        chosen.push_back(candidates[i]);
+        chosen.push_back(candidates[j]);
+        break;
       }
-    }
-    if (chosen.empty()) {
-      throw std::invalid_argument("no comparable wire pair; cannot force cycle");
-    }
-    for (const GateId c : candidates) {
-      if (static_cast<int>(chosen.size()) == n) break;
-      if (std::find(chosen.begin(), chosen.end(), c) == chosen.end()) {
-        chosen.push_back(c);
-      }
-    }
-  } else {  // kAvoid: antichain in the reachability order
-    // Greedy with random restarts; narrow circuits may need several tries.
-    constexpr int kRestarts = 32;
-    for (int attempt = 0; attempt < kRestarts; ++attempt) {
-      chosen.clear();
-      for (const GateId c : candidates) {
-        if (static_cast<int>(chosen.size()) == n) break;
-        bool comparable = false;
-        for (const GateId s : chosen) {
-          if (reach.reaches(s, c) || reach.reaches(c, s)) {
-            comparable = true;
-            break;
-          }
-        }
-        if (!comparable) chosen.push_back(c);
-      }
-      if (static_cast<int>(chosen.size()) == n) break;
-      std::shuffle(candidates.begin(), candidates.end(), rng);
     }
   }
-  if (static_cast<int>(chosen.size()) < n) {
-    throw std::invalid_argument(
-        "could not select enough wires under the cycle-mode constraint");
+  if (chosen.empty()) {
+    throw std::invalid_argument("no comparable wire pair; cannot force cycle");
+  }
+  for (const GateId c : candidates) {
+    if (static_cast<int>(chosen.size()) == n) break;
+    if (std::find(chosen.begin(), chosen.end(), c) == chosen.end()) {
+      chosen.push_back(c);
+    }
   }
   chosen.resize(n);
   return chosen;
@@ -189,7 +140,6 @@ void rewire(Netlist& netlist, const Reader& reader, GateId source) {
 }
 
 std::vector<GateId> wires_with_readers(const Netlist& netlist) {
-  const auto fanout = netlist.fanout_map();
   std::vector<bool> is_output(netlist.num_gates(), false);
   for (const netlist::OutputPort& o : netlist.outputs()) {
     is_output[o.gate] = true;
@@ -201,10 +151,37 @@ std::vector<GateId> wires_with_readers(const Netlist& netlist) {
         t == GateType::kConst1) {
       continue;
     }
-    if (fanout[g].empty() && !is_output[g]) continue;
+    if (netlist.fanout(g).empty() && !is_output[g]) continue;
     wires.push_back(g);
   }
   return wires;
+}
+
+std::vector<GateId> antichain_wires(const Netlist& netlist,
+                                    std::vector<GateId> candidates, int n,
+                                    std::mt19937_64& rng) {
+  // Greedy over a random order, reshuffled when a pass falls short: narrow
+  // circuits may need several tries.
+  constexpr int kPasses = 32;
+  netlist::Reachability reach(netlist);
+  std::vector<GateId> chosen;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    std::shuffle(candidates.begin(), candidates.end(), rng);
+    chosen.clear();
+    for (const GateId c : candidates) {
+      if (static_cast<int>(chosen.size()) == n) break;
+      bool comparable = false;
+      for (const GateId s : chosen) {
+        if (reach.reaches(s, c) || reach.reaches(c, s)) {
+          comparable = true;
+          break;
+        }
+      }
+      if (!comparable) chosen.push_back(c);
+    }
+    if (static_cast<int>(chosen.size()) == n) break;
+  }
+  return chosen;
 }
 
 RoutedBlock route_wires(Netlist& netlist, const ClnConfig& cln_config,

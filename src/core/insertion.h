@@ -4,8 +4,8 @@
 // gates with key-programmable LUTs.
 //
 // The routing part (route_wires) is shared with InterLock, which differs
-// only in its consumer step; the reader capture and rewiring below are also
-// Cross-Lock's.
+// only in its consumer step; the antichain pick, the reader capture and the
+// rewiring below are also Cross-Lock's.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +64,19 @@ void rewire(netlist::Netlist& netlist, const Reader& reader,
             netlist::GateId source);
 
 // Logic gates and primary inputs that a gate or an output port reads, by
-// id: the wires RLL and Cross-Lock pick from.
+// id: the wires RLL and Cross-Lock pick from, and the PLR candidates once
+// dead and key-reached wires are dropped.
 std::vector<netlist::GateId> wires_with_readers(const netlist::Netlist&
                                                     netlist);
+
+// Up to `n` of `candidates` of which none reaches another, so routing them
+// through one block closes no cycle (Fig 6b): a greedy pass over a random
+// order, reshuffled and retried up to 32 times while it falls short. The
+// PLR's cycle=avoid pick and Cross-Lock's. Fewer than `n` when every pass
+// falls short.
+std::vector<netlist::GateId> antichain_wires(
+    const netlist::Netlist& netlist, std::vector<netlist::GateId> candidates,
+    int n, std::mt19937_64& rng);
 
 // A routed block before its consumer step.
 struct RoutedBlock {

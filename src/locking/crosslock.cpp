@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/insertion.h"
-#include "netlist/structure.h"
 
 namespace fl::lock {
 
@@ -45,21 +44,8 @@ core::LockedCircuit crosslock_lock(const netlist::Netlist& original,
 
   // Antichain wire selection (no selected wire reaches another), so the
   // all-to-all crossbar cannot close a combinational cycle.
-  std::vector<GateId> candidates = core::wires_with_readers(net);
-  std::shuffle(candidates.begin(), candidates.end(), rng);
-  netlist::Reachability reach(net);
-  std::vector<GateId> wires;
-  for (const GateId c : candidates) {
-    if (static_cast<int>(wires.size()) == n) break;
-    bool comparable = false;
-    for (const GateId w : wires) {
-      if (reach.reaches(w, c) || reach.reaches(c, w)) {
-        comparable = true;
-        break;
-      }
-    }
-    if (!comparable) wires.push_back(c);
-  }
+  const std::vector<GateId> wires =
+      core::antichain_wires(net, core::wires_with_readers(net), n, rng);
   if (static_cast<int>(wires.size()) < n) {
     throw std::invalid_argument("crosslock: not enough antichain wires");
   }

@@ -232,31 +232,31 @@ constexpr LockScheme kSchemes[] = {
      "g(X^K1) AND NOT g(X^K2) block XORed into one output (SPS's skew "
      "target)",
      "inputs=8 (block inputs; or first size; clamped to the input count)",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/true,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        AntiSatConfig config;
        config.seed = seed;
        config.block_inputs =
            static_cast<int>(reader.get_knob("inputs", 8, 1, 256));
-       return {{.point_function = true},
-               [config](const netlist::Netlist& host) {
-                 return antisat_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return antisat_lock(host, config);
+       };
      }},
     {"cross-lock",
      "crossbar MUX-tree interconnect locking (no inverters/LUTs; removal "
      "recovers it)",
      "sources=32 (or first size), dests=sources+4",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/false,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        CrossLockConfig config;
        config.seed = seed;
        config.num_sources =
            static_cast<int>(reader.get_knob("sources", 32, 2, 4096));
        config.num_destinations = static_cast<int>(
            reader.get_int("dests", config.num_sources + 4, 2, 8192));
-       return {{.has_routing_blocks = true},
-               [config](const netlist::Netlist& host) {
-                 return crosslock_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return crosslock_lock(host, config);
+       };
      }},
     {"full-lock",
      "PLRs: key-routed CLN + key-configurable inverters + key-programmable "
@@ -264,7 +264,8 @@ constexpr LockScheme kSchemes[] = {
      "sizes=16 (CLN widths, '+'-separated; one PLR each), "
      "topology=banyan|shuffle, cycle=avoid|allow|force, twist=1, "
      "negate=0.5, decompose=0",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/false,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        const std::vector<int> sizes = reader.get_sizes({16}, 4, 4096);
        const core::ClnTopology topology = parse_topology(reader);
        const std::string cycle =
@@ -277,13 +278,9 @@ constexpr LockScheme kSchemes[] = {
        core::FullLockConfig config = core::FullLockConfig::with_plrs(
            sizes, topology, mode, twist, negate, seed);
        config.decompose_two_input = reader.get_bool("decompose", false);
-       // Negated drivers or twisted consumers leave a bypassed block wrong.
-       return {{.may_be_cyclic = mode != core::CycleMode::kAvoid,
-                .removal_resilient = twist || negate > 0.0,
-                .has_routing_blocks = true},
-               [config](const netlist::Netlist& host) {
-                 return core::full_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return core::full_lock(host, config);
+       };
      }},
     {"interlock",
      "logic folded into key-routed CLN blocks; removal loses real logic "
@@ -291,7 +288,8 @@ constexpr LockScheme kSchemes[] = {
      "sizes=8 (CLN widths, '+'-separated; one block each), fold=1 "
      "(fraction of outputs absorbing a consumer LUT), negate=0.5, "
      "topology=banyan|shuffle",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/false,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        const std::vector<int> sizes = reader.get_sizes({8}, 4, 4096);
        const double fold = reader.get_double("fold", 1.0, 0.0, 1.0);
        const double negate = reader.get_double("negate", 0.5, 0.0, 1.0);
@@ -301,52 +299,54 @@ constexpr LockScheme kSchemes[] = {
        for (InterLockBlockConfig& block : config.blocks) {
          block.cln.topology = topology;
        }
-       return {{.removal_resilient = true, .has_routing_blocks = true},
-               [config](const netlist::Netlist& host) {
-                 return interlock_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return interlock_lock(host, config);
+       };
      }},
     {"lut-lock",
      "selected gates replaced by key-programmable LUTs (no routing fabric)",
      "luts=8 (or first size), prefer_small=1",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/false,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        LutLockConfig config;
        config.seed = seed;
        config.num_luts =
            static_cast<int>(reader.get_knob("luts", 8, 1, 100000));
        config.prefer_small = reader.get_bool("prefer_small", true);
-       return {{}, [config](const netlist::Netlist& host) {
-                 return lutlock_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return lutlock_lock(host, config);
+       };
      }},
     {"rll", "random XOR/XNOR key gates (EPIC baseline)",
      "keys=32 (or first size)",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/false,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        RllConfig config;
        config.seed = seed;
        config.num_keys =
            static_cast<int>(reader.get_knob("keys", 32, 1, 100000));
-       return {{}, [config](const netlist::Netlist& host) {
-                 return rll_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return rll_lock(host, config);
+       };
      }},
     {"sarlock",
      "point-function comparator: each wrong key errs on exactly one input "
      "pattern",
      "keys=16 (or first size; clamped to the input count)",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/true,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        SarLockConfig config;
        config.seed = seed;
        config.num_keys = static_cast<int>(reader.get_knob("keys", 16, 1, 256));
-       return {{.point_function = true},
-               [config](const netlist::Netlist& host) {
-                 return sarlock_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return sarlock_lock(host, config);
+       };
      }},
     {"sfll-hd",
      "stripped function + Hamming-distance restore unit (FALL's target)",
      "keys=16 (or first size; clamped to the input count), hd=2",
-     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Parsed {
+     /*point_function=*/true,
+     [](ParamReader& reader, std::uint64_t seed) -> LockScheme::Lock {
        SfllHdConfig config;
        config.seed = seed;
        config.num_keys = static_cast<int>(reader.get_knob("keys", 16, 1, 256));
@@ -354,28 +354,21 @@ constexpr LockScheme kSchemes[] = {
        if (config.hd > config.num_keys) {
          reader.fail("parameter hd must be <= keys");
        }
-       // Stripping the restore unit leaves the FSC, not the original
-       // circuit.
-       return {{.removal_resilient = true, .point_function = true},
-               [config](const netlist::Netlist& host) {
-                 return sfll_hd_lock(host, config);
-               }};
+       return [config](const netlist::Netlist& host) {
+         return sfll_hd_lock(host, config);
+       };
      }},
 };
 
 }  // namespace
 
-LockScheme::Parsed LockScheme::parse(const SchemeOptions& options,
-                                     std::string* canonical) const {
+LockScheme::Lock LockScheme::parse(const SchemeOptions& options,
+                                   std::string* canonical) const {
   ParamReader reader(name_, options);
-  Parsed parsed = parse_(reader, options.seed);
+  Lock lock = parse_(reader, options.seed);
   reader.finish();
   if (canonical != nullptr) *canonical = reader.canonical();
-  return parsed;
-}
-
-SchemeCaps LockScheme::caps(const SchemeOptions& options) const {
-  return parse(options, nullptr).caps;
+  return lock;
 }
 
 void LockScheme::validate(const SchemeOptions& options) const {
@@ -385,7 +378,7 @@ void LockScheme::validate(const SchemeOptions& options) const {
 core::LockedCircuit LockScheme::lock(const netlist::Netlist& original,
                                      const SchemeOptions& options) const {
   std::string canonical;
-  core::LockedCircuit locked = parse(options, &canonical).lock(original);
+  core::LockedCircuit locked = parse(options, &canonical)(original);
   locked.params = std::move(canonical);
   return locked;
 }

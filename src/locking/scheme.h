@@ -7,11 +7,13 @@
 // A scheme is configured by a SchemeOptions: a seed, a generic integer
 // `sizes` axis (the per-scheme "main knob" — PLR/CLN widths for the routing
 // schemes, key/LUT counts for the logic schemes), and free-form key=value
-// parameters. Each scheme is one table entry whose one parse range-checks
-// its own parameters and yields its capability flags (cyclic,
-// removal-resilient, point-function, routing blocks: the `schemes` listing
-// prints them and the property tests check them) and its lock; the
-// resolved parameters are stamped into LockedCircuit.params.
+// parameters. Each scheme is one table entry: whether it is a point
+// function (a constant of the scheme; the `schemes` listing prints it and
+// the property tests check it) and one parse that range-checks its own
+// parameters and yields its lock; the resolved parameters are stamped into
+// LockedCircuit.params. Facts that depend on what a lock turned out to be
+// are read from the lock: netlist.is_cyclic(), routing_blocks, and the
+// removal attack's result.
 #pragma once
 
 #include <cstdint>
@@ -24,24 +26,6 @@
 #include "core/locked_circuit.h"
 
 namespace fl::lock {
-
-// Capability flags for one (scheme, options) combination.
-struct SchemeCaps {
-  // lock() may return a cyclic netlist (e.g. full-lock with cycle=force).
-  // Informational (the `schemes` listing prints it): attack selection and
-  // the miter encoding follow the locked netlist's own cyclicity.
-  bool may_be_cyclic = false;
-  // The removal attack's block bypass is expected to fail *functionally*
-  // (driver negation, folded logic, or a stripped function), not just
-  // structurally.
-  bool removal_resilient = false;
-  // Point-function corruption: wrong keys err on a vanishing fraction of
-  // inputs (SAT-iteration bomb; AppSAT's target). The property suite checks
-  // low corruption for these and high corruption for the rest.
-  bool point_function = false;
-  // lock() emits RoutingBlockHints, so the removal attack applies.
-  bool has_routing_blocks = false;
-};
 
 struct SchemeOptions {
   std::uint64_t seed = 1;
@@ -67,33 +51,33 @@ inline SchemeOptions make_options(std::uint64_t seed,
 
 class ParamReader;  // scheme.cpp: strict typed access to SchemeOptions
 
-// One registered scheme: a name, its help text and one strict parse of its
-// parameters, which yields both its capability flags and its lock.
+// One registered scheme: a name, its help text, whether it is a point
+// function and one strict parse of its parameters, which yields its lock.
 class LockScheme {
  public:
-  struct Parsed {
-    SchemeCaps caps;
-    std::function<core::LockedCircuit(const netlist::Netlist&)> lock;
-  };
+  using Lock = std::function<core::LockedCircuit(const netlist::Netlist&)>;
   // Reads this scheme's parameters from `reader` (failing through it on a
   // bad value) and configures a lock at `seed`.
-  using Parse = Parsed (*)(ParamReader& reader, std::uint64_t seed);
+  using Parse = Lock (*)(ParamReader& reader, std::uint64_t seed);
 
   constexpr LockScheme(std::string_view name, std::string_view description,
-                       std::string_view params_help, Parse parse)
+                       std::string_view params_help, bool point_function,
+                       Parse parse)
       : name_(name),
         description_(description),
         params_help_(params_help),
+        point_function_(point_function),
         parse_(parse) {}
 
   std::string_view name() const { return name_; }
   std::string_view description() const { return description_; }
   // One-line "key=value" summary of the accepted parameters and defaults.
   std::string_view params_help() const { return params_help_; }
-
-  // Capability flags under `options`. Throws as validate() does.
-  SchemeCaps caps(const SchemeOptions& options) const;
-  SchemeCaps caps() const { return caps(SchemeOptions{}); }
+  // Point-function corruption: every wrong key errs on a vanishing fraction
+  // of the inputs (SAT-iteration bomb; AppSAT's target), whatever the
+  // parameters. The property suite checks low corruption for these and a
+  // provably wrong flipped key for the rest.
+  bool point_function() const { return point_function_; }
 
   // Strict parameter parsing without locking anything: throws
   // std::invalid_argument naming the offending parameter. Used by the CLI
@@ -109,11 +93,12 @@ class LockScheme {
  private:
   // Runs parse_ and rejects parameters it did not read; `canonical`
   // (optional) receives the resolved parameter string.
-  Parsed parse(const SchemeOptions& options, std::string* canonical) const;
+  Lock parse(const SchemeOptions& options, std::string* canonical) const;
 
   std::string_view name_;
   std::string_view description_;
   std::string_view params_help_;
+  bool point_function_;
   Parse parse_;
 };
 

@@ -353,50 +353,41 @@ std::span<const GateId> Netlist::fanout(GateId id) const {
           c.fanout_begin[id + 1] - c.fanout_begin[id]};
 }
 
-std::vector<std::vector<GateId>> Netlist::fanout_map() const {
-  const GraphCache& c = graph();
-  std::vector<std::vector<GateId>> map(type_.size());
-  for (std::size_t g = 0; g < type_.size(); ++g) {
-    map[g].assign(c.fanout_arena.begin() + c.fanout_begin[g],
-                  c.fanout_arena.begin() + c.fanout_begin[g + 1]);
-  }
-  return map;
-}
+namespace {
 
-std::vector<bool> Netlist::fanin_cone(GateId target) const {
-  std::vector<bool> in_cone(type_.size(), false);
-  std::vector<GateId> stack{target};
-  in_cone[target] = true;
+// Depth-first closure of `seeds` under `next` (a gate's fanin or fanout row).
+template <typename Next>
+std::vector<bool> closure(std::size_t num_gates, std::span<const GateId> seeds,
+                          Next next) {
+  std::vector<bool> in_cone(num_gates, false);
+  std::vector<GateId> stack;
+  for (const GateId s : seeds) {
+    if (!in_cone[s]) {
+      in_cone[s] = true;
+      stack.push_back(s);
+    }
+  }
   while (!stack.empty()) {
     const GateId g = stack.back();
     stack.pop_back();
-    for (const GateId f : fanin(g)) {
-      if (!in_cone[f]) {
-        in_cone[f] = true;
-        stack.push_back(f);
+    for (const GateId h : next(g)) {
+      if (!in_cone[h]) {
+        in_cone[h] = true;
+        stack.push_back(h);
       }
     }
   }
   return in_cone;
 }
 
-std::vector<bool> Netlist::fanout_cone(GateId source) const {
-  const GraphCache& c = graph();
-  std::vector<bool> in_cone(type_.size(), false);
-  std::vector<GateId> stack{source};
-  in_cone[source] = true;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (std::uint32_t i = c.fanout_begin[g]; i < c.fanout_begin[g + 1]; ++i) {
-      const GateId out = c.fanout_arena[i];
-      if (!in_cone[out]) {
-        in_cone[out] = true;
-        stack.push_back(out);
-      }
-    }
-  }
-  return in_cone;
+}  // namespace
+
+std::vector<bool> Netlist::fanin_cone(std::span<const GateId> seeds) const {
+  return closure(type_.size(), seeds, [this](GateId g) { return fanin(g); });
+}
+
+std::vector<bool> Netlist::fanout_cone(std::span<const GateId> seeds) const {
+  return closure(type_.size(), seeds, [this](GateId g) { return fanout(g); });
 }
 
 std::optional<std::vector<int>> Netlist::levels() const {

@@ -5,7 +5,7 @@
 // 32-bit arena, mirroring the solver's clause arena). The container supports
 // the structural edits used by logic locking (rewiring fanins, retyping
 // gates, appending key inputs) and the queries used by attacks (topological
-// order, cycle detection, fanout maps).
+// order, cycle detection, fanout rows, fanin and fanout cones).
 //
 // Graph queries (topological order, fanout CSR, levels) are computed once
 // and cached against a structural-edit generation counter: any edit bumps
@@ -116,14 +116,12 @@ class Netlist {
   std::span<const GateId> topo_span() const;
   // Cached fanout row: gates reading net g (deduplicated, ascending).
   std::span<const GateId> fanout(GateId id) const;
-  // fanout[g] = gates reading net g (deduplicated, sorted). Returns a copy;
-  // hot paths should use fanout(id).
-  std::vector<std::vector<GateId>> fanout_map() const;
-  // Set of gates from which `target` is reachable (i.e. transitive fanin cone
-  // of target, including target itself).
-  std::vector<bool> fanin_cone(GateId target) const;
-  // Set of gates reachable from `source` (transitive fanout, incl. source).
-  std::vector<bool> fanout_cone(GateId source) const;
+  // The one cone walk per direction, seeds included, cyclic netlists too.
+  // fanin_cone: gates from which some seed is reachable (e.g. the outputs'
+  // cone is the live logic); fanout_cone: gates some seed reaches (e.g. the
+  // keys' cone is every net that can depend on the key).
+  std::vector<bool> fanin_cone(std::span<const GateId> seeds) const;
+  std::vector<bool> fanout_cone(std::span<const GateId> seeds) const;
   // Logic depth (levels) of each gate; cyclic netlists return nullopt.
   std::optional<std::vector<int>> levels() const;
   // Cached levels; empty iff cyclic (or the netlist is empty).

@@ -8,52 +8,17 @@
 namespace fl::netlist {
 
 Reachability::Reachability(const Netlist& netlist)
-    : netlist_(netlist),
-      fanout_(netlist.fanout_map()),
-      cache_(netlist.num_gates()),
-      cached_(netlist.num_gates(), false) {}
+    : netlist_(netlist), cache_(netlist.num_gates()) {}
 
 bool Reachability::reaches(GateId from, GateId to) {
-  if (!cached_[from]) {
-    std::vector<bool> cone(netlist_.num_gates(), false);
-    std::vector<GateId> stack{from};
-    cone[from] = true;
-    while (!stack.empty()) {
-      const GateId g = stack.back();
-      stack.pop_back();
-      for (const GateId out : fanout_[g]) {
-        if (!cone[out]) {
-          cone[out] = true;
-          stack.push_back(out);
-        }
-      }
-    }
-    cache_[from] = std::move(cone);
-    cached_[from] = true;
-  }
+  if (cache_[from].empty()) cache_[from] = netlist_.fanout_cone({&from, 1});
   return cache_[from][to];
 }
 
 std::vector<bool> live_gates(const Netlist& netlist) {
-  std::vector<bool> live(netlist.num_gates(), false);
-  std::vector<GateId> stack;
-  for (const OutputPort& o : netlist.outputs()) {
-    if (!live[o.gate]) {
-      live[o.gate] = true;
-      stack.push_back(o.gate);
-    }
-  }
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const GateId f : netlist.gate(g).fanin) {
-      if (!live[f]) {
-        live[f] = true;
-        stack.push_back(f);
-      }
-    }
-  }
-  return live;
+  std::vector<GateId> ports;
+  for (const OutputPort& o : netlist.outputs()) ports.push_back(o.gate);
+  return netlist.fanin_cone(ports);
 }
 
 KeyConePartition::KeyConePartition(const Netlist& netlist)
@@ -63,29 +28,13 @@ void KeyConePartition::ensure() {
   if (built_generation_ == netlist_.generation()) return;
 
   const std::size_t n = netlist_.num_gates();
-  in_cone_.assign(n, false);
   cone_topo_.clear();
   taps_.clear();
   support_topo_.clear();
   fixed_region_ = Netlist(netlist_.name() + ".fixed");
 
-  // Cone mask: transitive fanout of the key inputs (keys included). BFS over
-  // the cached fanout CSR; works for cyclic netlists too.
-  std::vector<GateId> stack;
-  for (const GateId k : netlist_.keys()) {
-    in_cone_[k] = true;
-    stack.push_back(k);
-  }
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const GateId reader : netlist_.fanout(g)) {
-      if (!in_cone_[reader]) {
-        in_cone_[reader] = true;
-        stack.push_back(reader);
-      }
-    }
-  }
+  // Cone mask (keys included); works for cyclic netlists too.
+  in_cone_ = netlist_.fanout_cone(netlist_.keys());
   // Stamp the generation only after the mask: the topological views below
   // stay empty for cyclic netlists and their accessors throw.
   built_generation_ = netlist_.generation();
@@ -109,26 +58,14 @@ void KeyConePartition::ensure() {
     if (is_tap[g]) taps_.push_back(g);
   }
 
-  // Support: transitive fanin of the key-dependent output ports. The
+  // Support: fanin cone of the key-dependent output ports. The
   // key-independent ports cancel in any miter, so a full copy only needs
   // these gates.
-  std::vector<bool> in_support(n, false);
+  std::vector<GateId> keyed_ports;
   for (const OutputPort& o : netlist_.outputs()) {
-    if (in_cone_[o.gate] && !in_support[o.gate]) {
-      in_support[o.gate] = true;
-      stack.push_back(o.gate);
-    }
+    if (in_cone_[o.gate]) keyed_ports.push_back(o.gate);
   }
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const GateId f : netlist_.fanin(g)) {
-      if (!in_support[f]) {
-        in_support[f] = true;
-        stack.push_back(f);
-      }
-    }
-  }
+  const std::vector<bool> in_support = netlist_.fanin_cone(keyed_ports);
 
   for (const GateId g : netlist_.topo_span()) {
     if (is_source(netlist_.gate_type(g))) continue;

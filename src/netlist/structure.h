@@ -1,4 +1,6 @@
 // Structural analysis helpers shared by locking transforms and attacks.
+// Every cone here (reachability, live logic, the key cone and its output
+// support) is a Netlist::fanin_cone / fanout_cone call.
 #pragma once
 
 #include <cstdint>
@@ -10,8 +12,9 @@
 namespace fl::netlist {
 
 // Reachability oracle: answers "is `to` in the transitive fanout of `from`"
-// over a frozen snapshot of the netlist. Lazily computes and caches one
-// BFS per queried source.
+// with one cached fanout_cone per queried source. It reads the live
+// netlist, whose later edits its cache does not see: do not edit the
+// netlist while a Reachability over it is in use.
 class Reachability {
  public:
   explicit Reachability(const Netlist& netlist);
@@ -19,21 +22,21 @@ class Reachability {
 
  private:
   const Netlist& netlist_;
-  std::vector<std::vector<GateId>> fanout_;
-  std::vector<std::vector<bool>> cache_;   // per-source cone, lazily filled
-  std::vector<bool> cached_;
+  std::vector<std::vector<bool>> cache_;  // per-source cone; empty = not yet
 };
 
-// Gates that feed at least one primary output (dead logic excluded).
+// Gates that feed at least one primary output (dead logic excluded): the
+// fanin cone of the output ports.
 std::vector<bool> live_gates(const Netlist& netlist);
 
 // Key-cone partition of a locked netlist, the basis of cone-restricted miter
 // encoding (cnf/tseytin.h) and per-DIP constant sweeps (attacks/engine.h).
 //
-// The *key cone* is the key inputs plus their transitive fanout — the only
-// nets whose values can depend on the key. Everything else is the *fixed
-// region*: a pure function of the primary inputs that a SAT attack can
-// evaluate by simulation instead of re-encoding into CNF for every DIP.
+// The *key cone* is the key inputs plus their transitive fanout
+// (fanout_cone(keys())) — the only nets whose values can depend on the
+// key. Everything else is the *fixed region*: a pure function of the
+// primary inputs that a SAT attack can evaluate by simulation instead of
+// re-encoding into CNF for every DIP.
 // The regions meet at the *taps*: the fixed-region nets the cone reads
 // (non-cone fanins of live cone gates) plus the non-cone output ports.
 //
@@ -60,7 +63,7 @@ class KeyConePartition {
   // key-independent outputs against the oracle response).
   std::span<const GateId> taps();
   // Gates a *full* miter copy actually needs once the key-independent
-  // outputs are known to cancel: the transitive fanin of the key-dependent
+  // outputs are known to cancel: the fanin cone of the key-dependent
   // output ports, topologically ordered, sources excluded. A fanin-closed
   // superset of cone_topo() and of the taps' support, and usually a strict
   // subset of the whole circuit.

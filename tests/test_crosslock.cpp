@@ -56,6 +56,20 @@ TEST(CrossLock, NonPowerOfTwoSources) {
                                      locked.correct_key));
 }
 
+TEST(CrossLock, DefaultsLockC432AtEveryLockSeed) {
+  // c432 is narrow: one greedy pass often finds fewer than 32 antichain
+  // wires, so the pick reshuffles and retries as Full-Lock's does.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    CrossLockConfig config;  // defaults: 32 x 36
+    config.seed = seed;
+    const core::LockedCircuit locked = crosslock_lock(original, config);
+    EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
+                                       locked.correct_key))
+        << "lock seed " << seed;
+  }
+}
+
 TEST(CrossLock, TinyCircuitThrows) {
   const Netlist c17 = netlist::make_c17();
   CrossLockConfig config;

@@ -3,8 +3,8 @@
 // key width, (2) unlock under its correct key, (3) be deterministic in its
 // seed, (4) produce keys following the keyinput naming convention,
 // (5) stamp its canonical scheme/params provenance, and (6) corrupt wrong
-// keys in the shape its capability flags promise (point functions err on
-// almost nothing; the rest corrupt measurably).
+// keys in the shape its point_function() flag promises (point functions
+// err on almost nothing; the rest corrupt measurably).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -89,12 +89,10 @@ TEST_P(LockProperty, InterfaceAndUnlockInvariants) {
   EXPECT_EQ(locked.scheme, p.scheme);
   EXPECT_FALSE(locked.params.empty());
 
-  // (6) Wrong-key corruption matches the declared capability class.
+  // (6) Wrong-key corruption matches the scheme's declared class.
   const lock::LockScheme* scheme = lock::find_scheme(p.scheme);
   ASSERT_NE(scheme, nullptr);
-  const lock::SchemeCaps caps = scheme->caps(
-      lock::make_options(p.seed, {}, test_params().at(p.scheme)));
-  if (caps.point_function) {
+  if (scheme->point_function()) {
     // Each wrong key errs on a vanishing fraction of the input space.
     const core::CorruptionStats corruption =
         core::output_corruption(original, locked, 8, 4, p.seed);

@@ -81,23 +81,28 @@ TEST(Netlist, CycleDetection) {
 
 TEST(Netlist, FanoutMap) {
   const Netlist n = small_chain();
-  const auto fanout = n.fanout_map();
-  EXPECT_EQ(fanout[0].size(), 1u);  // a -> g1
-  EXPECT_EQ(fanout[2].size(), 1u);  // g1 -> g2
-  EXPECT_TRUE(fanout[3].empty());   // g2 is a sink
+  EXPECT_EQ(n.fanout(0).size(), 1u);  // a -> g1
+  EXPECT_EQ(n.fanout(2).size(), 1u);  // g1 -> g2
+  EXPECT_TRUE(n.fanout(3).empty());   // g2 is a sink
 }
 
 TEST(Netlist, FaninAndFanoutCones) {
   const Netlist n = small_chain();
-  const auto cone_in = n.fanin_cone(3);
+  const GateId g2 = 3;
+  const auto cone_in = n.fanin_cone({&g2, 1});
   EXPECT_TRUE(cone_in[0]);
   EXPECT_TRUE(cone_in[1]);
   EXPECT_TRUE(cone_in[2]);
   EXPECT_TRUE(cone_in[3]);
-  const auto cone_out = n.fanout_cone(0);
+  const GateId a = 0;
+  const auto cone_out = n.fanout_cone({&a, 1});
   EXPECT_TRUE(cone_out[2]);
   EXPECT_TRUE(cone_out[3]);
   EXPECT_FALSE(cone_out[1]);
+  // Several seeds: the union of their cones; no seeds: the empty cone.
+  const std::vector<GateId> inputs = {0, 1};
+  EXPECT_EQ(n.fanout_cone(inputs), std::vector<bool>(4, true));
+  EXPECT_EQ(n.fanin_cone({}), std::vector<bool>(4, false));
 }
 
 TEST(Netlist, ReplaceNetRewiresReadersAndOutputs) {

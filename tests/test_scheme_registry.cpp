@@ -1,6 +1,6 @@
 // The lock-scheme registry: name lookup, parameter parsing/validation,
-// capability flags, attack-name helpers, and the locked-circuit provenance
-// round-trip through .bench/.key files.
+// the point-function flag, attack-name helpers, and the locked-circuit
+// provenance round-trip through .bench/.key files.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -84,39 +84,25 @@ TEST(SchemeRegistry, ValidateRejectsUnknownAndOutOfRangeParams) {
                std::invalid_argument);
 }
 
-TEST(SchemeRegistry, CapabilityFlags) {
+TEST(SchemeRegistry, PointFunctionIsTrueExactlyForTheComparatorSchemes) {
+  std::set<std::string> point;
+  for (const lock::LockScheme* scheme : lock::registry()) {
+    if (scheme->point_function()) point.insert(std::string(scheme->name()));
+  }
+  EXPECT_EQ(point, (std::set<std::string>{"antisat", "sarlock", "sfll-hd"}));
+}
+
+TEST(SchemeRegistry, FullLockParseRejectsBadChoicesAndStampsBooleans) {
   const lock::LockScheme* full = lock::find_scheme("full-lock");
   ASSERT_NE(full, nullptr);
-  EXPECT_FALSE(full->caps().may_be_cyclic);
-  EXPECT_TRUE(full->caps().removal_resilient);
-  EXPECT_TRUE(full->caps().has_routing_blocks);
-  EXPECT_TRUE(
-      full->caps(lock::make_options(1, {}, "cycle=force")).may_be_cyclic);
-  // Caps come from the parse that locks: negate defaults to 0.5, so an
-  // untwisted lock still negates drivers and a bypassed block stays wrong;
-  // "false" is as false as "0"; a bad value throws as validate() does.
-  EXPECT_TRUE(full->caps(lock::make_options(1, {}, "sizes=8,twist=0"))
-                  .removal_resilient);
-  EXPECT_FALSE(
-      full->caps(lock::make_options(1, {}, "sizes=8,twist=false,negate=0"))
-          .removal_resilient);
-  EXPECT_THROW(full->caps(lock::make_options(1, {}, "cycle=bogus")),
+  EXPECT_THROW(full->validate(lock::make_options(1, {}, "cycle=bogus")),
                std::invalid_argument);
-
-  const lock::LockScheme* interlock = lock::find_scheme("interlock");
-  ASSERT_NE(interlock, nullptr);
-  EXPECT_TRUE(interlock->caps().removal_resilient);
-  EXPECT_TRUE(interlock->caps().has_routing_blocks);
-  EXPECT_FALSE(interlock->caps().may_be_cyclic);
-
-  const lock::LockScheme* sfll = lock::find_scheme("sfll-hd");
-  ASSERT_NE(sfll, nullptr);
-  EXPECT_TRUE(sfll->caps().point_function);
-  EXPECT_TRUE(sfll->caps().removal_resilient);
-
-  EXPECT_TRUE(lock::find_scheme("sarlock")->caps().point_function);
-  EXPECT_FALSE(lock::find_scheme("rll")->caps().point_function);
-  EXPECT_TRUE(lock::find_scheme("cross-lock")->caps().has_routing_blocks);
+  // "false" is as false as "0", and the stamp says so.
+  const core::LockedCircuit locked =
+      full->lock(netlist::make_circuit("c432", 2),
+                 lock::make_options(1, {}, "sizes=8,twist=false,negate=0"));
+  EXPECT_NE(locked.params.find("twist=0"), std::string::npos)
+      << locked.params;
 }
 
 TEST(SchemeRegistry, AttackHelpers) {

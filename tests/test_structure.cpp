@@ -1,11 +1,13 @@
-// Structural analysis: reachability, liveness, feedback edges, compaction,
-// signal probabilities.
+// Structural analysis: cones (against a fixpoint reference), reachability,
+// liveness, feedback edges, compaction, signal probabilities, the key-cone
+// partition.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <unordered_set>
 
 #include "core/full_lock.h"
+#include "locking/scheme.h"
 #include "netlist/generator.h"
 #include "netlist/profiles.h"
 #include "netlist/simulator.h"
@@ -14,13 +16,82 @@
 namespace fl::netlist {
 namespace {
 
+// Fixpoint references for the cone queries, independent of the fanout rows
+// and of any depth-first walk: sweep the gates in id order, OR each gate's
+// fanins into it (fanout cone) or each live gate into its fanins (live
+// logic), and repeat until a sweep changes nothing.
+std::vector<bool> reference_fanout_cone(const Netlist& n,
+                                        std::span<const GateId> seeds) {
+  std::vector<bool> in(n.num_gates(), false);
+  for (const GateId s : seeds) in[s] = true;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (GateId g = 0; g < n.num_gates(); ++g) {
+      for (const GateId f : n.fanin(g)) {
+        if (in[f] && !in[g]) in[g] = changed = true;
+      }
+    }
+  }
+  return in;
+}
+
+std::vector<bool> reference_live(const Netlist& n) {
+  std::vector<bool> live(n.num_gates(), false);
+  for (const OutputPort& o : n.outputs()) live[o.gate] = true;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (GateId g = 0; g < n.num_gates(); ++g) {
+      for (const GateId f : n.fanin(g)) {
+        if (live[g] && !live[f]) live[f] = changed = true;
+      }
+    }
+  }
+  return live;
+}
+
+// Hosts and locks for the references: two generated circuits, an acyclic
+// Full-Lock and a cyclic one.
+std::vector<Netlist> cone_cases() {
+  const Netlist c432 = make_circuit("c432", 1);
+  const Netlist acyclic =
+      lock::lock_with("full-lock", c432, lock::make_options(3, {}, "sizes=8"))
+          .netlist;
+  const Netlist cyclic =
+      lock::lock_with("full-lock", c432,
+                      lock::make_options(3, {}, "sizes=8,cycle=force"))
+          .netlist;
+  EXPECT_FALSE(acyclic.is_cyclic());
+  EXPECT_TRUE(cyclic.is_cyclic());
+  return {c432, make_circuit("c880", 1), acyclic, cyclic};
+}
+
+TEST(Cones, KeyConeLiveGatesAndPartitionMatchTheFixpointReference) {
+  const std::vector<Netlist> cases = cone_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    const Netlist& n = cases[i];
+    const std::vector<bool> keyed = reference_fanout_cone(n, n.keys());
+    EXPECT_EQ(n.fanout_cone(n.keys()), keyed);
+    EXPECT_EQ(live_gates(n), reference_live(n));
+    KeyConePartition partition(n);
+    for (GateId g = 0; g < n.num_gates(); ++g) {
+      EXPECT_EQ(partition.in_cone(g), keyed[g]) << g;
+    }
+  }
+}
+
 TEST(Reachability, AgreesWithFanoutCone) {
-  const Netlist n = make_circuit("c432", 2);
-  Reachability reach(n);
-  const GateId src = n.inputs()[0];
-  const auto cone = n.fanout_cone(src);
-  for (GateId g = 0; g < n.num_gates(); g += 7) {
-    EXPECT_EQ(reach.reaches(src, g), static_cast<bool>(cone[g]));
+  const std::vector<Netlist> cases = cone_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    const Netlist& n = cases[i];
+    Reachability reach(n);
+    for (GateId src = 0; src < n.num_gates(); src += 13) {
+      const std::vector<bool> cone = reference_fanout_cone(n, {&src, 1});
+      for (GateId g = 0; g < n.num_gates(); ++g) {
+        EXPECT_EQ(reach.reaches(src, g), cone[g]) << src << " -> " << g;
+      }
+    }
   }
 }
 
