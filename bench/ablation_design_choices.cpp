@@ -5,14 +5,12 @@
 // SwB selects (half the key bits, permutation-only configs) measurably
 // soften the instance; the inverter layer is cheap but contributes; the
 // blocking topology collapses hardness at equal N.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <exception>
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
 #include "netlist/profiles.h"
@@ -50,76 +48,57 @@ struct Cell {
   std::uint64_t decisions = 0;
   std::size_t key_bits = 0;
 };
-std::vector<Cell> g_cells;
-double g_timeout_s = 0.0;
 
-void run_variant(benchmark::State& state) {
-  const Variant& variant = variants()[state.range(0)];
-  Cell cell;
-  for (auto _ : state) {
-    const fl::netlist::Netlist original =
-        fl::netlist::make_circuit("c880", 17);
-    fl::core::FullLockConfig config;
-    fl::core::PlrConfig plr;
-    plr.cln.n = fl::bench::quick_mode() ? 8 : 16;
-    plr.cln.topology = variant.topology;
-    plr.cln.independent_selects = variant.independent_selects;
-    plr.cln.with_inverters = variant.with_inverters;
-    plr.twist_luts = variant.twist_luts;
-    plr.negate_probability = variant.with_inverters ? 0.5 : 0.0;
-    config.plrs = {plr};
-    config.decompose_two_input = variant.decompose_host;
-    config.seed = 23;
-    const fl::core::LockedCircuit locked =
-        fl::core::full_lock(original, config);
-    cell.key_bits = locked.key_bits();
-    const fl::attacks::Oracle oracle(original);
-    fl::attacks::AttackOptions options;
-    options.timeout_s = g_timeout_s;
-    const fl::attacks::AttackResult result =
-        fl::attacks::SatAttack(options).run(locked, oracle);
-    cell.seconds = result.seconds;
-    cell.timed_out = result.status == fl::attacks::AttackStatus::kTimeout;
-    cell.decisions = result.solver_stats.decisions;
-  }
-  state.counters["timed_out"] = cell.timed_out ? 1 : 0;
-  state.counters["decisions"] = static_cast<double>(cell.decisions);
-  g_cells[state.range(0)] = cell;
+Cell run_variant(const Variant& variant, double timeout_s) {
+  const fl::netlist::Netlist original = fl::netlist::make_circuit("c880", 17);
+  fl::core::FullLockConfig config;
+  fl::core::PlrConfig plr;
+  plr.cln.n = fl::bench::quick_mode() ? 8 : 16;
+  plr.cln.topology = variant.topology;
+  plr.cln.independent_selects = variant.independent_selects;
+  plr.cln.with_inverters = variant.with_inverters;
+  plr.twist_luts = variant.twist_luts;
+  plr.negate_probability = variant.with_inverters ? 0.5 : 0.0;
+  config.plrs = {plr};
+  config.decompose_two_input = variant.decompose_host;
+  config.seed = 23;
+  const fl::core::LockedCircuit locked = fl::core::full_lock(original, config);
+  const fl::attacks::Oracle oracle(original);
+  fl::attacks::AttackOptions options;
+  options.timeout_s = timeout_s;
+  const fl::attacks::AttackResult result =
+      fl::attacks::run("sat", locked, oracle, options).result;
+  return {result.seconds,
+          result.status == fl::attacks::AttackStatus::kTimeout,
+          result.solver_stats.decisions, locked.key_bits()};
 }
 
-void print_table() {
+void print_table(const std::vector<Cell>& cells, double timeout_s) {
   TablePrinter table("Ablation — SAT attack vs Full-Lock design choices "
                      "(1 PLR on c880, TO = " +
-                     std::to_string(g_timeout_s) + " s)");
+                     std::to_string(timeout_s) + " s)");
   table.row({"variant", "key_bits", "attack_s", "solver_decisions"}, 22);
   for (std::size_t i = 0; i < variants().size(); ++i) {
-    table.row({variants()[i].label, std::to_string(g_cells[i].key_bits),
-               fl::bench::fmt_time_or_to(g_cells[i].timed_out,
-                                         g_cells[i].seconds),
-               std::to_string(g_cells[i].decisions)},
+    table.row({variants()[i].label, std::to_string(cells[i].key_bits),
+               fl::bench::fmt_time_or_to(cells[i].timed_out, cells[i].seconds),
+               std::to_string(cells[i].decisions)},
               22);
   }
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   try {
-    g_timeout_s = fl::bench::attack_timeout_s();
+    const double timeout_s = fl::bench::attack_timeout_s();
+    std::vector<Cell> cells;
+    for (const Variant& variant : variants()) {
+      cells.push_back(run_variant(variant, timeout_s));
+    }
+    print_table(cells, timeout_s);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  g_cells.resize(variants().size());
-  for (std::size_t i = 0; i < variants().size(); ++i) {
-    benchmark::RegisterBenchmark(
-        (std::string("ablation/") + variants()[i].label).c_str(), run_variant)
-        ->Arg(static_cast<int>(i))
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
-  return 0;
 }

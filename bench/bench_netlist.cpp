@@ -18,6 +18,7 @@
 //   --out PATH    output file (default BENCH_netlist.json)
 //   --repeat N    timing repetitions for the throughput suite, min is
 //                 reported (default 3)
+//   --attack-iters N  iteration bound of the SAT attack (default 2)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -28,8 +29,9 @@
 #include <string>
 #include <vector>
 
+#include "attacks/engine.h"
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
@@ -38,6 +40,7 @@
 #include "netlist/profiles.h"
 #include "netlist/simd.h"
 #include "runtime/jsonl.h"
+#include "runtime/runner.h"
 
 namespace {
 
@@ -237,7 +240,7 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
   options.max_iterations = attack_iters;
   start = Clock::now();
   const fl::attacks::AttackResult attack =
-      fl::attacks::SatAttack(options).run(locked, oracle);
+      fl::attacks::run("sat", locked, oracle, options).result;
   r.attack_wall_s = seconds_since(start);
   r.attack_status = fl::attacks::to_string(attack.status);
   r.attack_iterations = attack.iterations;
@@ -272,13 +275,15 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         smoke = true;
-      } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-        out_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-        repeat = std::max(1, std::atoi(argv[++i]));
-      } else if (std::strcmp(argv[i], "--attack-iters") == 0 && i + 1 < argc) {
-        attack_iters =
-            static_cast<std::uint64_t>(std::max(1, std::atoi(argv[++i])));
+      } else if (auto v = fl::runtime::flag_value("--out", argc, argv, i)) {
+        out_path = *v;
+      } else if (auto v = fl::runtime::flag_value("--repeat", argc, argv, i)) {
+        repeat = static_cast<int>(
+            fl::runtime::parse_int_flag("--repeat", *v, 1, 1000000));
+      } else if (auto v = fl::runtime::flag_value("--attack-iters", argc, argv,
+                                                  i)) {
+        attack_iters = static_cast<std::uint64_t>(
+            fl::runtime::parse_int_flag("--attack-iters", *v, 1));
       } else {
         std::fprintf(stderr,
                      "usage: bench_netlist [--smoke] [--out PATH] [--repeat N] "

@@ -22,10 +22,11 @@
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
 #include "runtime/jsonl.h"
+#include "runtime/runner.h"
 #include "sat/ksat.h"
 #include "sat/solver.h"
 
@@ -72,7 +73,7 @@ WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat,
   for (int rep = 0; rep < repeat; ++rep) {
     const auto start = Clock::now();
     const fl::attacks::AttackResult attack =
-        fl::attacks::SatAttack(options).run(locked, oracle);
+        fl::attacks::run("sat", locked, oracle, options).result;
     const double wall = seconds_since(start);
     if (wall < r.wall_s) {
       r.wall_s = wall;
@@ -153,10 +154,11 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         smoke = true;
-      } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-        out_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-        repeat = std::max(1, std::atoi(argv[++i]));
+      } else if (auto v = fl::runtime::flag_value("--out", argc, argv, i)) {
+        out_path = *v;
+      } else if (auto v = fl::runtime::flag_value("--repeat", argc, argv, i)) {
+        repeat = static_cast<int>(
+            fl::runtime::parse_int_flag("--repeat", *v, 1, 1000000));
       } else {
         std::fprintf(stderr,
                      "usage: bench_solver [--smoke] [--out PATH] "

@@ -15,9 +15,10 @@
 // once in main, before any cell runs, so a bad value is a usage error and
 // not a failed cell.
 //
-// Attack cells write their record with attacks::to_json(RunResult)
-// (attacks/registry.h) and their --trace file through attacks::TraceFile
-// (attacks/engine.h): the writers the CLI sweep and the serve daemon use.
+// Every driver attacks through attacks::run (attacks/registry.h). The
+// attack sweeps (Tables 2 and 4) are cell lists on attacks::run_sweep
+// (attacks/sweep.h), which writes their records, --trace file and
+// checkpoint as it does for the CLI sweep and the serve daemon.
 #pragma once
 
 #include <cstdint>

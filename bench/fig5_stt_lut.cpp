@@ -4,7 +4,7 @@
 // Expected shape: LUT sizes 2..5 sit within the standard-cell cost band
 // (negligible overhead); beyond 5 all three metrics take off — which is why
 // Full-Lock caps LUT fan-in at 5 (§3.2).
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "bench/bench_util.h"
 #include "ppa/stt_lut.h"
@@ -13,18 +13,6 @@ namespace {
 
 using fl::bench::TablePrinter;
 using fl::ppa::GateCost;
-
-void run_lut(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  GateCost cost;
-  for (auto _ : state) {
-    cost = fl::ppa::stt_lut_cost(k);
-    benchmark::DoNotOptimize(cost);
-  }
-  state.counters["area_um2"] = cost.area_um2;
-  state.counters["power_nw"] = cost.power_nw;
-  state.counters["delay_ns"] = cost.delay_ns;
-}
 
 void print_table() {
   TablePrinter table("Fig. 5 — STT-LUT vs CMOS standard cells");
@@ -60,15 +48,7 @@ void print_table() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  for (int k = 2; k <= 8; ++k) {
-    benchmark::RegisterBenchmark(("fig5/stt_lut_k=" + std::to_string(k)).c_str(),
-                                 run_lut)
-        ->Arg(k)
-        ->Unit(benchmark::kNanosecond);
-  }
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
   print_table();
   return 0;
 }

@@ -77,20 +77,11 @@ LockedCircuit lock_scheme(const SchemeSpec& spec, const Netlist& original,
     throw std::invalid_argument(std::string(spec.name) +
                                 ": host too small for any ladder config");
   }
-  // Wire selection depends on the random draw for the crossbar schemes;
-  // retry a deterministic sequence of sub-seeds before giving up.
-  for (std::uint64_t attempt = 0; attempt < 16; ++attempt) {
-    try {
-      return fl::lock::lock_with(
-          spec.name, original,
-          fl::lock::make_options(fl::runtime::derive_seed(seed, {attempt}),
-                                 {}, spec.params));
-    } catch (const std::invalid_argument&) {
-      continue;
-    }
-  }
-  throw std::invalid_argument(std::string(spec.name) +
-                              ": no viable configuration in 16 tries");
+  // One lock per cell; one that does not fit its host fails the cell.
+  return fl::lock::lock_with(
+      spec.name, original,
+      fl::lock::make_options(fl::runtime::derive_seed(seed, {0}), {},
+                             spec.params));
 }
 
 std::vector<std::string> circuits() {

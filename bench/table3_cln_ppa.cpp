@@ -5,14 +5,12 @@
 // the smallest SAT-resilient non-blocking network (N=64) is far cheaper
 // than the smallest SAT-resilient blocking one (N=512) — the paper reports
 // roughly one third of the power.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <exception>
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
 #include "ppa/estimator.h"
@@ -56,64 +54,55 @@ std::vector<RowSpec> rows() {
   };
 }
 
-std::vector<RowResult> g_results;
-double g_timeout_s = 0.0;
-
-void run_row(benchmark::State& state) {
-  const RowSpec spec = rows()[state.range(0)];
+RowResult run_row(const RowSpec& spec, double timeout_s) {
   RowResult row;
-  for (auto _ : state) {
-    // Hardware cost of the bare CLN.
-    fl::core::ClnConfig config;
-    config.n = spec.n;
-    config.topology = spec.topology;
-    config.extra_stages = spec.extra_stages;
-    config.copies = spec.copies;
-    fl::netlist::Netlist hw;
-    std::vector<fl::netlist::GateId> inputs;
-    for (int i = 0; i < spec.n; ++i) inputs.push_back(hw.add_input("x"));
-    const fl::core::ClnInstance inst =
-        fl::core::ClnBuilder(config).build(hw, inputs);
-    for (const fl::netlist::GateId o : inst.outputs) hw.mark_output(o);
-    row.ppa = fl::ppa::estimate_ppa(hw);
+  // Hardware cost of the bare CLN.
+  fl::core::ClnConfig config;
+  config.n = spec.n;
+  config.topology = spec.topology;
+  config.extra_stages = spec.extra_stages;
+  config.copies = spec.copies;
+  fl::netlist::Netlist hw;
+  std::vector<fl::netlist::GateId> inputs;
+  for (int i = 0; i < spec.n; ++i) inputs.push_back(hw.add_input("x"));
+  const fl::core::ClnInstance inst =
+      fl::core::ClnBuilder(config).build(hw, inputs);
+  for (const fl::netlist::GateId o : inst.outputs) hw.mark_output(o);
+  row.ppa = fl::ppa::estimate_ppa(hw);
 
-    // SAT resilience at the scaled timeout (Table 2 harness).
-    if (!spec.run_attack) {
-      row.sat_resilient = true;  // dominated by the smaller LOG(64,4,1)
-      continue;
-    }
-    const fl::netlist::Netlist original = fl::bench::identity_circuit(spec.n);
-    fl::core::FullLockConfig lock_config = fl::core::FullLockConfig::with_plrs(
-        {spec.n}, spec.topology, fl::core::CycleMode::kAvoid, false, 0.5);
-    const fl::core::LockedCircuit locked =
-        fl::core::full_lock(original, lock_config);
-    const fl::attacks::Oracle oracle(original);
-    fl::attacks::AttackOptions options;
-    options.timeout_s = g_timeout_s;
-    const fl::attacks::AttackResult attack =
-        fl::attacks::SatAttack(options).run(locked, oracle);
-    row.sat_resilient = attack.status == fl::attacks::AttackStatus::kTimeout;
+  // SAT resilience at the scaled timeout (Table 2 harness).
+  if (!spec.run_attack) {
+    row.sat_resilient = true;  // dominated by the smaller LOG(64,4,1)
+    return row;
   }
-  state.counters["area_um2"] = row.ppa.area_um2;
-  state.counters["power_nw"] = row.ppa.power_nw;
-  state.counters["delay_ns"] = row.ppa.critical_delay_ns;
-  state.counters["sat_resilient"] = row.sat_resilient ? 1 : 0;
-  g_results[state.range(0)] = row;
+  const fl::netlist::Netlist original = fl::bench::identity_circuit(spec.n);
+  fl::core::FullLockConfig lock_config = fl::core::FullLockConfig::with_plrs(
+      {spec.n}, spec.topology, fl::core::CycleMode::kAvoid, false, 0.5);
+  const fl::core::LockedCircuit locked =
+      fl::core::full_lock(original, lock_config);
+  const fl::attacks::Oracle oracle(original);
+  fl::attacks::AttackOptions options;
+  options.timeout_s = timeout_s;
+  const fl::attacks::RunResult attack =
+      fl::attacks::run("sat", locked, oracle, options);
+  row.sat_resilient =
+      attack.result.status == fl::attacks::AttackStatus::kTimeout;
+  return row;
 }
 
-void print_table() {
+void print_table(const std::vector<RowSpec>& specs,
+                 const std::vector<RowResult>& results) {
   TablePrinter table("Table 3 — CLN power/area/delay and SAT resilience "
                      "(analytical 32nm-class model; see DESIGN.md)");
   table.row({"CLN", "area_um2", "power_nW", "delay_ns", "SAT-resilient"}, 18);
-  const auto specs = rows();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     char area[32], power[32], delay[32];
-    std::snprintf(area, sizeof(area), "%.1f", g_results[i].ppa.area_um2);
-    std::snprintf(power, sizeof(power), "%.1f", g_results[i].ppa.power_nw);
+    std::snprintf(area, sizeof(area), "%.1f", results[i].ppa.area_um2);
+    std::snprintf(power, sizeof(power), "%.1f", results[i].ppa.power_nw);
     std::snprintf(delay, sizeof(delay), "%.3f",
-                  g_results[i].ppa.critical_delay_ns);
+                  results[i].ppa.critical_delay_ns);
     table.row({specs[i].label, area, power, delay,
-               g_results[i].sat_resilient ? "yes" : "no"},
+               results[i].sat_resilient ? "yes" : "no"},
               18);
   }
   std::printf("(paper shape: LOG(64,4,1) is the smallest resilient network "
@@ -122,23 +111,18 @@ void print_table() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   try {
-    g_timeout_s = fl::bench::attack_timeout_s();
+    const double timeout_s = fl::bench::attack_timeout_s();
+    const std::vector<RowSpec> specs = rows();
+    std::vector<RowResult> results;
+    for (const RowSpec& spec : specs) {
+      results.push_back(run_row(spec, timeout_s));
+    }
+    print_table(specs, results);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  g_results.resize(rows().size());
-  for (std::size_t i = 0; i < rows().size(); ++i) {
-    benchmark::RegisterBenchmark(
-        (std::string("table3/") + rows()[i].label).c_str(), run_row)
-        ->Arg(static_cast<int>(i))
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
-  return 0;
 }

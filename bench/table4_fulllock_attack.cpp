@@ -6,24 +6,21 @@
 // eventually hits TO; larger CLNs reach TO with fewer PLRs. An ablation
 // column (1x16 CLN-only, no LUT twisting) quantifies §3.2's contribution.
 //
-// The (circuit x column) grid fans out over the shared worker pool
-// (--jobs N / FL_JOBS) with per-cell seeds derived from the grid
-// coordinates; --jsonl PATH / FL_JSONL logs every cell durably, and an
+// The (circuit x column) cells run on attacks::run_sweep over the shared
+// worker pool (--jobs N / FL_JOBS) with per-cell seeds derived from the
+// grid coordinates; --jsonl PATH / FL_JSONL logs every cell durably, and an
 // interrupted or killed sweep continues with --resume (see EXPERIMENTS.md).
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "attacks/oracle.h"
-#include "attacks/registry.h"
+#include "attacks/sweep.h"
 #include "bench/bench_util.h"
-#include "core/full_lock.h"
 #include "netlist/profiles.h"
-#include "runtime/jsonl.h"
 #include "runtime/runner.h"
 #include "runtime/seed.h"
-#include "runtime/sweep.h"
 
 namespace {
 
@@ -32,7 +29,8 @@ using fl::bench::TablePrinter;
 struct Column {
   const char* label;
   std::vector<int> cln_sizes;
-  bool twist_luts;
+  // Random insertion (paper §3.3): cycles allowed, hence CycSAT.
+  const char* params;
 };
 
 const std::vector<Column>& columns() {
@@ -40,13 +38,13 @@ const std::vector<Column>& columns() {
   // timeout at seconds instead of 2e6 s, the breakable-to-TO gradient sits
   // at 4..16-wire PLRs. "-noLUT" is the §3.2 ablation (CLN only).
   static const std::vector<Column> cols = {
-      {"1x4", {4}, true},
-      {"1x8-noLUT", {8}, false},
-      {"1x8", {8}, true},
-      {"2x8-noLUT", {8, 8}, false},
-      {"2x8", {8, 8}, true},
-      {"1x16", {16}, true},
-      {"2x16", {16, 16}, true},
+      {"1x4", {4}, "cycle=allow"},
+      {"1x8-noLUT", {8}, "cycle=allow,twist=0"},
+      {"1x8", {8}, "cycle=allow"},
+      {"2x8-noLUT", {8, 8}, "cycle=allow,twist=0"},
+      {"2x8", {8, 8}, "cycle=allow"},
+      {"1x16", {16}, "cycle=allow"},
+      {"2x16", {16, 16}, "cycle=allow"},
   };
   return cols;
 }
@@ -61,43 +59,8 @@ std::vector<std::string> circuits() {
   return {"c432", "c499", "c880", "c1355", "apex2", "i4"};
 }
 
-struct Cell {
-  std::size_t circuit;
-  std::size_t column;
-  std::uint64_t seed;
-};
-
-struct CellResult {
-  bool cyclic = false;
-  fl::attacks::RunResult run;
-};
-
-CellResult run_cell(const std::string& circuit, const Column& column,
-                    std::uint64_t seed, const fl::runtime::CellContext& ctx,
-                    double timeout_s, const fl::runtime::RunnerArgs& run_args,
-                    fl::attacks::TraceFile& trace) {
-  CellResult cell;
-  const fl::netlist::Netlist original = fl::netlist::make_circuit(circuit, 1);
-  // Random insertion (paper §3.3): cycles allowed, hence CycSAT.
-  fl::core::FullLockConfig config = fl::core::FullLockConfig::with_plrs(
-      column.cln_sizes, fl::core::ClnTopology::kBanyanNonBlocking,
-      fl::core::CycleMode::kAllow, column.twist_luts, 0.5);
-  config.seed = seed;
-  const fl::core::LockedCircuit locked = fl::core::full_lock(original, config);
-  cell.cyclic = locked.netlist.is_cyclic();
-  const fl::attacks::Oracle oracle(original);
-  fl::attacks::AttackOptions options;
-  options.timeout_s = ctx.effective_timeout(timeout_s);
-  options.interrupt = ctx.interrupt;
-  options.memory_limit_mb = run_args.memory_limit_mb;
-  options.trace = trace.sink();
-  options.trace_cell = static_cast<long long>(ctx.index);
-  cell.run = fl::attacks::run("cycsat", locked, oracle, options);
-  return cell;
-}
-
 void print_table(const std::vector<std::string>& names,
-                 const std::vector<CellResult>& results, double timeout_s) {
+                 const fl::attacks::SweepResult& sweep, double timeout_s) {
   TablePrinter table("Table 4 — CycSAT time (s) on Full-Lock, TO = " +
                      std::to_string(timeout_s) + " s");
   std::vector<std::string> header{"circuit"};
@@ -106,7 +69,8 @@ void print_table(const std::vector<std::string>& names,
   for (std::size_t ci = 0; ci < names.size(); ++ci) {
     std::vector<std::string> cells{names[ci]};
     for (std::size_t col = 0; col < columns().size(); ++col) {
-      const CellResult& cell = results[ci * columns().size() + col];
+      const fl::attacks::SweepCell& cell =
+          sweep.cells[ci * columns().size() + col];
       const bool timed_out =
           cell.run.result.status != fl::attacks::AttackStatus::kSuccess;
       std::string text =
@@ -127,57 +91,37 @@ int main(int argc, char** argv) {
   try {
     const fl::runtime::RunnerArgs run_args =
         fl::runtime::parse_runner_args(argc, argv);
-    const std::uint64_t base = fl::bench::base_seed(11);
-    const double timeout_s = fl::bench::attack_timeout_s();
+    fl::attacks::SweepSpec spec;
+    spec.bench = "table4";
+    spec.seed = fl::bench::base_seed(11);
+    spec.attack = "cycsat";
+    spec.timeout_s = fl::bench::attack_timeout_s();
     const std::vector<std::string> names = circuits();
 
-    std::vector<Cell> grid;
+    std::vector<fl::netlist::Netlist> hosts;
+    std::vector<fl::attacks::SweepCell> cells;
     for (std::size_t ci = 0; ci < names.size(); ++ci) {
+      hosts.push_back(fl::netlist::make_circuit(names[ci], 1));
       for (std::size_t col = 0; col < columns().size(); ++col) {
-        grid.push_back({ci, col,
-                        fl::runtime::derive_seed(
-                            base, {static_cast<std::uint64_t>(ci),
-                                   static_cast<std::uint64_t>(col)})});
+        fl::attacks::SweepCell& cell = cells.emplace_back();
+        cell.host = ci;
+        cell.scheme = "full-lock";
+        cell.sizes = columns()[col].cln_sizes;
+        cell.params = columns()[col].params;
+        cell.seed = fl::runtime::derive_seed(
+            spec.seed, {static_cast<std::uint64_t>(ci),
+                        static_cast<std::uint64_t>(col)});
+        cell.coords.field("plr", columns()[col].label);
       }
     }
-    std::vector<CellResult> results(grid.size());
-    fl::attacks::TraceFile trace(run_args.trace_path);
+    fl::attacks::validate_sweep(cells);
 
-    fl::runtime::SweepSession session("table4", grid.size(), base, run_args);
-    const auto record_base = [&](std::size_t i) {
-      fl::runtime::JsonObject o;
-      o.field("cell", i)
-          .field("bench", "table4")
-          .field("circuit", names[grid[i].circuit])
-          .field("plr", columns()[grid[i].column].label)
-          .field("seed", grid[i].seed);
-      return o;
-    };
-
+    const fl::attacks::SweepResult sweep =
+        fl::attacks::run_sweep(hosts, std::move(cells), spec, run_args);
     std::printf("table4: %zu cells on %d worker(s), %zu already done\n",
-                grid.size(), run_args.jobs, session.num_resumed());
-    const fl::runtime::GridReport report = fl::runtime::run_grid(
-        grid.size(), session.grid_config(),
-        [&](const fl::runtime::CellContext& ctx) {
-          const std::size_t i = ctx.index;
-          const Cell& cell = grid[i];
-          results[i] = run_cell(names[cell.circuit], columns()[cell.column],
-                                cell.seed, ctx, timeout_s, run_args, trace);
-          if (results[i].run.result.status ==
-              fl::attacks::AttackStatus::kInterrupted) {
-            session.note_interrupted(i);
-            return;
-          }
-          if (session.sink() != nullptr) {
-            fl::runtime::JsonObject o = record_base(i);
-            o.field("cyclic", results[i].cyclic)
-                .merge(fl::attacks::to_json(results[i].run));
-            session.sink()->write(i, o.str());
-          }
-        });
-
-    print_table(names, results, timeout_s);
-    return session.finish(report, record_base);
+                sweep.cells.size(), run_args.jobs, sweep.report.skipped);
+    print_table(names, sweep, spec.timeout_s);
+    return sweep.exit_code;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -9,8 +9,6 @@
 // blocks than Cross-Lock (paper: e.g. apex4 needs 2x32x32 + 1x8x8 PLRs vs
 // 11 32x36 crossbars); SFLL-HD resists the plain SAT attack at small key
 // widths by construction (point function) but falls to FALL.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <exception>
 #include <map>
@@ -18,7 +16,7 @@
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "locking/scheme.h"
 #include "netlist/profiles.h"
@@ -94,26 +92,13 @@ const std::vector<SchemeLadder>& ladders() {
   return all;
 }
 
-struct SchemeResult {
-  // First resilient rung, "broken thru <last attacked rung>", or "n/a" when
-  // no rung fits the circuit.
-  std::string config = "n/a";
-  bool found = false;
-  double attack_seconds_at_break = 0.0;  // time of last breakable rung
-};
-// results[ladder display][circuit]
-std::map<std::string, std::map<std::string, SchemeResult>> g_results;
-double g_timeout_s = 0.0;
-
 bool attack_times_out(const fl::netlist::Netlist& original,
-                      const fl::core::LockedCircuit& locked, double* seconds) {
+                      const fl::core::LockedCircuit& locked, double timeout_s) {
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
-  options.timeout_s = g_timeout_s;
-  const fl::attacks::AttackResult result =
-      fl::attacks::SatAttack(options).run(locked, oracle);
-  *seconds = result.seconds;
-  return result.status == fl::attacks::AttackStatus::kTimeout;
+  options.timeout_s = timeout_s;
+  return fl::attacks::run("sat", locked, oracle, options).result.status ==
+         fl::attacks::AttackStatus::kTimeout;
 }
 
 // Applies the rung: `repeat` registry locks stacked on one another, key
@@ -139,47 +124,43 @@ fl::core::LockedCircuit lock_rung(const SchemeLadder& ladder, const Rung& rung,
   return acc;
 }
 
-void run_ladder(benchmark::State& state) {
-  const SchemeLadder& ladder = ladders()[state.range(0)];
-  const std::string circuit = circuits()[state.range(1)];
-  SchemeResult score;
-  for (auto _ : state) {
-    const fl::netlist::Netlist original = fl::netlist::make_circuit(circuit, 1);
-    for (const Rung& rung : ladder.rungs) {
-      fl::core::LockedCircuit locked;
-      try {
-        locked = lock_rung(ladder, rung, original, 5);
-      } catch (const std::invalid_argument&) {
-        continue;  // circuit too small for this rung
-      }
-      double seconds = 0.0;
-      if (attack_times_out(original, locked, &seconds)) {
-        score.config = rung.label;
-        score.found = true;
-        break;
-      }
-      score.config = "broken thru " + rung.label;
-      score.attack_seconds_at_break = seconds;
+// The first resilient rung, "broken thru <last attacked rung>", or "n/a"
+// when no rung fits the circuit.
+std::string run_ladder(const SchemeLadder& ladder, const std::string& circuit,
+                       double timeout_s) {
+  std::string config = "n/a";
+  const fl::netlist::Netlist original = fl::netlist::make_circuit(circuit, 1);
+  for (const Rung& rung : ladder.rungs) {
+    fl::core::LockedCircuit locked;
+    try {
+      locked = lock_rung(ladder, rung, original, 5);
+    } catch (const std::invalid_argument&) {
+      continue;  // circuit too small for this rung
     }
+    if (attack_times_out(original, locked, timeout_s)) return rung.label;
+    config = "broken thru " + rung.label;
   }
-  state.counters["resilient"] = score.found ? 1 : 0;
-  g_results[ladder.display][circuit] = score;
+  return config;
 }
 
-void print_table() {
+// configs[ladder][circuit]
+void print_table(const std::vector<std::vector<std::string>>& configs,
+                 double timeout_s) {
   char title[96];
   std::snprintf(title, sizeof(title),
                 "Table 5 — smallest SAT-resilient configuration (TO = %g s)",
-                g_timeout_s);
+                timeout_s);
   TablePrinter table(title);
   std::vector<std::string> header = {"circuit", "gates"};
   for (const SchemeLadder& ladder : ladders()) header.push_back(ladder.display);
   table.row(header, 20);
-  for (const std::string& c : circuits()) {
-    const auto profile = fl::netlist::find_profile(c);
-    std::vector<std::string> row = {c, std::to_string(profile->num_gates)};
-    for (const SchemeLadder& ladder : ladders()) {
-      row.push_back(g_results[ladder.display][c].config);
+  const std::vector<std::string> names = circuits();
+  for (std::size_t ci = 0; ci < names.size(); ++ci) {
+    const auto profile = fl::netlist::find_profile(names[ci]);
+    std::vector<std::string> row = {names[ci],
+                                    std::to_string(profile->num_gates)};
+    for (const std::vector<std::string>& ladder : configs) {
+      row.push_back(ladder[ci]);
     }
     table.row(row, 20);
   }
@@ -191,26 +172,20 @@ void print_table() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   try {
-    g_timeout_s = fl::bench::attack_timeout_s();
+    const double timeout_s = fl::bench::attack_timeout_s();
+    std::vector<std::vector<std::string>> configs;
+    for (const SchemeLadder& ladder : ladders()) {
+      std::vector<std::string>& row = configs.emplace_back();
+      for (const std::string& circuit : circuits()) {
+        row.push_back(run_ladder(ladder, circuit, timeout_s));
+      }
+    }
+    print_table(configs, timeout_s);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  const auto names = circuits();
-  for (std::size_t li = 0; li < ladders().size(); ++li) {
-    for (std::size_t ci = 0; ci < names.size(); ++ci) {
-      benchmark::RegisterBenchmark(
-          ("table5/" + ladders()[li].name + "/" + names[ci]).c_str(),
-          run_ladder)
-          ->Args({static_cast<long>(li), static_cast<long>(ci)})
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  print_table();
-  return 0;
 }

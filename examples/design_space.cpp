@@ -7,7 +7,7 @@
 #include <string>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "netlist/profiles.h"
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       attacks::AttackOptions options;
       options.timeout_s = timeout;
       const attacks::AttackResult attack =
-          attacks::SatAttack(options).run(locked, oracle);
+          attacks::run("sat", locked, oracle, options).result;
       char attack_text[32];
       if (attack.status == attacks::AttackStatus::kSuccess) {
         std::snprintf(attack_text, sizeof(attack_text), "%.2fs",

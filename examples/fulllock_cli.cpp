@@ -369,9 +369,12 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   }
   std::string bench_path;
   std::vector<std::string> schemes;
+  std::vector<int> sizes;
+  std::string scheme_params;
+  int replicas = 3;
   attacks::SweepSpec spec;
-  spec.replicas = 3;
   spec.timeout_s = 10.0;
+  std::vector<attacks::SweepCell> cells;
   try {
     bench_path = positional_arg(argv[2]);
     for (int i = 3; i < argc; ++i) {
@@ -385,13 +388,13 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
           from = comma + 1;
         }
       } else if (auto v = flag_value("--opt", argc, argv, i)) {
-        append_opt(spec.scheme_params, *v);
+        append_opt(scheme_params, *v);
       } else {
-        spec.sizes.push_back(parse_size(positional_arg(argv[i])));
+        sizes.push_back(parse_size(positional_arg(argv[i])));
       }
     }
     if (const char* env = std::getenv("FULLLOCK_SWEEP_SEEDS")) {
-      spec.replicas = static_cast<int>(
+      replicas = static_cast<int>(
           runtime::parse_int_flag("FULLLOCK_SWEEP_SEEDS", env, 1, 1000000));
     }
     if (const char* env = std::getenv("FULLLOCK_SEED")) {
@@ -400,17 +403,20 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     if (const char* env = std::getenv("FULLLOCK_TIMEOUT_S")) {
       spec.timeout_s = runtime::parse_seconds_flag("FULLLOCK_TIMEOUT_S", env);
     }
-    if (!schemes.empty()) spec.schemes = schemes;
-    // Every (scheme, size) pair is validated before the grid runs, so a bad
-    // parameter fails the whole sweep at parse time, not cell 37.
-    attacks::validate_sweep(spec.schemes, spec.sizes, spec.scheme_params);
+    if (schemes.empty()) schemes = {"full-lock"};
+    // Every cell is validated before the grid runs, so a bad parameter
+    // fails the whole sweep at parse time, not cell 37.
+    cells = attacks::scheme_grid(schemes, sizes, scheme_params, replicas,
+                                 spec.seed);
+    attacks::validate_sweep(cells);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "sweep: %s\n", e.what());
     return 2;
   }
 
-  const attacks::SweepResult sweep = attacks::run_sweep(
-      netlist::read_bench_file(bench_path), spec, run_args);
+  const netlist::Netlist host = netlist::read_bench_file(bench_path);
+  const attacks::SweepResult sweep =
+      attacks::run_sweep({&host, 1}, std::move(cells), spec, run_args);
   std::printf("sweep %s: %zu cells on %d worker(s), %zu resumed\n",
               bench_path.c_str(), sweep.cells.size(), run_args.jobs,
               sweep.report.skipped);
@@ -418,15 +424,17 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
               "replica", "key_bits", "status", "iters", "time_s");
   for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
     const attacks::SweepCell& cell = sweep.cells[i];
+    // scheme_grid's order: the replica varies fastest.
+    const int replica = static_cast<int>(i % replicas);
     if (sweep.report.cells[i].status != runtime::CellOutcome::Status::kOk) {
       std::printf("%-11s %-6d %-8d %-10s %-12s\n", cell.scheme.c_str(),
-                  cell.size, cell.replica, "-",
+                  cell.sizes[0], replica, "-",
                   runtime::to_string(sweep.report.cells[i].status));
       continue;
     }
     const attacks::AttackResult& attack = cell.run.result;
     std::printf("%-11s %-6d %-8d %-10zu %-12s %-10llu %.2f\n",
-                cell.scheme.c_str(), cell.size, cell.replica, attack.key.size(),
+                cell.scheme.c_str(), cell.sizes[0], replica, cell.key_bits,
                 attacks::to_string(attack.status),
                 static_cast<unsigned long long>(attack.iterations),
                 attack.seconds);

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
@@ -47,7 +47,7 @@ int main() {
   attacks::AttackOptions options;
   options.timeout_s = 30.0;
   const attacks::AttackResult attack =
-      attacks::SatAttack(options).run(locked, oracle);
+      attacks::run("sat", locked, oracle, options).result;
   std::printf("SAT attack: %s after %llu iterations, %.3f s\n",
               attacks::to_string(attack.status),
               static_cast<unsigned long long>(attack.iterations),

@@ -9,73 +9,81 @@
 
 namespace fl::attacks {
 
-namespace {
-
-std::vector<int> sizes_or_default(const std::vector<int>& sizes) {
-  return sizes.empty() ? std::vector<int>{4, 8, 16} : sizes;
+std::vector<SweepCell> scheme_grid(const std::vector<std::string>& schemes,
+                                   const std::vector<int>& sizes,
+                                   const std::string& params, int replicas,
+                                   std::uint64_t seed) {
+  std::vector<SweepCell> cells;
+  for (const std::string& scheme : schemes) {
+    for (const int size : sizes.empty() ? std::vector<int>{4, 8, 16} : sizes) {
+      for (int r = 0; r < replicas; ++r) {
+        SweepCell& cell = cells.emplace_back();
+        cell.scheme = scheme;
+        cell.sizes = {size};
+        cell.params = params;
+        cell.seed = runtime::derive_seed(
+            seed, {static_cast<std::uint64_t>(size),
+                   static_cast<std::uint64_t>(r)});
+        cell.coords.field("scheme", scheme)
+            .field("plr_size", size)
+            .field("replica", r);
+      }
+    }
+  }
+  return cells;
 }
 
-}  // namespace
-
-void validate_sweep(const std::vector<std::string>& schemes,
-                    const std::vector<int>& sizes,
-                    const std::string& scheme_params) {
-  for (const std::string& name : schemes) {
-    const lock::LockScheme* scheme = lock::find_scheme(name);
+void validate_sweep(std::span<const SweepCell> cells) {
+  for (const SweepCell& cell : cells) {
+    const lock::LockScheme* scheme = lock::find_scheme(cell.scheme);
     if (scheme == nullptr) {
-      throw std::invalid_argument("unknown lock scheme '" + name +
+      throw std::invalid_argument("unknown lock scheme '" + cell.scheme +
                                   "'; available schemes: " +
                                   lock::scheme_names());
     }
-    for (const int size : sizes_or_default(sizes)) {
-      scheme->validate(lock::make_options(0, {size}, scheme_params));
-    }
+    scheme->validate(lock::make_options(cell.seed, cell.sizes, cell.params));
   }
 }
 
 SweepResult run_sweep(
-    const netlist::Netlist& original, const SweepSpec& spec,
-    const runtime::RunnerArgs& args,
+    std::span<const netlist::Netlist> hosts, std::vector<SweepCell> cells,
+    const SweepSpec& spec, const runtime::RunnerArgs& args,
     const runtime::SweepSessionOptions& options,
     const std::function<void(runtime::JsonObject)>& on_record) {
-  SweepResult result;
-  for (const std::string& scheme : spec.schemes) {
-    for (const int size : sizes_or_default(spec.sizes)) {
-      for (int r = 0; r < spec.replicas; ++r) {
-        SweepCell& cell = result.cells.emplace_back();
-        cell.scheme = scheme;
-        cell.size = size;
-        cell.replica = r;
-        cell.seed = runtime::derive_seed(
-            spec.seed, {static_cast<std::uint64_t>(size),
-                        static_cast<std::uint64_t>(r)});
-      }
+  for (const SweepCell& cell : cells) {
+    if (cell.host >= hosts.size()) {
+      throw std::invalid_argument("sweep cell names host " +
+                                  std::to_string(cell.host) + " of " +
+                                  std::to_string(hosts.size()));
     }
   }
-  std::vector<SweepCell>& cells = result.cells;
+  SweepResult result;
+  result.cells = std::move(cells);
+  std::vector<SweepCell>& grid = result.cells;
   TraceFile trace(args.trace_path);
-  runtime::SweepSession session(spec.bench, cells.size(), spec.seed, args,
+  runtime::SweepSession session(spec.bench, grid.size(), spec.seed, args,
                                 options);
   const auto record_base = [&](std::size_t i) {
     runtime::JsonObject o;
     o.field("cell", i)
         .field("bench", spec.bench)
-        .field("circuit", original.name())
-        .field("scheme", cells[i].scheme)
-        .field("plr_size", cells[i].size)
-        .field("replica", cells[i].replica)
-        .field("seed", cells[i].seed);
+        .field("circuit", hosts[grid[i].host].name())
+        .merge(grid[i].coords)
+        .field("seed", grid[i].seed);
     return o;
   };
 
   result.report = runtime::run_grid(
-      cells.size(), session.grid_config(),
+      grid.size(), session.grid_config(),
       [&](const runtime::CellContext& ctx) {
         const std::size_t i = ctx.index;
-        SweepCell& cell = cells[i];
+        SweepCell& cell = grid[i];
+        const netlist::Netlist& original = hosts[cell.host];
         const core::LockedCircuit locked = lock::lock_with(
             cell.scheme, original,
-            lock::make_options(cell.seed, {cell.size}, spec.scheme_params));
+            lock::make_options(cell.seed, cell.sizes, cell.params));
+        cell.key_bits = locked.key_bits();
+        cell.cyclic = locked.netlist.is_cyclic();
         const Oracle oracle(original);
         AttackOptions attack;
         attack.timeout_s = ctx.effective_timeout(spec.timeout_s);
@@ -92,8 +100,8 @@ SweepResult run_sweep(
           return;
         }
         runtime::JsonObject o = record_base(i);
-        o.field("key_bits", locked.key_bits())
-            .field("cyclic", locked.netlist.is_cyclic())
+        o.field("key_bits", cell.key_bits)
+            .field("cyclic", cell.cyclic)
             .merge(to_json(cell.run));
         if (session.sink() != nullptr) {
           session.sink()->write(i, runtime::JsonObject(o).str());

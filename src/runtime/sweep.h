@@ -1,5 +1,6 @@
 // Crash-safe sweep harness shared by the bench drivers and the
-// lock-and-attack sweep of the CLI and the serve daemon (attacks/sweep.h).
+// lock-and-attack sweep (attacks/sweep.h) of the CLI, the serve daemon and
+// Tables 2 and 4.
 //
 // SweepSession bundles everything a resumable sweep needs around run_grid:
 //   - a durable JSONL sink (JsonlWriter + fsync after every committed line)
@@ -14,8 +15,9 @@
 // session.grid_config(), cell), writes each cell's record through
 // session.sink() (or calls note_interrupted), and returns
 // session.finish(report, record_base), where record_base(i) builds the
-// cell's coordinate fields. attacks::run_sweep and
-// bench/table2_cln_attack.cpp are worked examples.
+// cell's coordinate fields. attacks::run_sweep (the lock-and-attack
+// sweep) and bench/fig1_sat_hardness.cpp / bench/fig7_cv_ratio.cpp (grids
+// that attack nothing) are worked examples.
 //
 // Interrupted cells write no record (note_interrupted unblocks the in-order
 // sink), so --resume re-runs them; failed cells get a failure record

@@ -99,10 +99,6 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
 JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
   attacks::SweepSpec sweep;
   sweep.bench = "serve_sweep";
-  sweep.schemes = {spec.scheme};
-  sweep.scheme_params = spec.scheme_params;
-  sweep.sizes = spec.sizes;
-  sweep.replicas = spec.replicas;
   sweep.seed = spec.seed;
   sweep.attack = spec.attack;
   sweep.timeout_s = spec.attack_timeout_s;
@@ -120,8 +116,12 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
 
   // The daemon owns the signals, so the job's cancel token stops the grid.
   // Each durable cell record doubles as the client's "cell" event.
+  const netlist::Netlist host = netlist::read_bench_file(spec.bench_path);
   const attacks::SweepResult done = attacks::run_sweep(
-      netlist::read_bench_file(spec.bench_path), sweep, run_args,
+      {&host, 1},
+      attacks::scheme_grid({spec.scheme}, spec.sizes, spec.scheme_params,
+                           spec.replicas, spec.seed),
+      sweep, run_args,
       {.install_signal_handler = false, .cancel = ctx.cancel,
        .faults = ctx.faults},
       [&ctx](JsonObject record) { ctx.emit("cell", std::move(record)); });

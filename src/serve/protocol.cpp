@@ -188,8 +188,10 @@ void validate_spec(const JobSpec& spec) {
       scheme->validate(
           lock::make_options(spec.seed, spec.sizes, spec.scheme_params));
     } else {
-      // Also names an unknown scheme, for either kind.
-      attacks::validate_sweep({spec.scheme}, spec.sizes, spec.scheme_params);
+      // Also names an unknown scheme, for either kind. The replica does
+      // not change a cell's parameters, so one replica checks them all.
+      attacks::validate_sweep(attacks::scheme_grid(
+          {spec.scheme}, spec.sizes, spec.scheme_params, 1, spec.seed));
     }
   } catch (const std::invalid_argument& e) {
     bad(e.what());

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <regex>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -446,26 +447,44 @@ TEST(Cancel, TokenInterruptsAnAttack) {
 // The tentpole guarantee: a parallel sweep writes the same JSONL byte
 // stream as the serial reference loop, except for the `_s` wall-clock
 // fields. Runs the production sweep (attacks::run_sweep, the one behind
-// `fulllock sweep` and serve sweep jobs) on a miniature grid three ways.
+// `fulllock sweep`, serve sweep jobs and Tables 2 and 4) three ways on a
+// two-host cell list: the CLI's grid on host 0, and cells built the way a
+// table driver builds them, with coords of their own, on a renamed host 1.
 TEST(Determinism, SerialAndParallelSweepsMatchModuloWallClock) {
   netlist::GeneratorConfig gen;
   gen.num_inputs = 12;
   gen.num_outputs = 6;
   gen.num_gates = 120;
   gen.seed = 5;
-  const netlist::Netlist original = netlist::generate_circuit(gen);
+  std::vector<netlist::Netlist> hosts = {netlist::generate_circuit(gen)};
+  gen.seed = 6;
+  hosts.push_back(netlist::generate_circuit(gen));
+  hosts[1].set_name("second_host");
   attacks::SweepSpec spec;
-  spec.sizes = {4, 8};
-  spec.replicas = 2;
   spec.seed = 5;         // every cell solves in well under a second
   spec.timeout_s = 0.0;  // a deadline could cut two runs at different DIPs
+  std::vector<attacks::SweepCell> cells =
+      attacks::scheme_grid({"full-lock"}, {4, 8}, "", 2, spec.seed);
+  for (const int n : {4, 8}) {
+    attacks::SweepCell& cell = cells.emplace_back();
+    cell.host = 1;
+    cell.scheme = "full-lock";
+    cell.sizes = {n};
+    cell.params = "topology=shuffle,twist=0";
+    cell.seed = derive_seed(spec.seed, {static_cast<std::uint64_t>(n)});
+    cell.coords.field("topology", "blocking").field("n", n);
+  }
+  attacks::validate_sweep(cells);
+  // Cells 4 and 5 name host 1, which a one-host span lacks.
+  EXPECT_THROW(attacks::run_sweep(std::span(hosts).first(1), cells, spec, {}),
+               std::invalid_argument);
 
   const auto sweep = [&](int jobs) {
     RunnerArgs args;
     args.jobs = jobs;
     args.jsonl_path = ::testing::TempDir() + "/fl_determinism.jsonl";
     const attacks::SweepResult result =
-        attacks::run_sweep(original, spec, args);
+        attacks::run_sweep(hosts, cells, spec, args);
     EXPECT_EQ(result.exit_code, 0) << jobs;
     EXPECT_EQ(result.report.ok, result.cells.size()) << jobs;  // none threw
     std::ifstream in(args.jsonl_path);
@@ -478,7 +497,23 @@ TEST(Determinism, SerialAndParallelSweepsMatchModuloWallClock) {
   };
 
   const std::string serial = sweep(1);
-  EXPECT_NE(serial.find("\"cell\":3,"), std::string::npos) << serial;
+  EXPECT_NE(serial.find("{\"cell\":3,\"bench\":\"sweep\",\"circuit\":\"" +
+                        hosts[0].name() +
+                        "\",\"scheme\":\"full-lock\",\"plr_size\":8,"
+                        "\"replica\":1,\"seed\":" +
+                        std::to_string(cells[3].seed) + ","),
+            std::string::npos)
+      << serial;
+  // A driver-built cell: its host's name, its own coords, then its seed.
+  for (const std::size_t i : {4, 5}) {
+    EXPECT_NE(serial.find("{\"cell\":" + std::to_string(i) +
+                          ",\"bench\":\"sweep\",\"circuit\":\"second_host\","
+                          "\"topology\":\"blocking\",\"n\":" +
+                          std::to_string(cells[i].sizes[0]) + ",\"seed\":" +
+                          std::to_string(cells[i].seed) + ",\"key_bits\":"),
+              std::string::npos)
+        << serial;
+  }
   EXPECT_EQ(serial, sweep(4));
   EXPECT_EQ(serial, sweep(3));  // worker count must not matter either
 }
