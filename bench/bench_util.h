@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,18 @@ inline long long env_int(const char* name, long long fallback,
 }
 
 inline bool env_flag(const char* name) { return std::getenv(name) != nullptr; }
+
+// The runner flags of a grid driver (runtime::parse_runner_args). A grid
+// driver takes no other argument: anything left over (a misspelt or
+// removed flag) throws std::invalid_argument naming the first one.
+inline runtime::RunnerArgs grid_runner_args(int argc, char** argv) {
+  runtime::RunnerArgs args = runtime::parse_runner_args(argc, argv);
+  if (argc > 1) {
+    throw std::invalid_argument("unknown argument '" + std::string(argv[1]) +
+                                "'");
+  }
+  return args;
+}
 
 inline double attack_timeout_s() {
   return env_seconds("FULLLOCK_TIMEOUT_S", 10.0);

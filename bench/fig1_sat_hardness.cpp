@@ -86,7 +86,7 @@ void print_table(const std::vector<Cell>& grid,
 int main(int argc, char** argv) {
   try {
     const fl::runtime::RunnerArgs run_args =
-        fl::runtime::parse_runner_args(argc, argv);
+        fl::bench::grid_runner_args(argc, argv);
     const std::uint64_t base = fl::bench::base_seed(7000);
 
     std::vector<Cell> grid;

@@ -133,7 +133,7 @@ void print_table(const std::vector<SchemeSpec>& specs,
 int main(int argc, char** argv) {
   try {
     const fl::runtime::RunnerArgs run_args =
-        fl::runtime::parse_runner_args(argc, argv);
+        fl::bench::grid_runner_args(argc, argv);
     const std::uint64_t base = fl::bench::base_seed(13);
     const std::vector<std::string> circuit_names = circuits();
 

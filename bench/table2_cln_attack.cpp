@@ -10,9 +10,10 @@
 // The (topology x N) cells run on attacks::run_sweep, one identity host per
 // N, over the shared worker pool (--jobs N / FL_JOBS; --jobs 1 = the serial
 // reference loop), and every cell can be logged to a durable JSONL sink
-// (--jsonl PATH / FL_JSONL). An interrupted or killed sweep continues where
-// it left off with --resume; see EXPERIMENTS.md for the crash-safe sweep
-// flags (--retries, --cell-timeout, --mem-mb).
+// (--jsonl PATH / FL_JSONL). Each cell runs once, under the
+// FULLLOCK_TIMEOUT_S attack timeout. An interrupted or killed sweep
+// continues where it left off with --resume; see EXPERIMENTS.md for the
+// crash-safe sweep flags (--resume, --mem-mb).
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -89,7 +90,7 @@ void print_table(const std::vector<int>& sizes,
 int main(int argc, char** argv) {
   try {
     const fl::runtime::RunnerArgs run_args =
-        fl::runtime::parse_runner_args(argc, argv);
+        fl::bench::grid_runner_args(argc, argv);
     fl::attacks::SweepSpec spec;
     spec.bench = "table2";
     spec.seed = fl::bench::base_seed(7);

@@ -69,8 +69,14 @@ void print_table(const std::vector<std::string>& names,
   for (std::size_t ci = 0; ci < names.size(); ++ci) {
     std::vector<std::string> cells{names[ci]};
     for (std::size_t col = 0; col < columns().size(); ++col) {
-      const fl::attacks::SweepCell& cell =
-          sweep.cells[ci * columns().size() + col];
+      const std::size_t i = ci * columns().size() + col;
+      const fl::runtime::CellOutcome::Status status =
+          sweep.report.cells[i].status;
+      if (status != fl::runtime::CellOutcome::Status::kOk) {
+        cells.push_back(fl::runtime::to_string(status));
+        continue;
+      }
+      const fl::attacks::SweepCell& cell = sweep.cells[i];
       const bool timed_out =
           cell.run.result.status != fl::attacks::AttackStatus::kSuccess;
       std::string text =
@@ -90,7 +96,7 @@ void print_table(const std::vector<std::string>& names,
 int main(int argc, char** argv) {
   try {
     const fl::runtime::RunnerArgs run_args =
-        fl::runtime::parse_runner_args(argc, argv);
+        fl::bench::grid_runner_args(argc, argv);
     fl::attacks::SweepSpec spec;
     spec.bench = "table4";
     spec.seed = fl::bench::base_seed(11);

@@ -3,7 +3,7 @@
 //
 //   $ ./example_design_space [circuit] [timeout_s]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "attacks/oracle.h"
@@ -12,12 +12,19 @@
 #include "core/verify.h"
 #include "netlist/profiles.h"
 #include "ppa/estimator.h"
+#include "runtime/runner.h"
 
 using namespace fl;
 
 int main(int argc, char** argv) {
   const std::string circuit = argc > 1 ? argv[1] : "c880";
-  const double timeout = argc > 2 ? std::atof(argv[2]) : 5.0;
+  double timeout = 5.0;
+  try {
+    if (argc > 2) timeout = runtime::parse_seconds_flag("timeout_s", argv[2]);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "design_space: %s\n", e.what());
+    return 2;
+  }
   const netlist::Netlist original = netlist::make_circuit(circuit, 1);
   const ppa::PpaReport base = ppa::estimate_ppa(original);
   std::printf("host: %s, area %.1f um2, delay %.3f ns, timeout %.1f s\n\n",

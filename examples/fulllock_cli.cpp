@@ -46,28 +46,29 @@
 //            size (1 = serial reference loop); --jsonl PATH / FL_JSONL
 //            durably records one JSON object per cell, as a serve sweep
 //            does; --resume continues an interrupted sweep, skipping cells
-//            already in the file; --retries/--cell-timeout/--mem-mb bound
-//            per-cell failures (see EXPERIMENTS.md). FULLLOCK_SEED /
+//            already in the file; --mem-mb bounds each cell's solver memory
+//            (see EXPERIMENTS.md). Each cell runs once: one that throws gets
+//            a failure record and exits the sweep 1, also on --resume.
+//            FULLLOCK_TIMEOUT_S is the per-attack timeout; FULLLOCK_SEED /
 //            FULLLOCK_SWEEP_SEEDS set the base seed and per-size replica
 //            count; a cell's lock seed hashes (base, size, replica).
 //   report:  example_fulllock_cli report <netlist.bench>
 //            Prints structural statistics and the PPA estimate.
 //   serve:   example_fulllock_cli serve <socket> [--state FILE] [--workers N]
 //                                       [--max-queue N] [--job-timeout S]
-//                                       [--retries N] [--backoff S]
 //                                       [--stall-grace S]
 //            Runs the attack-service daemon on an AF_UNIX socket: clients
-//            submit lock/attack/sweep jobs over a line-JSON protocol,
-//            --state FILE makes accepted jobs crash-recoverable (a restarted
-//            daemon replays unfinished jobs, sweeps resume from their JSONL
-//            checkpoint). SIGINT/SIGTERM drains gracefully and exits
-//            128+signo.
+//            submit lock/attack/sweep jobs over a line-JSON protocol, and
+//            each job runs once. --state FILE makes accepted jobs
+//            crash-recoverable (a restarted daemon replays unfinished jobs,
+//            sweeps resume from their JSONL checkpoint). SIGINT/SIGTERM
+//            drains gracefully and exits 128+signo.
 //   submit:  example_fulllock_cli submit <socket> lock|attack|sweep ... |
 //                                        status [ID] | cancel <ID> | shutdown
 //            Client for a running daemon. lock/sweep take --scheme NAME and
 //            --opt K=V,...; value flags also take --flag=VALUE. A usage
 //            error exits 2 before the socket is touched. Streams the job's
-//            event records (accepted/started/trace/cell/retry/terminal) to
+//            event records (accepted/started/trace/cell/terminal) to
 //            stdout and maps the outcome to an exit code: 0 done, 1 failed,
 //            2 usage, 3 rejected (overloaded/draining), 4 cancelled/
 //            interrupted, 5 connection lost.
@@ -363,8 +364,7 @@ int cmd_sweep(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     std::fprintf(stderr,
                  "usage: sweep <in.bench> [sizes...] (--scheme LIST, "
                  "--opt K=V, --attack NAME, --jobs N, --jsonl PATH, "
-                 "--resume, --retries N, --cell-timeout S, --mem-mb M, "
-                 "--trace PATH)\n");
+                 "--resume, --mem-mb M, --trace PATH)\n");
     return 2;
   }
   std::string bench_path;
@@ -475,7 +475,7 @@ int cmd_serve(int argc, char** argv) {
     std::fprintf(stderr,
                  "serve: %s\nusage: serve <socket> [--state FILE] "
                  "[--workers N] [--max-queue N] [--job-timeout S] "
-                 "[--retries N] [--backoff S] [--stall-grace S]\n",
+                 "[--stall-grace S]\n",
                  e.what());
     return 2;
   }
@@ -507,9 +507,6 @@ std::optional<serve::JobSpec> parse_job_spec(const std::string& op, int argc,
           runtime::parse_int_flag("--priority", *v, -1000, 1000));
     } else if (auto v = flag_value("--job-timeout", argc, argv, i)) {
       spec.timeout_s = runtime::parse_seconds_flag("--job-timeout", *v);
-    } else if (auto v = flag_value("--retries", argc, argv, i)) {
-      spec.retries = static_cast<int>(
-          runtime::parse_int_flag("--retries", *v, 0, 1000000));
     } else if (auto v = flag_value("--mem-mb", argc, argv, i)) {
       spec.memory_limit_mb = static_cast<std::size_t>(
           runtime::parse_int_flag("--mem-mb", *v, 0, 1LL << 40));
@@ -581,7 +578,7 @@ int cmd_submit(int argc, char** argv) {
         "        [--attack NAME] [--attack-timeout S]\n"
         "  status [ID] | cancel <ID> | shutdown\n"
         "job flags (lock/attack/sweep): --priority P, --job-timeout S,\n"
-        "  --retries N, --mem-mb M, --detach\n"
+        "  --mem-mb M, --detach\n"
         "exit codes: 0 done, 1 failed, 2 usage, 3 rejected, "
         "4 cancelled/interrupted, 5 connection lost\n");
     return serve::ClientExit::kUsage;
@@ -629,14 +626,14 @@ int main(int argc, char** argv) {
   try {
     const std::string cmd = argc > 1 ? argv[1] : "";
     // serve/submit own their flag namespace (--jsonl names the job's
-    // checkpoint, --retries the job budget, ...): stripping the shared
+    // checkpoint, --mem-mb the job's budget, ...): stripping the shared
     // runner flags here would eat them before the subcommand parses them.
     if (cmd == "serve") return cmd_serve(argc, argv);
     if (cmd == "submit") return cmd_submit(argc, argv);
-    // Strips the shared runner flags (--jobs/--jsonl/--resume/--retries/
-    // --cell-timeout/--mem-mb/--trace and their FL_* envs); attack and
-    // sweep consume them, the single-shot subcommands ignore them. A bad
-    // value is a usage error like any other flag's.
+    // Strips the shared runner flags (--jobs/--jsonl/--resume/--mem-mb/
+    // --trace and their FL_* envs); attack and sweep consume them, the
+    // single-shot subcommands ignore them. A bad value is a usage error
+    // like any other flag's.
     runtime::RunnerArgs run_args;
     try {
       run_args = runtime::parse_runner_args(argc, argv);

@@ -156,9 +156,9 @@ struct AttackOptions {
   // Absolute wall deadline imposed by an enclosing job budget (the serve
   // daemon's per-job watchdog): BudgetGuard stops the attack with kTimeout
   // when it passes, whichever of it and timeout_s comes first. Unlike
-  // timeout_s — which restarts from Clock::now() on every attempt — this is
-  // a fixed point in time, so retries of a failed job share one budget
-  // instead of resetting it.
+  // timeout_s — which starts from Clock::now() at every attack — this is a
+  // fixed point in time, so the cells of a sweep job share the job's one
+  // budget instead of each starting its own.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   // Cooperative cancellation (e.g. fl::runtime::CancelToken::flag()).
   // Polled inside every solve; a cancelled attack reports kInterrupted. The

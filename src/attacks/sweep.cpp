@@ -86,7 +86,7 @@ SweepResult run_sweep(
         cell.cyclic = locked.netlist.is_cyclic();
         const Oracle oracle(original);
         AttackOptions attack;
-        attack.timeout_s = ctx.effective_timeout(spec.timeout_s);
+        attack.timeout_s = spec.timeout_s;
         attack.deadline = spec.deadline;
         attack.interrupt = ctx.interrupt;
         attack.memory_limit_mb = args.memory_limit_mb;

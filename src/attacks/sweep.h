@@ -3,8 +3,8 @@
 // the paper's Table 2 and Table 4 drivers.
 //
 // Every cell locks its host with one registry scheme at the cell's sizes,
-// parameters and seed, builds the oracle, runs attacks::run under the
-// cell's timeout, the sweep's interrupt, the job deadline and the memory
+// parameters and seed, builds the oracle, runs attacks::run once under the
+// sweep's attack timeout, its interrupt, the job deadline and the memory
 // budget, and writes one record:
 //
 //   cell, bench, circuit, <the cell's coords>, seed, key_bits, cyclic,
@@ -16,10 +16,9 @@
 // circuits × PLR columns.
 //
 // The list runs inside a runtime::SweepSession, so the JSONL checkpoint,
-// --resume, retries, cell budgets, fault injection and signals behave as in
-// every other sweep driver. A cell whose attack was interrupted writes no
-// record (--resume re-runs it); a cell that threw on every attempt gets the
-// session's failure record.
+// --resume, fault injection and signals behave as in every other sweep
+// driver. A cell whose attack was interrupted writes no record (--resume
+// re-runs it); a cell that threw gets the session's failure record.
 #pragma once
 
 #include <chrono>
@@ -81,9 +80,9 @@ struct SweepResult {
 };
 
 // Runs `cells` on `hosts`; callers run validate_sweep first. `args`
-// carries the runner flags: jobs, the JSONL checkpoint, --resume, retries,
-// the cell budget, the memory budget and the --trace file, whose records
-// are stamped with their cell index. `on_record` receives each cell's
+// carries the runner flags: jobs, the JSONL checkpoint, --resume, the
+// memory budget and the --trace file, whose records are stamped with their
+// cell index. `on_record` receives each cell's
 // record, on the cell's worker, once the cell has handed it to the
 // checkpoint. Throws std::invalid_argument if a cell names no host.
 SweepResult run_sweep(

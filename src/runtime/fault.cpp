@@ -148,16 +148,14 @@ void FaultInjector::raise(const FaultSpec& spec, const std::string& where,
   }
 }
 
-void FaultInjector::inject(const CellContext& ctx) const {
+void FaultInjector::inject_cell(std::size_t index) const {
   for (const FaultSpec& spec : specs_) {
     if (spec.selector != FaultSpec::Selector::kCell) continue;
-    if (spec.index != ctx.index || ctx.attempt >= spec.count) continue;
-    raise(spec,
-          "cell " + std::to_string(ctx.index) + " attempt " +
-              std::to_string(ctx.attempt),
-          // kStall burns the cell's own wall budget; a cell with no budget
-          // at all throws immediately instead of hanging the sweep.
-          [&ctx] { return ctx.expired() || ctx.timeout_s <= 0.0; });
+    if (index < spec.index ||
+        index >= spec.index + static_cast<std::size_t>(spec.count)) {
+      continue;
+    }
+    raise(spec, "cell " + std::to_string(index), nullptr);
   }
 }
 

@@ -4,36 +4,36 @@
 // Faults are configured either programmatically (tests build a FaultInjector
 // and hand it to GridConfig::faults) or via the FL_FAULT environment
 // variable, which the global() injector parses once at first use. Three
-// selectors exist:
+// selectors exist, and each fires on the numbers in [<n>, <n> + <count>)
+// (count defaults to 1):
 //
-//   cell:<idx>:<kind>[:<count>]   fires at the top of grid-cell attempts
+//   cell:<idx>:<kind>[:<count>]   fires before grid cells, by grid index
 //   write:<seq>:<kind>[:<count>]  fires on durable JSONL syncs, by global
 //                                 0-based sync sequence number
 //   site:<name>:<kind>[:<count>]  fires at a named code site, by per-site
 //                                 0-based hit number (serve daemon paths)
 //
-//   FL_FAULT="cell:7:throw"          cell 7 throws on its first attempt
-//   FL_FAULT="cell:3:stall"          cell 3 spins until its budget expires
+//   FL_FAULT="cell:7:throw"          cell 7 throws
+//   FL_FAULT="cell:3:stall"          cell 3 stalls briefly, then throws
 //   FL_FAULT="cell:0:oom"            cell 0 throws std::bad_alloc
 //   FL_FAULT="cell:5:exit"           cell 5 kills the whole process
 //                                    (std::_Exit(137), simulating an
 //                                    OOM-kill — the resume smoke test)
-//   FL_FAULT="cell:2:throw:3"        fires while attempt < 3 (so a --retries
-//                                    budget of >= 3 eventually succeeds)
+//   FL_FAULT="cell:2:throw:3"        cells 2, 3 and 4 throw
 //   FL_FAULT="write:2:ewrite"        the 3rd JsonlWriter sync fails the way
 //                                    a full disk would (simulated ENOSPC)
 //   FL_FAULT="write:0:ewrite:1000"   every sync fails — nothing durable
 //   FL_FAULT="site:serve.stream:drop"      the daemon's first client-stream
 //                                          write drops the connection
-//   FL_FAULT="site:serve.job:exit"         the first serve job attempt kills
-//                                          the worker (and thus the daemon)
+//   FL_FAULT="site:serve.job:exit"         the first serve job kills the
+//                                          worker (and thus the daemon)
 //   FL_FAULT="site:serve.drain:stall"      shutdown drain stalls once before
 //                                          completing
 //   FL_FAULT="cell:1:throw,cell:4:oom"     comma/semicolon-separated list
 //
-// Injection is a pure function of (selector, index-or-hit-count, attempt):
-// the same spec always fails the same cells/syncs/sites, which is what lets
-// the crash/resume integration tests assert byte-identical output.
+// Injection is a pure function of (selector, index-or-hit-count): the same
+// spec always fails the same cells/syncs/sites, which is what lets the
+// crash/resume integration tests assert byte-identical output.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +46,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
-
-#include "runtime/runner.h"
 
 namespace fl::runtime {
 
@@ -90,13 +88,13 @@ class ConnectionDropped : public std::runtime_error {
 struct FaultSpec {
   enum class Selector : std::uint8_t { kCell, kWrite, kSite };
   Selector selector = Selector::kCell;
-  // kCell: grid index. kWrite: first failing global sync sequence number.
-  // kSite: first failing hit of `site`.
+  // kCell: first failing grid index. kWrite: first failing global sync
+  // sequence number. kSite: first failing hit of `site`.
   std::size_t index = 0;
   std::string site;  // kSite only
   FaultKind kind = FaultKind::kThrow;
-  // kCell: fire while attempt < count. kWrite/kSite: fire while the
-  // sequence/hit number is in [index, index + count).
+  // Fire while the cell index / sequence / hit number is in
+  // [index, index + count).
   int count = 1;
 
   // Named builders mirroring the FL_FAULT selector syntax, for tests that
@@ -125,9 +123,10 @@ class FaultInjector {
   void add(FaultSpec spec) { specs_.push_back(std::move(spec)); }
   bool empty() const { return specs_.empty(); }
 
-  // Called at the top of every cell attempt; raises the configured fault
-  // for (ctx.index, ctx.attempt), or returns normally.
-  void inject(const CellContext& ctx) const;
+  // Called before every grid cell; raises the configured fault when a
+  // `cell` spec covers `index`, or returns normally. kStall stalls for the
+  // injector's fixed short interval, then throws.
+  void inject_cell(std::size_t index) const;
 
   // Called by JsonlWriter before each durable sync with the global 0-based
   // sync sequence number; raises WriteFault (kEWrite) or the configured

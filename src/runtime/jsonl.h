@@ -184,12 +184,13 @@ struct ResumeState {
   std::vector<bool> completed;     // by grid index; true = skip on resume
   std::size_t num_completed = 0;   // popcount of `completed`
   std::size_t num_failed = 0;      // completed cells whose record is a
-                                   // structured failure record
+                                   // structured failure record (they keep
+                                   // the resumed sweep's exit code at 1)
 };
 
 // Parses `path` and marks every grid index that already has a record (a
 // `"cell":i` field). Failure records count as completed — a cell that
-// exhausted its retries is a terminal outcome, not a hole. Validates the
+// threw is a terminal outcome, not a hole. Validates the
 // run-manifest header when present: `bench`, `grid_cells` and `base_seed`
 // must match, or the scan throws std::runtime_error (resuming a different
 // sweep onto this file would corrupt it, and one under another base seed

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -30,54 +29,35 @@ bool env_flag(const char* name) {
   return !v.empty() && v != "0" && v != "false" && v != "no";
 }
 
-// Each retry multiplies the cell's wall budget by this.
-constexpr double kRetryBackoff = 2.0;
-
-// Runs one cell to a terminal outcome: bounded retries with budget
-// escalation, fault injection at every attempt, cancellation taking
-// precedence over failure (an interrupted solve often surfaces as an
-// exception — it must not be recorded as a failed cell, or --resume would
-// wrongly consider it done).
+// Runs one cell to a terminal outcome: fault injection first, then fn, with
+// cancellation taking precedence over failure (an interrupted solve often
+// surfaces as an exception — it must not be recorded as a failed cell, or
+// --resume would wrongly consider it done).
 CellOutcome run_one_cell(const GridConfig& config, const FaultInjector& faults,
                          const std::function<void(const CellContext&)>& fn,
                          std::size_t index) {
   CellOutcome outcome;
-  const int max_attempts = std::max(0, config.retries) + 1;
-  double budget = config.cell_timeout_s;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      outcome.status = CellOutcome::Status::kCancelled;
-      return outcome;
-    }
-    CellContext ctx;
-    ctx.index = index;
-    ctx.attempt = attempt;
-    ctx.timeout_s = budget;
-    ctx.start = std::chrono::steady_clock::now();
-    ctx.interrupt = config.cancel != nullptr ? config.cancel->flag() : nullptr;
-    ++outcome.attempts;
-    try {
-      faults.inject(ctx);
-      fn(ctx);
-      outcome.status = CellOutcome::Status::kOk;
-      outcome.error.clear();
-      outcome.exception = nullptr;
-      return outcome;
-    } catch (const std::exception& e) {
-      outcome.status = CellOutcome::Status::kFailed;
-      outcome.error = e.what();
-      outcome.exception = std::current_exception();
-    } catch (...) {
-      outcome.status = CellOutcome::Status::kFailed;
-      outcome.error = "unknown exception";
-      outcome.exception = std::current_exception();
-    }
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      outcome.status = CellOutcome::Status::kCancelled;
-      return outcome;
-    }
-    if (budget > 0.0) budget *= kRetryBackoff;
+  const auto cancelled = [&] {
+    return config.cancel != nullptr && config.cancel->cancelled();
+  };
+  if (cancelled()) {
+    outcome.status = CellOutcome::Status::kCancelled;
+    return outcome;
   }
+  CellContext ctx;
+  ctx.index = index;
+  ctx.interrupt = config.cancel != nullptr ? config.cancel->flag() : nullptr;
+  try {
+    faults.inject_cell(index);
+    fn(ctx);
+    return outcome;
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  } catch (...) {
+    outcome.error = "unknown exception";
+  }
+  outcome.status = cancelled() ? CellOutcome::Status::kCancelled
+                               : CellOutcome::Status::kFailed;
   return outcome;
 }
 
@@ -139,12 +119,6 @@ RunnerArgs parse_runner_args(int& argc, char** argv) {
   if (const char* env = std::getenv("FL_JSONL"); env != nullptr) {
     args.jsonl_path = env;
   }
-  if (const char* env = std::getenv("FL_RETRIES"); env != nullptr) {
-    args.retries = static_cast<int>(parse_int_flag("FL_RETRIES", env, 0, 1000000));
-  }
-  if (const char* env = std::getenv("FL_CELL_TIMEOUT_S"); env != nullptr) {
-    args.cell_timeout_s = parse_seconds_flag("FL_CELL_TIMEOUT_S", env);
-  }
   if (const char* env = std::getenv("FL_MEM_MB"); env != nullptr) {
     args.memory_limit_mb =
         static_cast<std::size_t>(parse_int_flag("FL_MEM_MB", env, 0));
@@ -162,11 +136,6 @@ RunnerArgs parse_runner_args(int& argc, char** argv) {
           static_cast<int>(parse_int_flag("--jobs", *v, 0, 1 << 20));
     } else if (auto v = flag_value("--jsonl", argc, argv, i)) {
       args.jsonl_path = *v;
-    } else if (auto v = flag_value("--retries", argc, argv, i)) {
-      args.retries =
-          static_cast<int>(parse_int_flag("--retries", *v, 0, 1000000));
-    } else if (auto v = flag_value("--cell-timeout", argc, argv, i)) {
-      args.cell_timeout_s = parse_seconds_flag("--cell-timeout", *v);
     } else if (auto v = flag_value("--mem-mb", argc, argv, i)) {
       args.memory_limit_mb =
           static_cast<std::size_t>(parse_int_flag("--mem-mb", *v, 0));
@@ -179,21 +148,6 @@ RunnerArgs parse_runner_args(int& argc, char** argv) {
   argc = out;
   args.jobs = resolve_jobs(requested_jobs);
   return args;
-}
-
-bool CellContext::expired() const {
-  if (interrupt != nullptr && interrupt->load(std::memory_order_relaxed)) {
-    return true;
-  }
-  if (timeout_s <= 0.0) return false;
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double>(elapsed).count() >= timeout_s;
-}
-
-double CellContext::effective_timeout(double fallback) const {
-  if (timeout_s <= 0.0) return fallback;
-  if (fallback <= 0.0) return timeout_s;
-  return std::min(timeout_s, fallback);
 }
 
 const char* to_string(CellOutcome::Status status) {
@@ -213,24 +167,13 @@ GridReport run_grid(std::size_t n, const GridConfig& config,
   const FaultInjector& faults =
       config.faults != nullptr ? *config.faults : FaultInjector::global();
 
-  std::mutex mu;  // guards first_error (outcome slots are disjoint)
-  const auto record = [&](std::size_t i, CellOutcome outcome) {
-    if (outcome.status == CellOutcome::Status::kFailed &&
-        outcome.exception != nullptr) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!report.first_error) report.first_error = outcome.exception;
-    }
-    report.cells[i] = std::move(outcome);
-  };
-
+  // Outcome slots are disjoint: each worker writes only its own cell's.
   const auto run_one = [&](std::size_t i) {
     if (i < config.completed.size() && config.completed[i]) {
-      CellOutcome skipped;
-      skipped.status = CellOutcome::Status::kSkipped;
-      record(i, std::move(skipped));
+      report.cells[i].status = CellOutcome::Status::kSkipped;
       return;
     }
-    record(i, run_one_cell(config, faults, fn, i));
+    report.cells[i] = run_one_cell(config, faults, fn, i);
   };
 
   if (config.jobs <= 1 || n <= 1) {

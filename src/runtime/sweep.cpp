@@ -46,8 +46,6 @@ SweepSession::~SweepSession() = default;
 GridConfig SweepSession::grid_config() const {
   GridConfig config;
   config.jobs = args_.jobs;
-  config.retries = args_.retries;
-  config.cell_timeout_s = args_.cell_timeout_s;
   config.cancel = &cancel();
   config.completed = resume_.completed;
   config.faults = options_.faults;
@@ -80,12 +78,10 @@ int SweepSession::finish(
     const CellOutcome& cell = report.cells[i];
     if (cell.status != CellOutcome::Status::kFailed) continue;
     JsonObject o = record_base(i);
-    o.field("status", "failed")
-        .field("reason", cell.error)
-        .field("attempt", cell.attempts);
+    o.field("status", "failed").field("reason", cell.error);
     sink_write(i, o.str());
-    std::fprintf(stderr, "%s: cell %zu failed after %d attempt(s): %s\n",
-                 bench_.c_str(), i, cell.attempts, cell.error.c_str());
+    std::fprintf(stderr, "%s: cell %zu failed: %s\n", bench_.c_str(), i,
+                 cell.error.c_str());
   }
   if (sink_ && !sink_broken) {
     try {
@@ -98,17 +94,20 @@ int SweepSession::finish(
   }
 
   std::fprintf(stderr,
-               "%s: %zu ok, %zu failed, %zu resumed, %zu cancelled of %zu "
-               "cells%s\n",
+               "%s: %zu ok, %zu failed, %zu resumed (%zu failed), %zu "
+               "cancelled of %zu cells%s\n",
                bench_.c_str(), report.ok, report.failed, report.skipped,
-               report.cancelled_cells, report.cells.size(),
+               resume_.num_failed, report.cancelled_cells, report.cells.size(),
                report.cancelled ? " (interrupted — rerun with --resume)" : "");
 
   if (report.cancelled) {
     const int signo = ScopedSignalHandler::last_signal();
     return 128 + (signo > 0 ? signo : SIGINT);
   }
-  return (report.failed > 0 || sink_broken) ? 1 : 0;
+  // A failure record the resumed file already held is as final as one
+  // written now: resuming must not turn a failed sweep into a clean one.
+  const bool failed = report.failed > 0 || resume_.num_failed > 0;
+  return (failed || sink_broken) ? 1 : 0;
 }
 
 }  // namespace fl::runtime

@@ -8,8 +8,9 @@
 //   - --resume: scan the existing file, mark completed cells, skip them,
 //   - SIGINT/SIGTERM → CancelToken so in-flight solves stop and the file
 //     stays resumable,
-//   - structured failure records for cells that exhausted their retries,
-//   - the process exit code (0 / 1 on failures / 128+signo on interrupt).
+//   - structured failure records for cells that threw,
+//   - the process exit code (0 / 1 on failures, including failure records
+//     the resumed file already held / 128+signo on interrupt).
 //
 // A driver opens the session on its grid, runs run_grid(n,
 // session.grid_config(), cell), writes each cell's record through
@@ -21,7 +22,8 @@
 //
 // Interrupted cells write no record (note_interrupted unblocks the in-order
 // sink), so --resume re-runs them; failed cells get a failure record
-// ("status":"failed") and are NOT re-run — a terminal outcome, not a hole.
+// ("status":"failed") and are NOT re-run — a terminal outcome, not a hole,
+// and one that keeps failing the sweep's exit code on every --resume.
 #pragma once
 
 #include <cstdint>
@@ -76,23 +78,24 @@ class SweepSession {
   // Cells already completed in the resumed file (0 on fresh runs).
   std::size_t num_resumed() const { return resume_.num_completed; }
 
-  // Grid execution config wired to this session: jobs/retries/cell budget
-  // from the runner args, the signal-backed cancel token, and the resume
-  // mask. Pass to run_grid(n, config, fn).
+  // Grid execution config wired to this session: jobs from the runner args,
+  // the signal-backed cancel token, and the resume mask. Pass to
+  // run_grid(n, config, fn).
   GridConfig grid_config() const;
 
   // A cell observed cancellation and wrote no record: unblocks the in-order
   // sink so records of later cells are not held back.
   void note_interrupted(std::size_t index);
 
-  // Writes a structured failure record ("status":"failed", "reason",
-  // "attempt") for every kFailed cell — `record_base(i)` supplies the
-  // deterministic coordinate fields, starting with "cell" — prints a
-  // one-line outcome summary, drains + syncs the sink, and returns the
-  // process exit code: 128+signo when interrupted, 1 when any cell failed,
-  // 0 otherwise. A checkpoint write/fsync failure here (ENOSPC mid-drain)
-  // is reported on stderr and forces exit code 1 — a sweep whose results
-  // never became durable must not exit 0.
+  // Writes a structured failure record ("status":"failed", "reason") for
+  // every kFailed cell — `record_base(i)` supplies the deterministic
+  // coordinate fields, starting with "cell" — prints a one-line outcome
+  // summary, drains + syncs the sink, and returns the process exit code:
+  // 128+signo when interrupted, 1 when any cell failed in this run or the
+  // resumed file holds a failure record, 0 otherwise. A checkpoint
+  // write/fsync failure here (ENOSPC mid-drain) is reported on stderr and
+  // forces exit code 1 — a sweep whose results never became durable must
+  // not exit 0.
   int finish(const GridReport& report,
              const std::function<JsonObject(std::size_t)>& record_base);
 

@@ -25,11 +25,6 @@ ServeArgs parse_serve_args(int argc, char** argv, int first) {
           runtime::parse_int_flag("--max-queue", *v, 1, 1 << 20));
     } else if (auto v = flag_value("--job-timeout", argc, argv, i)) {
       args.job_timeout_s = runtime::parse_seconds_flag("--job-timeout", *v);
-    } else if (auto v = flag_value("--retries", argc, argv, i)) {
-      args.retries = static_cast<int>(
-          runtime::parse_int_flag("--retries", *v, 0, 1000000));
-    } else if (auto v = flag_value("--backoff", argc, argv, i)) {
-      args.backoff_s = runtime::parse_seconds_flag("--backoff", *v);
     } else if (auto v = flag_value("--stall-grace", argc, argv, i)) {
       args.stall_grace_s = runtime::parse_seconds_flag("--stall-grace", *v);
       if (args.stall_grace_s <= 0.0) {
@@ -44,7 +39,7 @@ ServeArgs parse_serve_args(int argc, char** argv, int first) {
       throw std::invalid_argument(
           "unknown serve argument '" + std::string(arg) +
           "' (expected <socket> [--state FILE] [--workers N] [--max-queue N] "
-          "[--job-timeout S] [--retries N] [--backoff S] [--stall-grace S])");
+          "[--job-timeout S] [--stall-grace S])");
     }
   }
   if (args.socket_path.empty()) {
@@ -89,7 +84,6 @@ void Daemon::start() {
   config.workers = args_.workers;
   config.max_queue = args_.max_queue;
   config.default_job_timeout_s = args_.job_timeout_s;
-  config.backoff_base_s = args_.backoff_s;
   config.stall_grace_s = args_.stall_grace_s;
   config.faults = faults_override_;
   config.first_id = replay.max_id + 1;
@@ -217,10 +211,7 @@ Daemon::Submission Daemon::submit_job(JobSpec spec,
       // cannot commit one anymore must make the eventual exit loud.
       try {
         const auto reason = runtime::json_string_field(event.line, "reason");
-        const auto attempts = runtime::json_int_field(event.line, "attempts");
-        journal_->record_terminal(event.id, event.state,
-                                  reason.value_or(""),
-                                  static_cast<int>(attempts.value_or(0)));
+        journal_->record_terminal(event.id, event.state, reason.value_or(""));
       } catch (const std::exception& e) {
         journal_broken_.store(true, std::memory_order_relaxed);
         std::fprintf(stderr,
@@ -241,7 +232,7 @@ Daemon::Submission Daemon::submit_job(JobSpec spec,
     if (journal_.has_value() && forced_id == 0) {
       try {
         journal_->record_terminal(id, JobState::kCancelled,
-                                  "rejected: " + reject, 0);
+                                  "rejected: " + reject);
       } catch (const std::exception& e) {
         journal_broken_.store(true, std::memory_order_relaxed);
         std::fprintf(stderr, "[serve] FAILED to journal rejection of job "
@@ -295,8 +286,7 @@ void Daemon::handle_line(const std::shared_ptr<ClientConn>& conn,
               .field("id", info->id)
               .field("state", to_string(info->state))
               .field("kind", to_string(info->kind))
-              .field("priority", info->priority)
-              .field("attempts", info->attempts);
+              .field("priority", info->priority);
           if (!info->reason.empty()) o.field("reason", info->reason);
         } else {
           o.field("event", "error")
@@ -312,8 +302,7 @@ void Daemon::handle_line(const std::shared_ptr<ClientConn>& conn,
             .field("id", info.id)
             .field("state", to_string(info.state))
             .field("kind", to_string(info.kind))
-            .field("priority", info.priority)
-            .field("attempts", info.attempts);
+            .field("priority", info.priority);
         if (!info.reason.empty()) o.field("reason", info.reason);
         if (!conn->send_line(o.str())) return;
       }

@@ -1,9 +1,9 @@
 // The `fulllock serve` daemon: accepts lock/attack/sweep jobs over a
 // line-delimited JSON protocol on an AF_UNIX socket, schedules them on the
-// shared thread pool with per-job priorities and budgets, streams trace
-// events back to submitting clients, and survives every failure mode short
-// of SIGKILL — which the durable job journal turns into a restart-and-
-// resume instead of lost work.
+// shared thread pool with per-job priorities and budgets, runs each once,
+// streams trace events back to submitting clients, and survives every
+// failure mode short of SIGKILL — which the durable job journal turns into
+// a restart-and-resume instead of lost work.
 //
 // Composition (one object per concern, each individually testable):
 //   UnixListener + ClientConn  (session.h)  socket plumbing
@@ -49,8 +49,6 @@ struct ServeArgs {
   int workers = 1;               // --workers
   std::size_t max_queue = 16;    // --max-queue (admission bound)
   double job_timeout_s = 0.0;    // --job-timeout (default per-job wall, 0 = unlimited)
-  int retries = 0;               // --retries (default job retry budget)
-  double backoff_s = 0.25;       // --backoff (retry backoff base)
   double stall_grace_s = 2.0;    // --stall-grace (watchdog escalation)
 };
 

@@ -109,9 +109,7 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
   runtime::RunnerArgs run_args;
   run_args.jobs = 1;
   run_args.jsonl_path = spec.jsonl_path;
-  // A scheduler-level retry must continue the checkpoint the failed attempt
-  // left behind, not truncate it — cells already durable stay done.
-  run_args.resume = spec.resume || ctx.attempt > 0;
+  run_args.resume = spec.resume;
   run_args.memory_limit_mb = spec.memory_limit_mb;
 
   // The daemon owns the signals, so the job's cancel token stops the grid.
@@ -133,11 +131,13 @@ JobResult run_sweep_job(const JobSpec& spec, JobContext& ctx) {
     result.interrupted = true;
     return result;
   }
+  // A failure record the resumed checkpoint already held fails the job too.
   if (done.exit_code != 0) {
     throw std::runtime_error(
-        "sweep finished with " + std::to_string(done.report.failed) +
-        " failed cell(s) of " + std::to_string(done.cells.size()) +
-        " (checkpoint " + spec.jsonl_path + ")");
+        "sweep finished with failed cells (" +
+        std::to_string(done.report.failed) + " of " +
+        std::to_string(done.cells.size()) + " in this run; checkpoint " +
+        spec.jsonl_path + ")");
   }
   result.fields.field("cells", done.cells.size())
       .field("cells_ok", done.report.ok)

@@ -13,7 +13,7 @@
 namespace fl::serve {
 
 // The production runner handed to Scheduler. Throws propagate to the
-// scheduler's per-job fault isolation (retry/backoff, terminal "failed").
+// scheduler's per-job fault isolation (terminal "failed").
 JobRunner default_job_runner();
 
 }  // namespace fl::serve

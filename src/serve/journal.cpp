@@ -71,14 +71,13 @@ void JobJournal::record_accepted(std::uint64_t id, const JobSpec& spec) {
 }
 
 void JobJournal::record_terminal(std::uint64_t id, JobState state,
-                                 const std::string& reason, int attempts) {
+                                 const std::string& reason) {
   JsonObject o;
   o.field("record", "serve_job")
       .field("event", "terminal")
       .field("id", id)
       .field("state", to_string(state))
-      .field("reason", reason)
-      .field("attempts", attempts);
+      .field("reason", reason);
   std::lock_guard<std::mutex> lock(mu_);
   writer_.stream() << o.str() << '\n';
   writer_.sync();

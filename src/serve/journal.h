@@ -5,7 +5,7 @@
 //
 //   {"record":"serve_job","event":"accepted","id":3,<full job spec>}
 //   {"record":"serve_job","event":"terminal","id":3,"state":"done",
-//    "reason":"","attempts":1}
+//    "reason":""}
 //
 // Invariants:
 //   - "accepted" is written (and fsynced) before the client sees the
@@ -57,7 +57,7 @@ class JobJournal {
   // already happened and is reported to the client regardless).
   void record_accepted(std::uint64_t id, const JobSpec& spec);
   void record_terminal(std::uint64_t id, JobState state,
-                       const std::string& reason, int attempts);
+                       const std::string& reason);
 
  private:
   runtime::JsonlWriter writer_;

@@ -62,7 +62,6 @@ const char* to_string(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";
     case JobState::kRunning: return "running";
-    case JobState::kBackoff: return "backoff";
     case JobState::kDone: return "done";
     case JobState::kFailed: return "failed";
     case JobState::kCancelled: return "cancelled";
@@ -87,7 +86,6 @@ void append_spec_fields(JsonObject& o, const JobSpec& spec) {
   o.field("kind", to_string(spec.kind))
       .field("priority", spec.priority)
       .field("timeout_s", spec.timeout_s)
-      .field("retries", spec.retries)
       .field("memory_limit_mb", spec.memory_limit_mb)
       .field("detach", spec.detach)
       .field("trace", spec.trace);
@@ -116,7 +114,6 @@ JobSpec parse_spec_fields(const std::string& line) {
 
   spec.priority = static_cast<int>(int_in(line, "priority", 0, -1000, 1000));
   spec.timeout_s = seconds_in(line, "timeout_s", 0.0);
-  spec.retries = static_cast<int>(int_in(line, "retries", 0, 0, 1000000));
   spec.memory_limit_mb = static_cast<std::size_t>(
       int_in(line, "memory_limit_mb", 0, 0, 1LL << 40));
   spec.detach = runtime::json_bool_field(line, "detach").value_or(false);

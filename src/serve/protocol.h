@@ -6,7 +6,7 @@
 //
 //   {"op":"submit","kind":"attack","locked_path":"l.bench",
 //    "oracle_path":"o.bench","attack":"sat","attack_timeout_s":10,
-//    "priority":5,"timeout_s":60,"retries":1,"trace":true}
+//    "priority":5,"timeout_s":60,"trace":true}
 //   {"op":"submit","kind":"sweep","bench_path":"c.bench","sizes":[4,8],
 //    "replicas":2,"seed":17,"jsonl_path":"out.jsonl","resume":true}
 //   {"op":"submit","kind":"lock","bench_path":"c.bench",
@@ -24,10 +24,9 @@
 //   {"event":"rejected","reason":"overloaded"}     admission backpressure
 //   {"event":"rejected","reason":"draining"}       daemon is shutting down
 //   {"event":"error","reason":"..."}               malformed request
-//   {"event":"started","id":3,"attempt":0}
+//   {"event":"started","id":3}
 //   {"event":"trace","id":3,...}                   per-DIP-iteration record
 //   {"event":"cell","id":3,...}                    per-sweep-cell record
-//   {"event":"retry","id":3,"attempt":1,"reason":"...","backoff_s":0.5}
 //   {"event":"terminal","id":3,"state":"done",...} exactly one per job
 //   {"event":"job","id":3,"state":"running",...}   status answers
 //   {"event":"status","jobs":4,"queued":1,...}     status summary
@@ -37,12 +36,14 @@
 // execution, so a fast job's "started" may reach the client before the
 // "accepted" line. Clients key on event types, not line positions.
 //
-// Terminal states: "done" (ran to an attack/sweep conclusion — including
-// attack-status timeout), "failed" (every attempt threw, the job overran
-// its wall budget, or a cancellation stalled past the watchdog's grace),
-// "cancelled" (explicit cancel op or client disconnect), "interrupted"
-// (daemon drain cut it short — the job journal keeps it pending, so a
-// restarted daemon resumes it from its durable checkpoint).
+// Every job runs once. Terminal states: "done" (ran to an attack/sweep
+// conclusion — including attack-status timeout), "failed" (the job threw —
+// a sweep job does when a cell failed, in this run or in the checkpoint it
+// resumed — overran its wall budget, or a cancellation stalled past the
+// watchdog's grace), "cancelled" (explicit cancel op or client
+// disconnect), "interrupted" (daemon drain cut it short — the job journal
+// keeps it pending, so a restarted daemon resumes it from its durable
+// checkpoint).
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,6 @@ const char* to_string(JobKind kind);
 enum class JobState : std::uint8_t {
   kQueued,
   kRunning,
-  kBackoff,      // between failed attempts, waiting out the retry backoff
   kDone,
   kFailed,
   kCancelled,
@@ -80,9 +80,7 @@ class ProtocolError : public std::runtime_error {
 struct JobSpec {
   JobKind kind = JobKind::kAttack;
   int priority = 0;           // higher runs first among queued jobs
-  double timeout_s = 0.0;     // job wall budget, shared across retries
-                              // (0 = daemon default)
-  int retries = 0;            // job-level retry budget on failure
+  double timeout_s = 0.0;     // job wall budget (0 = daemon default)
   std::size_t memory_limit_mb = 0;
   bool detach = false;        // keep running when the client disconnects
   bool trace = false;         // stream per-iteration trace events
@@ -112,7 +110,9 @@ struct JobSpec {
 // job replays from exactly what the client sent.
 void append_spec_fields(runtime::JsonObject& o, const JobSpec& spec);
 // Parses the spec fields back out of a request/journal line. Missing fields
-// keep their defaults; type mismatches throw ProtocolError.
+// keep their defaults; type mismatches throw ProtocolError. Unknown fields
+// are ignored, so journal records and requests that carry fields a spec no
+// longer has still parse.
 JobSpec parse_spec_fields(const std::string& line);
 // Field/bounds validation (paths present for the kind, sane numeric ranges)
 // plus the scheme check: a lock job's scheme validates the job's own sizes

@@ -1,7 +1,6 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace fl::serve {
@@ -29,7 +28,6 @@ struct Scheduler::Job {
   // All remaining fields are guarded by Scheduler::mu_ except `token`
   // (internally atomic) and the emit bookkeeping below.
   JobState state = JobState::kQueued;
-  int attempts = 0;  // attempts started so far
   std::string reason;
   runtime::CancelToken token;
   bool user_cancel = false;   // explicit cancel op / client disconnect
@@ -109,7 +107,6 @@ bool Scheduler::cancel(std::uint64_t id, const std::string& reason) {
     job->token.request();
     was_queued = job->state == JobState::kQueued;
   }
-  cv_.notify_all();  // wake a backoff wait
   if (was_queued) {
     // No runner is attached to a queued job; terminalize directly.
     // finish_job re-checks the state, so losing the race with a claim that
@@ -125,7 +122,6 @@ JobInfo Scheduler::info_locked(const Job& job) const {
   info.kind = job.spec.kind;
   info.state = job.state;
   info.priority = job.spec.priority;
-  info.attempts = job.attempts;
   info.reason = job.reason;
   return info;
 }
@@ -180,7 +176,6 @@ void Scheduler::drain() {
       }
     }
   }
-  cv_.notify_all();
   for (const auto& job : queued) {
     // Queued jobs were never started: their durable state (if any) is
     // whatever the journal holds, so they stay pending there and resume on
@@ -265,8 +260,7 @@ void Scheduler::finish_job(const std::shared_ptr<Job>& job, JobState state,
   o.field("event", "terminal")
       .field("id", job->id)
       .field("state", to_string(state))
-      .field("kind", to_string(job->spec.kind))
-      .field("attempts", job->attempts);
+      .field("kind", to_string(job->spec.kind));
   if (!reason.empty()) o.field("reason", reason);
   if (result != nullptr) o.merge(result->fields);
   o.field("wall_s", wall_s);
@@ -280,121 +274,66 @@ void Scheduler::finish_job(const std::shared_ptr<Job>& job, JobState state,
 }
 
 void Scheduler::run_job(std::shared_ptr<Job> job) {
-  const int max_attempts = job->spec.retries + 1;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (is_terminal(job->state) || job->abandoned) return;
-      job->state = JobState::kRunning;
-      job->attempts = attempt + 1;
-    }
+  {
+    JsonObject o;
+    o.field("event", "started").field("id", job->id);
+    emit(job, JobEvent{job->id, "started", JobState::kRunning, o.str()});
+  }
 
-    {
+  std::optional<std::string> failure;  // set when the job threw
+  try {
+    // The worker fault site: FL_FAULT="site:serve.job:<kind>" fails the job
+    // (throw/oom), stalls it against the job budget, or kills the whole
+    // process (exit — the daemon crash-recovery test).
+    faults().inject_site("serve.job", [this, &job] {
+      return job->token.cancelled() ||
+             draining_.load(std::memory_order_relaxed) ||
+             !job->deadline.has_value() ||
+             steady_clock::now() >= *job->deadline;
+    });
+
+    JobContext ctx;
+    ctx.id = job->id;
+    ctx.cancel = &job->token;
+    ctx.deadline = job->deadline;
+    ctx.faults = &faults();
+    ctx.emit = [this, job](const char* type, JsonObject payload) {
       JsonObject o;
-      o.field("event", "started").field("id", job->id).field("attempt",
-                                                             attempt);
-      emit(job, JobEvent{job->id, "started", JobState::kRunning, o.str()});
-    }
-
-    // Decides the terminal state once a cancellation (of any origin) has
-    // been observed.
-    const auto cancelled_outcome = [&](const std::string& detail) {
-      if (job->timed_out) {
-        finish_job(job, JobState::kFailed,
-                   "wall budget exceeded" +
-                       (detail.empty() ? "" : " (" + detail + ")"),
-                   nullptr);
-      } else if (job->user_cancel) {
-        finish_job(job, JobState::kCancelled,
-                   job->cancel_reason.empty() ? "cancelled"
-                                              : job->cancel_reason,
-                   nullptr);
-      } else {
-        finish_job(job, JobState::kInterrupted, "daemon draining", nullptr);
-      }
+      o.field("event", type).field("id", job->id);
+      o.merge(payload);
+      emit(job, JobEvent{job->id, type, JobState::kRunning, o.str()});
     };
 
-    std::string failure;
-    try {
-      // The worker fault site: FL_FAULT="site:serve.job:<kind>" fails the
-      // attempt (throw/oom), stalls it against the job budget, or kills the
-      // whole process (exit — the daemon crash-recovery test).
-      faults().inject_site("serve.job", [this, &job] {
-        return job->token.cancelled() ||
-               draining_.load(std::memory_order_relaxed) ||
-               !job->deadline.has_value() ||
-               steady_clock::now() >= *job->deadline;
-      });
-
-      JobContext ctx;
-      ctx.id = job->id;
-      ctx.attempt = attempt;
-      ctx.cancel = &job->token;
-      ctx.deadline = job->deadline;
-      ctx.faults = &faults();
-      ctx.emit = [this, job](const char* type, JsonObject payload) {
-        JsonObject o;
-        o.field("event", type).field("id", job->id);
-        o.merge(payload);
-        emit(job, JobEvent{job->id, type, JobState::kRunning, o.str()});
-      };
-
-      JobResult result = runner_(job->spec, ctx);
-      if (result.interrupted || job->token.cancelled()) {
-        cancelled_outcome("");
-        return;
-      }
+    JobResult result = runner_(job->spec, ctx);
+    if (!result.interrupted && !job->token.cancelled()) {
       finish_job(job, JobState::kDone, "", &result);
       return;
-    } catch (const std::exception& e) {
-      failure = e.what();
-    } catch (...) {
-      failure = "unknown exception";
     }
-
-    // The attempt failed. A pending cancellation wins over retrying.
-    if (job->token.cancelled()) {
-      cancelled_outcome(failure);
-      return;
-    }
-    const bool budget_left =
-        !job->deadline.has_value() || steady_clock::now() < *job->deadline;
-    if (attempt + 1 < max_attempts && budget_left &&
-        !draining_.load(std::memory_order_relaxed)) {
-      const double backoff = std::min(
-          config_.backoff_cap_s,
-          config_.backoff_base_s * std::ldexp(1.0, attempt));
-      {
-        JsonObject o;
-        o.field("event", "retry")
-            .field("id", job->id)
-            .field("attempt", attempt + 1)
-            .field("reason", failure)
-            .field("backoff_s", backoff);
-        emit(job, JobEvent{job->id, "retry", JobState::kBackoff, o.str()});
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      if (is_terminal(job->state) || job->abandoned) return;
-      job->state = JobState::kBackoff;
-      cv_.wait_for(lock, seconds(backoff), [this, &job] {
-        return job->token.cancelled() ||
-               draining_.load(std::memory_order_relaxed) || job->abandoned;
-      });
-      if (is_terminal(job->state) || job->abandoned) return;
-      lock.unlock();
-      if (job->token.cancelled() ||
-          draining_.load(std::memory_order_relaxed)) {
-        cancelled_outcome(failure);
-        return;
-      }
-      continue;
-    }
-    finish_job(job, JobState::kFailed,
-               failure + " (after " + std::to_string(attempt + 1) +
-                   (attempt == 0 ? " attempt)" : " attempts)"),
-               nullptr);
-    return;
+  } catch (const std::exception& e) {
+    failure = e.what();
+  } catch (...) {
+    failure = "unknown exception";
   }
+
+  // A cancellation (of any origin) wins over the failure it may have
+  // caused. Its flags are written under mu_ (cancel, drain, watchdog).
+  JobState state = JobState::kInterrupted;
+  std::string reason = "daemon draining";
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failure.has_value() && !job->token.cancelled()) {
+      state = JobState::kFailed;
+      reason = *failure;
+    } else if (job->timed_out) {
+      state = JobState::kFailed;
+      reason = "wall budget exceeded" +
+               (failure.has_value() ? " (" + *failure + ")" : "");
+    } else if (job->user_cancel) {
+      state = JobState::kCancelled;
+      reason = job->cancel_reason.empty() ? "cancelled" : job->cancel_reason;
+    }
+  }
+  finish_job(job, state, std::move(reason), nullptr);
 }
 
 void Scheduler::watchdog_loop() {
@@ -431,7 +370,6 @@ void Scheduler::watchdog_loop() {
         }
       }
     }
-    if (!stalled.empty()) cv_.notify_all();
     for (const auto& [job, pending_s] : stalled) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.2f", pending_s);

@@ -1,13 +1,13 @@
 // Job scheduler of the serve daemon: a bounded priority queue in front of
-// the PR-1 ThreadPool, with per-job cancellation, wall budgets, bounded
-// retries with exponential backoff, and a watchdog that escalates jobs which
-// ignore cancellation.
+// the shared ThreadPool, with per-job cancellation, wall budgets, and a
+// watchdog that escalates jobs which ignore cancellation. Every job runs
+// once.
 //
 // Fault isolation is the design center: a job that throws, OOMs, or stalls
-// produces a terminal "failed" event (reason + attempt count) and nothing
-// else — the worker thread, the queue, and every other job keep going. The
-// only way a job takes the daemon down is FaultKind::kExit (simulated
-// SIGKILL), which is precisely what the crash-recovery journal is for.
+// produces a terminal "failed" event (with the reason) and nothing else —
+// the worker thread, the queue, and every other job keep going. The only
+// way a job takes the daemon down is FaultKind::kExit (simulated SIGKILL),
+// which is precisely what the crash-recovery journal is for.
 //
 // Scheduling: the ThreadPool's queue stays FIFO; priorities are applied at
 // claim time. submit() enqueues the job in a table and pushes one generic
@@ -54,7 +54,6 @@ namespace fl::serve {
 // don't.
 struct JobContext {
   std::uint64_t id = 0;
-  int attempt = 0;
   const runtime::CancelToken* cancel = nullptr;
   std::optional<std::chrono::steady_clock::time_point> deadline;
   const runtime::FaultInjector* faults = nullptr;
@@ -80,7 +79,7 @@ using JobRunner = std::function<JobResult(const JobSpec&, JobContext&)>;
 // on it (journal terminal records, drop per-client subscriptions).
 struct JobEvent {
   std::uint64_t id = 0;
-  std::string type;   // "started" | "trace" | "cell" | "retry" | "terminal"
+  std::string type;   // "started" | "trace" | "cell" | "terminal"
   JobState state = JobState::kQueued;  // meaningful for "terminal"
   std::string line;   // serialized JSON, no trailing newline
 };
@@ -91,8 +90,6 @@ struct SchedulerConfig {
   std::size_t max_queue = 16;         // queued-but-not-running admission cap
   double default_job_timeout_s = 0.0; // applied when spec.timeout_s == 0
                                       // (0 = unlimited)
-  double backoff_base_s = 0.25;       // retry n waits base * 2^(n-1), capped
-  double backoff_cap_s = 8.0;
   double watchdog_period_s = 0.02;
   double stall_grace_s = 2.0;         // cancelled -> stalled escalation
   const runtime::FaultInjector* faults = nullptr;  // nullptr = global()
@@ -104,13 +101,12 @@ struct JobInfo {
   JobKind kind = JobKind::kAttack;
   JobState state = JobState::kQueued;
   int priority = 0;
-  int attempts = 0;
   std::string reason;
 };
 
 struct SchedulerStats {
   std::size_t queued = 0;
-  std::size_t running = 0;  // includes backoff waits
+  std::size_t running = 0;
   std::size_t done = 0;
   std::size_t failed = 0;
   std::size_t cancelled = 0;
@@ -169,7 +165,7 @@ class Scheduler {
   std::atomic<bool> stop_watchdog_{false};
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  // backoff waits + wait_idle
+  std::condition_variable cv_;  // wait_idle
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::uint64_t next_id_ = 1;
   std::size_t num_queued_ = 0;

@@ -88,7 +88,7 @@ TEST(Resume, KilledSweepResumesByteIdentical) {
   ASSERT_NE(pid, -1);
   if (pid == 0) {
     FaultInjector faults;
-    faults.add(FaultSpec::at_cell(3, FaultKind::kExit, /*count=*/99));
+    faults.add(FaultSpec::at_cell(3, FaultKind::kExit));
     RunnerArgs crash_args;
     crash_args.jsonl_path = crash_path;
     run_mini_sweep(crash_args, &faults);
@@ -128,13 +128,12 @@ TEST(Resume, FailedCellsAreTerminalNotHoles) {
   const std::string path = ::testing::TempDir() + "/fl_failed.jsonl";
   std::remove(path.c_str());
 
-  // Cell 2 fails on every attempt despite one retry: the sweep finishes
-  // with a structured failure record and a nonzero exit code.
+  // Cell 2 throws: the sweep finishes with a structured failure record and
+  // a nonzero exit code.
   FaultInjector faults;
-  faults.add(FaultSpec::at_cell(2, FaultKind::kThrow, /*count=*/99));
+  faults.add(FaultSpec::at_cell(2, FaultKind::kThrow));
   RunnerArgs args;
   args.jsonl_path = path;
-  args.retries = 1;
   EXPECT_EQ(run_mini_sweep(args, &faults), 1);
 
   const std::vector<std::string> lines = lines_of(slurp(path));
@@ -144,7 +143,7 @@ TEST(Resume, FailedCellsAreTerminalNotHoles) {
     if (json_int_field(line, "cell") != 2) continue;
     found_failure = true;
     EXPECT_EQ(json_string_field(line, "status"), "failed");
-    EXPECT_EQ(json_int_field(line, "attempt"), 2);
+    EXPECT_EQ(json_int_field(line, "attempt"), std::nullopt);  // runs once
     const auto reason = json_string_field(line, "reason");
     ASSERT_TRUE(reason.has_value());
     EXPECT_NE(reason->find("fault-injected"), std::string::npos);
@@ -152,12 +151,16 @@ TEST(Resume, FailedCellsAreTerminalNotHoles) {
   EXPECT_TRUE(found_failure);
 
   // A failure record is a terminal outcome: --resume does not re-run the
-  // cell (rerunning would duplicate its record) and the file is unchanged.
+  // cell (rerunning would duplicate its record), the file is unchanged, and
+  // the resumed sweep still exits 1 — the failure is remembered, not
+  // forgotten because it came from the checkpoint.
   const std::string before = slurp(path);
   RunnerArgs resume_args;
   resume_args.jsonl_path = path;
   resume_args.resume = true;
-  EXPECT_EQ(run_mini_sweep(resume_args, &faults), 0);
+  EXPECT_EQ(run_mini_sweep(resume_args, &faults), 1);
+  EXPECT_EQ(slurp(path), before);
+  EXPECT_EQ(run_mini_sweep(resume_args, nullptr), 1);  // no fault needed
   EXPECT_EQ(slurp(path), before);
 
   std::remove(path.c_str());

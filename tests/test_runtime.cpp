@@ -1,6 +1,6 @@
 // Parallel sweep runtime: thread pool, seed derivation, cancellation, JSONL
-// sink ordering, runner arg parsing and validation, fault injection, cell
-// retries, signal handling, and the serial-vs-parallel determinism
+// sink ordering, runner arg parsing and validation, fault injection, per-cell
+// fault isolation, signal handling, and the serial-vs-parallel determinism
 // guarantee (run under TSan in the sanitizer CI job).
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <regex>
 #include <span>
 #include <sstream>
@@ -73,7 +74,7 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   EXPECT_EQ(count.load(), 50);
 }
 
-// A grid on `jobs` workers with no retries, cancellation or resume mask.
+// A grid on `jobs` workers with no cancellation or resume mask.
 GridConfig jobs_config(int jobs) {
   GridConfig config;
   config.jobs = jobs;
@@ -95,21 +96,19 @@ TEST(Runner, SerialAndParallelGridsProduceIdenticalResults) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(Runner, FirstExceptionPropagatesAfterDrain) {
+TEST(Runner, FailingCellIsRecordedAndTheGridDrains) {
   for (const int jobs : {1, 4}) {
-    std::atomic<int> ran{0};
+    std::vector<std::atomic<int>> runs(8);
     const GridReport report =
         run_grid(8, jobs_config(jobs), [&](const CellContext& ctx) {
-          ran.fetch_add(1);
+          runs[ctx.index].fetch_add(1);
           if (ctx.index == 3) throw std::runtime_error("cell 3 failed");
         });
-    EXPECT_EQ(ran.load(), 8) << jobs;  // the grid drains; every cell ran
+    for (const auto& n : runs) EXPECT_EQ(n.load(), 1) << jobs;  // once each
     EXPECT_EQ(report.failed, 1u) << jobs;
     EXPECT_EQ(report.ok, 7u) << jobs;
     EXPECT_EQ(report.cells[3].status, CellOutcome::Status::kFailed) << jobs;
-    EXPECT_THROW(std::rethrow_exception(report.first_error),
-                 std::runtime_error)
-        << jobs;
+    EXPECT_EQ(report.cells[3].error, "cell 3 failed") << jobs;
   }
 }
 
@@ -153,12 +152,14 @@ RunnerArgs parse(std::vector<const char*> raw, int* argc_out = nullptr) {
 }  // namespace
 
 TEST(Runner, ParseRunnerArgsCrashSafetyFlags) {
-  const RunnerArgs args = parse({"--resume", "--retries", "2",
-                                 "--cell-timeout=1.5", "--mem-mb", "256"});
+  int argc = 0;
+  const RunnerArgs args =
+      parse({"--resume", "--retries", "2", "--mem-mb", "256"}, &argc);
   EXPECT_TRUE(args.resume);
-  EXPECT_EQ(args.retries, 2);
-  EXPECT_DOUBLE_EQ(args.cell_timeout_s, 1.5);
   EXPECT_EQ(args.memory_limit_mb, 256u);
+  // Cells run once: --retries is no runner flag, so it is left to the
+  // driver, which rejects it.
+  EXPECT_EQ(argc, 3);
 }
 
 TEST(Runner, ParseRunnerArgsRejectsJunkValues) {
@@ -169,10 +170,6 @@ TEST(Runner, ParseRunnerArgsRejectsJunkValues) {
   EXPECT_THROW(parse({"--jobs", "4x"}), std::invalid_argument);
   EXPECT_THROW(parse({"--jobs="}), std::invalid_argument);
   EXPECT_THROW(parse({"--jobs"}), std::invalid_argument);  // missing value
-  EXPECT_THROW(parse({"--retries", "-1"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--retries", "two"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--cell-timeout", "-3"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--cell-timeout", "fast"}), std::invalid_argument);
   EXPECT_THROW(parse({"--mem-mb", "lots"}), std::invalid_argument);
   // "--jobs 0" is the documented auto value, not junk.
   EXPECT_GE(parse({"--jobs", "0"}).jobs, 1);
@@ -189,28 +186,29 @@ TEST(Runner, ResolveJobsRejectsJunkEnv) {
   EXPECT_GE(resolve_jobs(0), 1);
 }
 
-TEST(Runner, GridConfigIsolatesAndRetriesFailingCells) {
+TEST(Runner, GridConfigIsolatesFailingCells) {
   FaultInjector faults;
-  faults.add(FaultSpec::at_cell(2, FaultKind::kThrow, 1));  // heals itself
-  faults.add(FaultSpec::at_cell(4, FaultKind::kOom, 99));   // terminal
+  faults.add(FaultSpec::at_cell(2, FaultKind::kThrow));
+  faults.add(FaultSpec::at_cell(4, FaultKind::kOom));
+  faults.add(FaultSpec::at_cell(5, FaultKind::kStall));  // bounded, throws
   GridConfig config;
   config.jobs = 1;
-  config.retries = 1;
   config.faults = &faults;
-  std::vector<int> runs(6, 0);
+  std::vector<int> runs(7, 0);
   const GridReport report =
-      run_grid(6, config, [&](const CellContext& ctx) { ++runs[ctx.index]; });
+      run_grid(7, config, [&](const CellContext& ctx) { ++runs[ctx.index]; });
 
-  EXPECT_EQ(report.ok, 5u);
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_EQ(report.cells[2].status, CellOutcome::Status::kOk);
-  EXPECT_EQ(report.cells[2].attempts, 2);  // first attempt absorbed the fault
-  EXPECT_EQ(runs[2], 1);                   // fn itself only ran once
-  EXPECT_EQ(report.cells[4].status, CellOutcome::Status::kFailed);
-  EXPECT_EQ(report.cells[4].attempts, 2);  // retries exhausted
-  EXPECT_EQ(runs[4], 0);
-  EXPECT_NE(report.first_error, nullptr);
-  EXPECT_THROW(std::rethrow_exception(report.first_error), std::bad_alloc);
+  EXPECT_EQ(report.ok, 4u);
+  EXPECT_EQ(report.failed, 3u);
+  for (const std::size_t i : {2, 4, 5}) {
+    // The fault fires before fn, and a failed cell is not run again.
+    EXPECT_EQ(report.cells[i].status, CellOutcome::Status::kFailed) << i;
+    EXPECT_EQ(runs[i], 0) << i;
+  }
+  EXPECT_EQ(report.cells[2].error, "fault-injected: cell 2");
+  EXPECT_EQ(report.cells[4].error, std::bad_alloc().what());
+  EXPECT_NE(report.cells[5].error.find("stalled"), std::string::npos);
+  for (const std::size_t i : {0, 1, 3, 6}) EXPECT_EQ(runs[i], 1) << i;
 }
 
 TEST(Runner, GridConfigSkipsCompletedAndCancelledCells) {
@@ -232,15 +230,6 @@ TEST(Runner, GridConfigSkipsCompletedAndCancelledCells) {
   EXPECT_TRUE(report.cancelled);
 }
 
-TEST(Runner, CellContextEffectiveTimeout) {
-  CellContext ctx;
-  EXPECT_DOUBLE_EQ(ctx.effective_timeout(10.0), 10.0);  // no cell budget
-  ctx.timeout_s = 3.0;
-  EXPECT_DOUBLE_EQ(ctx.effective_timeout(10.0), 3.0);
-  EXPECT_DOUBLE_EQ(ctx.effective_timeout(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(ctx.effective_timeout(0.0), 3.0);  // unlimited fallback
-}
-
 TEST(Fault, ParseSpecGrammar) {
   EXPECT_TRUE(FaultInjector::parse("").empty());
   EXPECT_FALSE(FaultInjector::parse("cell:7:throw").empty());
@@ -252,18 +241,14 @@ TEST(Fault, ParseSpecGrammar) {
   EXPECT_THROW(FaultInjector::parse("gate:7:throw"), std::invalid_argument);
 }
 
-TEST(Fault, InjectIsPureFunctionOfCellAndAttempt) {
+TEST(Fault, CellCountIsAnIndexRange) {
+  // As for write: and site: specs, count selects [index, index + count).
   const FaultInjector faults = FaultInjector::parse("cell:3:throw:2");
-  CellContext ctx;
-  ctx.index = 2;
-  EXPECT_NO_THROW(faults.inject(ctx));
-  ctx.index = 3;
-  ctx.attempt = 0;
-  EXPECT_THROW(faults.inject(ctx), FaultInjected);
-  ctx.attempt = 1;
-  EXPECT_THROW(faults.inject(ctx), FaultInjected);
-  ctx.attempt = 2;  // past the count threshold: the cell heals
-  EXPECT_NO_THROW(faults.inject(ctx));
+  EXPECT_NO_THROW(faults.inject_cell(2));
+  EXPECT_THROW(faults.inject_cell(3), FaultInjected);
+  EXPECT_THROW(faults.inject_cell(3), FaultInjected);  // pure: fires again
+  EXPECT_THROW(faults.inject_cell(4), FaultInjected);
+  EXPECT_NO_THROW(faults.inject_cell(5));
 }
 
 TEST(Signal, HandlerRoutesSignalToCancelToken) {
@@ -397,7 +382,7 @@ TEST(Jsonl, ScanResumeRecoversCompletedCells) {
     out << run_header_line("table2", 5, 7) << "\n";
     out << "{\"cell\":0,\"bench\":\"table2\",\"status\":\"success\"}\n";
     out << "{\"cell\":3,\"bench\":\"table2\",\"status\":\"failed\","
-           "\"reason\":\"boom\",\"attempt\":2}\n";
+           "\"reason\":\"boom\"}\n";
     out << "{\"record\":\"note\",\"text\":\"no cell field\"}\n";  // foreign
     out << "{\"cell\":99,\"bench\":\"table2\"}\n";  // out of range: ignored
   }

@@ -1,8 +1,8 @@
 // Unit tests of the serve daemon's pieces below the socket: wire protocol
 // parsing/validation, the crash-recovery job journal, the scheduler's fault
-// isolation (throw/OOM/stall/wall budget, retries, priorities, admission
-// control, drain), and the serve CLI flag validation. Daemon-over-socket
-// behaviour lives in test_serve_daemon.cpp.
+// isolation (throw/OOM/stall/wall budget, one run per job, priorities,
+// admission control, drain), and the serve CLI flag validation.
+// Daemon-over-socket behaviour lives in test_serve_daemon.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,7 +38,6 @@ JobSpec sweep_spec() {
   spec.kind = JobKind::kSweep;
   spec.priority = 7;
   spec.timeout_s = 12.5;
-  spec.retries = 2;
   spec.memory_limit_mb = 512;
   spec.trace = true;
   spec.bench_path = "c.bench";
@@ -60,7 +59,6 @@ TEST(ServeProtocol, SubmitRoundTripsEveryField) {
   EXPECT_EQ(got.kind, JobKind::kSweep);
   EXPECT_EQ(got.priority, 7);
   EXPECT_DOUBLE_EQ(got.timeout_s, 12.5);
-  EXPECT_EQ(got.retries, 2);
   EXPECT_EQ(got.memory_limit_mb, 512u);
   EXPECT_TRUE(got.trace);
   EXPECT_FALSE(got.detach);
@@ -101,7 +99,10 @@ TEST(ServeProtocol, StrictBoundsOnNumericFields) {
   EXPECT_NO_THROW(parse_request(base + "}"));
   EXPECT_THROW(parse_request(base + ",\"priority\":1001}"), ProtocolError);
   EXPECT_THROW(parse_request(base + ",\"priority\":-1001}"), ProtocolError);
-  EXPECT_THROW(parse_request(base + ",\"retries\":-1}"), ProtocolError);
+  // The removed retries field is ignored, whatever its value.
+  EXPECT_NO_THROW(parse_request(base + ",\"retries\":-1}"));
+  EXPECT_EQ(submit_line(parse_request(base + ",\"retries\":3}").spec),
+            submit_line(parse_request(base + "}").spec));
   EXPECT_THROW(parse_request(base + ",\"timeout_s\":-2}"), ProtocolError);
   EXPECT_THROW(parse_request(base + ",\"timeout_s\":2e12}"), ProtocolError);
   EXPECT_THROW(parse_request(base + ",\"replicas\":0}"), ProtocolError);
@@ -207,7 +208,7 @@ TEST(ServeJournal, AcceptedWithoutTerminalIsPending) {
     done_spec.locked_path = "l.bench";
     done_spec.oracle_path = "o.bench";
     journal.record_accepted(1, done_spec);
-    journal.record_terminal(1, JobState::kDone, "", 1);
+    journal.record_terminal(1, JobState::kDone, "");
     journal.record_accepted(2, sweep_spec());
   }
   const auto replay = JobJournal::replay(path);
@@ -225,8 +226,8 @@ TEST(ServeJournal, AcceptedWithoutTerminalIsPending) {
 
 TEST(ServeJournal, ReplaysJobsJournaledWithTheRemovedEncodeField) {
   // sweep_spec()'s "accepted" record exactly as a daemon that still had the
-  // `encode` spec field wrote it. An upgraded daemon must replay the job,
-  // ignoring that field and keeping every other one.
+  // `encode` and `retries` spec fields wrote it. An upgraded daemon must
+  // replay the job, ignoring those fields and keeping every other one.
   const std::string path = temp_path("fl_journal_encode.jsonl");
   {
     std::ofstream out(path);
@@ -342,8 +343,6 @@ JobSpec quick_spec(int priority = 0) {
 SchedulerConfig fast_config() {
   SchedulerConfig config;
   config.workers = 1;
-  config.backoff_base_s = 0.005;
-  config.backoff_cap_s = 0.02;
   config.watchdog_period_s = 0.002;
   return config;
 }
@@ -411,39 +410,33 @@ TEST(ServeScheduler, PriorityOrdersQueuedJobs) {
   EXPECT_EQ(order, (std::vector<std::uint64_t>{high, mid, low}));
 }
 
-TEST(ServeScheduler, RetriesWithBackoffThenSucceeds) {
-  Scheduler scheduler(fast_config(), [](const JobSpec&, JobContext& ctx) {
-    if (ctx.attempt < 2) throw std::runtime_error("flaky");
-    return JobResult{};
-  });
-  EventLog log;
-  std::string reject;
-  JobSpec spec = quick_spec();
-  spec.retries = 2;
-  const auto id = scheduler.submit(spec, log.fn(), &reject);
-  ASSERT_NE(id, 0u);
-  const JobEvent terminal = log.wait_terminal(id);
-  EXPECT_EQ(terminal.state, JobState::kDone);
-  EXPECT_EQ(log.count(id, "retry"), 2u);
-  EXPECT_EQ(log.count(id, "started"), 3u);
-}
-
-TEST(ServeScheduler, ExhaustedRetriesFailWithReasonAndAttempts) {
-  Scheduler scheduler(fast_config(), [](const JobSpec&, JobContext&) -> JobResult {
+TEST(ServeScheduler, FailingJobRunsOnceAndFailsWithItsReason) {
+  std::atomic<int> runs{0};
+  Scheduler scheduler(fast_config(), [&](const JobSpec&, JobContext&)
+                                         -> JobResult {
+    runs.fetch_add(1);
     throw std::runtime_error("boom");
   });
   EventLog log;
   std::string reject;
-  JobSpec spec = quick_spec();
-  spec.retries = 1;
+  // A request that still carries the removed retries field runs once too.
+  const JobSpec spec =
+      parse_request("{\"op\":\"submit\",\"kind\":\"attack\","
+                    "\"locked_path\":\"l\",\"oracle_path\":\"o\","
+                    "\"retries\":2}")
+          .spec;
   const auto id = scheduler.submit(spec, log.fn(), &reject);
   ASSERT_NE(id, 0u);
   const JobEvent terminal = log.wait_terminal(id);
   EXPECT_EQ(terminal.state, JobState::kFailed);
-  const auto reason = json_string_field(terminal.line, "reason");
-  ASSERT_TRUE(reason.has_value());
-  EXPECT_NE(reason->find("boom"), std::string::npos);
-  EXPECT_EQ(json_int_field(terminal.line, "attempts"), 2);
+  EXPECT_EQ(json_string_field(terminal.line, "reason"), "boom");
+  scheduler.wait_idle();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(log.count(id, "started"), 1u);
+  EXPECT_EQ(log.count(id, "retry"), 0u);
+  for (const JobEvent& event : log.events()) {  // no attempt(s) field
+    EXPECT_EQ(event.line.find("attempt"), std::string::npos) << event.line;
+  }
   EXPECT_EQ(scheduler.stats().failed, 1u);
 }
 
@@ -473,10 +466,10 @@ TEST(ServeScheduler, JobFaultsDoNotPoisonTheWorker) {
   EXPECT_EQ(stats.done, 1u);
 }
 
-TEST(ServeScheduler, InjectedSiteFaultIsRetriedLikeAnyFailure) {
-  // site:serve.job:throw fires on the first job attempt only; a retry budget
-  // of 1 absorbs it. This is the FL_FAULT=site:... path the issue asks for,
-  // driven through SchedulerConfig::faults.
+TEST(ServeScheduler, InjectedSiteFaultFailsThatJobOnly) {
+  // site:serve.job:throw fires at the first job's run only (FL_FAULT's
+  // site: path, driven through SchedulerConfig::faults): that job fails,
+  // the next one runs clean.
   const auto faults = runtime::FaultInjector::parse("site:serve.job:throw");
   SchedulerConfig config = fast_config();
   config.faults = &faults;
@@ -484,13 +477,16 @@ TEST(ServeScheduler, InjectedSiteFaultIsRetriedLikeAnyFailure) {
                       [](const JobSpec&, JobContext&) { return JobResult{}; });
   EventLog log;
   std::string reject;
-  JobSpec spec = quick_spec();
-  spec.retries = 1;
-  const auto id = scheduler.submit(spec, log.fn(), &reject);
+  const auto id = scheduler.submit(quick_spec(), log.fn(), &reject);
   ASSERT_NE(id, 0u);
   const JobEvent terminal = log.wait_terminal(id);
-  EXPECT_EQ(terminal.state, JobState::kDone);
-  EXPECT_EQ(log.count(id, "retry"), 1u);
+  EXPECT_EQ(terminal.state, JobState::kFailed);
+  const auto reason = json_string_field(terminal.line, "reason");
+  ASSERT_TRUE(reason.has_value());
+  EXPECT_NE(reason->find("fault-injected"), std::string::npos) << *reason;
+  const auto next = scheduler.submit(quick_spec(), log.fn(), &reject);
+  ASSERT_NE(next, 0u);
+  EXPECT_EQ(log.wait_terminal(next).state, JobState::kDone);
 }
 
 TEST(ServeScheduler, BoundedQueueRejectsOverload) {
@@ -690,20 +686,16 @@ TEST(ServeArgsParse, ParsesEveryKnob) {
   for (const std::vector<std::string>& flags :
        {std::vector<std::string>{"/tmp/fl.sock", "--state", "/tmp/fl.journal",
                                  "--workers", "4", "--max-queue", "32",
-                                 "--job-timeout", "90", "--retries", "2",
-                                 "--backoff", "0.5", "--stall-grace", "5"},
+                                 "--job-timeout", "90", "--stall-grace", "5"},
         std::vector<std::string>{"/tmp/fl.sock", "--state=/tmp/fl.journal",
                                  "--workers=4", "--max-queue=32",
-                                 "--job-timeout=90", "--retries=2",
-                                 "--backoff=0.5", "--stall-grace=5"}}) {
+                                 "--job-timeout=90", "--stall-grace=5"}}) {
     const ServeArgs args = parse_args(flags);
     EXPECT_EQ(args.socket_path, "/tmp/fl.sock");
     EXPECT_EQ(args.journal_path, "/tmp/fl.journal");
     EXPECT_EQ(args.workers, 4);
     EXPECT_EQ(args.max_queue, 32u);
     EXPECT_DOUBLE_EQ(args.job_timeout_s, 90.0);
-    EXPECT_EQ(args.retries, 2);
-    EXPECT_DOUBLE_EQ(args.backoff_s, 0.5);
     EXPECT_DOUBLE_EQ(args.stall_grace_s, 5.0);
   }
 }
@@ -716,7 +708,10 @@ TEST(ServeArgsParse, RejectsJunkStrictly) {
                std::invalid_argument);
   EXPECT_THROW(parse_args({"/tmp/fl.sock", "--max-queue", "0"}),
                std::invalid_argument);
-  EXPECT_THROW(parse_args({"/tmp/fl.sock", "--retries", "-1"}),
+  // Jobs run once: the removed retry knobs are unknown arguments.
+  EXPECT_THROW(parse_args({"/tmp/fl.sock", "--retries", "1"}),
+               std::invalid_argument);
+  EXPECT_THROW(parse_args({"/tmp/fl.sock", "--backoff", "0.5"}),
                std::invalid_argument);
   EXPECT_THROW(parse_args({"/tmp/fl.sock", "--job-timeout", "-3"}),
                std::invalid_argument);

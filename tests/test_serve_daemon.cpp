@@ -463,5 +463,59 @@ TEST(ServeDaemon, KilledDaemonMidSweepRestartsAndResumes) {
 #endif
 }
 
+TEST(ServeDaemon, ReplayedSweepWithAFailureRecordEndsFailed) {
+  // What a drain leaves when it cuts a two-cell sweep job short after cell
+  // 0 failed: the job's accepted record with no terminal in the journal,
+  // and a checkpoint holding the header and cell 0's failure record. The
+  // restarted daemon replays the job with resume: true; it runs cell 1 and
+  // must end failed, since cell 0's failure stands.
+  const std::string journal = temp_path("fl_sd8.journal");
+  const std::string ckpt = temp_path("fl_sd8_ckpt.jsonl");
+  const std::string bench = temp_path("fl_sd8_c432.bench");
+  netlist::write_bench_file(netlist::make_circuit("c432", 1), bench);
+  JobSpec spec;
+  spec.kind = JobKind::kSweep;
+  spec.bench_path = bench;
+  spec.jsonl_path = ckpt;
+  spec.scheme = "rll";
+  spec.scheme_params = "keys=8";
+  spec.sizes = {4};
+  spec.replicas = 2;
+  spec.attack = "sat";
+  validate_spec(spec);
+  JobJournal(journal).record_accepted(1, spec);
+  std::ofstream(ckpt) << runtime::run_header_line("serve_sweep", 2, spec.seed)
+                      << "\n{\"cell\":0,\"bench\":\"serve_sweep\","
+                         "\"status\":\"failed\",\"reason\":\"boom\"}\n";
+
+  ServeArgs args;
+  args.socket_path = temp_path("fl_sd8.sock");
+  args.journal_path = journal;
+  {
+    Daemon daemon(args);
+    daemon.start();
+    daemon.scheduler().wait_idle();
+  }
+
+  const std::vector<std::string> cells = lines_of(slurp(ckpt));
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_EQ(json_string_field(cells[1], "status"), "failed");
+  EXPECT_EQ(json_int_field(cells[2], "cell"), 1);
+  EXPECT_EQ(json_string_field(cells[2], "status"), "success");
+  std::size_t terminals = 0;
+  for (const std::string& line : lines_of(slurp(journal))) {
+    if (json_string_field(line, "event") != "terminal") continue;
+    ++terminals;
+    EXPECT_EQ(json_int_field(line, "id"), 1);
+    EXPECT_EQ(json_string_field(line, "state"), "failed") << line;
+    EXPECT_EQ(json_int_field(line, "attempts"), std::nullopt) << line;
+  }
+  EXPECT_EQ(terminals, 1u);
+
+  std::remove(journal.c_str());
+  std::remove(ckpt.c_str());
+  std::remove(bench.c_str());
+}
+
 }  // namespace
 }  // namespace fl::serve

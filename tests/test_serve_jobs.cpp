@@ -1,8 +1,8 @@
 // End-to-end through the serve daemon's production job runners (below the
-// socket/scheduler): a lock job writes scheme provenance the attack job
-// recovers, the FALL runner defeats SFLL-HD from files alone, an attack
-// job's trace events are the --trace file's records, and sweep records
-// carry the scheme axis.
+// socket): a lock job writes scheme provenance the attack job recovers, the
+// FALL runner defeats SFLL-HD from files alone, an attack job's trace
+// events are the --trace file's records, sweep records carry the scheme
+// axis, and a sweep job with a failed cell fails, also when resumed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,10 +19,12 @@
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
 #include "netlist/profiles.h"
+#include "runtime/fault.h"
 #include "runtime/jsonl.h"
 #include "runtime/seed.h"
 #include "serve/jobs.h"
 #include "serve/protocol.h"
+#include "serve/scheduler.h"
 
 namespace fl::serve {
 namespace {
@@ -276,6 +278,55 @@ TEST(ServeJobs, ResumedSweepKeepsTheCheckpointsSeeds) {
               events.end())
         << line;
   }
+}
+
+// Runs one request line on a scheduler with the production runner and
+// returns the job's events, in order (one worker), the terminal one last.
+std::vector<JobEvent> run_request(const std::string& line,
+                                  const runtime::FaultInjector& faults) {
+  SchedulerConfig config;
+  config.faults = &faults;
+  std::vector<JobEvent> events;
+  {
+    Scheduler scheduler(config, default_job_runner());
+    std::string reject;
+    EXPECT_NE(scheduler.submit(
+                  parse_request(line).spec,
+                  [&events](const JobEvent& e) { events.push_back(e); },
+                  &reject),
+              0u)
+        << reject;
+    scheduler.wait_idle();
+  }  // the drain waits for the worker, so every event has been delivered
+  return events;
+}
+
+TEST(ServeJobs, SweepJobWithAFailedCellFailsAndStaysFailedOnResume) {
+  // The job's only cell throws: the job runs once and ends failed, its
+  // checkpoint holding the header and the cell's failure record. The same
+  // job with resume: true skips the cell, appends nothing and fails again.
+  // The request carries the removed retries field, which is ignored.
+  const std::string bench = temp_path("jobs_failed_c432.bench");
+  netlist::write_bench_file(netlist::make_circuit("c432", 1), bench);
+  const std::string jsonl = temp_path("jobs_failed.jsonl");
+  const auto faults = runtime::FaultInjector::parse("cell:0:throw");
+  const std::string request =
+      "{\"op\":\"submit\",\"kind\":\"sweep\",\"bench_path\":\"" + bench +
+      "\",\"jsonl_path\":\"" + jsonl + "\",\"scheme\":\"rll\",\"sizes\":[4],"
+      "\"attack\":\"sat\",\"retries\":1,\"resume\":";
+  std::string checkpoint;
+  for (const char* resume : {"false}", "true}"}) {
+    const std::vector<JobEvent> events = run_request(request + resume, faults);
+    ASSERT_EQ(events.size(), 2u);  // no retry and no cell event
+    EXPECT_EQ(events[0].line, "{\"event\":\"started\",\"id\":1}");
+    EXPECT_EQ(events[1].state, JobState::kFailed) << events[1].line;
+    EXPECT_EQ(events[1].line.find("attempts"), std::string::npos);
+    if (checkpoint.empty()) checkpoint = read_file(jsonl);
+    EXPECT_EQ(read_file(jsonl), checkpoint) << resume;
+  }
+  EXPECT_EQ(std::count(checkpoint.begin(), checkpoint.end(), '\n'), 2);
+  EXPECT_NE(checkpoint.find("\"cell\":0,"), std::string::npos);
+  EXPECT_NE(checkpoint.find("\"status\":\"failed\""), std::string::npos);
 }
 
 }  // namespace
