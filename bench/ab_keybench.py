@@ -4,7 +4,7 @@
 Usage (from anywhere inside the repository):
 
     python3 bench/ab_keybench.py --base REV --change REV|. \\
-        --workload cln,iscas --seed N --pairs K [--workdir DIR]
+        --workload cln,iscas --seed N --pairs K [--workdir DIR] [--out FILE]
     python3 bench/ab_keybench.py --self-test
 
 Each side is extracted with `git archive REV | tar -x` into the work
@@ -29,6 +29,12 @@ the ratio of the medians and a verdict, judged against the metric's
 Each run's per-instance records (keybench/run.py's results file, which
 the next run on that side overwrites) are copied to
 records/<side>-<workload>-seed<N>-pair<K>.jsonl in the work directory.
+
+With --out the same comparison is also written to FILE as one JSON
+object: both revisions (as given, the commit they name, and the git
+commit and source hash keybench stamped on the side's first run), the
+seed, the pair count and, for every workload and end-to-end metric, each
+side's samples and q1/median/q3, the wins, ties, ratio and verdict.
 
 Exits 1 if a run gives no result, a run reports `correct: false`, or the
 change fails more attacks than the base on some workload. Without
@@ -86,6 +92,38 @@ def judge(base, change, better, bound):
             "ratio": ratio, "verdict": verdict}
 
 
+def comparison(meta, metrics, samples, failed):
+    """The --out document: `meta` plus, per workload, each end-to-end
+    metric's judged comparison. samples[workload][side] is a list of
+    {metric: value} dicts, one per pair; failed[workload][side] the number
+    of failed attacks over the pairs."""
+    doc = dict(meta)
+    doc["workloads"] = {}
+    for workload, sides in samples.items():
+        entry = {"failed": failed[workload], "metrics": {}}
+        for m in metrics:
+            base = [s[m["name"]] for s in sides["base"]]
+            change = [s[m["name"]] for s in sides["change"]]
+            r = judge(base, change, m["better"], m["bound"])
+            entry["metrics"][m["name"]] = {
+                "unit": m["unit"], "better": m["better"],
+                "bound": m["bound"], "pairs": len(base),
+                "base": dict(zip(("q1", "median", "q3"), r["base"]),
+                             samples=base),
+                "change": dict(zip(("q1", "median", "q3"), r["change"]),
+                               samples=change),
+                "wins": r["wins"], "ties": r["ties"], "ratio": r["ratio"],
+                "verdict": r["verdict"]}
+        doc["workloads"][workload] = entry
+    return doc
+
+
+def write_json(path, doc):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
 def self_test():
     cases = [
         # (base, change, better, bound, verdict)
@@ -119,8 +157,39 @@ def self_test():
                                                                2.0):
         failed += 1
         print("FAIL wins/ties/medians: %s" % r)
-    print("self-test: %d of %d checks passed" %
-          (len(cases) + 1 - failed, len(cases) + 1))
+    checks = len(cases) + 2
+    metrics = [{"name": "time_to_key_s", "unit": "s", "better": "lower",
+                "bound": 0.25},
+               {"name": "dips", "unit": "count", "better": "lower",
+                "bound": 0.2}]
+    base = [{"time_to_key_s": t, "dips": 61} for t in cases[0][0]]
+    change = [{"time_to_key_s": t, "dips": 59} for t in cases[0][1]]
+    meta = {"base": {"rev": "b", "commit": "b" * 40},
+            "change": {"rev": ".", "commit": "c" * 40},
+            "seed": 3, "pairs": len(base)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ab.json")
+        write_json(path, comparison(
+            meta, metrics, {"iscas": {"base": base, "change": change}},
+            {"iscas": {"base": 0, "change": 0}}))
+        with open(path) as f:
+            doc = json.load(f)
+    t = doc["workloads"]["iscas"]["metrics"]["time_to_key_s"]
+    d = doc["workloads"]["iscas"]["metrics"]["dips"]
+    want_t = judge(cases[0][0], cases[0][1], "lower", 0.25)
+    got = (doc["seed"], doc["pairs"], doc["base"]["commit"],
+           doc["change"]["rev"], t["pairs"], t["wins"], t["ties"],
+           t["verdict"], (t["base"]["q1"], t["base"]["median"],
+                          t["base"]["q3"]),
+           t["change"]["median"], t["change"]["samples"], t["ratio"],
+           d["verdict"], d["ties"], d["change"]["q3"], d["bound"])
+    want = (3, 10, "b" * 40, ".", 10, 10, 0, "gain", want_t["base"],
+            want_t["change"][1], cases[0][1], want_t["ratio"], "gain", 0,
+            59, 0.2)
+    if got != want:
+        failed += 1
+        print("FAIL --out document:\n  got  %s\n  want %s" % (got, want))
+    print("self-test: %d of %d checks passed" % (checks - failed, checks))
     return 1 if failed else 0
 
 
@@ -183,6 +252,7 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workdir")
+    ap.add_argument("--out")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -200,6 +270,9 @@ def main():
     records = os.path.join(workdir, "records")
     os.makedirs(records, exist_ok=True)
     status = 0
+    meta = {"seed": args.seed, "pairs": args.pairs,
+            "run_seconds": spec["run_seconds"]}
+    all_samples, all_failed = {}, {}
     try:
         sides = {}
         for side, rev in (("base", args.base), ("change", args.change)):
@@ -208,9 +281,10 @@ def main():
             sides[side] = (extract(commit,
                                    os.path.join(workdir, "tree-" + name)),
                            os.path.join(workdir, "target-" + name))
+            meta[side] = {"rev": rev, "commit": commit}
         for workload in workloads:
-            samples = {"base": [], "change": []}
-            failed = {"base": 0, "change": 0}
+            samples = all_samples[workload] = {"base": [], "change": []}
+            failed = all_failed[workload] = {"base": 0, "change": 0}
             for pair in range(args.pairs):
                 order = ("base", "change") if pair % 2 == 0 else \
                         ("change", "base")
@@ -223,11 +297,16 @@ def main():
                               (workload, side, pair + 1))
                         return 1
                     stem = "%s-seed%d" % (workload, args.seed)
+                    kept = os.path.join(records, "%s-%s-pair%d.jsonl" %
+                                        (side, stem, pair + 1))
                     shutil.copyfile(
                         os.path.join(target, "keybench", "results",
-                                     stem + "-trace0.jsonl"),
-                        os.path.join(records, "%s-%s-pair%d.jsonl" %
-                                     (side, stem, pair + 1)))
+                                     stem + "-trace0.jsonl"), kept)
+                    if "source_sha256" not in meta[side]:
+                        with open(kept) as f:
+                            env = json.loads(f.readline())
+                        meta[side]["git_commit"] = env["git_commit"]
+                        meta[side]["source_sha256"] = env["source_sha256"]
                     if not result["correct"]:
                         print("%s %s pair %d: correct: false" %
                               (workload, side, pair + 1))
@@ -244,21 +323,24 @@ def main():
             print("%-16s %-32s %-32s %5s %4s %6s  %s" %
                   ("metric", "base median [q1, q3]", "change median [q1, q3]",
                    "wins", "ties", "ratio", "verdict"))
-            for m in metrics:
-                base = [s[m["name"]] for s in samples["base"]]
-                change = [s[m["name"]] for s in samples["change"]]
-                r = judge(base, change, m["better"], m["bound"])
+            judged = comparison({}, metrics, {workload: samples},
+                                {workload: failed})["workloads"][workload]
+            for name, r in judged["metrics"].items():
                 b, c = r["base"], r["change"]
                 print("%-16s %-32s %-32s %2d/%-2d %4d %6.3f  %s" %
-                      (m["name"],
-                       "%s [%s, %s]" % (fmt(b[1]), fmt(b[0]), fmt(b[2])),
-                       "%s [%s, %s]" % (fmt(c[1]), fmt(c[0]), fmt(c[2])),
+                      (name, "%s [%s, %s]" % (fmt(b["median"]), fmt(b["q1"]),
+                                              fmt(b["q3"])),
+                       "%s [%s, %s]" % (fmt(c["median"]), fmt(c["q1"]),
+                                        fmt(c["q3"])),
                        r["wins"], args.pairs, r["ties"], r["ratio"],
                        r["verdict"]))
             print("failed attacks: base %d, change %d" %
                   (failed["base"], failed["change"]), flush=True)
             if failed["change"] > failed["base"]:
                 status = 1
+        if args.out:
+            write_json(args.out,
+                       comparison(meta, metrics, all_samples, all_failed))
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)

@@ -1,17 +1,20 @@
-// Solver microbenchmark: the DIP-miter hot path (Table 2 CLN attacks) and
-// raw CDCL throughput on phase-transition random 3-SAT (m/n = 4.26).
+// Solver microbenchmark: the DIP-miter hot path (Table 2 CLN attacks), the
+// key-confirmation anchor (c432 Full-Lock sizes=8, whose loop-ending solve
+// under the candidate key's assumptions dominates the attack) and raw CDCL
+// throughput on phase-transition random 3-SAT (m/n = 4.26).
 //
 // Emits one JSONL record per workload plus a trailing summary record to
 // BENCH_solver.json (--out PATH), so the solver's perf trajectory is
 // recorded per PR (the sanitizer CI uploads the --smoke variant as an
 // artifact). Wall-clock fields carry the usual `_s` suffix; everything
 // else is deterministic, so two runs of the same binary diff clean modulo
-// `_s` fields.
+// `_s` fields. Each record's wall_s is the fastest of --repeat runs, and
+// wall_q1_s / wall_median_s / wall_q3_s give their spread.
 //
 // Flags:
 //   --smoke       tiny workload set for CI (seconds, not minutes)
 //   --out PATH    output file (default BENCH_solver.json)
-//   --repeat N    timing repetitions per workload, min is reported (default 3)
+//   --repeat N    timing repetitions per workload (default 3)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -25,6 +28,8 @@
 #include "attacks/registry.h"
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
+#include "locking/scheme.h"
+#include "netlist/profiles.h"
 #include "runtime/jsonl.h"
 #include "runtime/runner.h"
 #include "sat/ksat.h"
@@ -36,18 +41,72 @@ using Clock = std::chrono::steady_clock;
 using fl::core::ClnTopology;
 
 struct WorkloadResult {
-  std::string suite;   // "cln_miter" | "ksat"
+  std::string suite;  // "cln_miter" | "key_confirm" | "ksat"
   std::string name;
-  double wall_s = 0.0;  // min over repetitions
-  std::uint64_t conflicts = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  fl::sat::SolverStats stats;  // full stats of the timed run
+  std::vector<double> walls;   // one per repetition, sorted
+  fl::sat::SolverStats stats;  // full stats of the fastest run
   std::string status;
+
+  double wall_s() const { return walls.front(); }
+  // Linear interpolation between the sorted repetitions (Python's
+  // statistics.quantiles, method="inclusive").
+  double wall_quantile(double q) const {
+    const double pos = q * static_cast<double>(walls.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    if (lo + 1 >= walls.size()) return walls.back();
+    return walls[lo] +
+           (pos - static_cast<double>(lo)) * (walls[lo + 1] - walls[lo]);
+  }
 };
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// One timed repetition of a workload.
+struct Run {
+  double wall_s = 0.0;
+  fl::sat::SolverStats stats;
+  std::string status;
+};
+
+// Calls `once` (which returns a Run) `repeat` times; keeps the fastest
+// run's stats.
+template <typename Once>
+void time_repeats(WorkloadResult& r, int repeat, Once once) {
+  double best = 1e100;
+  for (int rep = 0; rep < repeat; ++rep) {
+    Run run = once();
+    r.walls.push_back(run.wall_s);
+    if (run.wall_s < best) {
+      best = run.wall_s;
+      r.stats = run.stats;
+      r.status = std::move(run.status);
+    }
+  }
+  std::sort(r.walls.begin(), r.walls.end());
+}
+
+// A full oracle-guided SAT attack through attacks::run.
+WorkloadResult run_attack(std::string suite, std::string name,
+                          const fl::netlist::Netlist& original,
+                          const fl::core::LockedCircuit& locked, int repeat,
+                          double timeout_s) {
+  WorkloadResult r;
+  r.suite = std::move(suite);
+  r.name = std::move(name);
+  const fl::attacks::Oracle oracle(original);
+  fl::attacks::AttackOptions options;
+  options.timeout_s = timeout_s;
+  time_repeats(r, repeat, [&] {
+    const auto start = Clock::now();
+    const fl::attacks::AttackResult attack =
+        fl::attacks::run("sat", locked, oracle, options).result;
+    const double wall = seconds_since(start);
+    return Run{wall, attack.solver_stats,
+               fl::attacks::to_string(attack.status)};
+  });
+  return r;
 }
 
 // One Table 2 cell: CLN-only lock over the identity circuit, full
@@ -55,36 +114,29 @@ double seconds_since(Clock::time_point start) {
 // paper's tables are bounded by.
 WorkloadResult run_cln_miter(ClnTopology topo, int n, int repeat,
                              double timeout_s) {
-  WorkloadResult r;
-  r.suite = "cln_miter";
-  r.name = std::string(topo == ClnTopology::kShuffleBlocking ? "blocking"
-                                                             : "nonblocking") +
-           "_n" + std::to_string(n);
   const fl::netlist::Netlist original = fl::bench::identity_circuit(n);
   fl::core::FullLockConfig config = fl::core::FullLockConfig::with_plrs(
       {n}, topo, fl::core::CycleMode::kAvoid,
       /*twist_luts=*/false, /*negate_probability=*/0.5);
   config.seed = 7;
-  const fl::core::LockedCircuit locked = fl::core::full_lock(original, config);
-  const fl::attacks::Oracle oracle(original);
-  fl::attacks::AttackOptions options;
-  options.timeout_s = timeout_s;
-  r.wall_s = 1e100;
-  for (int rep = 0; rep < repeat; ++rep) {
-    const auto start = Clock::now();
-    const fl::attacks::AttackResult attack =
-        fl::attacks::run("sat", locked, oracle, options).result;
-    const double wall = seconds_since(start);
-    if (wall < r.wall_s) {
-      r.wall_s = wall;
-      r.stats = attack.solver_stats;
-      r.conflicts = attack.solver_stats.conflicts;
-      r.decisions = attack.solver_stats.decisions;
-      r.propagations = attack.solver_stats.propagations;
-      r.status = fl::attacks::to_string(attack.status);
-    }
-  }
-  return r;
+  return run_attack(
+      "cln_miter",
+      std::string(topo == ClnTopology::kShuffleBlocking ? "blocking"
+                                                        : "nonblocking") +
+          "_n" + std::to_string(n),
+      original, fl::core::full_lock(original, config), repeat, timeout_s);
+}
+
+// keybench's c432 `full-lock sizes=8` anchor (circuit seed 1, lock seed 2):
+// most of its attack is the solve that confirms the last candidate key
+// under that key's assumptions.
+WorkloadResult run_key_confirm(int repeat, double timeout_s) {
+  const fl::netlist::Netlist original = fl::netlist::make_circuit("c432", 1);
+  return run_attack(
+      "key_confirm", "c432_full_lock_sizes8", original,
+      fl::lock::lock_with("full-lock", original,
+                          fl::lock::make_options(2, {}, "sizes=8")),
+      repeat, timeout_s);
 }
 
 // Raw CDCL run on a fixed-length random 3-SAT instance at the hardness
@@ -98,25 +150,18 @@ WorkloadResult run_ksat(int num_vars, std::uint64_t seed, int repeat) {
   config.num_clauses = static_cast<int>(num_vars * 4.26);
   config.seed = seed;
   const fl::sat::Cnf cnf = fl::sat::random_ksat(config);
-  r.wall_s = 1e100;
-  for (int rep = 0; rep < repeat; ++rep) {
+  time_repeats(r, repeat, [&] {
     fl::sat::Solver solver;
     for (int v = 0; v < cnf.num_vars; ++v) solver.new_var();
     for (const fl::sat::Clause& c : cnf.clauses) solver.add_clause(c);
     const auto start = Clock::now();
     const fl::sat::LBool result = solver.solve();
     const double wall = seconds_since(start);
-    if (wall < r.wall_s) {
-      r.wall_s = wall;
-      r.stats = solver.stats();
-      r.conflicts = solver.stats().conflicts;
-      r.decisions = solver.stats().decisions;
-      r.propagations = solver.stats().propagations;
-      r.status = result == fl::sat::LBool::kTrue    ? "sat"
-                 : result == fl::sat::LBool::kFalse ? "unsat"
-                                                    : "undef";
-    }
-  }
+    const char* status = result == fl::sat::LBool::kTrue    ? "sat"
+                         : result == fl::sat::LBool::kFalse ? "unsat"
+                                                            : "undef";
+    return Run{wall, solver.stats(), status};
+  });
   return r;
 }
 
@@ -182,14 +227,18 @@ int main(int argc, char** argv) {
                                        {ClnTopology::kShuffleBlocking, 128},
                                        {ClnTopology::kBanyanNonBlocking, 16},
                                        {ClnTopology::kBanyanNonBlocking, 32}};
-    for (const MiterCell& m : miters) {
-      results.push_back(
-          run_cln_miter(m.topo, m.n, smoke ? 1 : repeat, timeout_s));
-      std::printf("%-32s %10.4f s  %12llu conflicts\n",
-                  results.back().name.c_str(), results.back().wall_s,
-                  static_cast<unsigned long long>(results.back().conflicts));
+    const auto report = [&](WorkloadResult r) {
+      std::printf("%-32s %10.4f s  %12llu conflicts  (%s)\n", r.name.c_str(),
+                  r.wall_s(),
+                  static_cast<unsigned long long>(r.stats.conflicts),
+                  r.status.c_str());
       std::fflush(stdout);
+      results.push_back(std::move(r));
+    };
+    for (const MiterCell& m : miters) {
+      report(run_cln_miter(m.topo, m.n, smoke ? 1 : repeat, timeout_s));
     }
+    if (!smoke) report(run_key_confirm(repeat, timeout_s));
     // Phase-transition 3-SAT (m/n = 4.26), mixed SAT/UNSAT outcomes: raw
     // CDCL throughput.
     struct KsatCell { int n; std::uint64_t seed; };
@@ -198,23 +247,17 @@ int main(int argc, char** argv) {
               : std::vector<KsatCell>{{150, 1}, {150, 2}, {175, 1},
                                       {175, 2}, {200, 1}, {200, 2},
                                       {225, 1}, {225, 2}};
-    for (const KsatCell& k : ksats) {
-      results.push_back(run_ksat(k.n, k.seed, repeat));
-      std::printf("%-32s %10.4f s  %12llu conflicts  (%s)\n",
-                  results.back().name.c_str(), results.back().wall_s,
-                  static_cast<unsigned long long>(results.back().conflicts),
-                  results.back().status.c_str());
-      std::fflush(stdout);
-    }
+    for (const KsatCell& k : ksats) report(run_ksat(k.n, k.seed, repeat));
 
     // Summary: geomean wall time and conflict throughput across workloads.
     double log_wall = 0.0, log_cps = 0.0, total_wall = 0.0;
     std::size_t cps_samples = 0;
     for (const WorkloadResult& r : results) {
-      log_wall += std::log(std::max(r.wall_s, 1e-9));
-      total_wall += r.wall_s;
-      if (r.conflicts > 0 && r.wall_s > 0.0) {
-        log_cps += std::log(static_cast<double>(r.conflicts) / r.wall_s);
+      log_wall += std::log(std::max(r.wall_s(), 1e-9));
+      total_wall += r.wall_s();
+      if (r.stats.conflicts > 0 && r.wall_s() > 0.0) {
+        log_cps +=
+            std::log(static_cast<double>(r.stats.conflicts) / r.wall_s());
         ++cps_samples;
       }
     }
@@ -235,9 +278,13 @@ int main(int argc, char** argv) {
           .field("status", r.status);
       append_solver_stat_fields(o, r.stats);
       o.field("conflicts_per_s",
-              r.wall_s > 0.0 ? static_cast<double>(r.conflicts) / r.wall_s
-                             : 0.0)
-          .field("wall_s", r.wall_s);
+              r.wall_s() > 0.0
+                  ? static_cast<double>(r.stats.conflicts) / r.wall_s()
+                  : 0.0)
+          .field("wall_s", r.wall_s())
+          .field("wall_q1_s", r.wall_quantile(0.25))
+          .field("wall_median_s", r.wall_quantile(0.5))
+          .field("wall_q3_s", r.wall_quantile(0.75));
       sink.write(i, o.str());
     }
     fl::runtime::JsonObject summary;

@@ -121,8 +121,9 @@ Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits,
 void Solver::free_clause(ClauseRef r) { wasted_words_ += cls(r).words(); }
 
 Var Solver::new_var() {
-  const Var v = static_cast<Var>(assign_.size());
-  assign_.push_back(LBool::kUndef);
+  const Var v = static_cast<Var>(level_.size());
+  vals_.push_back(kLitUndef);
+  vals_.push_back(kLitUndef);
   saved_phase_.push_back(0);
   level_.push_back(0);
   reason_.push_back(kNullRef);
@@ -136,14 +137,12 @@ Var Solver::new_var() {
   return v;
 }
 
-LBool Solver::value(Lit l) const { return assign_[l.var()] ^ l.negated(); }
-
-bool Solver::value_of(Var v) const { return assign_[v] == LBool::kTrue; }
+bool Solver::value_of(Var v) const { return value(pos(v)) == kLitTrue; }
 
 std::vector<bool> Solver::model() const {
-  std::vector<bool> m(assign_.size());
-  for (std::size_t v = 0; v < assign_.size(); ++v) {
-    m[v] = assign_[v] == LBool::kTrue;
+  std::vector<bool> m(level_.size());
+  for (std::size_t v = 0; v < m.size(); ++v) {
+    m[v] = value(pos(static_cast<Var>(v))) == kLitTrue;
   }
   return m;
 }
@@ -271,8 +270,8 @@ bool Solver::add_clause(Clause clause) {
   std::size_t out = 0;
   for (const Lit l : clause) {
     assert(l.var() >= 0 && l.var() < num_vars());
-    if (value(l) == LBool::kTrue || l == ~prev) return true;  // satisfied/taut
-    if (value(l) != LBool::kFalse && l != prev) {
+    if (value(l) == kLitTrue || l == ~prev) return true;  // satisfied/taut
+    if (value(l) != kLitFalse && l != prev) {
       prev = l;
       clause[out++] = l;
     }
@@ -304,9 +303,10 @@ bool Solver::add_clause(Clause clause) {
 // --------------------------------------------------------- propagation ----
 
 bool Solver::enqueue(Lit l, ClauseRef reason) {
-  const LBool v = value(l);
-  if (v != LBool::kUndef) return v == LBool::kTrue;
-  assign_[l.var()] = lbool_from(!l.negated());
+  const std::int8_t v = value(l);
+  if (v != kLitUndef) return v == kLitTrue;
+  vals_[l.index()] = kLitTrue;
+  vals_[(~l).index()] = kLitFalse;
   level_[l.var()] = static_cast<int>(trail_lim_.size());
   reason_[l.var()] = reason;
   saved_phase_[l.var()] = l.negated() ? 0 : 1;
@@ -324,12 +324,12 @@ Solver::ClauseRef Solver::propagate() {
     // the common case reads one assignment byte per entry and never touches
     // clause memory.
     for (const BinWatch& bw : wn.bins) {
-      const LBool v = value(bw.other);
-      if (v == LBool::kFalse) {
+      const std::int8_t v = value(bw.other);
+      if (v == kLitFalse) {
         propagate_head_ = trail_.size();
         return bw.ref;
       }
-      if (v == LBool::kUndef) {
+      if (v == kLitUndef) {
         ++stats_.binary_propagations;
         enqueue(bw.other, bw.ref);
       }
@@ -340,7 +340,7 @@ Solver::ClauseRef Solver::propagate() {
     const Lit false_lit = ~p;
     while (i < ws.size()) {
       const Watcher w = ws[i];
-      if (value(w.blocker) == LBool::kTrue) {
+      if (value(w.blocker) == kLitTrue) {
         ws[j++] = ws[i++];
         continue;
       }
@@ -353,14 +353,14 @@ Solver::ClauseRef Solver::propagate() {
       assert(lit_at(1) == false_lit);
       ++i;
       const Lit first = lit_at(0);
-      if (first != w.blocker && value(first) == LBool::kTrue) {
+      if (first != w.blocker && value(first) == kLitTrue) {
         ws[j++] = Watcher{w.ref, first};
         continue;
       }
       bool found_watch = false;
       const std::uint32_t size = c.size();
       for (std::uint32_t k = 2; k < size; ++k) {
-        if (value(lit_at(k)) != LBool::kFalse) {
+        if (value(lit_at(k)) != kLitFalse) {
           std::swap(lits[1], lits[k]);
           watches_[(~lit_at(1)).index()].longs.push_back(
               Watcher{w.ref, first});
@@ -371,7 +371,7 @@ Solver::ClauseRef Solver::propagate() {
       if (found_watch) continue;
       // Clause is unit or conflicting under the current assignment.
       ws[j++] = Watcher{w.ref, first};
-      if (value(first) == LBool::kFalse) {
+      if (value(first) == kLitFalse) {
         while (i < ws.size()) ws[j++] = ws[i++];
         ws.resize(j);
         propagate_head_ = trail_.size();
@@ -388,18 +388,24 @@ Solver::ClauseRef Solver::propagate() {
 
 // Literal block distance: number of distinct decision levels in the clause
 // (Glucose's quality measure — low LBD means the clause glues few levels
-// together and will propagate early and often).
+// together and will propagate early and often). Only search levels count:
+// search() opens one level per assumption, so levels 1..A of a solve under
+// A assumptions hold nothing but the assumptions, and counting them would
+// rank a clause by how many assumed literals it mentions (Audemard,
+// Lagniez & Simon, SAT 2013). A clause that lies wholly on assumption
+// levels counts as 1.
 std::uint32_t Solver::compute_lbd(std::span<const Lit> lits) {
+  const int assumption_levels = static_cast<int>(assumptions_.size());
   ++lbd_stamp_;
   std::uint32_t lbd = 0;
   for (const Lit l : lits) {
     const int lvl = level_[l.var()];
-    if (lvl > 0 && level_stamp_[lvl] != lbd_stamp_) {
+    if (lvl > assumption_levels && level_stamp_[lvl] != lbd_stamp_) {
       level_stamp_[lvl] = lbd_stamp_;
       ++lbd;
     }
   }
-  return lbd;
+  return std::max<std::uint32_t>(lbd, 1);
 }
 
 void Solver::analyze(ClauseRef conflict, Clause& learnt,
@@ -410,6 +416,7 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt,
   Lit p = kUndefLit;
   std::size_t idx = trail_.size();
   const int current_level = static_cast<int>(trail_lim_.size());
+  const int assumption_levels = static_cast<int>(assumptions_.size());
 
   ClauseRef cr = conflict;
   do {
@@ -421,12 +428,13 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt,
     // once it reaches glue level. Fused into the literal walk below — the
     // level_ loads are shared with the seen/path bookkeeping, so the
     // refresh costs one stamp check per literal instead of a second pass.
+    // Like compute_lbd, it counts only levels above the assumptions.
     const bool refresh = c.learnt() && c.lbd() > kCoreLbd;
     std::uint32_t lbd = 0;
     if (c.learnt()) bump_clause(c);
     if (refresh) {
       ++lbd_stamp_;
-      if (p != kUndefLit) {
+      if (p != kUndefLit && current_level > assumption_levels) {
         // The resolved-on literal is always at the current level.
         level_stamp_[current_level] = lbd_stamp_;
         lbd = 1;
@@ -439,7 +447,8 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt,
       if (q == p) continue;
       const Var v = q.var();
       const int lvl = level_[v];
-      if (refresh && lvl > 0 && level_stamp_[lvl] != lbd_stamp_) {
+      if (refresh && lvl > assumption_levels &&
+          level_stamp_[lvl] != lbd_stamp_) {
         level_stamp_[lvl] = lbd_stamp_;
         ++lbd;
       }
@@ -453,6 +462,7 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt,
         }
       }
     }
+    if (refresh) lbd = std::max<std::uint32_t>(lbd, 1);
     if (refresh && lbd < c.lbd()) {
       c.set_lbd(lbd);
       if (lbd <= kCoreLbd && !c.core()) {
@@ -537,8 +547,10 @@ void Solver::backtrack_to(int target_level) {
   if (static_cast<int>(trail_lim_.size()) <= target_level) return;
   const std::size_t bound = trail_lim_[target_level];
   for (std::size_t i = trail_.size(); i > bound; --i) {
-    const Var v = trail_[i - 1].var();
-    assign_[v] = LBool::kUndef;
+    const Lit l = trail_[i - 1];
+    const Var v = l.var();
+    vals_[l.index()] = kLitUndef;
+    vals_[(~l).index()] = kLitUndef;
     reason_[v] = kNullRef;
     heap_insert(v);
   }
@@ -551,7 +563,7 @@ Lit Solver::pick_branch_lit() {
   while (!heap_.empty()) {
     const Var v = heap_[0];
     heap_pop();
-    if (assign_[v] == LBool::kUndef) {
+    if (value(pos(v)) == kLitUndef) {
       return Lit(v, saved_phase_[v] == 0);
     }
   }
@@ -585,7 +597,7 @@ void Solver::reduce_db() {
   // clauses only, so pinned reasons don't dilute the reduction.
   const auto locked = [&](ClauseRef r, Cls c) {
     const Lit l0 = c.lit(0);
-    return reason_[l0.var()] == r && value(l0) == LBool::kTrue;
+    return reason_[l0.var()] == r && value(l0) == kLitTrue;
   };
   std::vector<ClauseRef> reducible;
   reducible.reserve(num_local_learnts_);
@@ -709,7 +721,7 @@ void Solver::simplify() {
       Cls c = cls(r);
       const std::uint32_t size = c.size();
       for (std::uint32_t k = 0; k < size; ++k) {
-        if (value(c.lit(k)) == LBool::kTrue) {
+        if (value(c.lit(k)) == kLitTrue) {
           c.set_condemned();
           ++num_satisfied;
           break;
@@ -742,11 +754,11 @@ void Solver::simplify() {
       // clause was satisfied (removed above) or unit (enqueued, hence
       // satisfied). A blocker-skip can leave a stale false watch; such a
       // clause is simply left unstripped this round.
-      if (size > 2 && value(c.lit(0)) == LBool::kUndef &&
-          value(c.lit(1)) == LBool::kUndef) {
+      if (size > 2 && value(c.lit(0)) == kLitUndef &&
+          value(c.lit(1)) == kLitUndef) {
         std::uint32_t w = 2;
         for (std::uint32_t k = 2; k < size; ++k) {
-          if (value(c.lit(k)) != LBool::kFalse) {
+          if (value(c.lit(k)) != kLitFalse) {
             c.set_lit(w++, c.lit(k));
           } else {
             ++stats_.simplify_removed_literals;
@@ -790,7 +802,7 @@ std::size_t Solver::memory_bytes() const {
              node.longs.capacity() * sizeof(Watcher);
   }
   // Per-variable state and the trail.
-  bytes += assign_.capacity() * sizeof(LBool) + saved_phase_.capacity() +
+  bytes += vals_.capacity() + saved_phase_.capacity() +
            level_.capacity() * sizeof(int) +
            reason_.capacity() * sizeof(ClauseRef) +
            activity_.capacity() * sizeof(double) + seen_.capacity() +
@@ -891,9 +903,9 @@ LBool Solver::search() {
       Lit next = kUndefLit;
       while (trail_lim_.size() < assumptions_.size()) {
         const Lit a = assumptions_[trail_lim_.size()];
-        if (value(a) == LBool::kTrue) {
+        if (value(a) == kLitTrue) {
           trail_lim_.push_back(trail_.size());
-        } else if (value(a) == LBool::kFalse) {
+        } else if (value(a) == kLitFalse) {
           return LBool::kFalse;
         } else {
           next = a;

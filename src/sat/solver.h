@@ -4,7 +4,11 @@
 // conflict analysis with clause minimization, VSIDS branching with phase
 // saving, Luby restarts — with Glucose-style learnt-clause management and an
 // arena clause store:
-//  * every learnt clause gets an LBD (literal block distance) at 1UIP time;
+//  * every learnt clause gets an LBD (literal block distance) at 1UIP time,
+//    counting only the decision levels above the current solve's
+//    assumptions (Audemard, Lagniez & Simon, SAT 2013): each assumption
+//    sits on its own level, and a clause learnt under a fixed candidate key
+//    should not rank by how many key bits it mentions;
 //  * the learnt database is two-tiered: low-LBD "core" clauses (glue, and
 //    all binaries) are kept forever, high-LBD "local" clauses are reduced
 //    by LBD-then-activity;
@@ -16,13 +20,16 @@
 //    one cache line to find both;
 //  * clause literals are stored inline after a compact header in a single
 //    uint32 arena, addressed by 32-bit refs — half-size watch lists and one
-//    less pointer hop per clause visit than heap-allocated clause objects.
+//    less pointer hop per clause visit than heap-allocated clause objects;
+//  * truth values are stored per literal, so a watcher visit reads one byte
+//    with no sign flip.
 //
 // Built for the oracle-guided SAT attack, so it supports
 //  * incremental clause addition between solve() calls, with a root-level
 //    simplify() pass that drops satisfied clauses and falsified literals
 //    accumulated by the attack's DIP constraints,
-//  * solving under assumptions (used for the miter activation literal),
+//  * solving under assumptions (the miter activation literal, and the
+//    candidate key that the loop-ending key-confirmation solve fixes),
 //  * wall-clock deadlines and conflict budgets (solve returns kUndef),
 //  * the search statistics the paper reasons about (decisions ~ DPLL
 //    branching, propagations, conflicts ~ backtracks).
@@ -60,7 +67,7 @@ class Solver final : public SolverIface {
   Solver& operator=(const Solver&) = delete;
 
   Var new_var() override;
-  int num_vars() const override { return static_cast<int>(assign_.size()); }
+  int num_vars() const override { return static_cast<int>(level_.size()); }
 
   // Returns false if the clause makes the formula trivially UNSAT (empty
   // clause after root-level simplification). The solver stays usable but
@@ -180,12 +187,18 @@ class Solver final : public SolverIface {
   void attach(ClauseRef r);
   void detach(ClauseRef r);
   void filter_condemned_watchers(bool bins_too);
-  LBool value(Lit l) const;
+  std::int8_t value(Lit l) const { return vals_[l.index()]; }
   LBool search();
   bool budget_exhausted(bool force_deadline_check = false) const;
 
-  // Assignment state.
-  std::vector<LBool> assign_;
+  // Assignment state. vals_ holds the truth value of every literal, indexed
+  // by Lit::index(): kLitTrue, kLitFalse or kLitUndef. Both literals of a
+  // variable are written together, so reading a literal's value is one
+  // byte load with no sign flip on the propagation hot path.
+  static constexpr std::int8_t kLitTrue = 1;
+  static constexpr std::int8_t kLitFalse = -1;
+  static constexpr std::int8_t kLitUndef = 0;
+  std::vector<std::int8_t> vals_;
   std::vector<std::uint8_t> saved_phase_;
   std::vector<int> level_;
   std::vector<ClauseRef> reason_;

@@ -45,10 +45,15 @@ struct SolverStats {
   // Learnt clauses of size 2 (these live in the binary implication lists
   // and are never eligible for reduction).
   std::uint64_t learned_binary = 0;
-  // LBD histogram summary over learnt clauses, measured at 1UIP time:
-  // sum (mean = lbd_sum / learned_clauses), glue count (LBD <= 2), max.
+  // LBD histogram summary over learnt clauses, measured at 1UIP time. A
+  // clause's LBD counts the distinct decision levels among its literals
+  // above the solve's assumption levels (each assumption has its own
+  // level, which is not counted), and is at least 1.
+  // Sum of the LBDs (mean = lbd_sum / learned_clauses; >= learned_clauses).
   std::uint64_t lbd_sum = 0;
+  // Clauses learnt as glue (LBD <= 2): these join the kept-forever tier.
   std::uint64_t glue_learned = 0;
+  // Largest LBD learnt.
   std::uint64_t max_lbd = 0;
   // Local-tier clauses whose LBD improved to glue level during a later
   // conflict analysis and were moved into the kept-forever core tier.

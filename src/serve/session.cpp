@@ -34,7 +34,10 @@ ClientConn::ClientConn(int fd, std::uint64_t conn_id,
       conn_id_(conn_id),
       faults_(faults != nullptr ? faults : &runtime::FaultInjector::global()) {}
 
-ClientConn::~ClientConn() { close(); }
+ClientConn::~ClientConn() {
+  close();
+  ::close(fd_);
+}
 
 bool ClientConn::send_line(const std::string& line) {
   if (closed()) return false;
@@ -90,7 +93,6 @@ void ClientConn::read_lines(
 void ClientConn::close() {
   if (closed_.exchange(true, std::memory_order_relaxed)) return;
   ::shutdown(fd_, SHUT_RDWR);
-  ::close(fd_);
 }
 
 UnixListener::UnixListener(const std::string& path) : path_(path) {
@@ -120,12 +122,12 @@ UnixListener::UnixListener(const std::string& path) : path_(path) {
 }
 
 UnixListener::~UnixListener() {
-  close();
+  ::close(fd_);
   ::unlink(path_.c_str());
 }
 
 int UnixListener::accept_with_timeout(int timeout_ms) {
-  if (fd_ < 0) return -1;
+  if (closed_.load(std::memory_order_relaxed)) return -1;
   pollfd pfd{fd_, POLLIN, 0};
   const int ready = ::poll(&pfd, 1, timeout_ms);
   if (ready <= 0) return -1;  // timeout or EINTR (signal): caller re-polls
@@ -134,10 +136,8 @@ int UnixListener::accept_with_timeout(int timeout_ms) {
 }
 
 void UnixListener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (closed_.exchange(true, std::memory_order_relaxed)) return;
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 int connect_unix(const std::string& path) {

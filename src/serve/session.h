@@ -26,7 +26,9 @@
 namespace fl::serve {
 
 // One accepted client connection. Shared between its reader thread and any
-// scheduler worker streaming job events to it.
+// scheduler worker streaming job events to it. The descriptor is released
+// only by the destructor, once the last shared_ptr is gone, so no thread
+// can recv or send on a descriptor number that a later accept reused.
 class ClientConn {
  public:
   ClientConn(int fd, std::uint64_t conn_id,
@@ -49,11 +51,13 @@ class ClientConn {
   // reader thread.
   void read_lines(const std::function<void(const std::string&)>& on_line);
 
-  // Shuts the socket down (unblocking read_lines) and closes the fd once.
+  // Marks the connection closed and shuts the socket down, which unblocks
+  // read_lines and makes later sends fail. The fd stays open until the
+  // destructor.
   void close();
 
  private:
-  int fd_;
+  const int fd_;
   const std::uint64_t conn_id_;
   const runtime::FaultInjector* faults_;  // never null
   std::mutex write_mu_;
@@ -77,12 +81,16 @@ class UnixListener {
   // on timeout / EINTR / closed listener (poll again or stop).
   int accept_with_timeout(int timeout_ms);
 
-  // Unblocks accept_with_timeout permanently (drain).
+  // Stops accepting (drain): marks the listener closed and shuts the socket
+  // down, so new connects are refused and a waiting accept_with_timeout
+  // returns -1 within its timeout. Callable from any thread; the fd is
+  // released by the destructor, after the accepting thread is joined.
   void close();
 
  private:
   std::string path_;
   int fd_ = -1;
+  std::atomic<bool> closed_{false};
 };
 
 // Client-side connect; throws std::runtime_error when nothing listens.

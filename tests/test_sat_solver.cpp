@@ -125,6 +125,45 @@ TEST(SatSolver, AssumptionsSelectBranch) {
   EXPECT_TRUE(s.value_of(a));
 }
 
+// LBD counts only the search levels above the assumptions (Audemard,
+// Lagniez & Simon, SAT 2013). Under k assumptions, each on its own level,
+// the first decision on x or y conflicts at level k + 1 and learns
+// (~a_1 | ... | ~a_k | ~x) or (... | ~y): a clause that spans k + 1 levels
+// but only one of them above the assumptions, so its LBD is 1 and it is
+// glue. Both phase hints are true, so whichever of x and y is decided
+// first, the same single conflict follows.
+TEST(SatSolver, LbdCountsOnlyLevelsAboveAssumptions) {
+  constexpr int kAssumptions = 4;
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  std::vector<Lit> assumptions;
+  for (int i = 0; i < kAssumptions; ++i) {
+    assumptions.push_back(pos(s.new_var()));
+  }
+  // Under the assumptions: x -> y, x -> ~y and y -> x.
+  const auto under_assumptions = [&](Lit l1, Lit l2) {
+    Clause c{l1, l2};
+    for (const Lit a : assumptions) c.push_back(~a);
+    return c;
+  };
+  ASSERT_TRUE(s.add_clause(under_assumptions(neg(x), pos(y))));
+  ASSERT_TRUE(s.add_clause(under_assumptions(neg(x), neg(y))));
+  ASSERT_TRUE(s.add_clause(under_assumptions(neg(y), pos(x))));
+  s.set_phase(x, true);
+  s.set_phase(y, true);
+  ASSERT_EQ(s.solve(assumptions), LBool::kTrue);
+  EXPECT_FALSE(s.value_of(x));
+  EXPECT_FALSE(s.value_of(y));
+  const SolverStats& stats = s.stats();
+  ASSERT_EQ(stats.conflicts, 1u);
+  ASSERT_EQ(stats.learned_clauses, 1u);
+  EXPECT_EQ(stats.learned_literals, kAssumptions + 1u);
+  EXPECT_EQ(stats.lbd_sum, 1u);  // counting every level gives k + 1
+  EXPECT_EQ(stats.glue_learned, 1u);
+  EXPECT_EQ(stats.max_lbd, 1u);
+}
+
 TEST(SatSolver, ConflictingAssumptionsReturnFalse) {
   Solver s;
   const Var a = s.new_var();

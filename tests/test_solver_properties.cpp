@@ -2,6 +2,8 @@
 // density grid, model soundness, assumption semantics, incremental reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 
 #include "sat/dpll.h"
@@ -95,6 +97,67 @@ TEST(SolverProperties, AssumptionsEquivalentToUnits) {
 
     EXPECT_EQ(a, u) << "trial " << trial;
   }
+}
+
+// The key confirmation's shape: one solver answers many solves, each under
+// dozens of assumptions. The formula is a 150-variable random 3-SAT base
+// at m/n = 3.3 plus 64 groups of 6 more random 3-clauses, each group
+// guarded by a selector variable; a solve assumes 30-60 random selector
+// literals, and the 15-30 groups it switches on bring the base to about
+// the phase-transition density (3.9-4.5). Every answer matches a fresh solver
+// given the assumptions as unit clauses, every model satisfies every
+// clause and every assumption, and reduce_db fires, so clauses ranked under
+// one solve's assumptions survive into later solves under other ones.
+TEST(SolverProperties, ManyAssumptionsAcrossIncrementalSolvesMatchUnits) {
+  constexpr int kVars = 150, kGroups = 64, kGroupSize = 6;
+  KSatConfig config;
+  config.num_vars = kVars;
+  config.num_clauses = static_cast<int>(kVars * 3.3);
+  config.seed = 31;
+  Cnf cnf = random_ksat(config);
+  config.num_clauses = kGroups * kGroupSize;
+  config.seed = 32;
+  const Cnf extra = random_ksat(config);
+  for (int g = 0; g < kGroups; ++g) {
+    const Var selector = cnf.new_var();
+    for (int i = 0; i < kGroupSize; ++i) {
+      Clause c = extra.clauses[g * kGroupSize + i];
+      c.push_back(neg(selector));
+      cnf.add(std::move(c));
+    }
+  }
+  Solver incremental;
+  for (int v = 0; v < cnf.num_vars; ++v) incremental.new_var();
+  for (const Clause& c : cnf.clauses) ASSERT_TRUE(incremental.add_clause(c));
+
+  std::mt19937_64 rng(77);
+  std::vector<Var> selectors(kGroups);
+  std::iota(selectors.begin(), selectors.end(), kVars);
+  for (int round = 0; round < 24; ++round) {
+    std::shuffle(selectors.begin(), selectors.end(), rng);
+    const int count = 30 + static_cast<int>(rng() % 31);
+    std::vector<Lit> assumptions;
+    for (int i = 0; i < count; ++i) {
+      assumptions.push_back(Lit(selectors[i], (rng() & 1) != 0));
+    }
+    const LBool got = incremental.solve(assumptions);
+
+    Solver with_units;
+    for (int v = 0; v < cnf.num_vars; ++v) with_units.new_var();
+    bool ok = true;
+    for (const Clause& c : cnf.clauses) ok &= with_units.add_clause(c);
+    for (const Lit l : assumptions) ok &= with_units.add_clause({l});
+    const LBool want = ok ? with_units.solve() : LBool::kFalse;
+    ASSERT_EQ(got, want) << "round " << round;
+    if (got != LBool::kTrue) continue;
+    const std::vector<bool> model = incremental.model();
+    EXPECT_TRUE(model_satisfies(cnf, model)) << "round " << round;
+    for (const Lit l : assumptions) {
+      EXPECT_NE(model[l.var()], l.negated()) << "round " << round;
+    }
+  }
+  EXPECT_GT(incremental.stats().removed_clauses, 0u)
+      << "reduce_db never fired";
 }
 
 // Assumption solving leaves no residue: the unconstrained problem remains
