@@ -75,10 +75,14 @@ void print_table(const std::vector<int>& sizes,
       const fl::attacks::AttackResult& attack = cell.run.result;
       const bool timed_out =
           attack.status == fl::attacks::AttackStatus::kTimeout;
+      // A success whose key the proof refutes broke nothing.
+      const bool refuted = cell.run.key_check == fl::core::KeyCheck::kRefuted;
       table.row({std::to_string(n), std::to_string(cell.key_bits),
                  timed_out ? ">" + std::to_string(attack.iterations)
                            : std::to_string(attack.iterations),
-                 fl::bench::fmt_time_or_to(timed_out, attack.seconds)});
+                 refuted ? "refuted"
+                         : fl::bench::fmt_time_or_to(timed_out,
+                                                     attack.seconds)});
     }
   }
   std::printf("(paper shape: non-blocking TOs at smaller N than blocking; "

@@ -79,8 +79,11 @@ void print_table(const std::vector<std::string>& names,
       const fl::attacks::SweepCell& cell = sweep.cells[i];
       const bool timed_out =
           cell.run.result.status != fl::attacks::AttackStatus::kSuccess;
+      // A success whose key the proof refutes broke nothing.
       std::string text =
-          fl::bench::fmt_time_or_to(timed_out, cell.run.result.seconds);
+          cell.run.key_check == fl::core::KeyCheck::kRefuted
+              ? "refuted"
+              : fl::bench::fmt_time_or_to(timed_out, cell.run.result.seconds);
       if (cell.cyclic) text += "*";
       cells.push_back(text);
     }

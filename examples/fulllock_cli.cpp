@@ -25,13 +25,12 @@
 //            appsat, double-dip, fall; auto = cycsat on cyclic netlists, sat
 //            otherwise). The engine picks the miter encoding from the lock
 //            (key-cone on acyclic locks, full-circuit on cyclic ones) and
-//            always preprocesses the base miter. The recovered key is
-//            proved equivalent to the oracle (cnf::check_equivalence: the
-//            lock specialised to the key, hashed against the oracle, the
-//            outputs that do not merge SAT-checked). A cyclic lock is proved
-//            when its key cuts every cycle, and simulated only when a cycle
-//            survives. The key line names the check: proved, simulated or
-//            REJECTED; --require-key exits 3 on REJECTED (the CI gate).
+//            always preprocesses the base miter. core::check_key grades
+//            the recovered key: proved equivalent to the oracle, on a cyclic
+//            lock when the key cuts every cycle; simulated only when a cycle
+//            survives it; or refuted. The key line names the verdict;
+//            --require-key exits 3 unless a key was recovered and not
+//            refuted (the CI gate).
 //            --trace FILE appends one JSONL record per DIP iteration (schema
 //            in EXPERIMENTS.md). attack and sweep exit 2 on an unknown
 //            --flag or a bad runner flag value (attack also on a fourth
@@ -86,7 +85,6 @@
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
 #include "attacks/sweep.h"
-#include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
 #include "netlist/bench_io.h"
@@ -195,7 +193,8 @@ int cmd_lock(int argc, char** argv) {
   }
   const netlist::Netlist original = netlist::read_bench_file(positional[0]);
   const core::LockedCircuit locked = s->lock(original, options);
-  if (!core::verify_unlocks(original, locked, 16, 1)) {
+  if (core::check_key(original, locked.netlist, locked.correct_key) ==
+      core::KeyCheck::kRefuted) {
     std::fprintf(stderr, "internal error: correct key failed verification\n");
     return 1;
   }
@@ -306,8 +305,8 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
     std::fprintf(stderr,
                  "usage: attack <locked.bench> <oracle.bench> [timeout_s]\n"
                  "  --attack NAME   one of: %s (default: auto)\n"
-                 "  --require-key   exit 3 when the recovered key is "
-                 "REJECTED\n"
+                 "  --require-key   exit 3 unless a key is recovered and "
+                 "not refuted\n"
                  "  --trace FILE    per-DIP-iteration JSONL trace\n",
                  attacks::attack_names().c_str());
     return 2;
@@ -340,19 +339,10 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   }
   bool accepted = false;
   if (result.status == attacks::AttackStatus::kSuccess) {
-    // Every key is proved (cnf::check_equivalence), a cyclic one on the
-    // netlist its key specialises it to. Only a key that leaves a cycle
-    // standing, which the proof refuses, falls back to simulation.
-    const char* method = "proved";
-    try {
-      accepted = cnf::check_equivalence(oracle_netlist, {}, locked.netlist,
-                                        result.key);
-    } catch (const std::invalid_argument&) {
-      method = "simulated";
-      accepted = core::verify_unlocks(oracle_netlist, locked.netlist,
-                                      result.key, 16, 1);
-    }
-    std::printf("recovered key (%s):", accepted ? method : "REJECTED");
+    const core::KeyCheck check =
+        core::check_key(oracle_netlist, locked.netlist, result.key);
+    accepted = check != core::KeyCheck::kRefuted;
+    std::printf("recovered key (%s):", core::to_string(check));
     for (const bool b : result.key) std::printf("%d", b ? 1 : 0);
     std::printf("\n");
   }

@@ -83,8 +83,9 @@ int main(int argc, char** argv) {
   std::printf("scheme %s: %zu key bits, locked netlist %zu gates%s\n",
               locked.scheme.c_str(), locked.key_bits(),
               locked.netlist.num_logic_gates(), cyclic ? " (cyclic)" : "");
-  std::printf("correct key unlocks: %s\n",
-              core::verify_unlocks(original, locked, 16, 1) ? "yes" : "NO");
+  std::printf("correct key: %s\n",
+              core::to_string(core::check_key(original, locked.netlist,
+                                              locked.correct_key)));
 
   const core::CorruptionStats corruption =
       core::output_corruption(original, locked, 24, 4, 5);
@@ -105,9 +106,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sat.iterations), sat.seconds);
   if (sat.status == attacks::AttackStatus::kSuccess) {
     std::printf(", key %s",
-                core::verify_unlocks(original, locked.netlist, sat.key, 16, 2)
-                    ? "functionally correct"
-                    : "WRONG");
+                core::to_string(
+                    core::check_key(original, locked.netlist, sat.key)));
   }
   std::printf("\n");
 

@@ -50,11 +50,9 @@ void demonstrate(core::CycleMode mode, const char* label) {
   for (const int p : plr.hint.permutation) std::printf(" %d", p);
   std::printf("\nstructurally cyclic after insertion: %s\n",
               locked.is_cyclic() ? "yes" : "no");
-  std::printf("correct key restores function: %s\n",
-              core::verify_unlocks(original, locked, plr.added_key_values, 16,
-                                   9)
-                  ? "yes"
-                  : "NO (bug!)");
+  std::printf("correct key: %s\n",
+              core::to_string(core::check_key(original, locked,
+                                              plr.added_key_values)));
   std::printf("\nlocked circuit:\n%s",
               netlist::write_bench_string(locked).c_str());
 }

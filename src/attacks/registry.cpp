@@ -120,6 +120,16 @@ RunResult run(std::string_view name, const core::LockedCircuit& locked,
   return run;
 }
 
+void grade_key(RunResult& run, const netlist::Netlist& original,
+               const netlist::Netlist& locked) {
+  if (run.result.status != AttackStatus::kSuccess) return;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  run.key_check = core::check_key(original, locked, run.result.key);
+  run.key_check_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 runtime::JsonObject to_json(const RunResult& run) {
   const AttackResult& r = run.result;
   const sat::SolverStats& st = r.solver_stats;
@@ -158,10 +168,13 @@ runtime::JsonObject to_json(const RunResult& run) {
       .field("pp_subsumed_clauses", pp.subsumed_clauses)
       .field("pp_strengthened_literals", pp.strengthened_literals)
       .merge(run.detail)
+      .field("key_check",
+             run.key_check ? core::to_string(*run.key_check) : "none")
       .field("mean_iteration_s", r.mean_iteration_seconds)
       .field("encode_s", r.encode_seconds)
       .field("preprocess_s", pp.preprocess_s)
-      .field("wall_s", r.seconds);
+      .field("wall_s", r.seconds)
+      .field("key_check_s", run.key_check_seconds);
   return o;
 }
 

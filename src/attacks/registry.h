@@ -15,10 +15,12 @@
 // to_json(RunResult) is the one attack record every writer emits.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "attacks/engine.h"
+#include "core/verify.h"
 #include "runtime/jsonl.h"
 
 namespace fl::attacks {
@@ -33,6 +35,10 @@ struct RunResult {
   //               candidates_tested, stripped_error_rate, and hd when a key
   //               was recovered
   runtime::JsonObject detail;
+  // Set by grade_key on a success: core::check_key's verdict and its wall
+  // time. Empty on every other status.
+  std::optional<core::KeyCheck> key_check = std::nullopt;
+  double key_check_seconds = 0.0;
 };
 
 // "auto, sat, cycsat, appsat, double-dip, fall" — for usage text and errors.
@@ -47,11 +53,18 @@ bool known_attack(std::string_view name);
 RunResult run(std::string_view name, const core::LockedCircuit& locked,
               const Oracle& oracle, const AttackOptions& options = {});
 
+// Grades a success key against the circuit the oracle runs with
+// core::check_key, and times it. Every record writer calls it before
+// to_json: the grade belongs to the harness that holds that circuit, not
+// to the attack.
+void grade_key(RunResult& run, const netlist::Netlist& original,
+               const netlist::Netlist& locked);
+
 // The attack block of every JSONL record that reports an attack (schema in
 // EXPERIMENTS.md): `attack`, the deterministic AttackResult fields, the
-// `detail` block, then the wall-clock fields. Their `_s` suffix marks them
-// as the only fields two runs of one seed grid may disagree on, and they
-// come last.
+// `detail` block, `key_check` ("none" when ungraded), then the wall-clock
+// fields. Their `_s` suffix marks them as the only fields two runs of one
+// seed grid may disagree on, and they come last.
 runtime::JsonObject to_json(const RunResult& run);
 
 }  // namespace fl::attacks

@@ -99,6 +99,7 @@ SweepResult run_sweep(
           session.note_interrupted(i);
           return;
         }
+        grade_key(cell.run, original, locked.netlist);
         runtime::JsonObject o = record_base(i);
         o.field("key_bits", cell.key_bits)
             .field("cyclic", cell.cyclic)

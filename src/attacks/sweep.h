@@ -5,7 +5,8 @@
 // Every cell locks its host with one registry scheme at the cell's sizes,
 // parameters and seed, builds the oracle, runs attacks::run once under the
 // sweep's attack timeout, its interrupt, the job deadline and the memory
-// budget, and writes one record:
+// budget, grades a success key against the host (grade_key), and writes one
+// record:
 //
 //   cell, bench, circuit, <the cell's coords>, seed, key_bits, cyclic,
 //   then attacks::to_json(run)

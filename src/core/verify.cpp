@@ -1,7 +1,9 @@
 #include "core/verify.h"
 
 #include <bit>
+#include <stdexcept>
 
+#include "cnf/miter.h"
 #include "netlist/simulator.h"
 
 namespace fl::core {
@@ -41,6 +43,34 @@ std::pair<std::uint64_t, std::uint64_t> diff_outputs(
 }
 
 }  // namespace
+
+const char* to_string(KeyCheck check) {
+  switch (check) {
+    case KeyCheck::kProved: return "proved";
+    case KeyCheck::kSimulated: return "simulated";
+    case KeyCheck::kRefuted: return "refuted";
+  }
+  return "?";
+}
+
+KeyCheck check_key(const Netlist& original, const Netlist& locked,
+                   const std::vector<bool>& key) {
+  if (key.size() != locked.num_keys() || original.num_keys() != 0 ||
+      original.num_inputs() != locked.num_inputs() ||
+      original.num_outputs() != locked.num_outputs()) {
+    return KeyCheck::kRefuted;
+  }
+  try {
+    return cnf::check_equivalence(original, {}, locked, key)
+               ? KeyCheck::kProved
+               : KeyCheck::kRefuted;
+  } catch (const std::invalid_argument&) {
+    // The interface and key width fit, so the proof refused a cycle the
+    // key leaves standing.
+    return verify_unlocks(original, locked, key, 16, 1) ? KeyCheck::kSimulated
+                                                       : KeyCheck::kRefuted;
+  }
+}
 
 bool verify_unlocks(const Netlist& original, const Netlist& locked,
                     const std::vector<bool>& key, int rounds,

@@ -8,20 +8,26 @@
 
 namespace fl::core {
 
+enum class KeyCheck { kProved, kSimulated, kRefuted };
+const char* to_string(KeyCheck check);  // "proved", "simulated", "refuted"
+
+// The one check of every key the front ends report. A key of the wrong
+// width, PI/PO counts that differ, or an `original` with key inputs is
+// refuted. Otherwise cnf::check_equivalence proves or refutes the key, on a
+// cyclic lock over the netlist the key specialises it to. Only when a cycle
+// survives the key, so that no proof runs, does
+// verify_unlocks(original, locked, key, 16, 1) pick simulated or refuted.
+KeyCheck check_key(const netlist::Netlist& original,
+                   const netlist::Netlist& locked,
+                   const std::vector<bool>& key);
+
 // Checks that `locked` under `key` matches `original` on `rounds` x 64
 // random patterns (relaxation simulation if the locked netlist is cyclic).
-// A sample, not a proof: cnf::check_equivalence proves a key.
+// A sample, not a proof: check_key proves a key.
 bool verify_unlocks(const netlist::Netlist& original,
                     const netlist::Netlist& locked,
                     const std::vector<bool>& key, int rounds,
                     std::uint64_t seed);
-
-inline bool verify_unlocks(const netlist::Netlist& original,
-                           const LockedCircuit& locked, int rounds,
-                           std::uint64_t seed) {
-  return verify_unlocks(original, locked.netlist, locked.correct_key, rounds,
-                        seed);
-}
 
 // Fraction of (pattern, output-bit) pairs that differ from the original
 // under `key`, over `rounds` x 64 random patterns. Patterns that fail to

@@ -48,7 +48,8 @@ JobResult run_lock_job(const JobSpec& spec, JobContext& ctx) {
   const core::LockedCircuit locked = lock::lock_with(
       spec.scheme, original,
       lock::make_options(spec.seed, spec.sizes, spec.scheme_params));
-  if (!core::verify_unlocks(original, locked, 16, 1)) {
+  if (core::check_key(original, locked.netlist, locked.correct_key) ==
+      core::KeyCheck::kRefuted) {
     throw std::runtime_error("lock verification failed: correct key does not "
                              "unlock the circuit");
   }
@@ -80,13 +81,13 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   StreamTraceSink trace(ctx);
   if (spec.trace) options.trace = &trace;
 
-  const attacks::RunResult run =
-      attacks::run(spec.attack, locked, oracle, options);
+  attacks::RunResult run = attacks::run(spec.attack, locked, oracle, options);
   const attacks::AttackResult& attack = run.result;
   if (attack.status == attacks::AttackStatus::kInterrupted) {
     result.interrupted = true;
     return result;
   }
+  attacks::grade_key(run, oracle_netlist, locked.netlist);
   result.fields.field("scheme", locked.scheme)
       .field("key_bits", locked.netlist.num_keys());
   if (attack.status == attacks::AttackStatus::kSuccess) {

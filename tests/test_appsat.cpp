@@ -5,11 +5,13 @@
 
 #include "attacks/appsat.h"
 #include "attacks/oracle.h"
+#include "attacks/sweep.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/rll.h"
 #include "locking/sarlock.h"
+#include "netlist/generator.h"
 #include "netlist/profiles.h"
 
 namespace fl::attacks {
@@ -110,7 +112,8 @@ TEST(AppSat, CyclicLockEndsOnVerifiedKeyDeterministically) {
   const AppSatResult a = attack();
   const AppSatResult b = attack();
   ASSERT_EQ(a.status, AttackStatus::kSuccess);
-  EXPECT_TRUE(core::verify_unlocks(original, locked.netlist, a.key, 32, 1));
+  EXPECT_EQ(core::check_key(original, locked.netlist, a.key),
+            core::KeyCheck::kProved);
   // Settlement estimates ran: each charges 8 x 64 queries on
   // top of one query per DIP.
   EXPECT_GT(a.oracle_queries, a.iterations);
@@ -134,6 +137,31 @@ TEST(AppSat, CyclicLockEndsOnVerifiedKeyDeterministically) {
         p.subsumed_clauses, p.strengthened_literals, p.resolvents_added);
   };
   EXPECT_EQ(fields(a), fields(b));
+}
+
+TEST(AppSat, SweepRecordRefutesASettledSarlockKey) {
+  // AppSAT settles on a SARLock key once its sampled error is small, and
+  // reports success. The sweep's record still carries the proof's verdict:
+  // on this 10-input host the settled key is wrong.
+  const Netlist host = netlist::generate_circuit(
+      {.num_inputs = 10, .num_outputs = 5, .num_gates = 60, .seed = 1});
+  SweepCell cell;
+  cell.scheme = "sarlock";
+  cell.params = "keys=6";
+  cell.seed = 1;
+  SweepSpec spec;
+  spec.attack = "appsat";
+  std::string record;
+  const SweepResult result = run_sweep(
+      {&host, 1}, {cell}, spec, {}, {},
+      [&record](runtime::JsonObject o) { record = o.str(); });
+  ASSERT_EQ(result.report.ok, 1u);
+  EXPECT_EQ(result.cells[0].run.key_check, core::KeyCheck::kRefuted);
+  EXPECT_NE(record.find("\"status\":\"success\""), std::string::npos)
+      << record;
+  EXPECT_NE(record.find("\"approximate\":true"), std::string::npos) << record;
+  EXPECT_NE(record.find("\"key_check\":\"refuted\""), std::string::npos)
+      << record;
 }
 
 }  // namespace

@@ -74,8 +74,8 @@ TEST(DoubleDip, FullLockStillResists) {
   // Either times out (expected at this budget) or, if it finishes, the key
   // must be right.
   if (result.status == AttackStatus::kSuccess) {
-    EXPECT_TRUE(
-        core::verify_unlocks(original, locked.netlist, result.key, 16, 3));
+    EXPECT_EQ(core::check_key(original, locked.netlist, result.key),
+              core::KeyCheck::kProved);
   } else {
     EXPECT_EQ(result.status, AttackStatus::kTimeout);
   }

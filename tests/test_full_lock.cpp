@@ -31,7 +31,8 @@ TEST(FullLock, MultiplePlrs) {
       full_lock(original, FullLockConfig::with_plrs({8, 8, 4}), &report);
   EXPECT_EQ(report.num_plrs, 3);
   EXPECT_EQ(locked.routing_blocks.size(), 3u);
-  EXPECT_TRUE(verify_unlocks(original, locked, 16, 2));
+  EXPECT_EQ(check_key(original, locked.netlist, locked.correct_key),
+            KeyCheck::kProved);
 }
 
 TEST(FullLock, Table5StyleConfig) {
@@ -39,7 +40,8 @@ TEST(FullLock, Table5StyleConfig) {
   const Netlist original = netlist::make_circuit("c432", 33);
   const LockedCircuit locked =
       full_lock(original, FullLockConfig::with_plrs({16, 16, 8}));
-  EXPECT_TRUE(verify_unlocks(original, locked, 16, 3));
+  EXPECT_EQ(check_key(original, locked.netlist, locked.correct_key),
+            KeyCheck::kProved);
   // Key budget: at least the CLN keys of the three networks.
   ClnConfig c16;
   c16.n = 16;
@@ -49,13 +51,16 @@ TEST(FullLock, Table5StyleConfig) {
             2 * cln_num_keys(c16) + cln_num_keys(c8));
 }
 
-TEST(FullLock, CyclicInsertionVerifiesBySimulation) {
+TEST(FullLock, CyclicInsertionCorrectKeyIsProved) {
+  // The correct key cuts every routing cycle, so the proof runs on the
+  // acyclic netlist the key specialises the lock to.
   const Netlist original = netlist::make_circuit("c880", 34);
   FullLockConfig config = FullLockConfig::with_plrs(
       {8}, ClnTopology::kBanyanNonBlocking, CycleMode::kForce);
   const LockedCircuit locked = full_lock(original, config);
   EXPECT_TRUE(locked.netlist.is_cyclic());
-  EXPECT_TRUE(verify_unlocks(original, locked, 16, 4));
+  EXPECT_EQ(check_key(original, locked.netlist, locked.correct_key),
+            KeyCheck::kProved);
 }
 
 TEST(FullLock, DeterministicForFixedSeed) {
@@ -110,7 +115,8 @@ TEST(FullLock, LutFreeVariant) {
   FullLockReport report;
   const LockedCircuit locked = full_lock(original, config, &report);
   EXPECT_EQ(report.num_luts, 0);
-  EXPECT_TRUE(verify_unlocks(original, locked, 16, 6));
+  EXPECT_EQ(check_key(original, locked.netlist, locked.correct_key),
+            KeyCheck::kProved);
 }
 
 TEST(FullLock, TwoInputDecompositionCapsLutSize) {
@@ -119,7 +125,8 @@ TEST(FullLock, TwoInputDecompositionCapsLutSize) {
   config.decompose_two_input = true;
   FullLockReport report;
   const LockedCircuit locked = full_lock(original, config, &report);
-  EXPECT_TRUE(verify_unlocks(original, locked, 16, 8));
+  EXPECT_EQ(check_key(original, locked.netlist, locked.correct_key),
+            KeyCheck::kProved);
   // Every twisted consumer has <= 2 data inputs, so each LUT contributes at
   // most 4 truth-table key bits. Verify via the LUT key names.
   std::size_t lut_keys = 0;

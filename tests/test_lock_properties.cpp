@@ -103,16 +103,11 @@ TEST_P(LockProperty, InterfaceAndUnlockInvariants) {
     // complemented, every XOR inverted, every route permuted) is provably a
     // different function. Random sampling can miss the corrupted minterms
     // for schemes with few small key cones (e.g. lut-lock's 6 LUTs deep in
-    // i4's wide AND cones), so where the netlist is acyclic we settle it
-    // with the equivalence proof instead of pattern counting.
+    // i4's wide AND cones), so the key check settles it with the proof.
     std::vector<bool> flipped = locked.correct_key;
     flipped.flip();
-    const bool equivalent =
-        locked.netlist.is_cyclic()
-            ? core::verify_unlocks(original, locked.netlist, flipped, 16,
-                                   p.seed)
-            : cnf::check_equivalence(original, {}, locked.netlist, flipped);
-    EXPECT_FALSE(equivalent)
+    EXPECT_EQ(core::check_key(original, locked.netlist, flipped),
+              core::KeyCheck::kRefuted)
         << "non-point-function scheme is equivalent under the flipped key";
   }
 }

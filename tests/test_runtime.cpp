@@ -476,6 +476,16 @@ TEST(Determinism, SerialAndParallelSweepsMatchModuloWallClock) {
     std::ostringstream out;
     out << in.rdbuf();
     std::remove(args.jsonl_path.c_str());
+    // Every success record says its key was proved.
+    std::istringstream lines(out.str());
+    std::size_t successes = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"status\":\"success\"") == std::string::npos) continue;
+      ++successes;
+      EXPECT_NE(line.find("\"key_check\":\"proved\""), std::string::npos)
+          << line;
+    }
+    EXPECT_GT(successes, 0u) << jobs;
     // Strip the wall-clock fields — the only part allowed to vary.
     static const std::regex wall_clock(",\"[a-z_]+_s\":[^,}]+");
     return std::regex_replace(out.str(), wall_clock, "");

@@ -142,8 +142,8 @@ TEST(SatAttack, CyclicRepeatedDipsBanStatefulKeys) {
   EXPECT_GT(result.banned_keys, 0u);
   EXPECT_EQ(result.oracle_queries, result.iterations);
   EXPECT_FALSE(result.key_confirmed);
-  EXPECT_TRUE(
-      core::verify_unlocks(original, locked.netlist, result.key, 16, 1));
+  EXPECT_EQ(core::check_key(original, locked.netlist, result.key),
+            core::KeyCheck::kProved);
 }
 
 TEST(SatAttack, IterationLimitHonored) {

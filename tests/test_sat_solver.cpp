@@ -10,8 +10,8 @@
 namespace fl::sat {
 namespace {
 
-bool brute_force_sat(const Cnf& cnf) {
-  if (cnf.num_vars > 20) throw std::logic_error("too big for brute force");
+bool exhaustive_sat(const Cnf& cnf) {
+  if (cnf.num_vars > 20) throw std::logic_error("too big to enumerate");
   for (std::uint64_t m = 0; m < (std::uint64_t{1} << cnf.num_vars); ++m) {
     bool all = true;
     for (const Clause& c : cnf.clauses) {
@@ -205,7 +205,7 @@ TEST(SatSolver, RandomInstancesMatchBruteForce) {
     const Cnf cnf = random_ksat(config);
     std::vector<bool> model;
     const LBool got = solve_cnf(cnf, &model);
-    const bool expected = brute_force_sat(cnf);
+    const bool expected = exhaustive_sat(cnf);
     ASSERT_EQ(got == LBool::kTrue, expected) << "trial " << trial;
     if (got == LBool::kTrue) {
       EXPECT_TRUE(model_satisfies(cnf, model)) << "trial " << trial;

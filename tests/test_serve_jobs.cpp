@@ -84,6 +84,10 @@ TEST(ServeJobs, LockThenAttackKeepsSchemeProvenance) {
       << attack_fields;
   EXPECT_NE(attack_fields.find("\"status\":\"success\""), std::string::npos)
       << attack_fields;
+  // The terminal event carries the daemon's own proof of the key.
+  EXPECT_NE(attack_fields.find("\"key_check\":\"proved\""),
+            std::string::npos)
+      << attack_fields;
   const std::optional<std::string> key =
       runtime::json_string_field(attack_fields, "key");
   ASSERT_TRUE(key.has_value());

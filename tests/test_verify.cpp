@@ -2,13 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/rll.h"
 #include "locking/sarlock.h"
+#include "locking/scheme.h"
 #include "netlist/profiles.h"
 #include "netlist/simulator.h"
 
@@ -43,6 +47,108 @@ TEST(VerifyUnlocks, InterfaceMismatchIsFalse) {
   const Netlist c17 = netlist::make_c17();
   const Netlist other = netlist::make_circuit("i4", 1);
   EXPECT_FALSE(verify_unlocks(c17, other, {}, 1, 1));
+}
+
+// The lock-matrix legs (.github/workflows/lock-matrix.yml): c432 circuit
+// seed 1, lock seed 2.
+LockedCircuit matrix_lock(const Netlist& c432, const std::string& scheme,
+                          const std::string& params) {
+  return lock::lock_with(scheme, c432, lock::make_options(2, {}, params));
+}
+
+TEST(KeyCheck, ProvesEveryLockMatrixCorrectKey) {
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const std::pair<const char*, const char*> legs[] = {
+      {"rll", "keys=16"},
+      {"lut-lock", "luts=6"},
+      {"sarlock", "keys=8"},
+      {"antisat", "inputs=6"},
+      {"cross-lock", "sources=8,dests=12"},
+      {"cross-lock", "sources=32"},
+      {"full-lock", "sizes=8"},
+      {"interlock", "sizes=8"},
+      {"full-lock", "sizes=4,cycle=allow"},
+      {"sfll-hd", "keys=8,hd=1"},
+  };
+  for (const auto& [scheme, params] : legs) {
+    const LockedCircuit locked = matrix_lock(original, scheme, params);
+    EXPECT_EQ(check_key(original, locked.netlist, locked.correct_key),
+              KeyCheck::kProved)
+        << scheme << " " << params;
+  }
+}
+
+TEST(KeyCheck, RefutesOneBitFlipsThatPassTheSample) {
+  // Each of these flips matches the original on all 16 x 64 patterns of
+  // verify_unlocks(..., 16, 1), the check the CLI's lock and attack used to
+  // fall back on, yet the proof finds an input that tells them apart.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const std::map<std::pair<std::string, std::string>, std::vector<int>>
+      flips = {
+          {{"full-lock", "sizes=8"}, {16, 44, 164, 165, 168, 182, 190}},
+          {{"cross-lock", "sources=8,dests=12"}, {16}},
+          {{"interlock", "sizes=8"}, {16, 54, 55, 58, 76, 84}},
+          {{"full-lock", "sizes=4,cycle=allow"}, {16}},
+      };
+  for (const auto& [lock, bits] : flips) {
+    const LockedCircuit locked = matrix_lock(original, lock.first, lock.second);
+    for (const int bit : bits) {
+      std::vector<bool> key = locked.correct_key;
+      key[bit] = !key[bit];
+      EXPECT_TRUE(verify_unlocks(original, locked.netlist, key, 16, 1))
+          << lock.first << " " << lock.second << " bit " << bit;
+      EXPECT_EQ(check_key(original, locked.netlist, key), KeyCheck::kRefuted)
+          << lock.first << " " << lock.second << " bit " << bit;
+    }
+  }
+}
+
+TEST(KeyCheck, RefutesByTheSampleAKeyThatKeepsACycle) {
+  // Bit 4 of the cyclic lock-matrix Full-Lock leaves a routing cycle
+  // standing: the proof cannot run, and the sample sees the difference.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const LockedCircuit locked =
+      matrix_lock(original, "full-lock", "sizes=4,cycle=allow");
+  ASSERT_TRUE(locked.netlist.is_cyclic());
+  std::vector<bool> key = locked.correct_key;
+  key[4] = !key[4];
+  EXPECT_THROW(cnf::check_equivalence(original, {}, locked.netlist, key),
+               std::invalid_argument);
+  EXPECT_EQ(check_key(original, locked.netlist, key), KeyCheck::kRefuted);
+}
+
+TEST(KeyCheck, SimulatesAKeyThatKeepsACycleYetUnlocks) {
+  // y = OR(a, m), m = MUX(k, a, c), c = AND(a, m). k = 0 routes a to m and
+  // cuts the loop. k = 1 closes m -> c -> m, but y = a still: a = 1 forces
+  // y, and a = 0 forces c = m = 0.
+  Netlist original;
+  const GateId a0 = original.add_input("a");
+  original.mark_output(original.add_gate(GateType::kBuf, {a0}), "y");
+  Netlist locked;
+  const GateId a = locked.add_input("a");
+  const GateId k = locked.add_key("k");
+  const GateId m = locked.add_gate(GateType::kMux, {k, a, a});
+  const GateId c = locked.add_gate(GateType::kAnd, {a, m});
+  locked.set_fanin(m, std::vector<GateId>{k, a, c});
+  locked.mark_output(locked.add_gate(GateType::kOr, {a, m}), "y");
+  ASSERT_TRUE(locked.is_cyclic());
+  EXPECT_EQ(check_key(original, locked, {false}), KeyCheck::kProved);
+  EXPECT_THROW(cnf::check_equivalence(original, {}, locked, {true}),
+               std::invalid_argument);
+  EXPECT_EQ(check_key(original, locked, {true}), KeyCheck::kSimulated);
+  EXPECT_STREQ(to_string(KeyCheck::kSimulated), "simulated");
+}
+
+TEST(KeyCheck, RefutesAMismatchedInterfaceOrKeyWidthWithoutThrowing) {
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const LockedCircuit locked = matrix_lock(original, "rll", "keys=16");
+  std::vector<bool> short_key = locked.correct_key;
+  short_key.pop_back();
+  EXPECT_EQ(check_key(original, locked.netlist, short_key), KeyCheck::kRefuted);
+  EXPECT_EQ(check_key(original, locked.netlist, {}), KeyCheck::kRefuted);
+  const Netlist c17 = netlist::make_c17();
+  EXPECT_EQ(check_key(c17, locked.netlist, locked.correct_key),
+            KeyCheck::kRefuted);
 }
 
 TEST(ErrorRate, ZeroForCorrectKey) {
