@@ -29,12 +29,17 @@ the ratio of the medians and a verdict, judged against the metric's
 Each run's per-instance records (keybench/run.py's results file, which
 the next run on that side overwrites) are copied to
 records/<side>-<workload>-seed<N>-pair<K>.jsonl in the work directory.
+Within each pair the two sides' attack records are compared on the fields
+that describe the search (SEARCH_FIELDS: instance, pass, dips,
+oracle_queries, conflicts, status); per workload it prints
+`search: identical`, or the first record where the sides differ.
 
 With --out the same comparison is also written to FILE as one JSON
 object: both revisions (as given, the commit they name, and the git
 commit and source hash keybench stamped on the side's first run), the
 seed, the pair count and, for every workload and end-to-end metric, each
-side's samples and q1/median/q3, the wins, ties, ratio and verdict.
+side's samples and q1/median/q3, the wins, ties, ratio and verdict, and
+per workload `search_identical`.
 
 Exits 1 if a run gives no result, a run reports `correct: false`, or the
 change fails more attacks than the base on some workload. Without
@@ -52,6 +57,11 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The fields of a keybench attack record that a change which keeps the
+# search must leave equal.
+SEARCH_FIELDS = ("instance", "pass", "dips", "oracle_queries", "conflicts",
+                 "status")
 
 
 def quartiles(values):
@@ -92,15 +102,43 @@ def judge(base, change, better, bound):
             "ratio": ratio, "verdict": verdict}
 
 
-def comparison(meta, metrics, samples, failed):
+def search_records(lines):
+    """The SEARCH_FIELDS of each attack record among keybench's JSONL
+    `lines`, in order."""
+    out = []
+    for line in lines:
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if record.get("record") == "attack":
+            out.append({f: record.get(f) for f in SEARCH_FIELDS})
+    return out
+
+
+def search_difference(base, change):
+    """None if the two sides' search records agree, else a line naming
+    the first record that differs."""
+    for i in range(max(len(base), len(change))):
+        b = base[i] if i < len(base) else None
+        c = change[i] if i < len(change) else None
+        if b != c:
+            return "attack record %d: base %s, change %s" % (
+                i + 1, json.dumps(b, sort_keys=True),
+                json.dumps(c, sort_keys=True))
+    return None
+
+
+def comparison(meta, metrics, samples, failed, identical):
     """The --out document: `meta` plus, per workload, each end-to-end
     metric's judged comparison. samples[workload][side] is a list of
     {metric: value} dicts, one per pair; failed[workload][side] the number
-    of failed attacks over the pairs."""
+    of failed attacks over the pairs; identical[workload] whether every
+    pair's search records agreed."""
     doc = dict(meta)
     doc["workloads"] = {}
     for workload, sides in samples.items():
-        entry = {"failed": failed[workload], "metrics": {}}
+        entry = {"failed": failed[workload], "metrics": {},
+                 "search_identical": identical[workload]}
         for m in metrics:
             base = [s[m["name"]] for s in sides["base"]]
             change = [s[m["name"]] for s in sides["change"]]
@@ -157,7 +195,29 @@ def self_test():
                                                                2.0):
         failed += 1
         print("FAIL wins/ties/medians: %s" % r)
-    checks = len(cases) + 2
+    # Search identity: equal search fields agree whatever the timings; a
+    # different conflict count, or a missing record, is named.
+    lines = ['{"record":"env","seed":1}',
+             '{"record":"attack","pass":0,"instance":"a","dips":5,'
+             '"oracle_queries":5,"conflicts":40,"status":"success",'
+             '"attack_s":0.5}',
+             '{"record":"attack","pass":0,"instance":"b","dips":7,'
+             '"oracle_queries":7,"conflicts":90,"status":"success",'
+             '"attack_s":0.7}']
+    same = [lines[0], lines[1].replace("0.5", "0.4"), lines[2]]
+    other = [lines[0], lines[1], lines[2].replace('"conflicts":90',
+                                                  '"conflicts":91')]
+    base = search_records(lines)
+    got = (search_difference(base, search_records(same)),
+           search_difference(base, search_records(other)),
+           search_difference(base, search_records(lines[:2])))
+    if (got[0] is not None or got[1] is None
+            or not got[1].startswith("attack record 2:")
+            or '"conflicts": 91' not in got[1] or got[2] is None
+            or "change null" not in got[2]):
+        failed += 1
+        print("FAIL search identity: %s" % (got,))
+    checks = len(cases) + 4
     metrics = [{"name": "time_to_key_s", "unit": "s", "better": "lower",
                 "bound": 0.25},
                {"name": "dips", "unit": "count", "better": "lower",
@@ -170,12 +230,20 @@ def self_test():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ab.json")
         write_json(path, comparison(
-            meta, metrics, {"iscas": {"base": base, "change": change}},
-            {"iscas": {"base": 0, "change": 0}}))
+            meta, metrics, {"iscas": {"base": base, "change": change},
+                            "cln": {"base": base, "change": change}},
+            {"iscas": {"base": 0, "change": 0},
+             "cln": {"base": 0, "change": 0}},
+            {"iscas": True, "cln": False}))
         with open(path) as f:
             doc = json.load(f)
     t = doc["workloads"]["iscas"]["metrics"]["time_to_key_s"]
     d = doc["workloads"]["iscas"]["metrics"]["dips"]
+    if (doc["workloads"]["iscas"]["search_identical"] is not True
+            or doc["workloads"]["cln"]["search_identical"] is not False):
+        failed += 1
+        print("FAIL --out search_identical: %s" %
+              {w: e["search_identical"] for w, e in doc["workloads"].items()})
     want_t = judge(cases[0][0], cases[0][1], "lower", 0.25)
     got = (doc["seed"], doc["pairs"], doc["base"]["commit"],
            doc["change"]["rev"], t["pairs"], t["wins"], t["ties"],
@@ -272,7 +340,7 @@ def main():
     status = 0
     meta = {"seed": args.seed, "pairs": args.pairs,
             "run_seconds": spec["run_seconds"]}
-    all_samples, all_failed = {}, {}
+    all_samples, all_failed, all_identical = {}, {}, {}
     try:
         sides = {}
         for side, rev in (("base", args.base), ("change", args.change)):
@@ -285,7 +353,9 @@ def main():
         for workload in workloads:
             samples = all_samples[workload] = {"base": [], "change": []}
             failed = all_failed[workload] = {"base": 0, "change": 0}
+            difference = None
             for pair in range(args.pairs):
+                searched = {}
                 order = ("base", "change") if pair % 2 == 0 else \
                         ("change", "base")
                 for side in order:
@@ -302,6 +372,8 @@ def main():
                     shutil.copyfile(
                         os.path.join(target, "keybench", "results",
                                      stem + "-trace0.jsonl"), kept)
+                    with open(kept) as f:
+                        searched[side] = search_records(f)
                     if "source_sha256" not in meta[side]:
                         with open(kept) as f:
                             env = json.loads(f.readline())
@@ -318,13 +390,20 @@ def main():
                           (workload, args.seed, pair + 1, side,
                            fmt(samples[side][-1]["time_to_key_s"])),
                           flush=True)
+                if difference is None:
+                    found = search_difference(searched["base"],
+                                              searched["change"])
+                    if found is not None:
+                        difference = "pair %d, %s" % (pair + 1, found)
+            all_identical[workload] = difference is None
             print("== %s seed %d: %d pairs, base %s, change %s ==" %
                   (workload, args.seed, args.pairs, args.base, args.change))
             print("%-16s %-32s %-32s %5s %4s %6s  %s" %
                   ("metric", "base median [q1, q3]", "change median [q1, q3]",
                    "wins", "ties", "ratio", "verdict"))
             judged = comparison({}, metrics, {workload: samples},
-                                {workload: failed})["workloads"][workload]
+                                {workload: failed},
+                                all_identical)["workloads"][workload]
             for name, r in judged["metrics"].items():
                 b, c = r["base"], r["change"]
                 print("%-16s %-32s %-32s %2d/%-2d %4d %6.3f  %s" %
@@ -335,12 +414,15 @@ def main():
                        r["wins"], args.pairs, r["ties"], r["ratio"],
                        r["verdict"]))
             print("failed attacks: base %d, change %d" %
-                  (failed["base"], failed["change"]), flush=True)
+                  (failed["base"], failed["change"]))
+            print("search: %s" % ("identical" if difference is None else
+                                  "differs at " + difference), flush=True)
             if failed["change"] > failed["base"]:
                 status = 1
         if args.out:
             write_json(args.out,
-                       comparison(meta, metrics, all_samples, all_failed))
+                       comparison(meta, metrics, all_samples, all_failed,
+                                  all_identical))
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)

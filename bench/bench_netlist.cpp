@@ -12,12 +12,17 @@
 // the `_s` suffix (the only fields allowed to differ between runs);
 // `speedup` follows the bench_solver precedent. The oracle accounting
 // check (`accounting_ok`) asserts num_queries() == patterns evaluated.
+// Each profile runs --repeat times: every timed field `<x>_s` is the
+// fastest run, and `<x>_q1_s` / `<x>_median_s` / `<x>_q3_s` give the
+// spread; the throughput fields and `speedup` come from the fastest walls.
+// The other fields are the same in every run, and the checks must hold in
+// every run.
 //
 // Flags:
-//   --smoke       synth64k only, small pattern counts (CI sanitizers)
+//   --smoke       synth64k only, small pattern counts, one run (CI
+//                 sanitizers)
 //   --out PATH    output file (default BENCH_netlist.json)
-//   --repeat N    timing repetitions for the throughput suite, min is
-//                 reported (default 3)
+//   --repeat N    runs per profile (default 3)
 //   --attack-iters N  iteration bound of the SAT attack (default 2)
 #include <algorithm>
 #include <chrono>
@@ -62,13 +67,10 @@ struct ProfileResult {
   double graph_requery_s = 0.0;
   double optimize_s = 0.0;
   fl::netlist::OptimizeStats opt_stats;
-  // Throughput suite (min wall over --repeat runs).
+  // Throughput suite: one-word batches (base) against one wide batch.
   std::size_t patterns = 0;
   double base_wall_s = 0.0;
   double wide_wall_s = 0.0;
-  double base_patterns_per_s = 0.0;
-  double wide_patterns_per_s = 0.0;
-  double speedup = 0.0;
   bool match_ok = false;       // wide outputs == one-word outputs
   bool accounting_ok = false;  // oracle charged exactly the patterns run
   // Lock + bounded attack (the engine's key-cone encoding behind base-miter
@@ -132,11 +134,11 @@ void committed_per_dip(const fl::core::LockedCircuit& locked,
   const fl::cnf::AttackMiter miter =
       fl::cnf::encode_attack_miter(locked.netlist, solver);
   before = solver.num_clauses();
+  const std::vector<std::vector<fl::sat::Var>> key_copies = {miter.key1,
+                                                             miter.key2};
   for (std::size_t p = 0; p < patterns.size(); ++p) {
-    for (const std::vector<fl::sat::Var>* keys : {&miter.key1, &miter.key2}) {
-      fl::cnf::add_io_constraint(locked.netlist, solver, *keys, patterns[p],
-                                 responses[p]);
-    }
+    fl::cnf::add_io_constraint(locked.netlist, solver, key_copies, patterns[p],
+                               responses[p]);
   }
   r.legacy_committed_per_dip =
       static_cast<double>(solver.num_clauses() - before) / kPatterns;
@@ -146,7 +148,7 @@ void committed_per_dip(const fl::core::LockedCircuit& locked,
 // Oracle simulation throughput over the same random pattern matrix: one
 // one-word query_batch() call per word (the baseline) vs one wide batch.
 void run_throughput(const fl::netlist::Netlist& original, std::size_t n_words,
-                    int repeat, ProfileResult& r) {
+                    ProfileResult& r) {
   const std::size_t n_in = original.num_inputs();
   const std::size_t n_out = original.num_outputs();
   std::mt19937_64 rng(0xBE7C4ull);
@@ -157,42 +159,29 @@ void run_throughput(const fl::netlist::Netlist& original, std::size_t n_words,
   std::vector<Word> base_out(n_out * n_words);
   std::vector<Word> wide_out(n_out * n_words);
   r.patterns = n_words * 64;
-  r.base_wall_s = 1e100;
-  r.wide_wall_s = 1e100;
-  for (int rep = 0; rep < repeat; ++rep) {
-    const auto base_start = Clock::now();
-    std::vector<Word> in_w(n_in), out_w(n_out);
-    for (std::size_t w = 0; w < n_words; ++w) {
-      for (std::size_t i = 0; i < n_in; ++i) in_w[i] = inputs[i * n_words + w];
-      oracle.query_batch(in_w, 1, 64, out_w);
-      for (std::size_t o = 0; o < n_out; ++o) {
-        base_out[o * n_words + w] = out_w[o];
-      }
+  const auto base_start = Clock::now();
+  std::vector<Word> in_w(n_in), out_w(n_out);
+  for (std::size_t w = 0; w < n_words; ++w) {
+    for (std::size_t i = 0; i < n_in; ++i) in_w[i] = inputs[i * n_words + w];
+    oracle.query_batch(in_w, 1, 64, out_w);
+    for (std::size_t o = 0; o < n_out; ++o) {
+      base_out[o * n_words + w] = out_w[o];
     }
-    r.base_wall_s = std::min(r.base_wall_s, seconds_since(base_start));
-
-    const auto wide_start = Clock::now();
-    oracle.query_batch(inputs, n_words, n_words * 64, wide_out);
-    r.wide_wall_s = std::min(r.wide_wall_s, seconds_since(wide_start));
   }
-  r.base_patterns_per_s =
-      r.base_wall_s > 0.0 ? static_cast<double>(r.patterns) / r.base_wall_s : 0.0;
-  r.wide_patterns_per_s =
-      r.wide_wall_s > 0.0 ? static_cast<double>(r.patterns) / r.wide_wall_s : 0.0;
-  r.speedup = r.base_wall_s > 0.0 && r.wide_wall_s > 0.0
-                  ? r.base_wall_s / r.wide_wall_s
-                  : 0.0;
+  r.base_wall_s = seconds_since(base_start);
+
+  const auto wide_start = Clock::now();
+  oracle.query_batch(inputs, n_words, n_words * 64, wide_out);
+  r.wide_wall_s = seconds_since(wide_start);
   r.match_ok = (base_out == wide_out);
-  // Every repetition charged n_words*64 on each path; nothing more, nothing
-  // less — partial or double charging shows up here immediately.
-  const std::uint64_t expected =
-      2ull * static_cast<std::uint64_t>(repeat) * n_words * 64;
-  r.accounting_ok = (oracle.num_queries() == expected);
+  // Each path charged n_words*64; nothing more, nothing less — partial or
+  // double charging shows up here immediately.
+  r.accounting_ok = (oracle.num_queries() == 2ull * n_words * 64);
 }
 
 ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
-                          std::size_t n_words, int repeat,
-                          std::uint64_t attack_iters, double timeout_s) {
+                          std::size_t n_words, std::uint64_t attack_iters,
+                          double timeout_s) {
   ProfileResult r;
   r.name = profile.name;
   const auto total_start = Clock::now();
@@ -219,7 +208,7 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
   r.optimize_s = seconds_since(start);
   r.gates_after_opt = optimized.num_gates();
 
-  run_throughput(original, n_words, repeat, r);
+  run_throughput(original, n_words, r);
 
   start = Clock::now();
   fl::core::FullLockConfig config = fl::core::FullLockConfig::with_plrs(
@@ -303,19 +292,22 @@ int main(int argc, char** argv) {
     const std::size_t n_words = smoke ? 16 : 64;
     if (smoke) repeat = 1;
 
-    std::vector<ProfileResult> results;
+    // runs[p] holds profile p's --repeat runs.
+    std::vector<std::vector<ProfileResult>> runs;
     for (const std::string& name : profile_names) {
       const auto profile = fl::netlist::find_profile(name);
-      results.push_back(
-          run_profile(*profile, n_words, repeat, attack_iters, timeout_s));
-      const ProfileResult& r = results.back();
+      std::vector<ProfileResult>& profile_runs = runs.emplace_back();
+      for (int rep = 0; rep < repeat; ++rep) {
+        profile_runs.push_back(
+            run_profile(*profile, n_words, attack_iters, timeout_s));
+      }
+      const ProfileResult& r = profile_runs.front();
       std::printf(
           "%-10s %8zu gates  gen %.2fs  graph %.2fs  opt %.2fs  "
-          "sim %.2fx (%.0f -> %.0f pat/s)  attack %s/%llu  "
+          "sim %.2fx  attack %s/%llu  "
           "clauses/iter %.0f  committed/DIP %.0f -> %.0f  verify %s\n",
           r.name.c_str(), r.gates, r.gen_s, r.graph_build_s, r.optimize_s,
-          r.speedup, r.base_patterns_per_s, r.wide_patterns_per_s,
-          r.attack_status.c_str(),
+          r.base_wall_s / r.wide_wall_s, r.attack_status.c_str(),
           static_cast<unsigned long long>(r.attack_iterations),
           r.cone_clauses_per_iter, r.legacy_committed_per_dip,
           r.cone_committed_per_dip, r.verify_ok ? "ok" : "FAIL");
@@ -324,21 +316,37 @@ int main(int argc, char** argv) {
 
     double log_speedup = 0.0, min_speedup = 1e100;
     bool all_ok = true;
-    for (const ProfileResult& r : results) {
-      log_speedup += std::log(std::max(r.speedup, 1e-9));
-      min_speedup = std::min(min_speedup, r.speedup);
-      all_ok = all_ok && r.match_ok && r.accounting_ok && r.verify_ok &&
-               r.encode_ok;
-    }
-    const double geomean_speedup =
-        results.empty()
-            ? 0.0
-            : std::exp(log_speedup / static_cast<double>(results.size()));
-
     std::ofstream file = fl::runtime::open_jsonl(out_path);
     fl::runtime::JsonlSink sink(file);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const ProfileResult& r = results[i];
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const std::vector<ProfileResult>& rs = runs[i];
+      const ProfileResult& r = rs.front();
+      bool match_ok = true, accounting_ok = true, verify_ok = true,
+           encode_ok = true;
+      for (const ProfileResult& run : rs) {
+        match_ok = match_ok && run.match_ok;
+        accounting_ok = accounting_ok && run.accounting_ok;
+        verify_ok = verify_ok && run.verify_ok;
+        encode_ok = encode_ok && run.encode_ok;
+      }
+      all_ok = all_ok && match_ok && accounting_ok && verify_ok && encode_ok;
+      // The runs' samples of one timed field, ascending.
+      const auto samples = [&](double ProfileResult::*field) {
+        std::vector<double> v;
+        for (const ProfileResult& run : rs) v.push_back(run.*field);
+        std::sort(v.begin(), v.end());
+        return v;
+      };
+      const double base_wall = samples(&ProfileResult::base_wall_s).front();
+      const double wide_wall = samples(&ProfileResult::wide_wall_s).front();
+      const auto per_s = [&](double wall) {
+        return wall > 0.0 ? static_cast<double>(r.patterns) / wall : 0.0;
+      };
+      const double speedup =
+          base_wall > 0.0 && wide_wall > 0.0 ? base_wall / wide_wall : 0.0;
+      log_speedup += std::log(std::max(speedup, 1e-9));
+      min_speedup = std::min(min_speedup, speedup);
+
       fl::runtime::JsonObject o;
       o.field("bench", "bench_netlist")
           .field("suite", "substrate")
@@ -350,8 +358,8 @@ int main(int argc, char** argv) {
           .field("strash_absorptions", r.opt_stats.absorptions_applied)
           .field("strash_xor_cancelled", r.opt_stats.xor_pairs_cancelled)
           .field("patterns", r.patterns)
-          .field("match_ok", r.match_ok)
-          .field("accounting_ok", r.accounting_ok)
+          .field("match_ok", match_ok)
+          .field("accounting_ok", accounting_ok)
           .field("key_bits", r.key_bits)
           .field("attack_status", r.attack_status)
           .field("attack_iterations", r.attack_iterations)
@@ -361,29 +369,43 @@ int main(int argc, char** argv) {
           .field("legacy_committed_per_dip", r.legacy_committed_per_dip)
           .field("cone_committed_per_dip", r.cone_committed_per_dip)
           .field("pp_eliminated_vars", r.pp_eliminated_vars)
-          .field("encode_ok", r.encode_ok)
-          .field("verify_ok", r.verify_ok)
-          .field("speedup", r.speedup)
-          .field("gen_s", r.gen_s)
-          .field("graph_build_s", r.graph_build_s)
-          .field("graph_requery_s", r.graph_requery_s)
-          .field("optimize_s", r.optimize_s)
-          .field("base_wall_s", r.base_wall_s)
-          .field("wide_wall_s", r.wide_wall_s)
-          .field("base_patterns_per_s", r.base_patterns_per_s)
-          .field("wide_patterns_per_s", r.wide_patterns_per_s)
-          .field("lock_s", r.lock_s)
-          .field("attack_wall_s", r.attack_wall_s)
-          .field("cone_encode_per_iter_s", r.cone_encode_s_per_iter)
-          .field("cone_preprocess_s", r.cone_preprocess_s)
-          .field("verify_s", r.verify_s)
-          .field("total_wall_s", r.total_wall_s);
+          .field("encode_ok", encode_ok)
+          .field("verify_ok", verify_ok)
+          .field("repeat", rs.size())
+          .field("speedup", speedup);
+      // `<stem>_s` is the fastest run, then the quartiles over the runs.
+      const auto timed = [&](const std::string& stem,
+                             double ProfileResult::*field) {
+        const std::vector<double> v = samples(field);
+        o.field(stem + "_s", v.front())
+            .field(stem + "_q1_s", fl::bench::quantile(v, 0.25))
+            .field(stem + "_median_s", fl::bench::quantile(v, 0.5))
+            .field(stem + "_q3_s", fl::bench::quantile(v, 0.75));
+      };
+      timed("gen", &ProfileResult::gen_s);
+      timed("graph_build", &ProfileResult::graph_build_s);
+      timed("graph_requery", &ProfileResult::graph_requery_s);
+      timed("optimize", &ProfileResult::optimize_s);
+      timed("base_wall", &ProfileResult::base_wall_s);
+      timed("wide_wall", &ProfileResult::wide_wall_s);
+      o.field("base_patterns_per_s", per_s(base_wall))
+          .field("wide_patterns_per_s", per_s(wide_wall));
+      timed("lock", &ProfileResult::lock_s);
+      timed("attack_wall", &ProfileResult::attack_wall_s);
+      timed("cone_encode_per_iter", &ProfileResult::cone_encode_s_per_iter);
+      timed("cone_preprocess", &ProfileResult::cone_preprocess_s);
+      timed("verify", &ProfileResult::verify_s);
+      timed("total_wall", &ProfileResult::total_wall_s);
       sink.write(i, o.str());
     }
+    const double geomean_speedup =
+        runs.empty() ? 0.0
+                     : std::exp(log_speedup / static_cast<double>(runs.size()));
+
     fl::runtime::JsonObject summary;
     summary.field("bench", "bench_netlist")
         .field("suite", "summary")
-        .field("profiles", results.size())
+        .field("profiles", runs.size())
         .field("smoke", smoke)
         .field("simd_level", fl::netlist::simd::kSimdLevel)
         .field("all_checks_ok", all_ok)

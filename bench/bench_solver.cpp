@@ -48,15 +48,6 @@ struct WorkloadResult {
   std::string status;
 
   double wall_s() const { return walls.front(); }
-  // Linear interpolation between the sorted repetitions (Python's
-  // statistics.quantiles, method="inclusive").
-  double wall_quantile(double q) const {
-    const double pos = q * static_cast<double>(walls.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    if (lo + 1 >= walls.size()) return walls.back();
-    return walls[lo] +
-           (pos - static_cast<double>(lo)) * (walls[lo + 1] - walls[lo]);
-  }
 };
 
 double seconds_since(Clock::time_point start) {
@@ -183,6 +174,7 @@ void append_solver_stat_fields(fl::runtime::JsonObject& o,
       .field("promoted_clauses", s.promoted_clauses)
       .field("removed_clauses", s.removed_clauses)
       .field("db_size_after_reduce", s.db_size_after_reduce)
+      .field("core_learnts", s.core_learnts)
       .field("simplify_removed_clauses", s.simplify_removed_clauses)
       .field("simplify_removed_literals", s.simplify_removed_literals);
 }
@@ -282,9 +274,9 @@ int main(int argc, char** argv) {
                   ? static_cast<double>(r.stats.conflicts) / r.wall_s()
                   : 0.0)
           .field("wall_s", r.wall_s())
-          .field("wall_q1_s", r.wall_quantile(0.25))
-          .field("wall_median_s", r.wall_quantile(0.5))
-          .field("wall_q3_s", r.wall_quantile(0.75));
+          .field("wall_q1_s", fl::bench::quantile(r.walls, 0.25))
+          .field("wall_median_s", fl::bench::quantile(r.walls, 0.5))
+          .field("wall_q3_s", fl::bench::quantile(r.walls, 0.75));
       sink.write(i, o.str());
     }
     fl::runtime::JsonObject summary;

@@ -81,6 +81,17 @@ inline netlist::Netlist identity_circuit(int n) {
   return net;
 }
 
+// The q-quantile (0 <= q <= 1) of ascending, non-empty `sorted`, linearly
+// interpolated between neighbours: Python's statistics.quantiles with
+// method="inclusive", as bench/ab_keybench.py computes its quartiles.
+inline double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[lo + 1] - sorted[lo]);
+}
+
 // "TO" rendering used by the paper's tables.
 inline std::string fmt_time_or_to(bool timed_out, double seconds) {
   if (timed_out) return "TO";

@@ -209,15 +209,14 @@ void MiterContext::constrain_io_batch(
   const auto t0 = Clock::now();
   if (cone_ == nullptr) {
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      for (const std::vector<sat::Var>& keys : parts_.key_copies) {
-        cnf::add_io_constraint(locked_->netlist, pre_, keys, patterns[p],
-                               responses[p]);
-      }
+      cnf::add_io_constraint(locked_->netlist, pre_, parts_.key_copies,
+                             patterns[p], responses[p]);
     }
   } else {
     // One bit-parallel sweep of the key-free region for the whole batch
-    // (pattern p lives in bit p%64 of word p/64), then a cone-only Tseytin
-    // encode per pattern and key copy against the swept constants.
+    // (pattern p lives in bit p%64 of word p/64), then one cone-only Tseytin
+    // encode per pattern against the swept constants, committed to every
+    // key copy.
     const std::size_t n = patterns.size();
     const std::size_t n_words = (n + 63) / 64;
     const std::size_t n_in = locked_->netlist.num_inputs();
@@ -241,11 +240,8 @@ void MiterContext::constrain_io_batch(
         frontier_[static_cast<std::size_t>(taps[t])] =
             cnf::NetLit::constant(v);
       }
-      for (const std::vector<sat::Var>& keys : parts_.key_copies) {
-        cnf::add_io_constraint_cone(locked_->netlist, pre_, keys,
-                                    cone_->cone_topo(), frontier_,
-                                    responses[p]);
-      }
+      cnf::add_io_constraint_cone(locked_->netlist, pre_, parts_.key_copies,
+                                  cone_->cone_topo(), frontier_, responses[p]);
     }
   }
   encode_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();

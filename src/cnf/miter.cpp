@@ -98,11 +98,17 @@ void pin_outputs(ClauseSink& sink, const EncodedCircuit& copy,
   }
 }
 
-// Collects one DIP constraint copy (the circuit copy and its output pins) in
-// a Simplifier and commits only its projection onto the variables the solver
-// already had. The encoder sees ids from base_ = the solver's size up, for
-// the key variables (local_keys()) and the fresh ones; id base_ + i is local
-// simplifier variable i, and the keys are the frozen locals [0, #keys).
+// Collects one DIP constraint (the circuit copy and its output pins) in a
+// Simplifier and commits its projection onto each key copy in turn. The
+// encoder sees ids from base_ = the solver's size up, for the key variables
+// (local_keys()) and the fresh ones; id base_ + i is local simplifier
+// variable i, and the keys are the frozen locals [0, #keys).
+//
+// The constraint is the same for every key copy up to renaming the keys, so
+// it is encoded and projected once. commit() then gives each copy, in order,
+// exactly what projecting it on its own would: the units on that copy's
+// keys, fresh solver variables for the surviving locals (in local order),
+// and the surviving clauses renamed onto them.
 //
 // Soundness: nothing after the commit (later clauses, assumptions, model
 // reads) mentions a fresh variable of this copy, so existentially
@@ -111,11 +117,16 @@ void pin_outputs(ClauseSink& sink, const EncodedCircuit& copy,
 // resolution), with every pre-existing variable frozen.
 class ProjectingSink final : public ClauseSink {
  public:
-  ProjectingSink(sat::SolverIface& solver, std::span<const Var> keys)
-      : solver_(solver), base_(solver.num_vars()),
-        origin_(keys.begin(), keys.end()) {
-    local_keys_.reserve(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
+  ProjectingSink(sat::SolverIface& solver, const Netlist& locked,
+                 std::span<const std::vector<Var>> key_copies)
+      : solver_(solver), base_(solver.num_vars()) {
+    for (const std::vector<Var>& keys : key_copies) {
+      if (keys.size() != locked.num_keys()) {
+        throw std::invalid_argument("add_io_constraint: key copy size mismatch");
+      }
+    }
+    local_keys_.reserve(locked.num_keys());
+    for (std::size_t i = 0; i < locked.num_keys(); ++i) {
       const Var v = simp_.new_var();
       simp_.freeze(v);
       local_keys_.push_back(base_ + v);
@@ -123,10 +134,7 @@ class ProjectingSink final : public ClauseSink {
   }
   std::span<const Var> local_keys() const { return local_keys_; }
 
-  Var new_var() override {
-    origin_.push_back(sat::kNullVar);
-    return base_ + simp_.new_var();
-  }
+  Var new_var() override { return base_ + simp_.new_var(); }
   void add_clause(sat::Clause clause) override {
     for (Lit& l : clause) {
       if (l.var() < base_) {
@@ -138,43 +146,48 @@ class ProjectingSink final : public ClauseSink {
     simp_.add_clause(std::move(clause));
   }
 
-  void commit();
+  void commit(std::span<const std::vector<Var>> key_copies);
 
  private:
   sat::SolverIface& solver_;
   const Var base_;
   sat::Simplifier simp_;
   std::vector<Var> local_keys_;
-  std::vector<Var> origin_;  // local id -> solver variable (kNullVar: fresh)
 };
 
-void ProjectingSink::commit() {
+void ProjectingSink::commit(std::span<const std::vector<Var>> key_copies) {
   simp_.simplify(/*subsume=*/false);
   if (simp_.contradiction()) {
-    solver_.add_clause({});
-  } else {
-    // Units that propagation pinned on pre-existing variables.
-    for (Var v = 0; v < simp_.num_vars(); ++v) {
+    for (std::size_t c = 0; c < key_copies.size(); ++c) solver_.add_clause({});
+    return;
+  }
+  const Var num_keys = static_cast<Var>(local_keys_.size());
+  const std::vector<sat::Clause> kept = simp_.take_clauses();
+  // The fresh locals a surviving clause still mentions get solver variables.
+  std::vector<char> used(static_cast<std::size_t>(simp_.num_vars()), 0);
+  for (const sat::Clause& clause : kept) {
+    for (const Lit l : clause) used[static_cast<std::size_t>(l.var())] = 1;
+  }
+  std::vector<Var> origin(used.size(), sat::kNullVar);  // local -> solver
+  for (const std::vector<Var>& keys : key_copies) {
+    // Units that propagation pinned on the copy's keys.
+    for (Var v = 0; v < num_keys; ++v) {
+      origin[v] = keys[v];
       const sat::LBool a = simp_.value(v);
-      if (origin_[v] != sat::kNullVar && a != sat::LBool::kUndef) {
-        solver_.add_clause({Lit(origin_[v], a == sat::LBool::kFalse)});
+      if (a != sat::LBool::kUndef) {
+        solver_.add_clause({Lit(keys[v], a == sat::LBool::kFalse)});
       }
     }
-    // Solver variables only for the fresh variables a surviving clause still
-    // mentions, allocated in local order.
-    std::vector<sat::Clause> kept = simp_.take_clauses();
-    constexpr Var kUsed = -2;
+    for (Var v = num_keys; v < simp_.num_vars(); ++v) {
+      if (used[v]) origin[v] = solver_.new_var();
+    }
     for (const sat::Clause& clause : kept) {
+      sat::Clause renamed;
+      renamed.reserve(clause.size());
       for (const Lit l : clause) {
-        if (origin_[l.var()] == sat::kNullVar) origin_[l.var()] = kUsed;
+        renamed.push_back(Lit(origin[l.var()], l.negated()));
       }
-    }
-    for (Var& v : origin_) {
-      if (v == kUsed) v = solver_.new_var();
-    }
-    for (sat::Clause& clause : kept) {
-      for (Lit& l : clause) l = Lit(origin_[l.var()], l.negated());
-      solver_.add_clause(std::move(clause));
+      solver_.add_clause(std::move(renamed));
     }
   }
 }
@@ -182,23 +195,23 @@ void ProjectingSink::commit() {
 }  // namespace
 
 void add_io_constraint(const Netlist& locked, sat::SolverIface& solver,
-                       std::span<const sat::Var> key_vars,
+                       std::span<const std::vector<sat::Var>> key_copies,
                        const std::vector<bool>& pattern,
                        const std::vector<bool>& response) {
   if (response.size() != locked.num_outputs()) {
     throw std::invalid_argument("add_io_constraint: response size mismatch");
   }
-  ProjectingSink sink(solver, key_vars);
+  ProjectingSink sink(solver, locked, key_copies);
   EncodeOptions options;
   options.fixed_inputs = pattern;
   options.shared_key_vars = sink.local_keys();
   const EncodedCircuit copy = encode(locked, sink, options);
   pin_outputs(sink, copy, response);
-  sink.commit();
+  sink.commit(key_copies);
 }
 
 void add_io_constraint_cone(const Netlist& locked, sat::SolverIface& solver,
-                            std::span<const sat::Var> key_vars,
+                            std::span<const std::vector<sat::Var>> key_copies,
                             std::span<const netlist::GateId> cone_topo,
                             std::span<const NetLit> frontier_lits,
                             const std::vector<bool>& response) {
@@ -206,7 +219,7 @@ void add_io_constraint_cone(const Netlist& locked, sat::SolverIface& solver,
     throw std::invalid_argument(
         "add_io_constraint_cone: response size mismatch");
   }
-  ProjectingSink sink(solver, key_vars);
+  ProjectingSink sink(solver, locked, key_copies);
   EncodeOptions options;
   options.cone_topo = cone_topo;
   options.frontier_lits = frontier_lits;
@@ -218,7 +231,7 @@ void add_io_constraint_cone(const Netlist& locked, sat::SolverIface& solver,
   options.prune_dead_logic = true;
   const EncodedCircuit copy = encode(locked, sink, options);
   pin_outputs(sink, copy, response);
-  sink.commit();
+  sink.commit(key_copies);
 }
 
 double deobfuscation_cnf_ratio(const Netlist& locked, int num_dips,

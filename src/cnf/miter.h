@@ -37,20 +37,23 @@ AttackMiter encode_attack_miter(const netlist::Netlist& locked,
                                 sat::SolverIface& solver,
                                 netlist::KeyConePartition* cone = nullptr);
 
-// Adds the constraint "locked(pattern, K) == response" for the key variables
-// `key_vars` (one circuit copy with inputs fixed; constants are folded when
-// the netlist is acyclic).
+// Adds the constraint "locked(pattern, K) == response" for every key copy
+// K in `key_copies` (one circuit copy with inputs fixed; constants are
+// folded when the netlist is acyclic). Every copy must have num_keys()
+// variables.
 //
 // Both forms commit the constraint's projection onto the variables the
 // solver already had: the copy and its output pins are buffered, unit
-// propagation and bounded variable elimination (sat::Simplifier, every
-// pre-existing variable frozen) remove the copy's own Tseytin variables
-// where that does not grow the clause count, and only the surviving fresh
-// variables and clauses reach the solver. The copy's variables are never
-// handed out, so the admitted keys are exactly those of the raw copy.
+// propagation and bounded variable elimination (sat::Simplifier, the keys
+// frozen) remove the copy's own Tseytin variables where that does not grow
+// the clause count, and only the surviving fresh variables and clauses
+// reach the solver. The copy's variables are never handed out, so the
+// admitted keys are exactly those of the raw copy. The projection is made
+// once, over local key variables, and then committed to each key copy in
+// turn; the solver sees exactly the calls that one call per copy would make.
 void add_io_constraint(const netlist::Netlist& locked,
                        sat::SolverIface& solver,
-                       std::span<const sat::Var> key_vars,
+                       std::span<const std::vector<sat::Var>> key_copies,
                        const std::vector<bool>& pattern,
                        const std::vector<bool>& response);
 
@@ -63,7 +66,7 @@ void add_io_constraint(const netlist::Netlist& locked,
 // empties the key space, matching the full encode).
 void add_io_constraint_cone(const netlist::Netlist& locked,
                             sat::SolverIface& solver,
-                            std::span<const sat::Var> key_vars,
+                            std::span<const std::vector<sat::Var>> key_copies,
                             std::span<const netlist::GateId> cone_topo,
                             std::span<const NetLit> frontier_lits,
                             const std::vector<bool>& response);

@@ -526,7 +526,10 @@ bool PreprocessSolver::add_clause(Clause clause) {
     }
   }
   if (simp_.simplified()) check_no_eliminated(clause);
-  if (flushed_) return inner_.add_clause(std::move(clause));
+  if (flushed_) {
+    snapshot_model();  // the inner solver backtracks on a new clause
+    return inner_.add_clause(std::move(clause));
+  }
   simp_.add_clause(std::move(clause));
   return !simp_.contradiction();
 }
@@ -565,29 +568,44 @@ LBool PreprocessSolver::solve(std::span<const Lit> assumptions) {
           "PreprocessSolver::solve: assumption over an eliminated variable");
     }
   }
-  model_valid_ = false;
+  model_ = Model::kNone;
   const LBool r = inner_.solve(assumptions);
   if (r == LBool::kTrue) {
-    model_ = inner_.model();
-    if (model_.size() < static_cast<std::size_t>(inner_.num_vars())) {
-      model_.resize(static_cast<std::size_t>(inner_.num_vars()), false);
-    }
-    simp_.extend_model(model_);
-    model_valid_ = true;
+    model_ = Model::kLive;
+    model_vars_ = static_cast<std::size_t>(inner_.num_vars());
   }
   return r;
 }
 
-bool PreprocessSolver::value_of(Var v) const {
-  if (model_valid_ && static_cast<std::size_t>(v) < model_.size()) {
-    return model_[static_cast<std::size_t>(v)];
+void PreprocessSolver::snapshot_model() {
+  if (model_ != Model::kLive) return;
+  model_values_ = inner_.model();
+  model_values_.resize(model_vars_, false);
+  model_ = Model::kSnapshot;
+}
+
+void PreprocessSolver::extend_model() const {
+  if (model_ == Model::kExtended) return;
+  if (model_ == Model::kLive) {
+    model_values_ = inner_.model();
+    model_values_.resize(model_vars_, false);
   }
-  return inner_.value_of(v);
+  simp_.extend_model(model_values_);
+  model_ = Model::kExtended;
+}
+
+bool PreprocessSolver::value_of(Var v) const {
+  const auto i = static_cast<std::size_t>(v);
+  if (model_ == Model::kNone || i >= model_vars_) return inner_.value_of(v);
+  if (model_ != Model::kExtended && is_eliminated(v)) extend_model();
+  if (model_ == Model::kLive) return inner_.value_of(v);
+  return model_values_[i];
 }
 
 std::vector<bool> PreprocessSolver::model() const {
-  if (model_valid_) return model_;
-  return inner_.model();
+  if (model_ == Model::kNone) return inner_.model();
+  extend_model();
+  return model_values_;
 }
 
 void PreprocessSolver::set_phase(Var v, bool phase) {

@@ -11,11 +11,11 @@
 //    it with every pass and commits the survivors to an inner solver on the
 //    first solve(). The DIP loop keeps adding per-iteration constraints
 //    incrementally afterwards.
-//  - cnf::add_io_constraint[_cone] buffers each DIP constraint copy in a
-//    Simplifier whose frozen variables are the copy's key variables (the
-//    only ones the solver already had), runs propagation and BVE, and hands
-//    the solver only the surviving fresh variables and clauses
-//    (cnf/miter.h).
+//  - cnf::add_io_constraint[_cone] buffers each DIP constraint in a
+//    Simplifier whose frozen variables stand for the key variables (the
+//    only ones the solver already had), runs propagation and BVE once, and
+//    hands the solver, for each key copy, only the surviving fresh
+//    variables and clauses (cnf/miter.h).
 //
 // Invariants PreprocessSolver maintains:
 //  - No variable renumbering: the inner solver allocates every staged
@@ -26,7 +26,10 @@
 //    unit clauses (which the CDCL solver does not store or count as problem
 //    clauses), so inner models assign them deterministically; the true
 //    values are reconstructed from the recorded occurrence clauses in
-//    reverse elimination order, exactly as SatELite extends models.
+//    reverse elimination order, exactly as SatELite extends models. The
+//    extension runs on the first read of an eliminated variable (or of
+//    model()), not on every solve: the DIP loop mostly reads frozen
+//    variables, which the inner assignment already holds.
 //  - Frozen variables (primary inputs, key copies, activation literals —
 //    anything the caller will mention in later clauses or assumptions) are
 //    never eliminated. Adding a post-flush clause or assumption over an
@@ -216,15 +219,28 @@ class PreprocessSolver final : public SolverIface {
   std::size_t memory_bytes() const override;
 
  private:
+  // The model of the last SAT solve, extended over eliminated variables
+  // only when one of them (or the whole model) is read:
+  //   kNone      no SAT answer to read: reads go to the inner solver
+  //   kLive      the inner assignment still is the model
+  //   kSnapshot  model_values_ holds the inner model, not yet extended
+  //   kExtended  model_values_ holds the extended model
+  enum class Model : std::uint8_t { kNone, kLive, kSnapshot, kExtended };
+
   void check_no_eliminated(const Clause& clause) const;
+  // Copies a live inner model before a call that moves the inner
+  // assignment, so later reads still see the solve's model.
+  void snapshot_model();
+  void extend_model() const;
 
   SolverIface& inner_;
   Simplifier simp_;
   bool flushed_ = false;
   std::vector<std::pair<Var, bool>> pending_phases_;
 
-  bool model_valid_ = false;
-  std::vector<bool> model_;
+  mutable Model model_ = Model::kNone;
+  std::size_t model_vars_ = 0;  // inner variables when the model was found
+  mutable std::vector<bool> model_values_;
 };
 
 }  // namespace fl::sat

@@ -6,12 +6,14 @@
 
 namespace fl::sat {
 
-// Arena clause layout (32-bit words):
+// Arena clause layout (32-bit words), relative to the clause's ref:
+//   [-2][-1] activity as a double (learnt clauses only)
 //   [0] size << 4 | learnt | core<<1 | condemned<<2 | relocated<<3
 //   [1] LBD (learnt) / GC forwarding address (after relocation)
-//   [2][3] activity as a double (learnt clauses only)
-//   [..] literals, one Lit::index() per word
-// Problem clauses use the 2-word header; learnt clauses the 4-word one.
+//   [2..] literals, one Lit::index() per word
+// The learnt-only words sit in front of the header, so every clause's
+// literals start at ref + 2 and reading one never tests the learnt bit;
+// problem clauses carry just the 2-word header.
 struct Solver::Cls {
   std::uint32_t* p;
 
@@ -26,20 +28,21 @@ struct Solver::Cls {
   void set_lbd(std::uint32_t l) { p[1] = l; }
   double activity() const {
     double a;
-    std::memcpy(&a, p + 2, sizeof(a));
+    std::memcpy(&a, p - 2, sizeof(a));
     return a;
   }
-  void set_activity(double a) { std::memcpy(p + 2, &a, sizeof(a)); }
+  void set_activity(double a) { std::memcpy(p - 2, &a, sizeof(a)); }
 
-  std::uint32_t* raw_lits() { return p + (learnt() ? 4 : 2); }
+  std::uint32_t* raw_lits() { return p + 2; }
   Lit lit(std::uint32_t i) const {
-    return Lit::from_index(
-        static_cast<std::int32_t>(p[(learnt() ? 4 : 2) + i]));
+    return Lit::from_index(static_cast<std::int32_t>(p[2 + i]));
   }
   void set_lit(std::uint32_t i, Lit l) {
-    p[(learnt() ? 4 : 2) + i] = static_cast<std::uint32_t>(l.index());
+    p[2 + i] = static_cast<std::uint32_t>(l.index());
   }
-  std::uint32_t words() const { return (learnt() ? 4 : 2) + size(); }
+  // Words in front of the header (the activity), and the whole footprint.
+  std::uint32_t prefix() const { return learnt() ? 2 : 0; }
+  std::uint32_t words() const { return prefix() + 2 + size(); }
 };
 
 namespace {
@@ -106,9 +109,9 @@ Solver::Cls Solver::cls(ClauseRef r) { return Cls{arena_.data() + r}; }
 
 Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits,
                                        bool learnt) {
-  const ClauseRef r = static_cast<ClauseRef>(arena_.size());
-  const std::uint32_t header = learnt ? 4 : 2;
-  arena_.resize(arena_.size() + header + lits.size());
+  const std::uint32_t prefix = learnt ? 2 : 0;
+  const ClauseRef r = static_cast<ClauseRef>(arena_.size() + prefix);
+  arena_.resize(arena_.size() + prefix + 2 + lits.size());
   Cls c{arena_.data() + r};
   c.p[0] = (static_cast<std::uint32_t>(lits.size()) << 4) |
            (learnt ? kLearntFlag : 0);
@@ -335,13 +338,18 @@ Solver::ClauseRef Solver::propagate() {
       }
     }
 
+    // The walk holds raw pointers into p's list: a watch that moves lands
+    // in the list of its new literal, which is not false and so not ~p,
+    // so this list never reallocates under the walk.
     auto& ws = wn.longs;
-    std::size_t i = 0, j = 0;
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
     const Lit false_lit = ~p;
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
+    while (i != end) {
+      const Watcher w = *i;
       if (value(w.blocker) == kLitTrue) {
-        ws[j++] = ws[i++];
+        *j++ = *i++;
         continue;
       }
       Cls c = cls(w.ref);
@@ -354,7 +362,7 @@ Solver::ClauseRef Solver::propagate() {
       ++i;
       const Lit first = lit_at(0);
       if (first != w.blocker && value(first) == kLitTrue) {
-        ws[j++] = Watcher{w.ref, first};
+        *j++ = Watcher{w.ref, first};
         continue;
       }
       bool found_watch = false;
@@ -362,6 +370,7 @@ Solver::ClauseRef Solver::propagate() {
       for (std::uint32_t k = 2; k < size; ++k) {
         if (value(lit_at(k)) != kLitFalse) {
           std::swap(lits[1], lits[k]);
+          assert(lit_at(1) != false_lit);
           watches_[(~lit_at(1)).index()].longs.push_back(
               Watcher{w.ref, first});
           found_watch = true;
@@ -370,16 +379,16 @@ Solver::ClauseRef Solver::propagate() {
       }
       if (found_watch) continue;
       // Clause is unit or conflicting under the current assignment.
-      ws[j++] = Watcher{w.ref, first};
+      *j++ = Watcher{w.ref, first};
       if (value(first) == kLitFalse) {
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         propagate_head_ = trail_.size();
         return w.ref;
       }
       enqueue(first, w.ref);
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
   return kNullRef;
 }
@@ -666,9 +675,9 @@ void Solver::relocate(ClauseRef& r, std::vector<std::uint32_t>& to) {
     r = p[1];  // already moved; header word 1 holds the forwarding address
     return;
   }
-  const std::uint32_t words = Cls{p}.words();
-  const ClauseRef nr = static_cast<ClauseRef>(to.size());
-  to.insert(to.end(), p, p + words);
+  const Cls c{p};
+  const ClauseRef nr = static_cast<ClauseRef>(to.size() + c.prefix());
+  to.insert(to.end(), p - c.prefix(), p + 2 + c.size());
   p[0] |= kRelocatedFlag;
   p[1] = nr;
   r = nr;
@@ -962,6 +971,7 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   }
   if (result != LBool::kTrue) backtrack_to(0);
   assumptions_.clear();
+  stats_.core_learnts = learnt_clauses_.size() - num_local_learnts_;
   stats_.peak_memory_bytes =
       std::max<std::uint64_t>(stats_.peak_memory_bytes, memory_bytes());
   return result;

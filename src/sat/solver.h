@@ -21,8 +21,13 @@
 //  * clause literals are stored inline after a compact header in a single
 //    uint32 arena, addressed by 32-bit refs — half-size watch lists and one
 //    less pointer hop per clause visit than heap-allocated clause objects;
+//    every clause's literals start two words after its ref (a learnt
+//    clause's activity sits in front of the header), so propagation never
+//    tests the learnt bit to find them;
 //  * truth values are stored per literal, so a watcher visit reads one byte
-//    with no sign flip.
+//    with no sign flip;
+//  * the long-watch walk runs on raw pointers into the list it filters (a
+//    moved watch always lands in another literal's list).
 //
 // Built for the oracle-guided SAT attack, so it supports
 //  * incremental clause addition between solve() calls, with a root-level

@@ -62,6 +62,9 @@ struct SolverStats {
   std::uint64_t removed_clauses = 0;
   // Learnt-database size right after the most recent reduce_db.
   std::uint64_t db_size_after_reduce = 0;
+  // Size of the kept-forever core tier (glue clauses, binaries and
+  // promotions) when the most recent solve() ended.
+  std::uint64_t core_learnts = 0;
   // Root-level simplification between incremental solves: satisfied
   // problem/learnt clauses dropped, falsified literals stripped.
   std::uint64_t simplify_removed_clauses = 0;

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -263,8 +266,8 @@ TEST(AttackMiter, IoConstraintPinsKey) {
   sat::Solver solver;
   const AttackMiter miter = encode_attack_miter(locked, solver);
   // Oracle says: input a=0 -> output 0. Then k must be 0 in both copies.
-  add_io_constraint(locked, solver, miter.key1, {false}, {false});
-  add_io_constraint(locked, solver, miter.key2, {false}, {false});
+  const std::vector<std::vector<sat::Var>> copies = {miter.key1, miter.key2};
+  add_io_constraint(locked, solver, copies, {false}, {false});
   const sat::Lit assume[] = {miter.activate};
   EXPECT_EQ(solver.solve(assume), sat::LBool::kFalse);  // no DIP remains
   ASSERT_EQ(solver.solve(), sat::LBool::kTrue);
@@ -437,7 +440,8 @@ TEST(IoConstraintCone, MatchesLegacyKeySpace) {
       std::vector<bool> pattern(net.num_inputs());
       for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = rng() & 1;
       const std::vector<bool> response = oracle.query(pattern);
-      add_io_constraint(net, legacy_solver, legacy_keys, pattern, response);
+      add_io_constraint(net, legacy_solver, {&legacy_keys, 1}, pattern,
+                        response);
 
       // Cone path: sweep the fixed region once, hand the tap values to the
       // encoder as frontier constants.
@@ -449,7 +453,7 @@ TEST(IoConstraintCone, MatchesLegacyKeySpace) {
       for (std::size_t t = 0; t < taps.size(); ++t) {
         frontier[taps[t]] = NetLit::constant((tap_values[t] & 1) != 0);
       }
-      add_io_constraint_cone(net, cone_solver, cone_keys,
+      add_io_constraint_cone(net, cone_solver, {&cone_keys, 1},
                              partition.cone_topo(), frontier, response);
     }
 
@@ -493,8 +497,9 @@ TEST(IoConstraintCone, RejectsLiteralFrontierValues) {
   const std::vector<NetLit> frontier(net.num_gates(),
                                      NetLit::of(sat::pos(x)));
   const std::vector<bool> response(net.num_outputs(), false);
-  EXPECT_THROW(add_io_constraint_cone(net, solver, keys, partition.cone_topo(),
-                                      frontier, response),
+  EXPECT_THROW(add_io_constraint_cone(net, solver, {&keys, 1},
+                                      partition.cone_topo(), frontier,
+                                      response),
                std::invalid_argument);
   EXPECT_EQ(solver.num_vars(), static_cast<int>(keys.size()) + 1);
   EXPECT_EQ(solver.num_clauses(), 0u);
@@ -568,14 +573,14 @@ TEST(IoConstraintProjection, AdmitsExactlyTheRawKeySpace) {
           for (std::size_t t = 0; t < taps.size(); ++t) {
             frontier[taps[t]] = NetLit::constant((tap_values[t] & 1) != 0);
           }
-          add_io_constraint_cone(net, projected_solver, projected_keys,
+          add_io_constraint_cone(net, projected_solver, {&projected_keys, 1},
                                  partition.cone_topo(), frontier, response);
           raw.cone_topo = partition.cone_topo();
           raw.frontier_lits = frontier;
           raw.prune_dead_logic = true;
         } else {
-          add_io_constraint(net, projected_solver, projected_keys, pattern,
-                            response);
+          add_io_constraint(net, projected_solver, {&projected_keys, 1},
+                            pattern, response);
           raw.fixed_inputs = pattern;
         }
         add_raw_io_constraint(net, raw_solver, raw, response);
@@ -617,6 +622,143 @@ TEST(IoConstraintProjection, AdmitsExactlyTheRawKeySpace) {
       }
     }
   }
+}
+
+// A SolverIface that only logs the calls a DIP-constraint commit makes:
+// new_var and add_clause, in order. It never solves.
+class RecordingSolver final : public sat::SolverIface {
+ public:
+  std::vector<std::string> log;
+
+  sat::Var new_var() override {
+    log.push_back("var " + std::to_string(num_vars_));
+    return num_vars_++;
+  }
+  int num_vars() const override { return num_vars_; }
+  bool add_clause(sat::Clause clause) override {
+    std::string entry = "clause";
+    for (const sat::Lit l : clause) entry += " " + std::to_string(l.index());
+    log.push_back(std::move(entry));
+    ++num_clauses_;
+    return true;
+  }
+  using sat::SolverIface::add_clause;
+  sat::LBool solve(std::span<const sat::Lit>) override {
+    return sat::LBool::kUndef;
+  }
+  bool value_of(sat::Var) const override { return false; }
+  std::vector<bool> model() const override { return {}; }
+  void set_phase(sat::Var, bool) override {}
+  void set_conflict_budget(std::uint64_t) override {}
+  void set_deadline(
+      std::optional<std::chrono::steady_clock::time_point>) override {}
+  void set_interrupt(const std::atomic<bool>*) override {}
+  bool last_solve_interrupted() const override { return false; }
+  sat::StopReason last_stop_reason() const override {
+    return sat::StopReason::kNone;
+  }
+  const sat::SolverStats& stats() const override { return stats_; }
+  sat::CounterSnapshot counters() const override { return {}; }
+  std::size_t num_clauses() const override { return num_clauses_; }
+  std::size_t num_learnts() const override { return 0; }
+  std::size_t memory_bytes() const override { return 0; }
+
+ private:
+  int num_vars_ = 0;
+  std::size_t num_clauses_ = 0;
+  sat::SolverStats stats_;
+};
+
+// Commits 6 DIP constraints of `locked` to `num_copies` key copies, once
+// with every copy in one call and once with one call per copy, and expects
+// the two solvers to have seen exactly the same new_var/add_clause stream.
+// Odd DIPs pin a response with one output flipped, so constraints that
+// empty the key space are covered too.
+void expect_shared_projection_matches_per_copy(
+    const Netlist& original, const core::LockedCircuit& locked,
+    std::size_t num_copies, bool cone, const std::string& label) {
+  const Netlist& net = locked.netlist;
+  const attacks::Oracle oracle(original);
+  std::optional<netlist::KeyConePartition> partition;
+  if (cone) partition.emplace(net);
+  RecordingSolver shared, per_copy;
+  std::vector<std::vector<sat::Var>> copies(num_copies);
+  for (std::vector<sat::Var>& keys : copies) {
+    for (std::size_t i = 0; i < net.num_keys(); ++i) {
+      keys.push_back(shared.new_var());
+      per_copy.new_var();
+    }
+  }
+  std::mt19937_64 rng(17);
+  for (int d = 0; d < 6; ++d) {
+    std::vector<bool> pattern(net.num_inputs());
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = (rng() & 1) != 0;
+    }
+    std::vector<bool> response = oracle.query(pattern);
+    if (d % 2 == 1) {
+      const std::size_t o = rng() % response.size();
+      response[o] = !response[o];
+    }
+    const auto commit = [&](sat::SolverIface& solver,
+                            std::span<const std::vector<sat::Var>> keys) {
+      if (!cone) {
+        add_io_constraint(net, solver, keys, pattern, response);
+        return;
+      }
+      const std::vector<netlist::Word> tap_values =
+          netlist::simulate(partition->fixed_region(),
+                            netlist::broadcast(pattern), {}, 1)
+              .outputs;
+      std::vector<NetLit> frontier(net.num_gates(), NetLit::constant(false));
+      for (std::size_t t = 0; t < partition->taps().size(); ++t) {
+        frontier[partition->taps()[t]] =
+            NetLit::constant((tap_values[t] & 1) != 0);
+      }
+      add_io_constraint_cone(net, solver, keys, partition->cone_topo(),
+                             frontier, response);
+    };
+    commit(shared, copies);
+    for (const std::vector<sat::Var>& keys : copies) {
+      commit(per_copy, {&keys, 1});
+    }
+  }
+  EXPECT_GT(shared.num_clauses(), 0u) << label;
+  EXPECT_EQ(shared.log, per_copy.log) << label;
+}
+
+TEST(IoConstraintProjection, OneCallForAllCopiesMatchesOneCallPerCopy) {
+  // add_io_constraint[_cone] project a DIP constraint once and commit it to
+  // every key copy. The solver must see the stream one call per copy makes
+  // (the same variables, clauses and order), so the search is unchanged:
+  // on the cone path of four acyclic locks, on the full-circuit path of a
+  // cyclic Full-Lock, and with Double-DIP's four key copies.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  const std::pair<const char*, const char*> acyclic[] = {
+      {"sarlock", "keys=8"},
+      {"full-lock", "sizes=8"},
+      {"interlock", "sizes=8"},
+      {"antisat", "inputs=6"}};
+  for (const auto& [scheme, params] : acyclic) {
+    const core::LockedCircuit locked =
+        lock::lock_with(scheme, original, lock::make_options(2, {}, params));
+    ASSERT_FALSE(locked.netlist.is_cyclic()) << scheme;
+    expect_shared_projection_matches_per_copy(original, locked, 2, true,
+                                              std::string(scheme) + " cone");
+    expect_shared_projection_matches_per_copy(original, locked, 2, false,
+                                              std::string(scheme) + " full");
+  }
+  const core::LockedCircuit cyclic = lock::lock_with(
+      "full-lock", original, lock::make_options(2, {}, "sizes=4,cycle=allow"));
+  ASSERT_TRUE(cyclic.netlist.is_cyclic());
+  expect_shared_projection_matches_per_copy(original, cyclic, 2, false,
+                                            "cyclic full-lock");
+  expect_shared_projection_matches_per_copy(original, cyclic, 4, false,
+                                            "cyclic full-lock, 4 copies");
+  const core::LockedCircuit sarlock = lock::lock_with(
+      "sarlock", original, lock::make_options(2, {}, "keys=8"));
+  expect_shared_projection_matches_per_copy(original, sarlock, 4, true,
+                                            "sarlock cone, 4 copies");
 }
 
 }  // namespace

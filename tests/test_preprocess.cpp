@@ -5,6 +5,7 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sat/preprocess.h"
@@ -224,6 +225,110 @@ TEST(Preprocess, StatsAccountForSimplification) {
   EXPECT_LT(stats.output_clauses, stats.input_clauses);
   EXPECT_TRUE(satisfies_all({{pos(3)}, {pos(1), pos(2)}, {pos(0), pos(1)}},
                             pp.model()));
+}
+
+
+TEST(Preprocess, ModelReadsMatchTheEagerExtension) {
+  // The wrapper extends the model over eliminated variables only when one
+  // of them, or model(), is read. Every read after a SAT solve must equal
+  // the eager extension, however the reads are ordered and whether or not
+  // a later clause moved the inner assignment. The reference runs the
+  // flush by hand: the same Simplifier passes and inner formula, extended
+  // right after its solve.
+  std::mt19937_64 rng(31);
+  int checked = 0;
+  int with_eliminated = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int num_vars = 30 + static_cast<int>(rng() % 20);
+    const std::vector<Clause> clauses =
+        random_cnf(rng, num_vars, num_vars * 3 / 2);
+    constexpr int kFrozen = 4;
+
+    Simplifier simp;
+    for (int v = 0; v < num_vars; ++v) simp.new_var();
+    for (int v = 0; v < kFrozen; ++v) simp.freeze(v);
+    for (const Clause& c : clauses) simp.add_clause(c);
+    simp.simplify(/*subsume=*/true);
+    if (simp.contradiction()) continue;
+    // Decisions try true first, so the model holds true values that the
+    // inner solver loses when it backtracks.
+    Solver reference;
+    for (int v = 0; v < num_vars; ++v) reference.new_var();
+    for (int v = 0; v < num_vars; ++v) reference.set_phase(v, true);
+    bool any_eliminated = false;
+    for (Var v = 0; v < num_vars; ++v) {
+      const LBool a = simp.value(v);
+      if (a != LBool::kUndef) {
+        reference.add_clause({Lit(v, a == LBool::kFalse)});
+      } else if (simp.is_eliminated(v)) {
+        reference.add_clause({neg(v)});
+        any_eliminated = true;
+      }
+    }
+    for (Clause& c : simp.take_clauses()) reference.add_clause(std::move(c));
+    if (reference.solve() != LBool::kTrue) continue;
+    std::vector<bool> eager = reference.model();
+    simp.extend_model(eager);
+    ++checked;
+    if (any_eliminated) ++with_eliminated;
+
+    // 0: read in order; 1: a clause, then reads; 2: a kept variable read
+    // while the inner model is live, a clause, then reads; 3: a clause,
+    // then model() first.
+    for (int mode = 0; mode < 4; ++mode) {
+      const std::string label =
+          "trial " + std::to_string(trial) + " mode " + std::to_string(mode);
+      Solver inner;
+      PreprocessSolver pp(inner);
+      for (int v = 0; v < num_vars; ++v) pp.new_var();
+      for (int v = 0; v < num_vars; ++v) pp.set_phase(v, true);
+      for (int v = 0; v < kFrozen; ++v) pp.freeze(v);
+      for (const Clause& c : clauses) pp.add_clause(c);
+      ASSERT_EQ(pp.solve(), LBool::kTrue) << label;
+      if (mode == 2) {
+        EXPECT_EQ(pp.value_of(0), eager[0]) << label;
+      }
+      if (mode != 0) {
+        // Satisfied by the model, over frozen variables; adding it
+        // backtracks the inner solver.
+        pp.add_clause({Lit(0, !eager[0]), Lit(1, !eager[1])});
+      }
+      if (mode == 3) {
+        EXPECT_EQ(pp.model(), eager) << label;
+      }
+      for (Var v = 0; v < num_vars; ++v) {
+        EXPECT_EQ(pp.value_of(v), eager[v]) << label << " var " << v;
+      }
+      EXPECT_EQ(pp.model(), eager) << label;
+    }
+  }
+  EXPECT_GT(checked, 10);
+  EXPECT_GT(with_eliminated, 5);
+}
+
+TEST(Preprocess, ReadsAfterAnUndecidedSolveSeeTheInnerSolver) {
+  // A timed-out attack reports the key the solver holds after the cut
+  // solve: with no SAT answer, every read goes to the inner solver.
+  std::mt19937_64 rng(5);
+  const int num_vars = 200;
+  std::vector<Clause> clauses;
+  for (int c = 0; c < 852; ++c) {
+    Clause clause;
+    for (int l = 0; l < 3; ++l) {
+      clause.push_back(Lit(static_cast<Var>(rng() % num_vars), (rng() & 1) != 0));
+    }
+    clauses.push_back(std::move(clause));
+  }
+  Solver inner;
+  PreprocessSolver pp(inner);
+  for (int v = 0; v < num_vars; ++v) pp.new_var();
+  for (const Clause& c : clauses) pp.add_clause(c);
+  pp.set_conflict_budget(1);
+  ASSERT_EQ(pp.solve(), LBool::kUndef);
+  for (Var v = 0; v < num_vars; ++v) {
+    EXPECT_EQ(pp.value_of(v), inner.value_of(v)) << "var " << v;
+  }
+  EXPECT_EQ(pp.model(), inner.model());
 }
 
 }  // namespace
