@@ -92,7 +92,7 @@ WorkloadResult run_attack(std::string suite, std::string name,
   time_repeats(r, repeat, [&] {
     const auto start = Clock::now();
     const fl::attacks::AttackResult attack =
-        fl::attacks::run("sat", locked, oracle, options).result;
+        fl::attacks::run("sat", locked.netlist, oracle, options).result;
     const double wall = seconds_since(start);
     return Run{wall, attack.solver_stats,
                fl::attacks::to_string(attack.status)};

@@ -92,13 +92,20 @@ const std::vector<SchemeLadder>& ladders() {
   return all;
 }
 
-bool attack_times_out(const fl::netlist::Netlist& original,
-                      const fl::core::LockedCircuit& locked, double timeout_s) {
+// The SAT attack on one rung: "TO" when it times out, "refuted" when it
+// ends on a key the proof refutes (which broke nothing either), and empty
+// when it broke the lock.
+std::string attack_rung(const fl::netlist::Netlist& original,
+                        const fl::core::LockedCircuit& locked,
+                        double timeout_s) {
   const fl::attacks::Oracle oracle(original);
   fl::attacks::AttackOptions options;
   options.timeout_s = timeout_s;
-  return fl::attacks::run("sat", locked, oracle, options).result.status ==
-         fl::attacks::AttackStatus::kTimeout;
+  fl::attacks::RunResult run =
+      fl::attacks::run("sat", locked.netlist, oracle, options);
+  if (run.result.status == fl::attacks::AttackStatus::kTimeout) return "TO";
+  fl::attacks::grade_key(run, original, locked.netlist);
+  return run.key_check == fl::core::KeyCheck::kRefuted ? "refuted" : "";
 }
 
 // Applies the rung: `repeat` registry locks stacked on one another, key
@@ -124,8 +131,9 @@ fl::core::LockedCircuit lock_rung(const SchemeLadder& ladder, const Rung& rung,
   return acc;
 }
 
-// The first resilient rung, "broken thru <last attacked rung>", or "n/a"
-// when no rung fits the circuit.
+// The first resilient rung, "<rung> (refuted)" when the attack first fails
+// on a refuted key, "broken thru <last attacked rung>", or "n/a" when no
+// rung fits the circuit.
 std::string run_ladder(const SchemeLadder& ladder, const std::string& circuit,
                        double timeout_s) {
   std::string config = "n/a";
@@ -137,7 +145,9 @@ std::string run_ladder(const SchemeLadder& ladder, const std::string& circuit,
     } catch (const std::invalid_argument&) {
       continue;  // circuit too small for this rung
     }
-    if (attack_times_out(original, locked, timeout_s)) return rung.label;
+    const std::string outcome = attack_rung(original, locked, timeout_s);
+    if (outcome == "TO") return rung.label;
+    if (outcome == "refuted") return rung.label + " (refuted)";
     config = "broken thru " + rung.label;
   }
   return config;

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       attacks::AttackOptions options;
       options.timeout_s = timeout;
       const attacks::AttackResult attack =
-          attacks::run("sat", locked, oracle, options).result;
+          attacks::run("sat", locked.netlist, oracle, options).result;
       char attack_text[32];
       if (attack.status == attacks::AttackStatus::kSuccess) {
         std::snprintf(attack_text, sizeof(attack_text), "%.2fs",

@@ -323,7 +323,8 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   attacks::TraceFile trace(run_args.trace_path);
   options.trace = trace.sink();
 
-  attacks::RunResult run = attacks::run(attack_name, locked, oracle, options);
+  attacks::RunResult run =
+      attacks::run(attack_name, locked.netlist, oracle, options);
   const attacks::AttackResult& result = run.result;
   std::printf("%s attack on %s [scheme %s] (%zu key bits): %s\n",
               run.attack.c_str(), positional[0].c_str(), locked.scheme.c_str(),
@@ -337,12 +338,15 @@ int cmd_attack(int argc, char** argv, const runtime::RunnerArgs& run_args) {
   if (!run.detail.empty()) {
     std::printf("%s: %s\n", run.attack.c_str(), run.detail.str().c_str());
   }
-  bool accepted = false;
-  if (result.status == attacks::AttackStatus::kSuccess) {
-    const core::KeyCheck check =
-        core::check_key(oracle_netlist, locked.netlist, result.key);
-    accepted = check != core::KeyCheck::kRefuted;
-    std::printf("recovered key (%s):", core::to_string(check));
+  attacks::grade_key(run, oracle_netlist, locked.netlist);
+  const bool accepted =
+      run.key_check.has_value() && *run.key_check != core::KeyCheck::kRefuted;
+  if (run.key_check.has_value()) {
+    std::printf("%s key (%s):",
+                result.status == attacks::AttackStatus::kApproximate
+                    ? "approximate"
+                    : "recovered",
+                core::to_string(*run.key_check));
     for (const bool b : result.key) std::printf("%d", b ? 1 : 0);
     std::printf("\n");
   }

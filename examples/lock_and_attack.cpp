@@ -7,11 +7,9 @@
 //              full-lock-cyclic          (default full-lock)
 //     timeout: SAT/CycSAT attack budget in seconds (default 10)
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
-#include "attacks/appsat.h"
-#include "attacks/double_dip.h"
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
 #include "attacks/removal.h"
@@ -25,6 +23,8 @@
 #include "locking/rll.h"
 #include "locking/sarlock.h"
 #include "netlist/profiles.h"
+#include "runtime/jsonl.h"
+#include "runtime/runner.h"
 
 using namespace fl;
 
@@ -71,7 +71,13 @@ core::LockedCircuit lock_circuit(const std::string& scheme,
 int main(int argc, char** argv) {
   const std::string circuit = argc > 1 ? argv[1] : "c432";
   const std::string scheme = argc > 2 ? argv[2] : "full-lock";
-  const double timeout = argc > 3 ? std::atof(argv[3]) : 10.0;
+  double timeout = 10.0;
+  try {
+    if (argc > 3) timeout = runtime::parse_seconds_flag("timeout_s", argv[3]);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "lock_and_attack: %s\n", e.what());
+    return 2;
+  }
 
   const netlist::Netlist original = netlist::make_circuit(circuit, 1);
   std::printf("circuit %s: %zu gates, %zu/%zu IO\n", circuit.c_str(),
@@ -99,7 +105,8 @@ int main(int argc, char** argv) {
   options.timeout_s = timeout;
 
   // SAT attack ("auto" runs CycSAT when the lock is cyclic).
-  const attacks::RunResult run = attacks::run("auto", locked, oracle, options);
+  const attacks::RunResult run =
+      attacks::run("auto", locked.netlist, oracle, options);
   const attacks::AttackResult& sat = run.result;
   std::printf("%s attack: %s, %llu iterations, %.2f s", run.attack.c_str(),
               to_string(sat.status),
@@ -112,20 +119,18 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // AppSAT.
-  attacks::AppSatOptions app;
-  app.base.timeout_s = timeout;
-  const attacks::AppSatResult approx =
-      attacks::AppSat(app).run(locked, oracle);
-  std::printf("AppSAT: %s%s, est. error %.4f, %llu iterations\n",
-              to_string(approx.status),
-              approx.approximate ? " (approximate settle)" : "",
-              approx.estimated_error,
-              static_cast<unsigned long long>(approx.iterations));
+  attacks::RunResult approx =
+      attacks::run("appsat", locked.netlist, oracle, options);
+  std::printf("AppSAT: %s, est. error %.4f, %llu iterations\n",
+              to_string(approx.result.status),
+              runtime::json_double_field(approx.detail.str(), "estimated_error")
+                  .value_or(1.0),
+              static_cast<unsigned long long>(approx.result.iterations));
 
   // Removal (only meaningful for interconnect locks with routing hints).
   if (!locked.routing_blocks.empty()) {
     const attacks::RemovalResult removal =
-        attacks::removal_attack(locked, oracle);
+        attacks::removal_attack(locked, original);
     std::printf("removal attack: bypassed %d block(s), error %.2f%% -> %s\n",
                 removal.blocks_bypassed, removal.error_rate * 100,
                 removal.exact ? "BROKEN" : "resisted");
@@ -133,19 +138,18 @@ int main(int argc, char** argv) {
 
   // Double DIP and key sensitization apply to acyclic locks only.
   if (!cyclic) {
-    attacks::AttackOptions dd_options;
-    dd_options.timeout_s = timeout;
-    const attacks::DoubleDipResult dd =
-        attacks::DoubleDip(dd_options).run(locked, oracle);
-    std::printf("DoubleDIP: %s, %llu 2-DIP + %llu fallback queries\n",
-                to_string(dd.status),
-                static_cast<unsigned long long>(dd.iterations),
-                static_cast<unsigned long long>(dd.fallback_iterations));
+    attacks::RunResult dd =
+        attacks::run("double-dip", locked.netlist, oracle, options);
+    std::printf("DoubleDIP: %s, %llu 2-DIP + %lld fallback queries\n",
+                to_string(dd.result.status),
+                static_cast<unsigned long long>(dd.result.iterations),
+                runtime::json_int_field(dd.detail.str(), "fallback_iterations")
+                    .value_or(0));
 
     attacks::SensitizationOptions sens_options;
     sens_options.timeout_s = timeout;
     const attacks::SensitizationResult sens =
-        attacks::sensitization_attack(locked, oracle, sens_options);
+        attacks::sensitization_attack(locked.netlist, oracle, sens_options);
     std::printf("sensitization: %d/%zu key bits recovered\n",
                 sens.num_resolved, locked.key_bits());
   }

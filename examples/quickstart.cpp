@@ -46,7 +46,7 @@ int main() {
   attacks::AttackOptions options;
   options.timeout_s = 30.0;
   const attacks::AttackResult attack =
-      attacks::run("sat", locked, oracle, options).result;
+      attacks::run("sat", locked.netlist, oracle, options).result;
   std::printf("SAT attack: %s after %llu iterations, %.3f s\n",
               attacks::to_string(attack.status),
               static_cast<unsigned long long>(attack.iterations),

@@ -4,11 +4,10 @@
 //
 //   $ ./example_scheme_comparison [circuit] [timeout_s]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "attacks/appsat.h"
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
 #include "attacks/removal.h"
@@ -16,12 +15,20 @@
 #include "locking/scheme.h"
 #include "netlist/profiles.h"
 #include "ppa/estimator.h"
+#include "runtime/jsonl.h"
+#include "runtime/runner.h"
 
 using namespace fl;
 
 int main(int argc, char** argv) {
   const std::string circuit = argc > 1 ? argv[1] : "c880";
-  const double timeout = argc > 2 ? std::atof(argv[2]) : 10.0;
+  double timeout = 10.0;
+  try {
+    if (argc > 2) timeout = runtime::parse_seconds_flag("timeout_s", argv[2]);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "scheme_comparison: %s\n", e.what());
+    return 2;
+  }
   const netlist::Netlist original = netlist::make_circuit(circuit, 1);
   const ppa::PpaReport base_ppa = ppa::estimate_ppa(original);
   std::printf("host: %s (%zu gates, area %.1f um2)\n", circuit.c_str(),
@@ -59,7 +66,7 @@ int main(int argc, char** argv) {
     options.timeout_s = timeout;
     // "auto": CycSAT on cyclic locks, the SAT attack otherwise.
     const attacks::AttackResult attack =
-        attacks::run("auto", e.locked, oracle, options).result;
+        attacks::run("auto", e.locked.netlist, oracle, options).result;
     std::string attack_text;
     if (attack.status == attacks::AttackStatus::kSuccess) {
       char buf[32];
@@ -73,22 +80,23 @@ int main(int argc, char** argv) {
     std::string removal_text = "n/a";
     if (!e.locked.routing_blocks.empty()) {
       const attacks::RemovalResult removal =
-          attacks::removal_attack(e.locked, oracle);
+          attacks::removal_attack(e.locked, original);
       removal_text = removal.exact ? "BROKEN" : "resisted";
     }
 
     // AppSAT: the counter-attack on low-corruption point functions.
-    attacks::AppSatOptions app;
-    app.base.timeout_s = timeout;
-    const attacks::AppSatResult approx =
-        attacks::AppSat(app).run(e.locked, oracle);
+    attacks::RunResult approx =
+        attacks::run("appsat", e.locked.netlist, oracle, options);
     std::string appsat_text;
-    if (approx.status != attacks::AttackStatus::kSuccess) {
-      appsat_text = "TO";
-    } else if (approx.approximate) {
-      appsat_text = "settled~" + std::to_string(approx.estimated_error).substr(0, 5);
-    } else {
+    if (approx.result.status == attacks::AttackStatus::kApproximate) {
+      const double error =
+          runtime::json_double_field(approx.detail.str(), "estimated_error")
+              .value_or(1.0);
+      appsat_text = "settled~" + std::to_string(error).substr(0, 5);
+    } else if (approx.result.status == attacks::AttackStatus::kSuccess) {
       appsat_text = "exact";
+    } else {
+      appsat_text = "TO";
     }
 
     const core::CorruptionStats corruption =

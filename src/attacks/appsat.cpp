@@ -12,18 +12,17 @@ using netlist::Word;
 
 namespace {
 
+constexpr std::uint64_t kSettleEvery = 4;  // DIP iterations between checks
+constexpr double kErrorThreshold = 0.005;  // settle at or below this error
 constexpr std::size_t kRoundsPerCheck = 8;  // 64-pattern rounds per estimate
 
 // The AppSAT policy: the plain single-DIP step, interleaved with
 // settlement checks that may end the attack early on an approximate key.
 class AppSatPolicy final : public DipPolicy {
  public:
-  AppSatPolicy(const core::LockedCircuit& locked, const Oracle& oracle,
-               const AppSatOptions& options)
-      : locked_(locked), oracle_(oracle), options_(options),
-        rng_(0xA99547ull) {}
+  AppSatPolicy(const netlist::Netlist& locked, const Oracle& oracle)
+      : locked_(locked), oracle_(oracle), rng_(0xA99547ull) {}
 
-  bool approximate() const { return approximate_; }
   double estimated_error() const { return estimated_error_; }
 
   LoopAction on_dip(MiterContext& ctx, const BudgetGuard&,
@@ -34,11 +33,7 @@ class AppSatPolicy final : public DipPolicy {
 
   LoopAction after_iteration(MiterContext& ctx, const BudgetGuard& budget,
                              AttackResult& result) override {
-    if (result.iterations %
-            static_cast<std::uint64_t>(options_.settle_every) !=
-        0) {
-      return LoopAction::kContinue;
-    }
+    if (result.iterations % kSettleEvery != 0) return LoopAction::kContinue;
     budget.arm(ctx.solver());
     const sat::LBool settled = ctx.solver().solve();
     if (settled == sat::LBool::kUndef) {
@@ -51,10 +46,9 @@ class AppSatPolicy final : public DipPolicy {
     }
     const std::vector<bool> candidate = ctx.extract_key();
     const double error = estimate_error(ctx, candidate);
-    if (error <= options_.error_threshold) {
+    if (error <= kErrorThreshold) {
       result.key = candidate;
-      result.status = AttackStatus::kSuccess;
-      approximate_ = true;
+      result.status = AttackStatus::kApproximate;
       estimated_error_ = error;
       return LoopAction::kDone;
     }
@@ -68,7 +62,6 @@ class AppSatPolicy final : public DipPolicy {
         result.status == AttackStatus::kSuccess) {
       // Exact endgame: no DIP remains, the key is provably correct — the
       // estimate only reports its (sampled) residual error.
-      approximate_ = false;
       estimated_error_ = estimate_error(ctx, result.key);
     }
     return base;
@@ -82,8 +75,8 @@ class AppSatPolicy final : public DipPolicy {
   // (query reinforcement), all in one batch, so cone-mode encoding sweeps
   // the key-free region for all of them in a single bit-parallel pass.
   double estimate_error(MiterContext& ctx, const std::vector<bool>& key) {
-    const std::size_t n_in = locked_.netlist.num_inputs();
-    const std::size_t n_out = locked_.netlist.num_outputs();
+    const std::size_t n_in = locked_.num_inputs();
+    const std::size_t n_out = locked_.num_outputs();
     constexpr std::size_t rounds = kRoundsPerCheck;
     // Net-major matrix, one word (column) per round, drawn round by round.
     std::vector<Word> inputs(n_in * rounds);
@@ -93,7 +86,7 @@ class AppSatPolicy final : public DipPolicy {
     std::vector<Word> golden(n_out * rounds);
     oracle_.query_batch(inputs, rounds, rounds * 64, golden);
     const netlist::SimResult got = netlist::simulate(
-        locked_.netlist, inputs, netlist::broadcast(key), rounds);
+        locked_, inputs, netlist::broadcast(key), rounds);
     std::uint64_t wrong_bits = 0, total_bits = 0;
     std::vector<std::vector<bool>> patterns, responses;
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -125,33 +118,30 @@ class AppSatPolicy final : public DipPolicy {
                            : static_cast<double>(wrong_bits) / total_bits;
   }
 
-  const core::LockedCircuit& locked_;
+  const netlist::Netlist& locked_;
   const Oracle& oracle_;
-  const AppSatOptions& options_;
   std::mt19937_64 rng_;
-  bool approximate_ = false;
   double estimated_error_ = 1.0;
 };
 
 }  // namespace
 
-AppSatResult AppSat::run(const core::LockedCircuit& locked,
-                         const Oracle& oracle) const {
-  const BudgetGuard budget(options_.base);
-  MiterContext ctx(locked, MiterContext::double_key(), options_.base);
-  if (locked.netlist.is_cyclic()) {
+RunResult appsat_attack(const netlist::Netlist& locked, const Oracle& oracle,
+                        const AttackOptions& options) {
+  const BudgetGuard budget(options);
+  MiterContext ctx(locked, MiterContext::double_key(), options);
+  if (locked.is_cyclic()) {
     // The paper runs AppSAT on top of CycSAT for cyclic Full-Lock.
-    add_nc_conditions(locked.netlist, ctx.solver(), ctx.key_copy(0),
-                      ctx.key_copy(1), &budget);
+    add_nc_conditions(locked, ctx.solver(), ctx.key_copy(0), ctx.key_copy(1),
+                      &budget);
   }
-  AppSatPolicy policy(locked, oracle, options_);
-  AppSatResult result;
-  static_cast<AttackResult&>(result) =
-      DipLoop(oracle, options_.base, budget, "appsat").run(ctx, policy);
-  result.approximate = policy.approximate();
-  result.estimated_error = policy.estimated_error();
-  if (ctx.trivially_equal()) result.estimated_error = 0.0;
-  return result;
+  AppSatPolicy policy(locked, oracle);
+  RunResult run{"appsat",
+                DipLoop(oracle, options, budget, "appsat").run(ctx, policy),
+                {}};
+  run.detail.field("estimated_error",
+                   ctx.trivially_equal() ? 0.0 : policy.estimated_error());
+  return run;
 }
 
 }  // namespace fl::attacks

@@ -1,6 +1,5 @@
 #include "attacks/cycsat.h"
 
-#include <chrono>
 #include <limits>
 #include <map>
 
@@ -36,8 +35,8 @@ NetLit edge_blocked(const Netlist& netlist, GateId consumer, std::size_t pin,
 // *under*-approximation of `open` (weaker NC conditions). That only costs
 // attack speed, never soundness — the DIP loop bans stateful keys on
 // repeated DIPs and the final key is functionally validated against the
-// DIP history (see SatAttack::run). The step budget also bounds the DFS
-// itself: path enumeration inside strongly-connected regions is
+// DIP history (see attacks/sat_attack.cpp). The step budget also bounds the
+// DFS itself: path enumeration inside strongly-connected regions is
 // exponential in the worst case even when most branches fold to constants.
 constexpr std::size_t kNcTermBudget = 200'000;
 constexpr std::size_t kNcStepBudget = 4'000'000;
@@ -137,10 +136,6 @@ class NcBuilder {
     return budget_cut_;
   }
 
- public:
-  bool budget_cut() const { return budget_cut_; }
-
- private:
   const Netlist& netlist_;
   cnf::ClauseSink& sink_;
   std::span<const sat::Var> key_vars_;
@@ -157,42 +152,25 @@ class NcBuilder {
 
 }  // namespace
 
-CycSatStats add_nc_conditions(const Netlist& locked,
-                              sat::SolverIface& solver,
-                              std::span<const sat::Var> key1,
-                              std::span<const sat::Var> key2,
-                              const BudgetGuard* budget) {
-  CycSatStats stats;
-  const auto start = std::chrono::steady_clock::now();
+int add_nc_conditions(const Netlist& locked, sat::SolverIface& solver,
+                      std::span<const sat::Var> key1,
+                      std::span<const sat::Var> key2,
+                      const BudgetGuard* budget) {
   const std::vector<netlist::Edge> feedback = netlist::feedback_edges(locked);
-  stats.feedback_edges = static_cast<int>(feedback.size());
-  if (!feedback.empty()) {
-    cnf::SolverSink sink(solver);
-    for (const std::span<const sat::Var> keys : {key1, key2}) {
-      NcBuilder builder(locked, sink, keys, budget);
-      for (const netlist::Edge& e : feedback) {
-        // Cycle through e is open iff the edge itself is unblocked and an
-        // open path leads from the consumer back to the source. Admissible
-        // keys must break it.
-        const NetLit blk = edge_blocked(locked, e.gate, e.pin, keys);
-        const NetLit open_back = builder.open_path(e.gate, e.source);
-        cnf::assert_true(sink, cnf::emit_or(sink, {blk, ~open_back}));
-      }
-      stats.budget_cut = stats.budget_cut || builder.budget_cut();
+  if (feedback.empty()) return 0;
+  cnf::SolverSink sink(solver);
+  for (const std::span<const sat::Var> keys : {key1, key2}) {
+    NcBuilder builder(locked, sink, keys, budget);
+    for (const netlist::Edge& e : feedback) {
+      // Cycle through e is open iff the edge itself is unblocked and an
+      // open path leads from the consumer back to the source. Admissible
+      // keys must break it.
+      const NetLit blk = edge_blocked(locked, e.gate, e.pin, keys);
+      const NetLit open_back = builder.open_path(e.gate, e.source);
+      cnf::assert_true(sink, cnf::emit_or(sink, {blk, ~open_back}));
     }
   }
-  stats.preprocess_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return stats;
-}
-
-void CycSat::add_preconditions(const Netlist& locked,
-                               sat::SolverIface& solver,
-                               std::span<const sat::Var> key1,
-                               std::span<const sat::Var> key2,
-                               const BudgetGuard& budget) const {
-  stats_ = add_nc_conditions(locked, solver, key1, key2, &budget);
+  return static_cast<int>(feedback.size());
 }
 
 }  // namespace fl::attacks

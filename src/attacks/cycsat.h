@@ -12,43 +12,31 @@
 
 namespace fl::attacks {
 
-struct CycSatStats {
-  int feedback_edges = 0;
-  double preprocess_seconds = 0.0;
-  // True when the NC builder degraded to weaker (under-approximated)
-  // conditions because the attack's wall budget or interrupt tripped
-  // mid-preprocessing. Sound: the DIP loop still bans stateful keys.
-  bool budget_cut = false;
-};
-
 // Derives and asserts the NC ("no structural cycle") key conditions for
-// both key-variable sets. No-op for acyclic netlists. Shared by CycSat and
-// AppSat (the paper runs AppSAT on top of CycSAT for cyclic Full-Lock).
-// When `budget` is given, an exhausted budget degrades the conditions
-// instead of letting preprocessing overshoot the attack's deadline.
-CycSatStats add_nc_conditions(const netlist::Netlist& locked,
-                              sat::SolverIface& solver,
-                              std::span<const sat::Var> key1,
-                              std::span<const sat::Var> key2,
-                              const BudgetGuard* budget = nullptr);
+// both key-variable sets, and returns the number of feedback edges they
+// cover. No-op for acyclic netlists. Shared by CycSAT and AppSAT (the paper
+// runs AppSAT on top of CycSAT for cyclic Full-Lock). When `budget` is
+// given, an exhausted budget degrades the conditions instead of letting
+// preprocessing overshoot the attack's deadline; that stays sound, because
+// the DIP loop still bans stateful keys.
+int add_nc_conditions(const netlist::Netlist& locked, sat::SolverIface& solver,
+                      std::span<const sat::Var> key1,
+                      std::span<const sat::Var> key2,
+                      const BudgetGuard* budget = nullptr);
 
-class CycSat final : public SatAttack {
+// Kept for keybench, which compiles against this signature until it calls
+// attacks::run; forwards to cycsat_attack.
+class CycSat {
  public:
-  explicit CycSat(AttackOptions options = {}) : SatAttack(options) {}
+  explicit CycSat(AttackOptions options = {}) : options_(options) {}
 
-  const CycSatStats& preprocess_stats() const { return stats_; }
-
- protected:
-  void add_preconditions(const netlist::Netlist& locked,
-                         sat::SolverIface& solver,
-                         std::span<const sat::Var> key1,
-                         std::span<const sat::Var> key2,
-                         const BudgetGuard& budget) const override;
-
-  const char* name() const override { return "cycsat"; }
+  AttackResult run(const core::LockedCircuit& locked,
+                   const Oracle& oracle) const {
+    return cycsat_attack(locked.netlist, oracle, options_).result;
+  }
 
  private:
-  mutable CycSatStats stats_;
+  AttackOptions options_;
 };
 
 }  // namespace fl::attacks

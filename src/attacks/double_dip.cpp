@@ -90,7 +90,7 @@ MiterContext::Parts encode_two_dip_miter(const netlist::Netlist& net,
 // budget is left.
 class DoubleDipPolicy final : public DipPolicy {
  public:
-  DoubleDipPolicy(const core::LockedCircuit& locked, const Oracle& oracle,
+  DoubleDipPolicy(const netlist::Netlist& locked, const Oracle& oracle,
                   const AttackOptions& options)
       : locked_(locked), oracle_(oracle), options_(options) {}
 
@@ -108,7 +108,7 @@ class DoubleDipPolicy final : public DipPolicy {
     if (budget.limited()) {
       rest.timeout_s = std::max(0.1, budget.remaining_s());
     }
-    mop_up_ = SatAttack(rest).run(locked_, oracle_);
+    mop_up_ = sat_attack(locked_, oracle_, rest).result;
     result.status = mop_up_->status;
     result.key = mop_up_->key;
     result.key_confirmed = mop_up_->key_confirmed;
@@ -117,7 +117,7 @@ class DoubleDipPolicy final : public DipPolicy {
   }
 
  private:
-  const core::LockedCircuit& locked_;
+  const netlist::Netlist& locked_;
   const Oracle& oracle_;
   const AttackOptions& options_;
   std::optional<AttackResult> mop_up_;
@@ -125,27 +125,29 @@ class DoubleDipPolicy final : public DipPolicy {
 
 }  // namespace
 
-DoubleDipResult DoubleDip::run(const core::LockedCircuit& locked,
-                               const Oracle& oracle) const {
-  DoubleDipResult result;
-  if (locked.netlist.num_keys() == 0) {
+RunResult double_dip_attack(const netlist::Netlist& locked,
+                            const Oracle& oracle,
+                            const AttackOptions& options) {
+  RunResult run{"double-dip", {}, {}};
+  AttackResult& result = run.result;
+  std::uint64_t fallback_iterations = 0;
+  if (locked.num_keys() == 0) {
     result.status = AttackStatus::kSuccess;
-    return result;
+  } else {
+    const BudgetGuard budget(options);
+    MiterContext ctx(locked, encode_two_dip_miter, options);
+    DoubleDipPolicy policy(locked, oracle, options);
+    result = DipLoop(oracle, options, budget, "double-dip").run(ctx, policy);
+    if (policy.mop_up().has_value()) {
+      // The decisive solve was the mop-up's, not the 2-DIP miter's: surface
+      // its stop reason (the engine stamped the 2-DIP solver's, i.e. kNone)
+      // and count its DIP-loop queries separately.
+      result.stop_reason = policy.mop_up()->stop_reason;
+      fallback_iterations = policy.mop_up()->iterations;
+    }
   }
-
-  const BudgetGuard budget(options_);
-  MiterContext ctx(locked, encode_two_dip_miter, options_);
-  DoubleDipPolicy policy(locked, oracle, options_);
-  static_cast<AttackResult&>(result) =
-      DipLoop(oracle, options_, budget, "double-dip").run(ctx, policy);
-  if (policy.mop_up().has_value()) {
-    // The decisive solve was the mop-up's, not the 2-DIP miter's: surface
-    // its stop reason (the engine stamped the 2-DIP solver's, i.e. kNone)
-    // and count its DIP-loop queries separately.
-    result.stop_reason = policy.mop_up()->stop_reason;
-    result.fallback_iterations = policy.mop_up()->iterations;
-  }
-  return result;
+  run.detail.field("fallback_iterations", fallback_iterations);
+  return run;
 }
 
 }  // namespace fl::attacks

@@ -10,25 +10,15 @@
 // remains, the attack falls back to the standard SAT attack to finish.
 #pragma once
 
-#include "attacks/engine.h"
+#include "attacks/registry.h"
 
 namespace fl::attacks {
 
-// Everything AttackResult reports; `iterations` counts 2-DIP queries.
-struct DoubleDipResult : AttackResult {
-  std::uint64_t fallback_iterations = 0;  // plain-DIP mop-up queries
-};
-
-class DoubleDip {
- public:
-  explicit DoubleDip(AttackOptions options = {}) : options_(options) {}
-
-  // Requires an acyclic locked netlist (run CycSat for cyclic locks).
-  DoubleDipResult run(const core::LockedCircuit& locked,
-                      const Oracle& oracle) const;
-
- private:
-  AttackOptions options_;
-};
+// The registry's "double-dip" entry (run it by name through attacks::run;
+// it resolves to CycSAT on cyclic locks). `iterations` counts 2-DIP
+// queries; the detail's `fallback_iterations` counts the mop-up's DIPs.
+RunResult double_dip_attack(const netlist::Netlist& locked,
+                            const Oracle& oracle,
+                            const AttackOptions& options);
 
 }  // namespace fl::attacks

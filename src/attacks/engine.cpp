@@ -11,6 +11,7 @@ using Clock = BudgetGuard::Clock;
 const char* to_string(AttackStatus status) {
   switch (status) {
     case AttackStatus::kSuccess: return "success";
+    case AttackStatus::kApproximate: return "approximate";
     case AttackStatus::kTimeout: return "timeout";
     case AttackStatus::kIterationLimit: return "iteration-limit";
     case AttackStatus::kKeySpaceEmpty: return "key-space-empty";
@@ -109,7 +110,7 @@ MiterContext::Encoder MiterContext::double_key() {
   };
 }
 
-MiterContext::MiterContext(const core::LockedCircuit& locked,
+MiterContext::MiterContext(const netlist::Netlist& locked,
                            const Encoder& encoder,
                            const AttackOptions& options)
     : locked_(&locked),
@@ -117,16 +118,15 @@ MiterContext::MiterContext(const core::LockedCircuit& locked,
       // The wrapper never renumbers, so variable ids handed out below (key
       // copies, assumption literals) stay valid across the flush.
       pre_(engine_) {
-  const netlist::Netlist& net = locked.netlist;
-  if (!net.is_cyclic() && net.num_keys() > 0) {
-    cone_ = std::make_unique<netlist::KeyConePartition>(net);
+  if (!locked.is_cyclic() && locked.num_keys() > 0) {
+    cone_ = std::make_unique<netlist::KeyConePartition>(locked);
     fixed_sim_ = std::make_unique<netlist::Simulator>(cone_->fixed_region());
     // Only tap entries are ever read by the cone encoder; the const-0
     // default covers the rest of the GateId space.
-    frontier_.assign(net.num_gates(), cnf::NetLit::constant(false));
+    frontier_.assign(locked.num_gates(), cnf::NetLit::constant(false));
   }
   const auto t0 = Clock::now();
-  parts_ = encoder(net, pre_, cone_.get());
+  parts_ = encoder(locked, pre_, cone_.get());
   encode_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
   freeze_interface();
   if (parts_.outputs.size() >= 2) {
@@ -209,7 +209,7 @@ void MiterContext::constrain_io_batch(
   const auto t0 = Clock::now();
   if (cone_ == nullptr) {
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      cnf::add_io_constraint(locked_->netlist, pre_, parts_.key_copies,
+      cnf::add_io_constraint(*locked_, pre_, parts_.key_copies,
                              patterns[p], responses[p]);
     }
   } else {
@@ -219,7 +219,7 @@ void MiterContext::constrain_io_batch(
     // key copy.
     const std::size_t n = patterns.size();
     const std::size_t n_words = (n + 63) / 64;
-    const std::size_t n_in = locked_->netlist.num_inputs();
+    const std::size_t n_in = locked_->num_inputs();
     std::vector<netlist::Word> in(n_in * n_words, 0);
     for (std::size_t p = 0; p < n; ++p) {
       const std::vector<bool>& pat = patterns[p];
@@ -240,7 +240,7 @@ void MiterContext::constrain_io_batch(
         frontier_[static_cast<std::size_t>(taps[t])] =
             cnf::NetLit::constant(v);
       }
-      cnf::add_io_constraint_cone(locked_->netlist, pre_, parts_.key_copies,
+      cnf::add_io_constraint_cone(*locked_, pre_, parts_.key_copies,
                                   cone_->cone_topo(), frontier_, responses[p]);
     }
   }
@@ -383,7 +383,7 @@ AttackResult DipLoop::run(MiterContext& ctx, DipPolicy& policy) {
 
   if (ctx.trivially_equal()) {
     // Output does not depend on the key at all: any key unlocks.
-    result.key.assign(ctx.locked().netlist.num_keys(), false);
+    result.key.assign(ctx.locked().num_keys(), false);
     result.status = AttackStatus::kSuccess;
     return finish();
   }

@@ -61,7 +61,6 @@
 
 #include "attacks/oracle.h"
 #include "cnf/tseytin.h"
-#include "core/locked_circuit.h"
 #include "netlist/simulator.h"
 #include "netlist/structure.h"
 #include "runtime/jsonl.h"
@@ -73,6 +72,8 @@ namespace fl::attacks {
 enum class AttackStatus : std::uint8_t {
   kSuccess,         // UNSAT miter: the key (confirmed candidate or
                     // extracted survivor) is provably correct
+  kApproximate,     // AppSAT settled: the key's sampled error is under its
+                    // threshold, and nothing proved it correct
   kTimeout,         // wall-clock budget exhausted (the paper's "TO")
   kIterationLimit,  // max_iterations reached
   kKeySpaceEmpty,   // constraints became UNSAT (should not happen with a
@@ -179,8 +180,9 @@ struct AttackOptions {
 struct AttackResult {
   AttackStatus status = AttackStatus::kTimeout;
   // Always sized to the key width: the recovered key for kSuccess, the
-  // solver's best-effort assignment otherwise — downstream consumers
-  // (AppSAT warm starts, JSONL writers) may index it unconditionally.
+  // settled key for kApproximate, the solver's best-effort assignment
+  // otherwise — downstream consumers (AppSAT warm starts, JSONL writers)
+  // may index it unconditionally.
   std::vector<bool> key;
   std::uint64_t iterations = 0;
   double seconds = 0.0;
@@ -293,13 +295,14 @@ class MiterContext {
   // The encoding follows the lock: key-cone encoding when it is acyclic and
   // has keys, full-circuit encoding otherwise (CycSAT's cyclic locks). The
   // miter is staged through a sat::PreprocessSolver in front of one
-  // sequential sat::Solver carrying the attack's memory budget.
-  MiterContext(const core::LockedCircuit& locked, const Encoder& encoder,
+  // sequential sat::Solver carrying the attack's memory budget. `locked`
+  // must outlive the context.
+  MiterContext(const netlist::Netlist& locked, const Encoder& encoder,
                const AttackOptions& options);
   MiterContext(const MiterContext&) = delete;
   MiterContext& operator=(const MiterContext&) = delete;
 
-  const core::LockedCircuit& locked() const { return *locked_; }
+  const netlist::Netlist& locked() const { return *locked_; }
   sat::SolverIface& solver() { return pre_; }
   const sat::SolverIface& solver() const { return pre_; }
   const std::vector<sat::Var>& inputs() const { return parts_.inputs; }
@@ -382,7 +385,7 @@ class MiterContext {
  private:
   void freeze_interface();
 
-  const core::LockedCircuit* locked_;
+  const netlist::Netlist* locked_;
   // The CDCL engine, and the PreprocessSolver staging wrapper in front of
   // it that the attack talks to (declared after engine_ so it is destroyed
   // first).

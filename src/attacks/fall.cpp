@@ -29,10 +29,8 @@ bool model_bit(const sat::Solver& solver, sat::Var v) {
 
 }  // namespace
 
-FallResult fall_attack(const core::LockedCircuit& locked,
-                       const Oracle& oracle) {
+FallResult fall_attack(const Netlist& net, const Oracle& oracle) {
   FallResult result;
-  const Netlist& net = locked.netlist;
   const std::size_t num_keys = net.num_keys();
   if (num_keys == 0 || net.is_cyclic()) return result;
   const std::vector<bool> tainted = net.fanout_cone(net.keys());

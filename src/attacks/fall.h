@@ -39,10 +39,17 @@ struct FallResult {
   double stripped_error_rate = 0.0;
 };
 
-// Runs the attack. Returns early (restore_identified == false) when the
+// Runs the attack (the registry's "fall" entry maps the result onto an
+// AttackResult). Returns early (restore_identified == false) when the
 // locked netlist has no key-cone/key-free XOR seam on any output — the
 // attack is SFLL-specific by design.
-FallResult fall_attack(const core::LockedCircuit& locked,
-                       const Oracle& oracle);
+FallResult fall_attack(const netlist::Netlist& locked, const Oracle& oracle);
+
+// Kept for keybench, which compiles against this signature until it calls
+// attacks::run.
+inline FallResult fall_attack(const core::LockedCircuit& locked,
+                              const Oracle& oracle) {
+  return fall_attack(locked.netlist, oracle);
+}
 
 }  // namespace fl::attacks

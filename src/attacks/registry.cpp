@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "attacks/appsat.h"
-#include "attacks/cycsat.h"
 #include "attacks/double_dip.h"
 #include "attacks/fall.h"
 #include "attacks/sat_attack.h"
@@ -14,41 +13,12 @@ namespace fl::attacks {
 
 namespace {
 
-using Runner = RunResult (*)(const core::LockedCircuit&, const Oracle&,
+using Runner = RunResult (*)(const netlist::Netlist&, const Oracle&,
                              const AttackOptions&);
-
-RunResult run_sat(const core::LockedCircuit& locked, const Oracle& oracle,
-                  const AttackOptions& options) {
-  return {"sat", SatAttack(options).run(locked, oracle), {}};
-}
-
-RunResult run_cycsat(const core::LockedCircuit& locked, const Oracle& oracle,
-                     const AttackOptions& options) {
-  return {"cycsat", CycSat(options).run(locked, oracle), {}};
-}
-
-RunResult run_appsat(const core::LockedCircuit& locked, const Oracle& oracle,
-                     const AttackOptions& options) {
-  AppSatOptions app;
-  app.base = options;
-  const AppSatResult result = AppSat(app).run(locked, oracle);
-  RunResult run{"appsat", result, {}};
-  run.detail.field("approximate", result.approximate)
-      .field("estimated_error", result.estimated_error);
-  return run;
-}
-
-RunResult run_double_dip(const core::LockedCircuit& locked,
-                         const Oracle& oracle, const AttackOptions& options) {
-  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
-  RunResult run{"double-dip", result, {}};
-  run.detail.field("fallback_iterations", result.fallback_iterations);
-  return run;
-}
 
 // FALL has no DIP loop: it counts no iterations, and its oracle use is
 // whatever the oracle's query counter saw.
-RunResult run_fall(const core::LockedCircuit& locked, const Oracle& oracle,
+RunResult run_fall(const netlist::Netlist& locked, const Oracle& oracle,
                    const AttackOptions&) {
   using Clock = std::chrono::steady_clock;
   const std::uint64_t queries_before = oracle.num_queries();
@@ -60,7 +30,7 @@ RunResult run_fall(const core::LockedCircuit& locked, const Oracle& oracle,
   result.status = fall.key_recovered ? AttackStatus::kSuccess
                                      : AttackStatus::kIterationLimit;
   result.key = fall.key;
-  if (result.key.empty()) result.key.assign(locked.netlist.num_keys(), false);
+  if (result.key.empty()) result.key.assign(locked.num_keys(), false);
   result.oracle_queries = oracle.num_queries() - queries_before;
   run.detail.field("restore_identified", fall.restore_identified)
       .field("protected_bits", fall.protected_bits)
@@ -78,10 +48,10 @@ struct Entry {
 
 // "auto" is not an entry: run() resolves it before the lookup.
 constexpr Entry kAttacks[] = {
-    {"sat", run_sat},
-    {"cycsat", run_cycsat},
-    {"appsat", run_appsat},
-    {"double-dip", run_double_dip},
+    {"sat", sat_attack},
+    {"cycsat", cycsat_attack},
+    {"appsat", appsat_attack},
+    {"double-dip", double_dip_attack},
     {"fall", run_fall},
 };
 
@@ -107,10 +77,10 @@ bool known_attack(std::string_view name) {
   return name == "auto" || find_attack(name) != nullptr;
 }
 
-RunResult run(std::string_view name, const core::LockedCircuit& locked,
+RunResult run(std::string_view name, const netlist::Netlist& locked,
               const Oracle& oracle, const AttackOptions& options) {
-  const Entry* entry = find_attack(
-      lock::resolve_attack(name, locked.netlist.is_cyclic()));
+  const Entry* entry =
+      find_attack(lock::resolve_attack(name, locked.is_cyclic()));
   if (entry == nullptr) {
     throw std::invalid_argument("unknown attack '" + std::string(name) +
                                 "' (known: " + attack_names() + ")");
@@ -122,7 +92,10 @@ RunResult run(std::string_view name, const core::LockedCircuit& locked,
 
 void grade_key(RunResult& run, const netlist::Netlist& original,
                const netlist::Netlist& locked) {
-  if (run.result.status != AttackStatus::kSuccess) return;
+  if (run.result.status != AttackStatus::kSuccess &&
+      run.result.status != AttackStatus::kApproximate) {
+    return;
+  }
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
   run.key_check = core::check_key(original, locked, run.result.key);

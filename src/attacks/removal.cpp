@@ -7,7 +7,7 @@ namespace fl::attacks {
 using netlist::GateId;
 
 RemovalResult removal_attack(const core::LockedCircuit& locked,
-                             const Oracle& oracle, int rounds,
+                             const netlist::Netlist& original, int rounds,
                              std::uint64_t seed) {
   RemovalResult result;
   result.recovered = locked.netlist;
@@ -25,7 +25,7 @@ RemovalResult removal_attack(const core::LockedCircuit& locked,
   }
   // Most generous grading: the attacker even knows the correct values for
   // all remaining key inputs (e.g. LUT truth tables).
-  result.error_rate = core::error_rate(oracle.circuit(), result.recovered,
+  result.error_rate = core::error_rate(original, result.recovered,
                                        locked.correct_key, rounds, seed);
   result.exact = result.error_rate == 0.0;
   return result;

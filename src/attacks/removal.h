@@ -10,20 +10,24 @@
 // correctly.
 #pragma once
 
-#include "attacks/oracle.h"
+#include <cstdint>
+
 #include "core/locked_circuit.h"
 
 namespace fl::attacks {
 
 struct RemovalResult {
   netlist::Netlist recovered;   // blocks bypassed; key inputs remain
-  double error_rate = 1.0;      // vs oracle, remaining keys set correctly
+  double error_rate = 1.0;      // vs original, remaining keys set correctly
   bool exact = false;           // error_rate == 0 (attack succeeded)
   int blocks_bypassed = 0;
 };
 
+// Reads the routing hints' secret permutation and the correct key by
+// design, so it takes the LockedCircuit and runs outside attacks::run; it
+// grades the bypassed netlist against `original` and queries no oracle.
 RemovalResult removal_attack(const core::LockedCircuit& locked,
-                             const Oracle& oracle, int rounds = 16,
-                             std::uint64_t seed = 1);
+                             const netlist::Netlist& original,
+                             int rounds = 16, std::uint64_t seed = 1);
 
 }  // namespace fl::attacks

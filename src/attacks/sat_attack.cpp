@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "attacks/cycsat.h"
 #include "netlist/simulator.h"
 
 namespace fl::attacks {
@@ -39,9 +40,8 @@ bool functionally_pins(const netlist::Netlist& locked,
 // history.
 class SingleDipPolicy final : public DipPolicy {
  public:
-  SingleDipPolicy(const core::LockedCircuit& locked, const Oracle& oracle)
-      : locked_(locked), oracle_(oracle),
-        cyclic_(locked.netlist.is_cyclic()) {}
+  SingleDipPolicy(const netlist::Netlist& locked, const Oracle& oracle)
+      : locked_(locked), oracle_(oracle), cyclic_(locked.is_cyclic()) {}
 
   LoopAction on_dip(MiterContext& ctx, const BudgetGuard&,
                     const std::vector<bool>& pattern,
@@ -64,7 +64,7 @@ class SingleDipPolicy final : public DipPolicy {
       }
       bool banned_any = false;
       for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (!functionally_pins(locked_.netlist, keys[k], pattern, response)) {
+        if (!functionally_pins(locked_, keys[k], pattern, response)) {
           ctx.ban_key(ctx.key_copy(k), keys[k]);
           banned_any = true;
           ++result.banned_keys;
@@ -94,8 +94,7 @@ class SingleDipPolicy final : public DipPolicy {
       // functionally against every observed DIP; reject-and-ban until a
       // functional key (the correct key always qualifies) survives.
       for (const auto& [pattern, response] : dips_) {
-        if (!functionally_pins(locked_.netlist, result.key, pattern,
-                               response)) {
+        if (!functionally_pins(locked_, result.key, pattern, response)) {
           ctx.ban_key(ctx.key_copy(0), result.key);
           ++result.banned_keys;
           result.key.clear();
@@ -107,27 +106,37 @@ class SingleDipPolicy final : public DipPolicy {
   }
 
  private:
-  const core::LockedCircuit& locked_;
+  const netlist::Netlist& locked_;
   const Oracle& oracle_;
   const bool cyclic_;
   std::map<std::vector<bool>, std::vector<bool>> dips_;  // DIP -> response
 };
 
+// The single-DIP loop, with CycSAT's no-cycle conditions when `nc`.
+AttackResult single_dip_attack(const netlist::Netlist& locked,
+                               const Oracle& oracle,
+                               const AttackOptions& options, bool nc) {
+  const BudgetGuard budget(options);
+  MiterContext ctx(locked, MiterContext::double_key(), options);
+  if (nc) {
+    add_nc_conditions(locked, ctx.solver(), ctx.key_copy(0), ctx.key_copy(1),
+                      &budget);
+  }
+  SingleDipPolicy policy(locked, oracle);
+  return DipLoop(oracle, options, budget, nc ? "cycsat" : "sat")
+      .run(ctx, policy);
+}
+
 }  // namespace
 
-void SatAttack::add_preconditions(const netlist::Netlist&, sat::SolverIface&,
-                                  std::span<const sat::Var>,
-                                  std::span<const sat::Var>,
-                                  const BudgetGuard&) const {}
+RunResult sat_attack(const netlist::Netlist& locked, const Oracle& oracle,
+                     const AttackOptions& options) {
+  return {"sat", single_dip_attack(locked, oracle, options, false), {}};
+}
 
-AttackResult SatAttack::run(const core::LockedCircuit& locked,
-                            const Oracle& oracle) const {
-  const BudgetGuard budget(options_);
-  MiterContext ctx(locked, MiterContext::double_key(), options_);
-  add_preconditions(locked.netlist, ctx.solver(), ctx.key_copy(0),
-                    ctx.key_copy(1), budget);
-  SingleDipPolicy policy(locked, oracle);
-  return DipLoop(oracle, options_, budget, name()).run(ctx, policy);
+RunResult cycsat_attack(const netlist::Netlist& locked, const Oracle& oracle,
+                        const AttackOptions& options) {
+  return {"cycsat", single_dip_attack(locked, oracle, options, true), {}};
 }
 
 }  // namespace fl::attacks

@@ -11,10 +11,9 @@ namespace {
 // Attempts to recover key bit `target` with golden-pattern sensitization,
 // treating already-`known` bits as constants (iterative peeling). Returns
 // -1 (unresolved) or the recovered bit.
-int attack_one_key(const core::LockedCircuit& locked, const Oracle& oracle,
+int attack_one_key(const netlist::Netlist& net, const Oracle& oracle,
                    std::size_t target, const std::vector<int>& known,
                    int attempts, const BudgetGuard& budget) {
-  const netlist::Netlist& net = locked.netlist;
   sat::Solver solver;
   cnf::SolverSink sink(solver);
 
@@ -129,7 +128,7 @@ int attack_one_key(const core::LockedCircuit& locked, const Oracle& oracle,
 
 }  // namespace
 
-SensitizationResult sensitization_attack(const core::LockedCircuit& locked,
+SensitizationResult sensitization_attack(const netlist::Netlist& locked,
                                          const Oracle& oracle,
                                          const SensitizationOptions& options) {
   // Reuse the engine's budget handling so timeout/interrupt map to the same
@@ -140,12 +139,12 @@ SensitizationResult sensitization_attack(const core::LockedCircuit& locked,
   const BudgetGuard budget(budget_options);
   const std::uint64_t queries_before = oracle.num_queries();
   SensitizationResult result;
-  result.resolved.assign(locked.netlist.num_keys(), -1);
+  result.resolved.assign(locked.num_keys(), -1);
   // Peel until a fixpoint: every recovered bit may unlock further bits.
   bool progress = true;
   while (progress && result.status == AttackStatus::kSuccess) {
     progress = false;
-    for (std::size_t i = 0; i < locked.netlist.num_keys(); ++i) {
+    for (std::size_t i = 0; i < locked.num_keys(); ++i) {
       if (result.resolved[i] >= 0) continue;
       if (const auto cut = budget.exhausted()) {
         result.status = *cut;
@@ -161,7 +160,7 @@ SensitizationResult sensitization_attack(const core::LockedCircuit& locked,
     }
   }
   result.complete =
-      result.num_resolved == static_cast<int>(locked.netlist.num_keys());
+      result.num_resolved == static_cast<int>(locked.num_keys());
   result.oracle_queries = oracle.num_queries() - queries_before;
   result.seconds = budget.elapsed_s();
   return result;

@@ -15,7 +15,6 @@
 
 #include "attacks/engine.h"
 #include "attacks/oracle.h"
-#include "core/locked_circuit.h"
 
 namespace fl::attacks {
 
@@ -44,7 +43,7 @@ struct SensitizationResult {
 
 // Requires an acyclic locked netlist.
 SensitizationResult sensitization_attack(
-    const core::LockedCircuit& locked, const Oracle& oracle,
+    const netlist::Netlist& locked, const Oracle& oracle,
     const SensitizationOptions& options = {});
 
 }  // namespace fl::attacks

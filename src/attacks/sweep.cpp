@@ -94,7 +94,7 @@ SweepResult run_sweep(
         attack.trace_cell = static_cast<long long>(i);
         // "auto" follows each cell's cyclicity, and double-dip
         // (acyclic-only) degrades to cycsat on cyclic cells.
-        cell.run = run(spec.attack, locked, oracle, attack);
+        cell.run = run(spec.attack, locked.netlist, oracle, attack);
         if (cell.run.result.status == AttackStatus::kInterrupted) {
           session.note_interrupted(i);
           return;

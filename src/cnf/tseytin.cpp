@@ -399,13 +399,12 @@ EncodedCircuit encode_impl(const Netlist& netlist, ClauseSink& sink,
     }
   };
 
-  const auto order = netlist.topological_order();
   if (cone_mode) {
     fold_walk(options.cone_topo);
   } else if (!options.restrict_topo.empty()) {
     fold_walk(options.restrict_topo);
-  } else if (order && options.fold_constants) {
-    fold_walk(*order);
+  } else if (options.fold_constants && !netlist.is_cyclic()) {
+    fold_walk(netlist.topo_span());
   } else {
     // Gate-per-variable encoding (works for cyclic netlists).
     for (std::size_t g = 0; g < netlist.num_gates(); ++g) {

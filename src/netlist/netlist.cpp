@@ -317,27 +317,8 @@ const Netlist::GraphCache& Netlist::graph() const {
   cache_.cyclic = cache_.topo.size() != n;
   if (cache_.cyclic) cache_.topo.clear();
 
-  // Levels (acyclic only).
-  cache_.levels.clear();
-  if (!cache_.cyclic) {
-    cache_.levels.assign(n, 0);
-    for (const GateId g : cache_.topo) {
-      int lvl = 0;
-      for (const GateId f : fanin(g)) {
-        lvl = std::max(lvl, cache_.levels[f] + 1);
-      }
-      cache_.levels[g] = lvl;
-    }
-  }
-
   cache_generation_.store(generation_, std::memory_order_release);
   return cache_;
-}
-
-std::optional<std::vector<GateId>> Netlist::topological_order() const {
-  const GraphCache& c = graph();
-  if (c.cyclic) return std::nullopt;
-  return c.topo;
 }
 
 bool Netlist::is_cyclic() const { return graph().cyclic; }
@@ -393,12 +374,13 @@ std::vector<bool> Netlist::fanout_cone(std::span<const GateId> seeds) const {
 std::optional<std::vector<int>> Netlist::levels() const {
   const GraphCache& c = graph();
   if (c.cyclic) return std::nullopt;
-  return c.levels;
-}
-
-std::span<const int> Netlist::levels_span() const {
-  const GraphCache& c = graph();
-  return c.levels;
+  std::vector<int> levels(type_.size(), 0);
+  for (const GateId g : c.topo) {
+    for (const GateId f : fanin(g)) {
+      levels[g] = std::max(levels[g], levels[f] + 1);
+    }
+  }
+  return levels;
 }
 
 void Netlist::validate() const {

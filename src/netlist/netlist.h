@@ -7,11 +7,11 @@
 // gates, appending key inputs) and the queries used by attacks (topological
 // order, cycle detection, fanout rows, fanin and fanout cones).
 //
-// Graph queries (topological order, fanout CSR, levels) are computed once
-// and cached against a structural-edit generation counter: any edit bumps
-// the generation and the next query rebuilds. The cached spans returned by
-// topo_span()/fanout()/levels_span() stay valid until the next structural
-// edit, like iterators into a std::vector. Lazy cache fills are serialized
+// Graph queries (topological order, fanout CSR) are computed once and
+// cached against a structural-edit generation counter: any edit bumps the
+// generation and the next query rebuilds. The cached spans returned by
+// topo_span()/fanout() stay valid until the next structural edit, like
+// iterators into a std::vector. Lazy cache fills are serialized
 // by an internal mutex, so concurrent const queries are safe; concurrent
 // edits are not (usual container rules).
 #pragma once
@@ -107,12 +107,10 @@ class Netlist {
   std::uint64_t generation() const { return generation_; }
 
   // --- graph queries (cached against generation()) -------------------------
-  // Topological order over all gates (sources first). std::nullopt if cyclic.
-  // Returns a copy; hot paths should use topo_span().
-  std::optional<std::vector<GateId>> topological_order() const;
   bool is_cyclic() const;
-  // Cached topological order. Empty iff the netlist is cyclic (check
-  // is_cyclic() to distinguish from an empty netlist).
+  // Cached topological order over all gates (sources first). Empty iff the
+  // netlist is cyclic (check is_cyclic() to distinguish from an empty
+  // netlist).
   std::span<const GateId> topo_span() const;
   // Cached fanout row: gates reading net g (deduplicated, ascending).
   std::span<const GateId> fanout(GateId id) const;
@@ -122,10 +120,9 @@ class Netlist {
   // keys' cone is every net that can depend on the key).
   std::vector<bool> fanin_cone(std::span<const GateId> seeds) const;
   std::vector<bool> fanout_cone(std::span<const GateId> seeds) const;
-  // Logic depth (levels) of each gate; cyclic netlists return nullopt.
+  // Logic depth (levels) of each gate, computed on every call (nothing in
+  // the attack or lock paths reads it); cyclic netlists return nullopt.
   std::optional<std::vector<int>> levels() const;
-  // Cached levels; empty iff cyclic (or the netlist is empty).
-  std::span<const int> levels_span() const;
 
   // Throws std::logic_error if any fanin id is out of range or arity is wrong.
   void validate() const;
@@ -139,7 +136,6 @@ class Netlist {
     std::vector<GateId> topo;             // empty when cyclic
     std::vector<std::uint32_t> fanout_begin;  // size num_gates + 1
     std::vector<GateId> fanout_arena;         // dedup, ascending per row
-    std::vector<int> levels;              // empty when cyclic
   };
 
   void check_arity(GateType type, std::size_t n_fanin) const;

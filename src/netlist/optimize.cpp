@@ -47,8 +47,7 @@ class Optimizer {
       : in_(in), stats_(stats) {}
 
   Netlist run() {
-    const auto order = in_.topological_order();
-    if (!order) {
+    if (in_.is_cyclic()) {
       throw std::invalid_argument("optimize: cyclic netlist");
     }
     map_.assign(in_.num_gates(), SigLit{});
@@ -58,7 +57,7 @@ class Optimizer {
     for (const GateId g : in_.keys()) {
       map_[g] = SigLit{out_.add_key(in_.gate(g).name)};
     }
-    for (const GateId g : *order) {
+    for (const GateId g : in_.topo_span()) {
       const GateType type = in_.gate_type(g);
       if (is_source(type)) {
         if (type == GateType::kConst0) map_[g] = constant(false);

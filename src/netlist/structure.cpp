@@ -358,11 +358,10 @@ Netlist decompose_to_two_input(const Netlist& netlist) {
   for (const GateId g : netlist.keys()) {
     remap[g] = out.add_key(netlist.gate(g).name);
   }
-  const auto order = netlist.topological_order();
-  if (!order) {
+  if (netlist.is_cyclic()) {
     throw std::invalid_argument("decompose_to_two_input: cyclic netlist");
   }
-  for (const GateId g : *order) {
+  for (const GateId g : netlist.topo_span()) {
     const Gate& gate = netlist.gate(g);
     if (is_source(gate.type)) {
       if (gate.type == GateType::kConst0 || gate.type == GateType::kConst1) {
@@ -448,9 +447,8 @@ double gate_probability(const Gate& gate, const std::vector<double>& p) {
 
 std::vector<double> signal_probabilities(const Netlist& netlist) {
   std::vector<double> p(netlist.num_gates(), 0.5);
-  const auto order = netlist.topological_order();
-  if (order) {
-    for (const GateId g : *order) {
+  if (!netlist.is_cyclic()) {
+    for (const GateId g : netlist.topo_span()) {
       p[g] = gate_probability(netlist.gate(g), p);
     }
     return p;

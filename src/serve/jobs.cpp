@@ -81,7 +81,8 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   StreamTraceSink trace(ctx);
   if (spec.trace) options.trace = &trace;
 
-  attacks::RunResult run = attacks::run(spec.attack, locked, oracle, options);
+  attacks::RunResult run =
+      attacks::run(spec.attack, locked.netlist, oracle, options);
   const attacks::AttackResult& attack = run.result;
   if (attack.status == attacks::AttackStatus::kInterrupted) {
     result.interrupted = true;
@@ -90,7 +91,9 @@ JobResult run_attack_job(const JobSpec& spec, JobContext& ctx) {
   attacks::grade_key(run, oracle_netlist, locked.netlist);
   result.fields.field("scheme", locked.scheme)
       .field("key_bits", locked.netlist.num_keys());
-  if (attack.status == attacks::AttackStatus::kSuccess) {
+  // grade_key graded the key iff the attack returned one: a success's or
+  // an approximate settlement's.
+  if (run.key_check.has_value()) {
     result.fields.field("key", key_string(attack.key));
   }
   result.fields.merge(attacks::to_json(run));

@@ -8,14 +8,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "attacks/appsat.h"
-#include "attacks/double_dip.h"
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
-#include "attacks/sat_attack.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "locking/scheme.h"
@@ -34,40 +30,21 @@ const std::vector<std::string>& engine_attacks() {
   return names;
 }
 
-// Every engine-backed attack on `locked`, labelled by name: sat, cycsat and
-// double-dip through attacks::run, AppSAT directly in exact mode. Settlement
-// may legitimately stop on an approximate key within error_threshold, which
-// the strict SAT verification these differential tests apply rejects by
-// design; settlement has its own coverage in test_appsat.cpp.
-std::vector<std::pair<std::string, AttackResult>> run_exact_attacks(
-    const AttackOptions& options, const LockedCircuit& locked,
-    const Oracle& oracle) {
-  std::vector<std::pair<std::string, AttackResult>> runs;
-  for (const char* name : {"sat", "cycsat", "double-dip"}) {
-    RunResult run = attacks::run(name, locked, oracle, options);
-    runs.emplace_back(run.attack, std::move(run.result));
-  }
-  AppSatOptions app;
-  app.base = options;
-  app.settle_every = 1 << 20;
-  app.error_threshold = 0.0;
-  runs.emplace_back("appsat", AppSat(app).run(locked, oracle));
-  return runs;
-}
-
 TEST(AttackEngine, AllAttacksRecoverVerifiedKeys) {
   // Differential check: the same lock falls to every engine-backed attack,
   // and every recovered key passes the SAT-based unlock verifier. The lock
   // is acyclic, so every attack runs the key-cone encoding behind the
-  // base-miter preprocessor (the engine's one rule).
+  // base-miter preprocessor (the engine's one rule). AppSAT ends exact on
+  // it: no settlement check passes before the last DIP.
   const Netlist original = netlist::make_circuit("c432", 41);
   const LockedCircuit locked =
       core::full_lock(original, core::FullLockConfig::with_plrs({4}));
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  for (const auto& [name, result] :
-       run_exact_attacks(options, locked, oracle)) {
+  for (const std::string& name : engine_attacks()) {
+    const AttackResult result =
+        attacks::run(name, locked.netlist, oracle, options).result;
     ASSERT_EQ(result.status, AttackStatus::kSuccess) << name;
     EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
                                        result.key))
@@ -95,7 +72,7 @@ TEST(AttackEngine, TimeoutStatusIdenticalAcrossAttacks) {
     AttackOptions options;
     options.timeout_s = 0.05;  // far too little for a 16x16 PLR
     const AttackResult result =
-        attacks::run(name, locked, oracle, options).result;
+        attacks::run(name, locked.netlist, oracle, options).result;
     EXPECT_EQ(result.status, AttackStatus::kTimeout) << name;
     EXPECT_EQ(result.stop_reason, sat::StopReason::kDeadline) << name;
     EXPECT_LT(result.seconds, 5.0) << name;
@@ -113,7 +90,7 @@ TEST(AttackEngine, InterruptStatusIdenticalAcrossAttacks) {
     AttackOptions options;
     options.interrupt = &interrupt;
     const AttackResult result =
-        attacks::run(name, locked, oracle, options).result;
+        attacks::run(name, locked.netlist, oracle, options).result;
     EXPECT_EQ(result.status, AttackStatus::kInterrupted) << name;
     EXPECT_EQ(result.stop_reason, sat::StopReason::kInterrupt) << name;
     EXPECT_EQ(result.key.size(), locked.key_bits()) << name;
@@ -129,7 +106,7 @@ TEST(AttackEngine, MemoryBudgetStatusIdenticalAcrossAttacks) {
     AttackOptions options;
     options.memory_limit_mb = 1;
     const AttackResult result =
-        attacks::run(name, locked, oracle, options).result;
+        attacks::run(name, locked.netlist, oracle, options).result;
     EXPECT_EQ(result.status, AttackStatus::kOutOfMemory) << name;
     EXPECT_EQ(result.stop_reason, sat::StopReason::kOutOfMemory) << name;
     EXPECT_EQ(result.key.size(), locked.key_bits()) << name;
@@ -146,7 +123,8 @@ TEST(AttackEngine, TraceSinkRecordsEveryIteration) {
   AttackOptions options;
   options.timeout_s = 60.0;
   options.trace = &sink;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   ASSERT_GT(result.iterations, 0u);
 
@@ -189,8 +167,8 @@ TEST(AttackEngine, TraceCellStampedAndAttackLabeled) {
   options.timeout_s = 60.0;
   options.trace = &sink;
   options.trace_cell = 7;
-  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
-  ASSERT_EQ(result.status, AttackStatus::kSuccess);
+  RunResult run = attacks::run("double-dip", locked.netlist, oracle, options);
+  ASSERT_EQ(run.result.status, AttackStatus::kSuccess);
 
   std::istringstream lines(out.str());
   std::string line;
@@ -211,8 +189,9 @@ TEST(AttackEngine, TraceCellStampedAndAttackLabeled) {
       ++mop_up_records;
     }
   }
-  EXPECT_EQ(two_dip_records, result.iterations);
-  EXPECT_EQ(mop_up_records, result.fallback_iterations);
+  EXPECT_EQ(two_dip_records, run.result.iterations);
+  EXPECT_EQ(runtime::json_int_field(run.detail.str(), "fallback_iterations"),
+            static_cast<long long>(mop_up_records));
 }
 
 TEST(AttackEngine, BudgetGuardMapsEachBudgetToItsStatus) {
@@ -245,7 +224,7 @@ TEST(KeyConfirmation, GuardRejectsAKeyThatViolatesACommittedDip) {
   const Oracle oracle(original);
   const AttackOptions options;
   const BudgetGuard budget(options);
-  MiterContext ctx(locked, MiterContext::double_key(), options);
+  MiterContext ctx(locked.netlist, MiterContext::double_key(), options);
   ctx.finalize_encoding();
   ASSERT_FALSE(ctx.candidate().has_value());
   EXPECT_THROW(ctx.check_candidate(budget), std::logic_error);
@@ -312,7 +291,7 @@ TEST(KeyConfirmation, LoopNeverReportsARefutedCandidate) {
   AttackOptions options;
   options.timeout_s = 60.0;
   const BudgetGuard budget(options);
-  MiterContext ctx(locked, MiterContext::double_key(), options);
+  MiterContext ctx(locked.netlist, MiterContext::double_key(), options);
   RefutedCandidatePolicy policy(oracle);
   const AttackResult result =
       DipLoop(oracle, options, budget, "refuted").run(ctx, policy);
@@ -336,7 +315,7 @@ TEST(AttackRegistry, UnknownNameThrowsAndListsTheNames) {
       core::full_lock(original, core::FullLockConfig::with_plrs({4}));
   const Oracle oracle(original);
   try {
-    attacks::run("nonesuch", locked, oracle);
+    attacks::run("nonesuch", locked.netlist, oracle);
     FAIL() << "unknown attack name accepted";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -358,7 +337,7 @@ TEST(AttackRegistry, CyclicLocksRunAndReportCycSat) {
   AttackOptions options;
   options.timeout_s = 120.0;
   for (const char* name : {"auto", "double-dip"}) {
-    RunResult run = attacks::run(name, locked, oracle, options);
+    RunResult run = attacks::run(name, locked.netlist, oracle, options);
     EXPECT_EQ(run.attack, "cycsat") << name;
     ASSERT_EQ(run.result.status, AttackStatus::kSuccess) << name;
     EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist,
@@ -380,21 +359,23 @@ TEST(AttackRegistry, DetailCarriesTheAttackSpecificFields) {
   options.timeout_s = 60.0;
 
   // key_confirmed is the one field every attack's detail carries.
-  RunResult sat = attacks::run("auto", locked, oracle, options);
+  RunResult sat = attacks::run("auto", locked.netlist, oracle, options);
   EXPECT_EQ(sat.attack, "sat");
   EXPECT_EQ(runtime::json_bool_field(sat.detail.str(), "key_confirmed"),
             sat.result.key_confirmed);
 
-  RunResult app = attacks::run("appsat", locked, oracle, options);
-  ASSERT_EQ(app.result.status, AttackStatus::kSuccess);
+  // AppSAT settles on this lock. That it settled is its status; the detail
+  // does not repeat it.
+  RunResult app = attacks::run("appsat", locked.netlist, oracle, options);
+  ASSERT_EQ(app.result.status, AttackStatus::kApproximate);
   const std::string app_detail = app.detail.str();
-  EXPECT_TRUE(runtime::json_bool_field(app_detail, "approximate").has_value())
+  EXPECT_FALSE(runtime::json_bool_field(app_detail, "approximate").has_value())
       << app_detail;
   const auto error = runtime::json_double_field(app_detail, "estimated_error");
   ASSERT_TRUE(error.has_value()) << app_detail;
   EXPECT_LE(*error, 0.005);
 
-  RunResult dd = attacks::run("double-dip", locked, oracle, options);
+  RunResult dd = attacks::run("double-dip", locked.netlist, oracle, options);
   ASSERT_EQ(dd.result.status, AttackStatus::kSuccess);
   const std::string dd_detail = dd.detail.str();
   EXPECT_TRUE(runtime::json_int_field(dd_detail, "fallback_iterations")

@@ -1,8 +1,11 @@
 // CycSAT: attacking cyclically locked circuits.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "netlist/profiles.h"
@@ -21,6 +24,21 @@ LockedCircuit cyclic_lock(const Netlist& original, int n, std::uint64_t seed) {
   return core::full_lock(original, config);
 }
 
+// The attack record without its wall-clock (`_s`) fields and its name.
+std::string record_without_times(RunResult run) {
+  const std::string line = to_json(run).str();
+  std::string out;
+  std::size_t from = line.find(',') + 1;  // past "attack"
+  while (from < line.size()) {
+    std::size_t to = line.find(',', from);
+    if (to == std::string::npos) to = line.size();
+    const std::string field = line.substr(from, to - from);
+    if (field.find("_s\":") == std::string::npos) out += field + ",";
+    from = to + 1;
+  }
+  return out;
+}
+
 TEST(CycSat, BreaksCyclicFullLockSmall) {
   const Netlist original = netlist::make_circuit("c432", 101);
   const LockedCircuit locked = cyclic_lock(original, 4, 7);
@@ -28,12 +46,17 @@ TEST(CycSat, BreaksCyclicFullLockSmall) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 120.0;
-  CycSat attack(options);
-  const AttackResult result = attack.run(locked, oracle);
+  const AttackResult result =
+      attacks::run("cycsat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
-  EXPECT_GT(attack.preprocess_stats().feedback_edges, 0);
   // The recovered key cuts every cycle, so it is proved, not sampled.
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
+  // The no-cycle conditions went into the base miter: one DIP of the plain
+  // SAT attack shows the same miter without them.
+  options.max_iterations = 1;
+  const AttackResult sat =
+      attacks::run("sat", locked.netlist, oracle, options).result;
+  EXPECT_GT(result.base_clauses, sat.base_clauses);
 }
 
 TEST(CycSat, NcConditionsAdmitCorrectKey) {
@@ -47,9 +70,7 @@ TEST(CycSat, NcConditionsAdmitCorrectKey) {
   std::vector<sat::Var> key1, key2;
   for (std::size_t i = 0; i < locked.key_bits(); ++i) key1.push_back(solver.new_var());
   for (std::size_t i = 0; i < locked.key_bits(); ++i) key2.push_back(solver.new_var());
-  const CycSatStats stats =
-      add_nc_conditions(locked.netlist, solver, key1, key2);
-  EXPECT_GT(stats.feedback_edges, 0);
+  EXPECT_GT(add_nc_conditions(locked.netlist, solver, key1, key2), 0);
   std::vector<sat::Lit> assume;
   for (std::size_t i = 0; i < locked.key_bits(); ++i) {
     assume.push_back(sat::Lit(key1[i], !locked.correct_key[i]));
@@ -59,6 +80,8 @@ TEST(CycSat, NcConditionsAdmitCorrectKey) {
 }
 
 TEST(CycSat, AcyclicPreprocessIsNoop) {
+  // With no feedback edge there is no condition to add, so CycSAT is the
+  // SAT attack: the same record in every field that is not a time.
   const Netlist original = netlist::make_circuit("c432", 103);
   const LockedCircuit locked =
       core::full_lock(original, core::FullLockConfig::with_plrs({4}));
@@ -66,10 +89,11 @@ TEST(CycSat, AcyclicPreprocessIsNoop) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  CycSat attack(options);
-  const AttackResult result = attack.run(locked, oracle);
-  EXPECT_EQ(attack.preprocess_stats().feedback_edges, 0);
-  EXPECT_EQ(result.status, AttackStatus::kSuccess);
+  const RunResult cycsat =
+      attacks::run("cycsat", locked.netlist, oracle, options);
+  EXPECT_EQ(cycsat.result.status, AttackStatus::kSuccess);
+  const RunResult sat = attacks::run("sat", locked.netlist, oracle, options);
+  EXPECT_EQ(record_without_times(cycsat), record_without_times(sat));
 }
 
 TEST(CycSat, PlainSatAttackStruggleOnCycles) {
@@ -82,7 +106,8 @@ TEST(CycSat, PlainSatAttackStruggleOnCycles) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 120.0;
-  const AttackResult cyc = CycSat(options).run(locked, oracle);
+  const AttackResult cyc =
+      attacks::run("cycsat", locked.netlist, oracle, options).result;
   ASSERT_EQ(cyc.status, AttackStatus::kSuccess);
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, cyc.key));
 }

@@ -1,14 +1,15 @@
 // DoubleDIP: 2-DIP pruning attack.
 #include <gtest/gtest.h>
 
-#include "attacks/double_dip.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
 #include "locking/rll.h"
 #include "locking/sarlock.h"
 #include "netlist/profiles.h"
+#include "runtime/jsonl.h"
 
 namespace fl::attacks {
 namespace {
@@ -24,7 +25,8 @@ TEST(DoubleDip, BreaksRll) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("double-dip", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
@@ -40,10 +42,12 @@ TEST(DoubleDip, NoTwoDipExistsForPureSarlock) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 120.0;
-  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
+  RunResult run = attacks::run("double-dip", locked.netlist, oracle, options);
+  const AttackResult& result = run.result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_EQ(result.iterations, 0u);  // no 2-DIP on a pure point function
-  EXPECT_GT(result.fallback_iterations, 0u);
+  EXPECT_GT(runtime::json_int_field(run.detail.str(), "fallback_iterations"),
+            0);
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }
 
@@ -57,7 +61,8 @@ TEST(DoubleDip, UsesTwoDipsOnBroadlyCorruptingSchemes) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 120.0;
-  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("double-dip", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_GT(result.iterations, 0u);
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
@@ -70,7 +75,8 @@ TEST(DoubleDip, FullLockStillResists) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 1.0;
-  const DoubleDipResult result = DoubleDip(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("double-dip", locked.netlist, oracle, options).result;
   // Either times out (expected at this budget) or, if it finishes, the key
   // must be right.
   if (result.status == AttackStatus::kSuccess) {
@@ -86,11 +92,8 @@ TEST(DoubleDip, FullLockStillResists) {
 
 TEST(DoubleDip, KeylessCircuitTrivial) {
   const Netlist c17 = netlist::make_c17();
-  LockedCircuit unlocked;
-  unlocked.netlist = c17;
-  unlocked.scheme = "none";
   const Oracle oracle(c17);
-  const DoubleDipResult result = DoubleDip().run(unlocked, oracle);
+  const AttackResult result = attacks::run("double-dip", c17, oracle).result;
   EXPECT_EQ(result.status, AttackStatus::kSuccess);
 }
 

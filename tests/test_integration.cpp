@@ -2,11 +2,9 @@
 // verify + attack pipelines, cross-checks between attacks.
 #include <gtest/gtest.h>
 
-#include "attacks/appsat.h"
-#include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "attacks/removal.h"
-#include "attacks/sat_attack.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
@@ -94,7 +92,8 @@ TEST(Integration, SatKeyOnSmallRllIsProved) {
   config.num_keys = 10;
   const LockedCircuit locked = lock::rll_lock(original, config);
   const attacks::Oracle oracle(original);
-  const attacks::AttackResult sat = attacks::SatAttack().run(locked, oracle);
+  const attacks::AttackResult sat =
+      attacks::run("sat", locked.netlist, oracle).result;
   ASSERT_EQ(sat.status, attacks::AttackStatus::kSuccess);
   // The key may differ bitwise (unconstrained bits) but must unlock.
   EXPECT_EQ(core::check_key(original, locked.netlist, sat.key),
@@ -113,7 +112,7 @@ TEST(Integration, SatAttackScalesWithClnSize) {
     const LockedCircuit locked =
         core::full_lock(original, core::FullLockConfig::with_plrs({n}));
     const attacks::AttackResult result =
-        attacks::SatAttack(options).run(locked, oracle);
+        attacks::run("sat", locked.netlist, oracle, options).result;
     ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess) << n;
     (n == 4 ? t4 : t8) = result.solver_stats.decisions;
   }
@@ -133,7 +132,7 @@ TEST(Integration, CyclicFullLockPipeline) {
   attacks::AttackOptions options;
   options.timeout_s = 120.0;
   const attacks::AttackResult result =
-      attacks::CycSat(options).run(locked, oracle);
+      attacks::run("cycsat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess);
   EXPECT_TRUE(
       cnf::check_equivalence(original, {}, locked.netlist, result.key));
@@ -146,7 +145,7 @@ TEST(Integration, OracleQueryCountEqualsDipCount) {
   const LockedCircuit locked = lock::lutlock_lock(original, config);
   const attacks::Oracle oracle(original);
   const attacks::AttackResult result =
-      attacks::SatAttack().run(locked, oracle);
+      attacks::run("sat", locked.netlist, oracle).result;
   ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess);
   EXPECT_EQ(oracle.num_queries(), result.iterations);
 }

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "attacks/removal.h"
-#include "attacks/sat_attack.h"
 #include "attacks/sps.h"
 #include "cnf/miter.h"
 #include "core/verify.h"
@@ -52,9 +52,8 @@ TEST(InterLock, RemovalAttackFailsFunctionally) {
   const Netlist original = netlist::make_circuit("c432", 2);
   const LockedCircuit locked = lock::lock_with(
       "interlock", original, lock::make_options(5, {}, "sizes=8"));
-  const attacks::Oracle oracle(original);
   const attacks::RemovalResult removal =
-      attacks::removal_attack(locked, oracle);
+      attacks::removal_attack(locked, original);
   EXPECT_GT(removal.blocks_bypassed, 0);
   // Folded logic went with the fabric: the bypassed netlist mis-computes
   // even with all remaining keys set correctly.
@@ -70,9 +69,8 @@ TEST(InterLock, AblationWithoutFoldingOrNegationIsRemovable) {
   const LockedCircuit locked = lock::lock_with(
       "interlock", original,
       lock::make_options(5, {}, "sizes=8,fold=0,negate=0"));
-  const attacks::Oracle oracle(original);
   const attacks::RemovalResult removal =
-      attacks::removal_attack(locked, oracle);
+      attacks::removal_attack(locked, original);
   EXPECT_TRUE(removal.exact);
   EXPECT_EQ(removal.error_rate, 0.0);
 }
@@ -95,7 +93,7 @@ TEST(InterLock, SatAttackRecoversAWorkingKey) {
   attacks::AttackOptions options;
   options.timeout_s = 120.0;
   const attacks::AttackResult result =
-      attacks::SatAttack(options).run(locked, oracle);
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess);
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
 }

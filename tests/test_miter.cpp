@@ -12,8 +12,8 @@
 #include <string>
 #include <utility>
 
-#include "attacks/cycsat.h"
 #include "attacks/oracle.h"
+#include "attacks/registry.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "locking/scheme.h"
@@ -229,7 +229,7 @@ TEST(CheckEquivalence, ProvesCycSatKeysOnCyclicFullLock) {
     attacks::AttackOptions options;
     options.timeout_s = 60.0;
     const attacks::AttackResult result =
-        attacks::CycSat(options).run(locked, oracle);
+        attacks::run("cycsat", locked.netlist, oracle, options).result;
     ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess) << seed;
     EXPECT_TRUE(check_equivalence(original, {}, locked.netlist, result.key))
         << seed;

@@ -23,8 +23,7 @@ TEST(Removal, RecoversCrossLockExactly) {
   config.num_sources = 8;
   config.num_destinations = 12;
   const LockedCircuit locked = lock::crosslock_lock(original, config);
-  const Oracle oracle(original);
-  const RemovalResult result = removal_attack(locked, oracle);
+  const RemovalResult result = removal_attack(locked, original);
   EXPECT_GT(result.blocks_bypassed, 0);
   EXPECT_EQ(result.error_rate, 0.0);
   EXPECT_TRUE(result.exact);
@@ -38,8 +37,7 @@ TEST(Removal, FailsOnFullLockWithNegatedDrivers) {
       {16}, core::ClnTopology::kBanyanNonBlocking, CycleMode::kAvoid,
       /*twist_luts=*/true, /*negate_probability=*/1.0);
   const LockedCircuit locked = core::full_lock(original, config);
-  const Oracle oracle(original);
-  const RemovalResult result = removal_attack(locked, oracle);
+  const RemovalResult result = removal_attack(locked, original);
   EXPECT_FALSE(result.exact);
   EXPECT_GT(result.error_rate, 0.01);
 }
@@ -52,8 +50,7 @@ TEST(Removal, AblationNoNegationNoLuts) {
       {8}, core::ClnTopology::kBanyanNonBlocking, CycleMode::kAvoid,
       /*twist_luts=*/false, /*negate_probability=*/0.0);
   const LockedCircuit locked = core::full_lock(original, config);
-  const Oracle oracle(original);
-  const RemovalResult result = removal_attack(locked, oracle);
+  const RemovalResult result = removal_attack(locked, original);
   EXPECT_TRUE(result.exact);
 }
 
@@ -62,8 +59,7 @@ TEST(Removal, NoBlocksIsHarmlessNoop) {
   LockedCircuit unlocked;
   unlocked.netlist = original;
   unlocked.scheme = "none";
-  const Oracle oracle(original);
-  const RemovalResult result = removal_attack(unlocked, oracle);
+  const RemovalResult result = removal_attack(unlocked, original);
   EXPECT_EQ(result.blocks_bypassed, 0);
   EXPECT_TRUE(result.exact);
 }

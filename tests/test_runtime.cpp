@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "attacks/sweep.h"
 #include "core/full_lock.h"
 #include "netlist/generator.h"
@@ -421,7 +421,7 @@ TEST(Cancel, TokenInterruptsAnAttack) {
   attacks::AttackOptions options;
   options.interrupt = token.flag();
   const attacks::AttackResult result =
-      attacks::SatAttack(options).run(locked, oracle);
+      attacks::run("sat", locked.netlist, oracle, options).result;
   EXPECT_EQ(result.status, attacks::AttackStatus::kInterrupted);
   EXPECT_EQ(result.stop_reason, sat::StopReason::kInterrupt);
   EXPECT_EQ(result.iterations, 0u);

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "cnf/miter.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
@@ -29,7 +29,8 @@ void expect_breaks(const Netlist& original, const LockedCircuit& locked,
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess) << locked.scheme;
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key))
       << locked.scheme;
@@ -77,7 +78,8 @@ TEST(SatAttack, SarlockNeedsExponentialIterations) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_GE(result.iterations, 32u);  // close to 2^6
   EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, result.key));
@@ -101,7 +103,8 @@ TEST(SatAttack, SarlockDipConstraintsAddNoVariables) {
   AttackOptions options;
   options.timeout_s = 60.0;
   options.trace = &sink;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   ASSERT_EQ(sink.records.size(), result.iterations);
   EXPECT_EQ(result.iterations, 255u);  // 2^8 - 1: SARLock's DIP count
@@ -136,7 +139,8 @@ TEST(SatAttack, CyclicRepeatedDipsBanStatefulKeys) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_FALSE(result.cone_encoding);
   EXPECT_GT(result.banned_keys, 0u);
@@ -154,7 +158,8 @@ TEST(SatAttack, IterationLimitHonored) {
   const Oracle oracle(original);
   AttackOptions options;
   options.max_iterations = 5;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   EXPECT_EQ(result.status, AttackStatus::kIterationLimit);
   EXPECT_EQ(result.iterations, 5u);
   // Even a truncated attack reports a best-effort key sized to the key
@@ -170,7 +175,8 @@ TEST(SatAttack, TimeoutReported) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 0.05;  // far too little for a 16x16 PLR
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   EXPECT_EQ(result.status, AttackStatus::kTimeout);
   EXPECT_EQ(result.stop_reason, sat::StopReason::kDeadline);
   EXPECT_LT(result.seconds, 5.0);  // deadline actually cuts the solve short
@@ -187,7 +193,8 @@ TEST(SatAttack, MemoryBudgetSurfacesAsOutOfMemory) {
   const Oracle oracle(original);
   AttackOptions options;
   options.memory_limit_mb = 1;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   EXPECT_EQ(result.status, AttackStatus::kOutOfMemory);
   EXPECT_EQ(result.stop_reason, sat::StopReason::kOutOfMemory);
   EXPECT_EQ(result.key.size(), locked.key_bits());
@@ -195,11 +202,8 @@ TEST(SatAttack, MemoryBudgetSurfacesAsOutOfMemory) {
 
 TEST(SatAttack, KeylessCircuitTrivial) {
   const Netlist c17 = netlist::make_c17();
-  LockedCircuit unlocked;
-  unlocked.netlist = c17;
-  unlocked.scheme = "none";
   const Oracle oracle(c17);
-  const AttackResult result = SatAttack().run(unlocked, oracle);
+  const AttackResult result = attacks::run("sat", c17, oracle).result;
   EXPECT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_EQ(result.iterations, 0u);
 }
@@ -211,7 +215,8 @@ TEST(SatAttack, RatioStatTracked) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   EXPECT_GT(result.mean_clause_var_ratio, 1.0);
   EXPECT_LT(result.mean_clause_var_ratio, 10.0);
@@ -224,7 +229,8 @@ TEST(SatAttack, MeanIterationTimesOnlyTheDipLoop) {
   const Oracle oracle(original);
   AttackOptions options;
   options.timeout_s = 60.0;
-  const AttackResult result = SatAttack(options).run(locked, oracle);
+  const AttackResult result =
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, AttackStatus::kSuccess);
   ASSERT_GT(result.iterations, 0u);
   EXPECT_GT(result.mean_iteration_seconds, 0.0);
@@ -236,11 +242,8 @@ TEST(SatAttack, MeanIterationTimesOnlyTheDipLoop) {
 
 TEST(SatAttack, MeanIterationZeroWhenNoIterations) {
   const Netlist c17 = netlist::make_c17();
-  LockedCircuit unlocked;
-  unlocked.netlist = c17;
-  unlocked.scheme = "none";
   const Oracle oracle(c17);
-  const AttackResult result = SatAttack().run(unlocked, oracle);
+  const AttackResult result = attacks::run("sat", c17, oracle).result;
   ASSERT_EQ(result.iterations, 0u);
   EXPECT_EQ(result.mean_iteration_seconds, 0.0);
 }

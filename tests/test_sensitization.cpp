@@ -20,7 +20,8 @@ TEST(Sensitization, RecoversMostRllKeysCorrectly) {
   config.num_keys = 24;
   const LockedCircuit locked = lock::rll_lock(original, config);
   const Oracle oracle(original);
-  const SensitizationResult result = sensitization_attack(locked, oracle);
+  const SensitizationResult result =
+      sensitization_attack(locked.netlist, oracle);
   // RLL leaves most key gates individually observable.
   EXPECT_GE(result.num_resolved, 12);
   // And every recovered bit must be RIGHT (goldenness is a proof).
@@ -43,7 +44,7 @@ TEST(Sensitization, FullLockLeavesKeysEntangled) {
   options.attempts_per_key = 3;
   options.timeout_s = 60.0;
   const SensitizationResult result =
-      sensitization_attack(locked, oracle, options);
+      sensitization_attack(locked.netlist, oracle, options);
   // The CLN entangles keys: only a negligible fraction can be golden.
   EXPECT_LT(result.num_resolved,
             static_cast<int>(locked.key_bits()) / 8);
@@ -56,11 +57,8 @@ TEST(Sensitization, FullLockLeavesKeysEntangled) {
 
 TEST(Sensitization, KeylessCircuit) {
   const Netlist c17 = netlist::make_c17();
-  LockedCircuit unlocked;
-  unlocked.netlist = c17;
-  unlocked.scheme = "none";
   const Oracle oracle(c17);
-  const SensitizationResult result = sensitization_attack(unlocked, oracle);
+  const SensitizationResult result = sensitization_attack(c17, oracle);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.num_resolved, 0);
   EXPECT_EQ(result.oracle_queries, 0u);

@@ -166,7 +166,8 @@ TEST(ServeJobs, AttackTraceEventsAreTheTraceFileRecords) {
   attacks::AttackOptions options;
   options.trace = &sink;
   const attacks::AttackResult result =
-      attacks::run("sat", lock::read_locked_circuit(attack.locked_path),
+      attacks::run("sat",
+                   lock::read_locked_circuit(attack.locked_path).netlist,
                    attacks::Oracle(original), options)
           .result;
   ASSERT_GT(result.iterations, 0u);

@@ -6,10 +6,8 @@
 // from the stripped function's error patterns.
 #include <gtest/gtest.h>
 
-#include "attacks/fall.h"
 #include "attacks/oracle.h"
 #include "attacks/registry.h"
-#include "attacks/sat_attack.h"
 #include "cnf/miter.h"
 #include "core/verify.h"
 #include "locking/scheme.h"
@@ -87,27 +85,32 @@ TEST(SfllHd, FallAttackRecoversKeyAndHammingDistance) {
   const Netlist original = netlist::make_circuit("c432", 2);
   const LockedCircuit locked = lock_sfll(original, 8, 1, 7);
   const attacks::Oracle oracle(original);
-  const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
-  EXPECT_TRUE(fall.restore_identified);
-  EXPECT_EQ(fall.protected_bits, 8);
-  EXPECT_GT(fall.error_patterns, 0);
+  attacks::RunResult run = attacks::run("fall", locked.netlist, oracle);
+  const std::string detail = run.detail.str();
+  EXPECT_EQ(runtime::json_bool_field(detail, "restore_identified"), true);
+  EXPECT_EQ(runtime::json_int_field(detail, "protected_bits"), 8);
+  EXPECT_GT(runtime::json_int_field(detail, "error_patterns").value_or(0), 0);
   // Pure removal is NOT enough: the stripped function still errs on the
   // h-shell around K*.
-  EXPECT_GT(fall.stripped_error_rate, 0.0);
-  ASSERT_TRUE(fall.key_recovered);
-  EXPECT_EQ(fall.hd, 1);
-  EXPECT_EQ(fall.key, locked.correct_key);
-  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, fall.key));
+  EXPECT_GT(
+      runtime::json_double_field(detail, "stripped_error_rate").value_or(0),
+      0.0);
+  ASSERT_EQ(run.result.status, attacks::AttackStatus::kSuccess);
+  EXPECT_EQ(runtime::json_int_field(detail, "hd"), 1);
+  EXPECT_EQ(run.result.key, locked.correct_key);
+  EXPECT_TRUE(
+      cnf::check_equivalence(original, {}, locked.netlist, run.result.key));
 }
 
 TEST(SfllHd, FallAttackRecoversKeyAtLargerDistance) {
   const Netlist original = netlist::make_circuit("c499", 2);
   const LockedCircuit locked = lock_sfll(original, 6, 2, 11);
   const attacks::Oracle oracle(original);
-  const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
-  ASSERT_TRUE(fall.key_recovered);
-  EXPECT_EQ(fall.hd, 2);
-  EXPECT_TRUE(cnf::check_equivalence(original, {}, locked.netlist, fall.key));
+  attacks::RunResult run = attacks::run("fall", locked.netlist, oracle);
+  ASSERT_EQ(run.result.status, attacks::AttackStatus::kSuccess);
+  EXPECT_EQ(runtime::json_int_field(run.detail.str(), "hd"), 2);
+  EXPECT_TRUE(
+      cnf::check_equivalence(original, {}, locked.netlist, run.result.key));
 }
 
 TEST(SfllHd, FallBailsOnNonSfllLocks) {
@@ -115,8 +118,8 @@ TEST(SfllHd, FallBailsOnNonSfllLocks) {
   const LockedCircuit locked = lock::lock_with(
       "rll", original, lock::make_options(5, {}, "keys=8"));
   const attacks::Oracle oracle(original);
-  const attacks::FallResult fall = attacks::fall_attack(locked, oracle);
-  EXPECT_FALSE(fall.key_recovered);
+  EXPECT_NE(attacks::run("fall", locked.netlist, oracle).result.status,
+            attacks::AttackStatus::kSuccess);
 }
 
 TEST(SfllHd, FallThroughAttackRunReportsWhatItDid) {
@@ -127,7 +130,7 @@ TEST(SfllHd, FallThroughAttackRunReportsWhatItDid) {
   const LockedCircuit locked = lock_sfll(original, 8, 1, 7);
   const attacks::Oracle oracle(original);
   const std::uint64_t queries_before = oracle.num_queries();
-  attacks::RunResult run = attacks::run("fall", locked, oracle);
+  attacks::RunResult run = attacks::run("fall", locked.netlist, oracle);
   EXPECT_EQ(run.attack, "fall");
   ASSERT_EQ(run.result.status, attacks::AttackStatus::kSuccess);
   EXPECT_EQ(run.result.key, locked.correct_key);
@@ -152,7 +155,7 @@ TEST(SfllHd, FallThroughAttackRunWithoutRestoreUnitSizesTheKey) {
   const LockedCircuit locked = lock::lock_with(
       "rll", original, lock::make_options(5, {}, "keys=8"));
   const attacks::Oracle oracle(original);
-  attacks::RunResult run = attacks::run("fall", locked, oracle);
+  attacks::RunResult run = attacks::run("fall", locked.netlist, oracle);
   EXPECT_EQ(run.result.status, attacks::AttackStatus::kIterationLimit);
   EXPECT_EQ(run.result.key.size(), locked.key_bits());
   EXPECT_EQ(run.result.iterations, 0u);

@@ -5,7 +5,7 @@
 #include <random>
 
 #include "attacks/oracle.h"
-#include "attacks/sat_attack.h"
+#include "attacks/registry.h"
 #include "core/full_lock.h"
 #include "netlist/generator.h"
 #include "netlist/optimize.h"
@@ -89,7 +89,7 @@ TEST(Arena, CycleDetectionTracksSetFanin) {
   n.set_fanin(g1, {a, g2});  // back edge g2 -> g1
   EXPECT_TRUE(n.is_cyclic());
   EXPECT_TRUE(n.topo_span().empty());
-  EXPECT_FALSE(n.topological_order().has_value());
+  EXPECT_FALSE(n.levels().has_value());
 
   n.set_fanin(g1, {a, a});
   EXPECT_FALSE(n.is_cyclic());
@@ -360,7 +360,7 @@ TEST(Accounting, SatAttackQueriesEqualIterations) {
   attacks::AttackOptions options;
   options.timeout_s = 60.0;
   const attacks::AttackResult result =
-      attacks::SatAttack(options).run(locked, oracle);
+      attacks::run("sat", locked.netlist, oracle, options).result;
   ASSERT_EQ(result.status, attacks::AttackStatus::kSuccess);
   EXPECT_EQ(oracle.num_queries(), result.iterations);
   EXPECT_EQ(oracle.num_queries(), result.oracle_queries);
